@@ -1,59 +1,33 @@
-"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance suite: one test per criterion.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  Tolerances are pinned here; nothing is calibrated at run time except
-where a criterion itself prescribes calibration (the C/sqrt(N) constants of
-criteria 5 and 6).
+Criteria 1-7 and 9-11 each run the CLI subcommand that defines them, at its
+default config, and pass when it exits 0.  The subcommand is the only
+definition of its criterion: its parameters, seed and tolerances live in
+`boltzsphere.cli`, and it prints one PASS/FAIL line per check (run with
+`pytest tests/test_acceptance.py -v -s` to see them).  Criterion 8 has no
+subcommand and is defined here.
 
-Criterion 6 asserts the paper's W1 bound C/sqrt(N), with C calibrated at the
-first N, and a fitted slope of at most -0.35.  The exact marginal actually
-decays like c_inf/N: the second-order local CLT gives
-F^N_1 = f (1 + q/N) + O(N^-2), and the criterion also checks N W1 against the
+Criterion 6 (`w1-rate`) asserts the paper's W1 bound C/sqrt(N), with C
+calibrated at the first N, and a fitted slope of at most -0.35.  The exact
+marginal actually decays like c_inf/N: the second-order local CLT gives
+F^N_1 = f (1 + q/N) + O(N^-2), and the test also checks N W1 against the
 constant c_inf that this closed form gives for the uniform box.
 """
 
+import json
 import math
 
 import numpy as np
-import pytest
 from scipy import integrate, stats
 
 import boltzsphere as bs
-from boltzsphere.conditioned import (
-    ConditionedLaw,
-    entropy_per_particle,
-    sample_conditioned_batch,
-    w1_rate_experiment,
-)
-from boltzsphere.dsmc import CollisionKernel, ConditionedInitial, equilibrium_crosscheck
-from boltzsphere.dsmc import run as dsmc_run
-from boltzsphere.geometry import (
-    ParticleConfiguration,
-    ScalarField,
-    SphereSpec,
-    VectorField,
-    ipp_residual,
-)
-from boltzsphere.lifted import berry_esseen_sup, lifted_grid, z_prime_asymptotic
-from boltzsphere.metrics import (
-    EmpiricalMeasure,
-    interpolation_check,
-    relative_entropy_vs_gaussian,
-    relative_fisher,
-    w1,
-    w2,
-)
-from boltzsphere.uniform import (
-    UniformMarginal,
-    coordinate_marginal,
-    l1_chaos_gap,
-    marginal_density,
-    sample_uniform_batch,
-)
+from boltzsphere import cli
+from boltzsphere.conditioned import ConditionedLaw, sample_conditioned_batch
+from boltzsphere.geometry import SphereSpec
+from boltzsphere.uniform import UniformMarginal, coordinate_marginal, marginal_density
 
 SEED = 20240901
 GAUSS = bs.get_density("gaussian", 1)
-UNIF = bs.get_density("uniform", 1)
 
 
 def _report(num, label, ok, detail=""):
@@ -61,78 +35,30 @@ def _report(num, label, ok, detail=""):
     return ok
 
 
-def test_criterion_01_helmert_suite():
-    rng = np.random.default_rng(SEED)
-    worst_rt = worst_iso = 0.0
-    for _ in range(64):
-        d = int(rng.integers(1, 4))
-        N = int(rng.integers(2, 33))
-        V = rng.normal(size=d * N)
-        U = bs.helmert_forward(V, d=d)
-        worst_iso = max(worst_iso, abs(U @ U - V @ V) / max(V @ V, 1.0))
-        worst_rt = max(worst_rt, float(np.max(np.abs(bs.helmert_inverse(U, d=d) - V))))
-    worst_det = max(abs(np.linalg.det(bs.helmert_matrix(n)) - 1.0) for n in range(2, 65))
-    ok = worst_rt <= 1e-12 and worst_iso <= 1e-12 and worst_det <= 1e-10
-    assert _report(
-        1, "orthogonal change of variables",
-        ok, f"(roundtrip {worst_rt:.1e}, isometry {worst_iso:.1e}, det {worst_det:.1e})",
-    )
+def _cli(tmp_path, *argv):
+    """Exit code of one subcommand at its default config, writing into tmp_path."""
+    return cli.main([*argv, "--out", str(tmp_path)])
 
 
-def test_criterion_02_uniform_marginal_normalization():
-    worst = 0.0
-    for N in (4, 10, 50):
-        m = UniformMarginal(SphereSpec.boltzmann(1, N), 1)
-        vmax = math.sqrt(N - 1)
-        val, _ = integrate.quad(
-            lambda v: float(marginal_density(m, np.array([v]))), -vmax, vmax, limit=400
-        )
-        worst = max(worst, abs(val - 1.0))
-    m4 = UniformMarginal(SphereSpec.boltzmann(1, 4), 1)
-    grid = np.linspace(-math.sqrt(3) + 1e-9, math.sqrt(3) - 1e-9, 201)
-    flat_dev = float(np.max(np.abs(marginal_density(m4, grid[:, None]) - 1 / (2 * math.sqrt(3)))))
-    ok = worst <= 1e-6 and flat_dev <= 1e-12
-    assert _report(
-        2, "uniform-law marginal normalization",
-        ok, f"(norm err {worst:.1e}, flat dev {flat_dev:.1e})",
-    )
+def test_criterion_01_helmert_suite(tmp_path):
+    assert _cli(tmp_path, "geometry-selftest") == cli.EXIT_OK
 
 
-def test_criterion_03_l1_chaos_bound():
-    rows = []
-    ok = True
-    for N in (10, 20, 50, 100):
-        gap, bound = l1_chaos_gap(1, 1, N)
-        ok = ok and gap <= bound
-        rows.append((N, gap, 0.0))
-    rep = bs.fit_loglog(rows)
-    ok = ok and rep.slope <= -0.8
-    assert _report(3, "marginal-to-Gaussian L1 bound", ok, f"(slope {rep.slope:.2f})")
+def test_criterion_02_uniform_marginal_normalization(tmp_path):
+    assert _cli(tmp_path, "uniform-marginal") == cli.EXIT_OK
 
 
-def test_criterion_04_partition_pipeline_oracle():
-    worst = 0.0
-    for N in (8, 16, 32, 64, 128):
-        zp = math.exp(lifted_grid(GAUSS, N).log_z_prime(math.sqrt(N), 0.0))
-        worst = max(worst, abs(zp - 1.0))
-    zp_unif = math.exp(lifted_grid(UNIF, 128).log_z_prime(math.sqrt(128), 0.0))
-    limit = z_prime_asymptotic(UNIF, 128)  # sqrt(10)/2
-    rel = abs(zp_unif - limit) / limit
-    ok = worst <= 0.02 and rel <= 0.03
-    assert _report(
-        4, "partition-value pipeline oracle",
-        ok, f"(gaussian worst {worst:.4f}, box value {zp_unif:.4f} vs {limit:.4f})",
-    )
+def test_criterion_03_l1_chaos_bound(tmp_path):
+    assert _cli(tmp_path, "l1-gap") == cli.EXIT_OK
 
 
-def test_criterion_05_local_clt_rate():
-    ns = (2, 4, 8, 16, 32, 64, 128, 256)
-    vals = {N: berry_esseen_sup(UNIF, N) for N in ns}
-    c = vals[2] * math.sqrt(2.0)
-    under = all(vals[N] <= c / math.sqrt(N) for N in ns)
-    rep = bs.fit_loglog([(N, v, 0.0) for N, v in vals.items()])
-    ok = under and rep.slope <= -0.45
-    assert _report(5, "local CLT sup-norm rate", ok, f"(slope {rep.slope:.2f})")
+def test_criterion_04_partition_pipeline_oracle(tmp_path):
+    assert _cli(tmp_path, "zprime", "--density", "gaussian") == cli.EXIT_OK
+    assert _cli(tmp_path, "zprime", "--density", "uniform") == cli.EXIT_OK
+
+
+def test_criterion_05_local_clt_rate(tmp_path):
+    assert _cli(tmp_path, "berry-esseen") == cli.EXIT_OK
 
 
 def _box_w1_constant() -> float:
@@ -156,31 +82,18 @@ def _box_w1_constant() -> float:
     return integrate.quad(lambda x: abs(gap_cdf(x)), -a, a, points=kinks)[0]
 
 
-def test_criterion_06_w1_chaos_rate():
-    rep = w1_rate_experiment(UNIF, [8, 16, 32, 64, 128, 256, 512])
-    n0, v0, _ = rep.rows[0]
-    c = v0 * math.sqrt(n0)
-    under = all(v * math.sqrt(N) <= c for N, v, _ in rep.rows)
+def test_criterion_06_w1_chaos_rate(tmp_path):
+    assert _cli(tmp_path, "w1-rate") == cli.EXIT_OK
+    with open(tmp_path / "w1-rate.json", encoding="utf-8") as fh:
+        rows = json.load(fh)["fit"]["rows"]
     c_inf = _box_w1_constant()
-    worst = max(abs(N * v / c_inf - 1.0) for N, v, _ in rep.rows if N >= 32)
-    ok = under and rep.slope <= -0.35 and worst <= 0.05
-    detail = f"(slope {rep.slope:.3f}, c_inf {c_inf:.5f}, worst |N W1 / c_inf - 1| {worst:.3f})"
-    assert _report(6, "one-particle W1 chaos rate", ok, detail)
+    worst = max(abs(r["N"] * r["value"] / c_inf - 1.0) for r in rows if r["N"] >= 32)
+    detail = f"(c_inf {c_inf:.5f}, worst |N W1 / c_inf - 1| {worst:.3f})"
+    assert _report(6, "one-particle W1 constant", worst <= 0.05, detail)
 
 
-def test_criterion_07_entropic_chaos_rate():
-    limit = UNIF.relative_entropy_vs_gamma()
-    rows = []
-    for N in (16, 32, 64, 128, 256):
-        law = ConditionedLaw(f=UNIF, spec=SphereSpec.boltzmann(1, N))
-        rows.append((N, abs(entropy_per_particle(law) - limit), 0.0))
-    rep = bs.fit_loglog(rows)
-    final = rows[-1][1]
-    ok = final <= 0.02 and rep.slope <= -0.35
-    assert _report(
-        7, "entropy-per-particle rate", ok,
-        f"(gap at N=256 {final:.4f}, slope {rep.slope:.2f})",
-    )
+def test_criterion_07_entropic_chaos_rate(tmp_path):
+    assert _cli(tmp_path, "entropy-rate") == cli.EXIT_OK
 
 
 def test_criterion_08_sampler_correctness():
@@ -223,122 +136,13 @@ def test_criterion_08_sampler_correctness():
     )
 
 
-def test_criterion_09_dsmc_invariants_and_equilibrium():
-    from boltzsphere._kernels import default_kernels
-    from boltzsphere.dsmc import _advance_uniform_kernel
-
-    kernel = CollisionKernel.uniform(3)
-    N = 256
-
-    gen = bs.stream(SEED, "acc-drift")
-    v = sample_uniform_batch(SphereSpec.boltzmann(3, N), 1, gen)[0].reshape(N, 3)
-    p0, e0 = v.sum(axis=0).copy(), float(np.sum(v * v))
-    _advance_uniform_kernel(v, 0.0, 1_000_000 / kernel.rate(N), kernel.rate(N), gen,
-                            default_kernels())
-    drift_p = float(np.max(np.abs(v.sum(axis=0) - p0))) / math.sqrt(e0)
-    drift_e = abs(float(np.sum(v * v)) - e0) / e0
-
-    init = ConditionedInitial(density="mixture", d=3, N=N)
-    res = dsmc_run(init, kernel, t_end=20.0, n_replicas=64, observables=("m4",),
-                   seed=SEED, n_times=6)
-    m4, e4 = res.observables["m4"]
-    zgap = abs(m4[-1] - 15.0) / e4[-1]
-
-    gen2 = bs.stream(SEED, "acc-eq")
-    v2 = np.array(init(gen2), dtype=float)
-    _advance_uniform_kernel(v2, 0.0, 40.0 * kernel.mean_free_time(N), kernel.rate(N), gen2,
-                            default_kernels())
-    pool = [v2[:, 0].copy()]
-    while sum(p.size for p in pool) < 12_000:
-        _advance_uniform_kernel(v2, 0.0, 8.0 * kernel.mean_free_time(N), kernel.rate(N),
-                                gen2, default_kernels())
-        pool.append(v2[:, 0].copy())
-    _, pval, ks_ok = equilibrium_crosscheck(N, 3, np.concatenate(pool))
-
-    ok = drift_p <= 1e-9 and drift_e <= 1e-9 and zgap <= 3.0 and ks_ok
-    assert _report(
-        9, "event-driven simulation invariants", ok,
-        f"(drift {max(drift_p, drift_e):.1e}, m4 {m4[-1]:.3f}+-{e4[-1]:.3f}, KS p {pval:.3f})",
-    )
+def test_criterion_09_dsmc_invariants_and_equilibrium(tmp_path):
+    assert _cli(tmp_path, "dsmc") == cli.EXIT_OK
 
 
-def _ipp_field_pairs(d, N):
-    n = d * N
-
-    def e_vec(idx):
-        out = np.zeros(n)
-        out[idx] = 1.0
-        return out
-
-    scale = 2.0 * d * N
-    return [
-        (
-            ScalarField(value=lambda V: V[0], grad=lambda V: e_vec(0)),
-            VectorField(value=lambda V, e=e_vec(d): e, jacobian=lambda V: np.zeros((n, n))),
-        ),
-        (
-            ScalarField(
-                value=lambda V: math.exp(-float(V @ V) / scale),
-                grad=lambda V: -2.0 * V / scale * math.exp(-float(V @ V) / scale),
-            ),
-            VectorField(value=lambda V: V.copy(), jacobian=lambda V: np.eye(n)),
-        ),
-        (
-            ScalarField(value=lambda V: V[0] * V[0], grad=lambda V: 2.0 * V[0] * e_vec(0)),
-            VectorField(
-                value=lambda V: math.sin(V[1]) * e_vec(1),
-                jacobian=lambda V: math.cos(V[1]) * np.outer(e_vec(1), e_vec(1)),
-            ),
-        ),
-    ]
+def test_criterion_10_integration_by_parts(tmp_path):
+    assert _cli(tmp_path, "ipp-check") == cli.EXIT_OK
 
 
-def test_criterion_10_integration_by_parts():
-    ok = True
-    details = []
-    for d, N in ((2, 4), (3, 3), (2, 10)):
-        spec = SphereSpec.boltzmann(d, N)
-        batch = sample_uniform_batch(spec, 100_000, bs.stream(SEED, "acc-ipp", d, N))
-        samples = [ParticleConfiguration(row, spec) for row in batch]
-        for k, (F, Phi) in enumerate(_ipp_field_pairs(d, N)):
-            mean, se = ipp_residual(F, Phi, samples)
-            good = abs(mean) <= 3.0 * se + 1e-12
-            ok = ok and good
-            details.append(f"{d},{N},{k}:{mean:+.0e}")
-    assert _report(10, "integration-by-parts residuals", ok, "(" + " ".join(details) + ")")
-
-
-def test_criterion_11_metric_suite():
-    gen = bs.stream(SEED, "acc-metrics")
-    worst_sym = 0.0
-    worst_tri = -math.inf
-    for _ in range(25):
-        dim = int(gen.integers(1, 4))
-        a = EmpiricalMeasure(gen.normal(size=(40, dim)))
-        b = EmpiricalMeasure(gen.normal(0.35, 1.2, size=(40, dim)))
-        c = EmpiricalMeasure(gen.normal(-0.4, 0.8, size=(40, dim)))
-        for dist in (w1, w2):
-            worst_sym = max(worst_sym, abs(dist(a, b) - dist(b, a)))
-            worst_tri = max(worst_tri, dist(a, c) - dist(a, b) - dist(b, c))
-    axioms_ok = worst_sym <= 1e-9 and worst_tri <= 1e-9
-
-    g4 = bs.gaussian_density(1, 4.0)
-    samp = EmpiricalMeasure(g4.sample(bs.stream(SEED, "acc-ent"), 100_000))
-    ent = relative_entropy_vs_gaussian(samp)
-    ent_ok = abs(ent.value - 0.8068528194400547) <= 3.0 * ent.stderr
-    fish = relative_fisher(g4, samp)
-    fish_ok = abs(fish.value - 2.25) <= 3.0 * fish.stderr
-
-    pairs_ok = all(
-        interpolation_check(
-            EmpiricalMeasure(gen.normal(gen.normal(), abs(gen.normal()) + 0.2, size=(150, 1))),
-            EmpiricalMeasure(gen.normal(gen.normal(), abs(gen.normal()) + 0.2, size=(150, 1))),
-            4,
-        ).passed
-        for _ in range(100)
-    )
-    ok = axioms_ok and ent_ok and fish_ok and pairs_ok
-    assert _report(
-        11, "transport and information metric suite", ok,
-        f"(axioms {worst_tri:.1e}, entropy {ent.value:.4f}, fisher {fish.value:.4f})",
-    )
+def test_criterion_11_metric_suite(tmp_path):
+    assert _cli(tmp_path, "metrics-selftest") == cli.EXIT_OK

@@ -47,6 +47,18 @@ class TestConfigHandling:
         code = run_cli(["l1-gap", "--config", str(cfgfile), "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
 
+    def test_unknown_tolerance_profile_in_file_exits_3(self, tmp_path):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text("tolerance_profile = strcit\n")
+        code = run_cli(["l1-gap", "--config", str(cfgfile), "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+
+    def test_experiment_key_in_file_exits_3(self, tmp_path):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text("experiment = banana\n")
+        code = run_cli(["l1-gap", "--config", str(cfgfile), "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+
     def test_non_increasing_n_list_exits_3(self, tmp_path):
         code = run_cli(["l1-gap", "--n-list", "20,10", "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
