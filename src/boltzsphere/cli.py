@@ -398,6 +398,13 @@ def cmd_entropy_rate(args) -> int:
     return code
 
 
+def _uniform_m4(d: int, N: int) -> float:
+    """E|v1|^4 under the uniform law on the N-particle sphere: d(d+2) M/(M+2)
+    with M = d(N-1), since |v1|^2 / (d(N-1)) is Beta(d/2, (M-d)/2)."""
+    M = d * (N - 1)
+    return d * (d + 2) * M / (M + 2)
+
+
 def cmd_dsmc(args) -> int:
     cfg = _load_config(args, "dsmc", {"density": "mixture", "d": 3, "n_list": (256,)})
     N = cfg.n_list[-1]
@@ -405,15 +412,13 @@ def cmd_dsmc(args) -> int:
     checks = []
 
     # raw conservation drift over many collisions, no re-projection
-    from ._kernels import default_kernels
-    from .dsmc import _advance_uniform_kernel
+    from .dsmc import _advance
 
     gen = stream(cfg.seed, "dsmc-drift")
     v = sample_uniform_batch(SphereSpec.boltzmann(cfg.d, N), 1, gen)[0].reshape(N, cfg.d)
     p0 = v.sum(axis=0).copy()
     e0 = float(np.sum(v * v))
-    _advance_uniform_kernel(v, 0.0, _DRIFT_EVENTS / kernel.rate(N), kernel.rate(N), gen,
-                            default_kernels())
+    _advance(v, 0.0, _DRIFT_EVENTS / kernel.rate(N), kernel, gen)
     drift_p = float(np.max(np.abs(v.sum(axis=0) - p0))) / math.sqrt(e0)
     drift_e = abs(float(np.sum(v * v)) - e0) / e0
     checks.append((f"momentum drift {drift_p:.2e} <= 1e-9 over ~{_DRIFT_EVENTS} collisions", drift_p <= 1e-9))
@@ -426,23 +431,22 @@ def cmd_dsmc(args) -> int:
         observables=("m2", "m4"), seed=cfg.seed, n_times=cfg.n_times, jobs=cfg.jobs,
     )
     m4, e4 = res.observables["m4"]
-    target_m4 = cfg.d * (cfg.d + 2)
+    target_m4 = _uniform_m4(cfg.d, N)
     zgap = abs(m4[-1] - target_m4) / max(e4[-1], 1e-12)
     checks.append(
-        (f"E|v1|^4 -> {target_m4} by t={cfg.t_end} mft: {m4[-1]:.3f} +- {e4[-1]:.3f} "
+        (f"E|v1|^4 -> {target_m4:.3f} by t={cfg.t_end} mft: {m4[-1]:.3f} +- {e4[-1]:.3f} "
          f"({zgap:.2f} stderr)", zgap <= cfg.stderr_mult())
     )
 
     # long-run coordinate law against the uniform-law marginal
     gen2 = stream(cfg.seed, "dsmc-eq")
     v2 = np.array(init(gen2), dtype=float)
-    _advance_uniform_kernel(v2, 0.0, cfg.t_end * kernel.mean_free_time(N) * 2, kernel.rate(N),
-                            gen2, default_kernels())
+    _advance(v2, 0.0, cfg.t_end * kernel.mean_free_time(N) * 2, kernel, gen2)
     pool = [v2[:, 0].copy()]
     needed = max(12_000, cfg.samples // 10)
     spacing = 8.0 * kernel.mean_free_time(N)
     while sum(p.size for p in pool) < needed:
-        _advance_uniform_kernel(v2, 0.0, spacing, kernel.rate(N), gen2, default_kernels())
+        _advance(v2, 0.0, spacing, kernel, gen2)
         pool.append(v2[:, 0].copy())
     stat, pval, ok = equilibrium_crosscheck(N, cfg.d, np.concatenate(pool))
     checks.append((f"KS equilibrium crosscheck stat={stat:.4f} p={pval:.3f} (alpha=0.01)", ok))
@@ -576,13 +580,9 @@ def cmd_report(args) -> int:
     summary = {}
     worst = EXIT_OK
     base_out = args.out or "out"
-    shared = argparse.Namespace(
-        config=args.config, seed=args.seed, out=args.out, jobs=args.jobs,
-        tolerance_profile=args.tolerance_profile,
-    )
     for name, fn in _SUBCOMMANDS.items():
         print(f"== {name}")
-        code = fn(shared)
+        code = fn(args)
         summary[name] = {"exit_code": code, "passed": code == EXIT_OK}
         worst = max(worst, code)
     write_json(os.path.join(base_out, "report.json"),
@@ -609,6 +609,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--jobs", type=int, help="worker pool size for replicas")
         sp.add_argument("--tolerance-profile", choices=_TOLERANCE_PROFILES,
                         dest="tolerance_profile")
+        if name == "report":  # runs every experiment at its defaults
+            continue
         sp.add_argument("--density", choices=registry_names())
         sp.add_argument("--n-list", dest="n_list", help="comma-separated N values")
         sp.add_argument("--d", type=int, help="spatial dimension")

@@ -104,14 +104,13 @@ def _lattice_like(spec: SphereSpec, gen: np.random.Generator) -> np.ndarray:
 class _Chain:
     """Persistent Metropolis chain state; emits states in batches."""
 
-    def __init__(self, law: ConditionedLaw, rng_seed, burn_in, thin, kernels=None):
+    def __init__(self, law: ConditionedLaw, rng_seed, burn_in, thin):
         spec = law.spec
         self.N, self.d = spec.N, spec.d
         self.burn_in = 50 * spec.N if burn_in is None else int(burn_in)
         self.thin = spec.N if thin is None else int(thin)
         if self.thin < 1 or self.burn_in < 0:
             raise ParameterError("need thin >= 1 and burn_in >= 0")
-        self.kernels = kernels if kernels is not None else default_kernels()
         self.code, self.params = density_code(law.f)
         self.gen = rngmod.stream(rng_seed, "conditioned") if isinstance(rng_seed, int) else rng_seed
         self.law = law
@@ -133,14 +132,14 @@ class _Chain:
             if self.d == 1:
                 ii, jj, kk = draw_triple_indices(self.gen, n_prop, self.N)
                 angles = self.gen.random(n_prop) * (2.0 * math.pi)
-                done, acc = self.kernels.triple_chain(
+                done, acc = default_kernels().triple_chain(
                     self.v, self.code, self.params, ii, jj, kk, angles, log_us,
                     self.step, self.burn_in, self.thin, out, done,
                 )
             else:
                 ii, jj = draw_pair_indices(self.gen, n_prop, self.N)
                 sigmas = draw_unit_vectors(self.gen, n_prop, self.d)
-                done, acc = self.kernels.pair_chain(
+                done, acc = default_kernels().pair_chain(
                     self.v, self.code, self.params, ii, jj, sigmas, log_us,
                     self.step, self.burn_in, self.thin, out, done,
                 )
@@ -155,13 +154,12 @@ def sample_conditioned_batch(
     n_states: int,
     burn_in: Optional[int] = None,
     thin: Optional[int] = None,
-    kernels=None,
 ) -> np.ndarray:
     """n_states post-burn-in chain states as an (n_states, N, d) array.
 
     Defaults: burn_in = 50 N proposals, thin = N proposals between states.
     """
-    return _Chain(law, rng_seed, burn_in, thin, kernels=kernels).states(n_states)
+    return _Chain(law, rng_seed, burn_in, thin).states(n_states)
 
 
 def sample_conditioned(

@@ -105,22 +105,6 @@ class CollisionKernel:
         """Master-equation time for one collision per particle on average."""
         return N / ((N - 1) * self.beta)
 
-    def sample_sigma(self, gen: np.random.Generator, k_hat: np.ndarray) -> np.ndarray:
-        """One scattering direction, possibly tied to the relative direction."""
-        if self.costheta_sampler is None:
-            g = gen.normal(size=self.d)
-            return g / np.linalg.norm(g)
-        c = float(self.costheta_sampler(gen, 1)[0])
-        g = gen.normal(size=self.d)
-        g -= (g @ k_hat) * k_hat
-        norm = np.linalg.norm(g)
-        if norm < 1e-300:
-            g = np.roll(k_hat, 1).copy()
-            g -= (g @ k_hat) * k_hat
-            norm = np.linalg.norm(g)
-        w = g / norm
-        return c * k_hat + math.sqrt(max(1.0 - c * c, 0.0)) * w
-
 
 @dataclass
 class SimulationState:
@@ -172,43 +156,38 @@ class SimulationState:
         )
 
 
+def _draw_events(gen: np.random.Generator, kernel: CollisionKernel, n: int, N: int) -> tuple:
+    """dsmc_advance's draws for n events: exponential waits, pairs, unit
+    vectors and, for a non-uniform angular law, deflection cosines."""
+    dts = -np.log(gen.random(n))
+    ii, jj = draw_pair_indices(gen, n, N)
+    sigmas = draw_unit_vectors(gen, n, kernel.d)
+    cosines = None if kernel.costheta_sampler is None else kernel.costheta_sampler(gen, n)
+    return dts, ii, jj, sigmas, cosines
+
+
 def step(state: SimulationState, kernel: CollisionKernel) -> SimulationState:
     """Advance by one collision event in place (also returns the state)."""
     spec = state.configuration.spec
     if kernel.d != spec.d:
         raise ParameterError("kernel dimension does not match the configuration")
-    N = spec.N
-    gen = state.rng
-    state.time += -math.log(gen.random()) / kernel.rate(N)
-    i = int(gen.integers(0, N))
-    j = int(gen.integers(0, N - 1))
-    if j >= i:
-        j += 1
-    v = state.configuration.particles()
-    rel = v[i] - v[j]
-    rnorm = float(np.linalg.norm(rel))
-    k_hat = rel / rnorm if rnorm > 0.0 else np.eye(spec.d)[0]
-    sigma = kernel.sample_sigma(gen, k_hat)
-    center = 0.5 * (v[i] + v[j])
-    half = 0.5 * rnorm
-    v[i] = center + half * sigma
-    v[j] = center - half * sigma
+    events = _draw_events(state.rng, kernel, 1, spec.N)
+    state.time, _, _ = default_kernels().dsmc_advance(
+        state.configuration.particles(), state.time, math.inf, kernel.rate(spec.N), *events
+    )
     state.collision_count += 1
     return state
 
 
-def _advance_uniform_kernel(v, t, t_target, rate, gen, kernels):
-    """Chunked event loop for the uniform angular law."""
-    d = v.shape[1]
+def _advance(v, t, t_target, kernel: CollisionKernel, gen):
+    """Apply collision events in chunks until master time t_target; returns
+    the new clock."""
     N = v.shape[0]
-    collisions = 0
+    rate = kernel.rate(N)
     while t < t_target:
-        dts = -np.log(gen.random(_EVENT_CHUNK))
-        ii, jj = draw_pair_indices(gen, _EVENT_CHUNK, N)
-        sigmas = draw_unit_vectors(gen, _EVENT_CHUNK, d)
-        t, used, applied = kernels.dsmc_advance(v, t, t_target, rate, dts, ii, jj, sigmas)
-        collisions += applied
-    return t, collisions
+        events = _draw_events(gen, kernel, _EVENT_CHUNK, N)
+        t, _, _ = default_kernels().dsmc_advance(v, t, t_target, rate, *events)
+    return t
 
 
 @dataclass
@@ -255,35 +234,17 @@ def _resolve_observables(observables):
 def _replica_series(args):
     """One replica's observable series; module level so pools can pickle it."""
     initial_sampler, kernel, times, seed, rep, scalar_names, keep_snapshots = args
-    ker = default_kernels()
     gen = rngmod.stream(seed, "dsmc", rep)
     v = np.array(initial_sampler(gen), dtype=float)
     if v.ndim != 2 or v.shape[1] != kernel.d:
         raise ParameterError("initial sampler must return an (N, d) array")
-    N = v.shape[0]
-    mft = kernel.mean_free_time(N)
-    rate = kernel.rate(N)
+    mft = kernel.mean_free_time(v.shape[0])
     scalar_obs, _ = _resolve_observables(scalar_names)
     series = {name: np.empty(len(times)) for name in scalar_obs}
     snaps = [] if keep_snapshots else None
     t_master = 0.0
     for it, t_mft in enumerate(times):
-        target = t_mft * mft
-        if target > t_master:
-            if kernel.costheta_sampler is None:
-                t_master, _ = _advance_uniform_kernel(v, t_master, target, rate, gen, ker)
-            else:
-                state = SimulationState(
-                    configuration=ParticleConfiguration(
-                        v.reshape(-1), SphereSpec.boltzmann(kernel.d, N)
-                    ),
-                    rng=gen,
-                    time=t_master,
-                )
-                while state.time < target:
-                    step(state, kernel)
-                v = state.configuration.particles()
-                t_master = target
+        t_master = _advance(v, t_master, t_mft * mft, kernel, gen)
         for name, fn in scalar_obs.items():
             series[name][it] = fn(v)
         if keep_snapshots:

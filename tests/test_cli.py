@@ -3,6 +3,8 @@ import json
 import pytest
 
 from boltzsphere import cli
+from boltzsphere.geometry import SphereSpec
+from boltzsphere.uniform import UniformMarginal, marginal_moment
 
 
 def run_cli(argv):
@@ -67,6 +69,17 @@ class TestConfigHandling:
         code = run_cli(["w1-rate", "--n-list", "8", "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--density", "gaussian"), ("--n-list", "8"), ("--d", "2"), ("--samples", "100"),
+        ("--replicas", "2"), ("--grid-shape", "64x64"), ("--t-end", "1"),
+    ])
+    def test_report_rejects_experiment_flags(self, flag, value):
+        # report runs every experiment at its defaults and would ignore them
+        cli.build_parser().parse_args(["dsmc", flag, value])  # valid on an experiment
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(["report", flag, value])
+        assert exc.value.code == 2
+
 
 class TestOutputs:
     def test_byte_identical_reruns(self, tmp_path):
@@ -93,6 +106,13 @@ class TestOutputs:
         assert run_cli(["l1-gap", "--out", str(tmp_path)]) == 0
         svg = read(tmp_path / "l1-gap.svg").decode()
         assert svg.startswith("<svg") and "polyline" in svg
+
+
+@pytest.mark.parametrize("d, N", [(3, 256), (3, 32), (2, 12), (2, 64)])
+def test_dsmc_m4_target_is_the_uniform_marginal_moment(d, N):
+    spec = SphereSpec.boltzmann(d, N)
+    exact = marginal_moment(UniformMarginal(spec, 1), 4)
+    assert cli._uniform_m4(d, N) == pytest.approx(exact, rel=1e-12)
 
 
 class TestSmallExperiments:

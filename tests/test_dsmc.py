@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import boltzsphere as bs
 from boltzsphere.dsmc import (
@@ -66,6 +67,20 @@ class TestStep:
         half = 0.5 * np.linalg.norm(vi - vj)
         assert np.allclose(center + half * sigma, vi, atol=1e-14)
         assert np.allclose(center - half * sigma, vj, atol=1e-14)
+
+    def test_deflection_cosines_follow_angular_law(self):
+        kernel = CollisionKernel.truncated_singular(3, nu=0.3, cos_max=0.8, beta=4.0)
+        state = SimulationState.from_uniform(bs.SphereSpec.boltzmann(3, 6), 14)
+        cosines = []
+        for _ in range(2000):
+            v0 = state.configuration.particles().copy()
+            step(state, kernel)
+            i, j = np.flatnonzero(np.any(state.configuration.particles() != v0, axis=1))
+            rel0 = v0[i] - v0[j]
+            rel1 = state.configuration.particles()[i] - state.configuration.particles()[j]
+            cosines.append(rel1 @ rel0 / (rel0 @ rel0))
+        want = kernel.costheta_sampler(np.random.default_rng(15), 2000)
+        assert stats.ks_2samp(cosines, want).pvalue > 0.01
 
     def test_poisson_clock_rate(self):
         kernel = CollisionKernel.uniform(2)
@@ -139,13 +154,23 @@ class TestRun:
                 t_end=1.0, n_replicas=1, seed=0)
 
     def test_nonuniform_angular_law_path(self):
-        # the truncated-singular kernel goes through the per-event rotation
-        # path; conservation and the pinned second moment must still hold
+        # the truncated-singular kernel draws deflection cosines; conservation
+        # and the pinned second moment must still hold
         kernel = CollisionKernel.truncated_singular(3, nu=0.3, cos_max=0.8, beta=4.0)
         res = run(UniformInitial(d=3, N=12), kernel, t_end=2.0, n_replicas=3,
                   observables=("m2",), seed=13, n_times=3)
         m2, _ = res.observables["m2"]
         assert np.allclose(m2, 3.0, atol=1e-9)
+
+    def test_no_collision_past_the_observation_time(self):
+        # at t_end = 1e-6 mft a collision is improbable (~6e-6 per replica),
+        # so the observable must not move; a collision crossing the
+        # observation time must not be applied before the observation
+        kernel = CollisionKernel.truncated_singular(3, nu=0.3, cos_max=0.8, beta=4.0)
+        res = run(UniformInitial(d=3, N=12), kernel, t_end=1e-6, n_replicas=3,
+                  observables=("m4",), seed=0, n_times=2)
+        m4, _ = res.observables["m4"]
+        assert m4[1] == m4[0]
 
 
 class TestEquilibriumCrosscheck:
@@ -183,8 +208,7 @@ class TestSnapshot:
 
 class TestConservationDrift:
     def test_drift_over_many_collisions(self):
-        from boltzsphere._kernels import default_kernels
-        from boltzsphere.dsmc import _advance_uniform_kernel
+        from boltzsphere.dsmc import _advance
 
         kernel = CollisionKernel.uniform(3)
         N = 64
@@ -192,6 +216,6 @@ class TestConservationDrift:
         v = sample_uniform_batch(bs.SphereSpec.boltzmann(3, N), 1, gen)[0].reshape(N, 3)
         p0, e0 = v.sum(axis=0).copy(), float(np.sum(v * v))
         target = 100_000 / kernel.rate(N)
-        _advance_uniform_kernel(v, 0.0, target, kernel.rate(N), gen, default_kernels())
+        _advance(v, 0.0, target, kernel, gen)
         assert np.max(np.abs(v.sum(axis=0) - p0)) / math.sqrt(e0) <= 1e-9
         assert abs(float(np.sum(v * v)) - e0) / e0 <= 1e-9

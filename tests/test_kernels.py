@@ -1,4 +1,4 @@
-"""The jitted kernels and the pure-numpy fallback must walk identical paths."""
+"""The loop kernels: density codes, draws and exact per-event conservation."""
 
 import math
 
@@ -7,94 +7,25 @@ import pytest
 
 import boltzsphere as bs
 from boltzsphere import _kernels
+from boltzsphere.dsmc import CollisionKernel
 
 
-@pytest.fixture(scope="module")
-def backends():
-    jit = _kernels.build(use_jit=True)
-    plain = _kernels.build(use_jit=False)
-    if not jit.jitted:
-        pytest.skip("numba unavailable")
-    return jit, plain
-
-
-def _prefill(seed, n, N, d):
-    rng = np.random.default_rng(seed)
-    log_us = np.log(rng.random(n))
-    if d == 1:
-        ii, jj, kk = _kernels.draw_triple_indices(rng, n, N)
-        angles = rng.random(n) * 2.0 * math.pi
-        return log_us, (ii, jj, kk, angles)
-    ii, jj = _kernels.draw_pair_indices(rng, n, N)
-    sig = _kernels.draw_unit_vectors(rng, n, d)
-    return log_us, (ii, jj, sig)
-
-
-def test_pair_chain_paths_agree(backends):
-    jit, plain = backends
-    N, d, n = 10, 2, 3000
-    v0 = bs.sample_uniform_batch(bs.SphereSpec.boltzmann(d, N), 1, 0)[0].reshape(N, d)
-    code, params = _kernels.density_code(bs.get_density("mixture", d))
-    log_us, (ii, jj, sig) = _prefill(1, n, N, d)
-    out_a = np.empty((40, N, d))
-    out_b = np.empty((40, N, d))
-    va, vb = v0.copy(), v0.copy()
-    ca, aa = jit.pair_chain(va, code, params, ii, jj, sig, log_us, 0, 200, 20, out_a, 0)
-    cb, ab = plain.pair_chain(vb, code, params, ii, jj, sig, log_us, 0, 200, 20, out_b, 0)
-    assert (ca, aa) == (cb, ab)
-    assert np.allclose(va, vb, rtol=0.0, atol=1e-12)
-    assert np.allclose(out_a[:ca], out_b[:cb], rtol=0.0, atol=1e-12)
-
-
-def test_triple_chain_paths_agree(backends):
-    jit, plain = backends
-    N, d, n = 8, 1, 3000
-    v0 = bs.sample_uniform_batch(bs.SphereSpec.boltzmann(d, N), 1, 2)[0].reshape(N, d)
-    code, params = _kernels.density_code(bs.get_density("uniform", d))
-    log_us, (ii, jj, kk, angles) = _prefill(3, n, N, d)
-    out_a = np.empty((40, N, d))
-    out_b = np.empty((40, N, d))
-    va, vb = v0.copy(), v0.copy()
-    ca, aa = jit.triple_chain(va, code, params, ii, jj, kk, angles, log_us, 0, 200, 20, out_a, 0)
-    cb, ab = plain.triple_chain(vb, code, params, ii, jj, kk, angles, log_us, 0, 200, 20, out_b, 0)
-    assert (ca, aa) == (cb, ab)
-    assert np.allclose(va, vb, rtol=0.0, atol=1e-12)
-
-
-def test_dsmc_paths_agree(backends):
-    jit, plain = backends
-    N, d = 12, 3
-    v0 = bs.sample_uniform_batch(bs.SphereSpec.boltzmann(d, N), 1, 4)[0].reshape(N, d)
-    rng = np.random.default_rng(5)
-    n = 2000
-    dts = -np.log(rng.random(n))
-    ii, jj = _kernels.draw_pair_indices(rng, n, N)
-    sig = _kernels.draw_unit_vectors(rng, n, d)
-    va, vb = v0.copy(), v0.copy()
-    ta = jit.dsmc_advance(va, 0.0, 1.0, 50.0, dts, ii, jj, sig)
-    tb = plain.dsmc_advance(vb, 0.0, 1.0, 50.0, dts, ii, jj, sig)
-    assert ta == tb
-    assert np.allclose(va, vb, rtol=0.0, atol=1e-12)
-
-
-def test_logf_codes_match_density(backends):
-    jit, _ = backends
+def test_logf_codes_match_density():
     rng = np.random.default_rng(6)
     for name, d in (("gaussian", 3), ("mixture", 2), ("uniform", 1)):
         f = bs.get_density(name, d)
         code, params = _kernels.density_code(f)
         pts = rng.uniform(-1.5, 1.5, size=(20, d))
         want = f.log_density(pts)
-        got = np.array([jit.logf_particle(code, params, p) for p in pts])
+        got = np.array([_kernels._logf_particle(code, params, p) for p in pts])
         assert np.allclose(got, want, atol=1e-12)
 
 
-def test_uniform_code_penalizes_outside(backends):
-    jit, _ = backends
+def test_uniform_code_penalizes_outside():
     f = bs.get_density("uniform", 1)
     code, params = _kernels.density_code(f)
-    inside = jit.logf_particle(code, params, np.array([0.5]))
-    outside = jit.logf_particle(code, params, np.array([2.5]))
+    inside = _kernels._logf_particle(code, params, np.array([0.5]))
+    outside = _kernels._logf_particle(code, params, np.array([2.5]))
     assert outside < inside - 1e3
 
 
@@ -117,8 +48,29 @@ def test_pair_indices_distinct_and_uniform():
     assert np.all(np.diag(counts) == 0)
 
 
-def test_env_flag_selects_fallback(monkeypatch):
-    monkeypatch.setenv("BOLTZSPHERE_NO_NUMBA", "1")
-    assert not _kernels.numba_enabled()
-    monkeypatch.delenv("BOLTZSPHERE_NO_NUMBA")
-    assert _kernels.numba_enabled() == _kernels.HAVE_NUMBA
+@pytest.mark.parametrize(
+    "kernel",
+    [CollisionKernel.uniform(3), CollisionKernel.truncated_singular(3, nu=0.3, cos_max=0.8, beta=4.0)],
+    ids=["uniform", "truncated"],
+)
+def test_dsmc_advance_conserves_each_event(kernel):
+    N = 6
+    v = bs.sample_uniform_batch(bs.SphereSpec.boltzmann(3, N), 1, 0)[0].reshape(N, 3)
+    rng = np.random.default_rng(9)
+    advance = _kernels.default_kernels().dsmc_advance
+    for _ in range(200):
+        p0, e0 = v.sum(axis=0).copy(), float(np.sum(v * v))
+        ii, jj = _kernels.draw_pair_indices(rng, 1, N)
+        sig = _kernels.draw_unit_vectors(rng, 1, 3)
+        cos = None if kernel.costheta_sampler is None else kernel.costheta_sampler(rng, 1)
+        rel0 = v[ii[0]] - v[jj[0]]
+        _, used, applied = advance(v, 0.0, math.inf, kernel.rate(N), np.ones(1), ii, jj, sig, cos)
+        assert (used, applied) == (1, 1)
+        assert np.max(np.abs(v.sum(axis=0) - p0)) <= 1e-14 * math.sqrt(e0) + 1e-14
+        assert abs(float(np.sum(v * v)) - e0) <= 1e-14 * e0
+        # the relative velocity turns to sigma; with cosines, at the drawn angle
+        sigma = (v[ii[0]] - v[jj[0]]) / np.linalg.norm(rel0)
+        if cos is None:
+            assert np.allclose(sigma, sig[0], atol=1e-12)
+        else:
+            assert sigma @ rel0 / np.linalg.norm(rel0) == pytest.approx(cos[0], abs=1e-12)
