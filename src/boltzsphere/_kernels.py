@@ -5,6 +5,22 @@ callers call the kernels through the `default_kernels()` namespace.  All
 randomness is drawn outside the kernels, so a trajectory is fixed by the
 stream alone, whatever the worker count.
 
+The loops run on Python floats.  Reading a numpy array one element at a time
+boxes every value into a new numpy scalar, and arithmetic on numpy scalars
+goes through numpy's type dispatch; that, not the arithmetic, was most of
+the cost of a step.  So each kernel copies `v` to nested lists at entry
+(`v.tolist()`) and writes it back before it returns.  Python floats and
+float64 are the same IEEE doubles, and the loops apply the same operations
+in the same order (`math.sqrt`, `math.exp` and `math.log` on the same
+values), so every result is bit-identical to indexing the arrays directly.
+The per-particle log density is built once per kernel call
+(`_log_density`), so its normalising constant is computed once, by the same
+expression, instead of once per particle.  The pre-drawn arrays are turned
+into lists `_BLOCK` entries at a time, not whole: a list of boxed floats
+takes several times the memory of the array, so converting a chunk of draws
+at once would raise the peak memory, and a kernel that stops early would
+convert draws it never uses.
+
 Density evaluation inside kernels is restricted to the registry families,
 identified by an integer code:
 
@@ -32,6 +48,7 @@ CODE_GAUSSIAN = 0
 CODE_UNIFORM = 1
 CODE_MIXTURE = 2
 _PENALTY = 1.0e4
+_BLOCK = 4096  # draws converted to Python objects at a time
 
 
 def density_code(density) -> tuple:
@@ -48,34 +65,57 @@ def density_code(density) -> tuple:
     raise ParameterError(f"no kernel code for density {density.name!r}")
 
 
-def _logf_particle(code, params, w):
-    # per-particle log density up to the support penalty; additive
-    # constants cancel in Metropolis ratios but are kept for clarity
+def _log_density(code, params, d):
+    """Per-particle log density of a registry code up to the support
+    penalty, as a function of one row of d floats (any indexable); additive
+    constants cancel in Metropolis ratios but are kept for clarity."""
     if code == 0:
-        s2 = params[0]
-        q = 0.0
-        for a in range(w.shape[0]):
-            q += w[a] * w[a]
-        return -0.5 * q / s2 - 0.5 * w.shape[0] * math.log(2.0 * math.pi * s2)
+        s2 = float(params[0])
+        norm = 0.5 * d * math.log(2.0 * math.pi * s2)
+
+        def logf(w):
+            q = 0.0
+            for x in w:
+                q += x * x
+            return -0.5 * q / s2 - norm
+
+        return logf
     if code == 1:
-        half = params[0]
-        viol = 0.0
-        for a in range(w.shape[0]):
-            if abs(w[a]) > half:
-                viol += 1.0
-        return -viol * _PENALTY - w.shape[0] * math.log(2.0 * half)
-    m = params[0]
-    c1 = params[1]
-    qa = (w[0] - m) * (w[0] - m) / c1
-    qb = (w[0] + m) * (w[0] + m) / c1
-    rest = 0.0
-    for a in range(1, w.shape[0]):
-        rest += w[a] * w[a]
-    norm = -0.5 * (math.log(2.0 * math.pi * c1) + (w.shape[0] - 1) * math.log(2.0 * math.pi))
-    la = -0.5 * (qa + rest)
-    lb = -0.5 * (qb + rest)
-    hi = la if la > lb else lb
-    return norm + hi + math.log(0.5 * (math.exp(la - hi) + math.exp(lb - hi)))
+        half = float(params[0])
+        norm = d * math.log(2.0 * half)
+
+        def logf(w):
+            viol = 0.0
+            for x in w:
+                if abs(x) > half:
+                    viol += 1.0
+            return -viol * _PENALTY - norm
+
+        return logf
+    m = float(params[0])
+    c1 = float(params[1])
+    norm = -0.5 * (math.log(2.0 * math.pi * c1) + (d - 1) * math.log(2.0 * math.pi))
+    rest_axes = range(1, d)
+
+    def logf(w):
+        qa = (w[0] - m) * (w[0] - m) / c1
+        qb = (w[0] + m) * (w[0] + m) / c1
+        rest = 0.0
+        for a in rest_axes:
+            rest += w[a] * w[a]
+        la = -0.5 * (qa + rest)
+        lb = -0.5 * (qb + rest)
+        hi = la if la > lb else lb
+        return norm + hi + math.log(0.5 * (math.exp(la - hi) + math.exp(lb - hi)))
+
+    return logf
+
+
+def _draws(*arrays):
+    """The arrays' entries side by side as Python objects, converted `_BLOCK`
+    entries at a time."""
+    for b0 in range(0, len(arrays[0]), _BLOCK):
+        yield from zip(*(a[b0 : b0 + _BLOCK].tolist() for a in arrays))
 
 
 def pair_chain(
@@ -84,96 +124,105 @@ def pair_chain(
     """Metropolis chain with binary-collision proposals, d >= 2.
 
     Consumes the pre-drawn arrays in order; emits a state every `thin`
-    proposals once `burn_in` proposals have elapsed.  Returns the number
-    of emitted states and accepted proposals.
+    proposals once `burn_in` proposals have elapsed, and stops as soon as
+    `out` is full.  Returns the number of emitted states, the number of
+    accepted proposals and the number of proposals consumed.
     """
+    n_out = out.shape[0]
+    if out_count0 >= n_out:
+        return out_count0, 0, 0
     d = v.shape[1]
+    axes = range(d)
+    logf = _log_density(code, params, d)
+    rows = v.tolist()
+    vi_new = [0.0] * d
+    vj_new = [0.0] * d
     out_count = out_count0
     accepted = 0
-    vi_new = np.empty(d)
-    vj_new = np.empty(d)
-    for t in range(ii.shape[0]):
-        i = ii[t]
-        j = jj[t]
-        lf_old = _logf_particle(code, params, v[i]) + _logf_particle(code, params, v[j])
+    for t, (i, j, sigma, log_u) in enumerate(_draws(ii, jj, sigmas, log_us)):
+        vi = rows[i]
+        vj = rows[j]
+        lf_old = logf(vi) + logf(vj)
         # post-collisional velocities on the pair's collision sphere
         rr = 0.0
-        for a in range(d):
-            diff = v[i, a] - v[j, a]
+        for a in axes:
+            diff = vi[a] - vj[a]
             rr += diff * diff
         r = 0.5 * math.sqrt(rr)
-        for a in range(d):
-            c = 0.5 * (v[i, a] + v[j, a])
-            vi_new[a] = c + r * sigmas[t, a]
-            vj_new[a] = c - r * sigmas[t, a]
-        lf_new = _logf_particle(code, params, vi_new) + _logf_particle(code, params, vj_new)
-        if log_us[t] < lf_new - lf_old:
-            for a in range(d):
-                v[i, a] = vi_new[a]
-                v[j, a] = vj_new[a]
+        for a in axes:
+            c = 0.5 * (vi[a] + vj[a])
+            vi_new[a] = c + r * sigma[a]
+            vj_new[a] = c - r * sigma[a]
+        lf_new = logf(vi_new) + logf(vj_new)
+        if log_u < lf_new - lf_old:
+            vi[:] = vi_new
+            vj[:] = vj_new
             accepted += 1
         step = step0 + t + 1
-        if step > burn_in and (step - burn_in) % thin == 0 and out_count < out.shape[0]:
-            for q in range(v.shape[0]):
-                for a in range(d):
-                    out[out_count, q, a] = v[q, a]
+        if step > burn_in and (step - burn_in) % thin == 0:
+            out[out_count] = rows
             out_count += 1
-    return out_count, accepted
+            if out_count == n_out:
+                v[...] = rows
+                return out_count, accepted, t + 1
+    v[...] = rows
+    return out_count, accepted, len(log_us)
 
 
 def triple_chain(
     v, code, params, ii, jj, kk, angles, log_us, step0, burn_in, thin, out, out_count0
 ):
     """Metropolis chain for d = 1: uniform rotations on the circle of a
-    particle triple that conserve its momentum and energy."""
+    particle triple that conserve its momentum and energy.  Stops and
+    returns like `pair_chain`."""
+    n_out = out.shape[0]
+    if out_count0 >= n_out:
+        return out_count0, 0, 0
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     inv_sqrt6 = 1.0 / math.sqrt(6.0)
+    logf = _log_density(code, params, 1)
+    x = v[:, 0].tolist()
     out_count = out_count0
     accepted = 0
-    w_old = np.empty(1)
-    w_new = np.empty(1)
-    for t in range(ii.shape[0]):
-        i = ii[t]
-        j = jj[t]
-        k = kk[t]
-        s = v[i, 0] + v[j, 0] + v[k, 0]
-        e = v[i, 0] * v[i, 0] + v[j, 0] * v[j, 0] + v[k, 0] * v[k, 0]
+    for t, (i, j, k, angle, log_u) in enumerate(_draws(ii, jj, kk, angles, log_us)):
+        xi = x[i]
+        xj = x[j]
+        xk = x[k]
+        s = xi + xj + xk
+        e = xi * xi + xj * xj + xk * xk
         c = s / 3.0
         rho2 = e - s * s / 3.0
         if rho2 <= 0.0:
             continue
         rho = math.sqrt(rho2)
-        ca = math.cos(angles[t])
-        sa = math.sin(angles[t])
+        ca = math.cos(angle)
+        sa = math.sin(angle)
         # orthonormal basis of the zero-sum plane in R^3
         n1 = c + rho * (ca * inv_sqrt2 + sa * inv_sqrt6)
         n2 = c + rho * (-ca * inv_sqrt2 + sa * inv_sqrt6)
         n3 = c + rho * (-2.0 * sa * inv_sqrt6)
         lf_old = 0.0
         lf_new = 0.0
-        w_old[0] = v[i, 0]
-        w_new[0] = n1
-        lf_old += _logf_particle(code, params, w_old)
-        lf_new += _logf_particle(code, params, w_new)
-        w_old[0] = v[j, 0]
-        w_new[0] = n2
-        lf_old += _logf_particle(code, params, w_old)
-        lf_new += _logf_particle(code, params, w_new)
-        w_old[0] = v[k, 0]
-        w_new[0] = n3
-        lf_old += _logf_particle(code, params, w_old)
-        lf_new += _logf_particle(code, params, w_new)
-        if log_us[t] < lf_new - lf_old:
-            v[i, 0] = n1
-            v[j, 0] = n2
-            v[k, 0] = n3
+        lf_old += logf((xi,))
+        lf_new += logf((n1,))
+        lf_old += logf((xj,))
+        lf_new += logf((n2,))
+        lf_old += logf((xk,))
+        lf_new += logf((n3,))
+        if log_u < lf_new - lf_old:
+            x[i] = n1
+            x[j] = n2
+            x[k] = n3
             accepted += 1
         step = step0 + t + 1
-        if step > burn_in and (step - burn_in) % thin == 0 and out_count < out.shape[0]:
-            for q in range(v.shape[0]):
-                out[out_count, q, 0] = v[q, 0]
+        if step > burn_in and (step - burn_in) % thin == 0:
+            out[out_count, :, 0] = x
             out_count += 1
-    return out_count, accepted
+            if out_count == n_out:
+                v[:, 0] = x
+                return out_count, accepted, t + 1
+    v[:, 0] = x
+    return out_count, accepted, len(log_us)
 
 
 def dsmc_advance(v, t0, t_target, rate, dts, ii, jj, sigmas, cosines=None):
@@ -187,30 +236,30 @@ def dsmc_advance(v, t0, t_target, rate, dts, ii, jj, sigmas, cosines=None):
     relative velocity whose azimuth the unit vector sets.
     Returns (time, events consumed, collisions applied).
     """
-    d = v.shape[1]
+    axes = range(v.shape[1])
+    rows = v.tolist()
     t = t0
-    for idx in range(dts.shape[0]):
-        dt = dts[idx] / rate
+    for idx, (dt, i, j, sigma) in enumerate(_draws(dts, ii, jj, sigmas)):
+        dt = dt / rate
         if t + dt > t_target:
+            v[...] = rows
             return t_target, idx + 1, idx
         t += dt
-        i = ii[idx]
-        j = jj[idx]
+        vi = rows[i]
+        vj = rows[j]
         rr = 0.0
-        for a in range(d):
-            diff = v[i, a] - v[j, a]
+        for a in axes:
+            diff = vi[a] - vj[a]
             rr += diff * diff
         r = 0.5 * math.sqrt(rr)
-        sigma = sigmas[idx]
         if cosines is not None and rr > 0.0:
-            sigma = _deflected(v[i] - v[j], sigma, cosines[idx])
-        for a in range(d):
-            c = 0.5 * (v[i, a] + v[j, a])
-            vi = c + r * sigma[a]
-            vj = c - r * sigma[a]
-            v[i, a] = vi
-            v[j, a] = vj
-    return t, dts.shape[0], dts.shape[0]
+            sigma = _deflected(np.array(vi) - np.array(vj), sigmas[idx], cosines[idx]).tolist()
+        for a in axes:
+            c = 0.5 * (vi[a] + vj[a])
+            vi[a] = c + r * sigma[a]
+            vj[a] = c - r * sigma[a]
+    v[...] = rows
+    return t, len(dts), len(dts)
 
 
 def _deflected(rel, g, cos_theta):

@@ -122,28 +122,34 @@ class _Chain:
             self.v = _lattice_like(spec, self.gen)
         self.step = 0
         self.accepted = 0
+        self._draws = None  # the proposals of the last chunk not yet run
+
+    def _draw_chunk(self) -> tuple:
+        n_prop = _CHAIN_CHUNK
+        log_us = np.log(self.gen.random(n_prop))
+        if self.d == 1:
+            ii, jj, kk = draw_triple_indices(self.gen, n_prop, self.N)
+            angles = self.gen.random(n_prop) * (2.0 * math.pi)
+            return ii, jj, kk, angles, log_us
+        ii, jj = draw_pair_indices(self.gen, n_prop, self.N)
+        return ii, jj, draw_unit_vectors(self.gen, n_prop, self.d), log_us
 
     def states(self, n_states: int) -> np.ndarray:
+        """The next n_states thinned states.  The kernel stops at the last
+        one, and the next call resumes from the proposals it left."""
         out = np.empty((n_states, self.N, self.d))
+        kernels = default_kernels()
+        kernel = kernels.triple_chain if self.d == 1 else kernels.pair_chain
         done = 0
         while done < n_states:
-            n_prop = _CHAIN_CHUNK
-            log_us = np.log(self.gen.random(n_prop))
-            if self.d == 1:
-                ii, jj, kk = draw_triple_indices(self.gen, n_prop, self.N)
-                angles = self.gen.random(n_prop) * (2.0 * math.pi)
-                done, acc = default_kernels().triple_chain(
-                    self.v, self.code, self.params, ii, jj, kk, angles, log_us,
-                    self.step, self.burn_in, self.thin, out, done,
-                )
-            else:
-                ii, jj = draw_pair_indices(self.gen, n_prop, self.N)
-                sigmas = draw_unit_vectors(self.gen, n_prop, self.d)
-                done, acc = default_kernels().pair_chain(
-                    self.v, self.code, self.params, ii, jj, sigmas, log_us,
-                    self.step, self.burn_in, self.thin, out, done,
-                )
-            self.step += n_prop
+            if self._draws is None or len(self._draws[-1]) == 0:
+                self._draws = self._draw_chunk()
+            done, acc, used = kernel(
+                self.v, self.code, self.params, *self._draws,
+                self.step, self.burn_in, self.thin, out, done,
+            )
+            self._draws = tuple(a[used:] for a in self._draws)
+            self.step += used
             self.accepted += acc
         return out
 

@@ -7,6 +7,7 @@ from scipy import integrate, stats
 import boltzsphere as bs
 from boltzsphere.conditioned import (
     ConditionedLaw,
+    _Chain,
     _marginal_curve,
     conditioned_marginal_density,
     entropy_per_particle,
@@ -72,6 +73,23 @@ class TestSampler:
         gen = sample_conditioned(lw, 4)
         for _, cfg in zip(range(5), gen):
             assert cfg.on_sphere
+
+    def test_stream_resumes_where_the_last_chunk_stopped(self):
+        # the chain keeps the proposals it drew but did not run, so a stream
+        # served in chunks of states is the one thinned chain of a batch
+        lw = law(bs.get_density("mixture", 2), 2, 8)
+        n = 3000
+        stream = sample_conditioned(lw, 12, chunk=1000)
+        streamed = np.stack([cfg.values for _, cfg in zip(range(n), stream)])
+        assert np.array_equal(streamed, sample_conditioned_batch(lw, 12, n).reshape(n, -1))
+
+    def test_chain_runs_only_the_proposals_it_needs(self):
+        chain = _Chain(law(bs.get_density("mixture", 3), 3, 32), 13, None, None)
+        chain.states(5)
+        assert chain.step == chain.burn_in + 5 * chain.thin
+        assert 0 < chain.accepted <= chain.step
+        chain.states(2)
+        assert chain.step == chain.burn_in + 7 * chain.thin
 
     def test_deterministic(self):
         lw = law(UNIF, 1, 8)

@@ -17,15 +17,19 @@ def test_logf_codes_match_density():
         code, params = _kernels.density_code(f)
         pts = rng.uniform(-1.5, 1.5, size=(20, d))
         want = f.log_density(pts)
-        got = np.array([_kernels._logf_particle(code, params, p) for p in pts])
+        logf = _kernels._log_density(code, params, d)
+        got = np.array([logf(p) for p in pts])
         assert np.allclose(got, want, atol=1e-12)
+        # the kernels pass rows as lists of Python floats
+        assert np.array_equal([logf(p) for p in pts.tolist()], got)
 
 
 def test_uniform_code_penalizes_outside():
     f = bs.get_density("uniform", 1)
     code, params = _kernels.density_code(f)
-    inside = _kernels._logf_particle(code, params, np.array([0.5]))
-    outside = _kernels._logf_particle(code, params, np.array([2.5]))
+    logf = _kernels._log_density(code, params, 1)
+    inside = logf([0.5])
+    outside = logf([2.5])
     assert outside < inside - 1e3
 
 
