@@ -36,7 +36,7 @@ from ._kernels import (
 from .densities import BaseDensity
 from .errors import ParameterError, SupportError
 from .geometry import ParticleConfiguration, SphereSpec, log_sphere_surface
-from .lifted import DEFAULT_SHAPE, lifted_grid
+from .lifted import DEFAULT_SHAPE, lifted_grid, log_z_prime_asymptotic
 from .reporting import RateReport, fit_loglog
 from .uniform import UniformMarginal, marginal_log_density, sample_uniform
 
@@ -182,6 +182,39 @@ def sample_conditioned(
             yield ParticleConfiguration(s.reshape(-1), law.spec)
 
 
+def _point_terms(law: ConditionedLaw, ell: int, flat: np.ndarray) -> tuple:
+    """(|V|^2, prefix sum, inside-support mask, log f^{x ell}) of (n, ell d) rows."""
+    d, N = law.spec.d, law.spec.N
+    parts = flat.reshape(-1, ell, d)
+    sq = np.sum(flat * flat, axis=1)
+    bar = parts.sum(axis=1)
+    inside = d * N - sq - np.sum(bar * bar, axis=1) / (N - ell) > 0.0
+    logf = np.zeros(flat.shape[0])
+    for q in range(ell):
+        logf += law.f.log_density(parts[:, q, :])
+    return sq, bar, inside, logf
+
+
+def _log_marginal_times_zn(law: ConditionedLaw, ell: int, flat: np.ndarray) -> np.ndarray:
+    """log(F_ell Z'_N): the exact marginal's log before the division by Z'_N,
+    -inf outside the support.  Rows are validated (n, ell d) points."""
+    spec = law.spec
+    d, N = spec.d, spec.N
+    sq, bar, inside, logf = _point_terms(law, ell, flat)
+    log_gauss = -0.5 * sq - 0.5 * ell * d * math.log(2.0 * math.pi)
+    log_unif = marginal_log_density(UniformMarginal(spec, ell), flat)
+    vals = np.full(flat.shape[0], -np.inf)
+    vals[inside] = logf[inside] - log_gauss[inside]
+    # for the Gaussian base (f/gamma)^{x n} is identically 1, so Z' = 1
+    if not law.is_gaussian:
+        if d != 1:
+            raise ParameterError("mode='exact' needs the d = 1 pipeline")
+        grid = lifted_grid(law.f, N - ell, shape=law.grid_shape)
+        vals[inside] += grid.log_z_prime(np.sqrt(d * N - sq[inside]), -bar[inside, 0])
+    vals[inside] += log_unif[inside]
+    return vals
+
+
 def conditioned_marginal_density(
     law: ConditionedLaw, ell: int, V_ell, mode: str = "exact"
 ) -> np.ndarray:
@@ -206,40 +239,15 @@ def conditioned_marginal_density(
         raise ParameterError(f"points must have {ell * d} coordinates")
     single = pts.ndim == 1
 
-    parts = flat.reshape(-1, ell, d)
-    sq = np.sum(flat * flat, axis=1)
-    bar = parts.sum(axis=1)
-    bar2 = np.sum(bar * bar, axis=1)
-    gap = d * N - sq - bar2 / (N - ell)
-    inside = gap > 0.0
-
-    logf = np.zeros(flat.shape[0])
-    for q in range(ell):
-        logf += law.f.log_density(parts[:, q, :])
-    log_gauss = -0.5 * sq - 0.5 * ell * d * math.log(2.0 * math.pi)
-
-    out = np.zeros(flat.shape[0])
     if mode == "exact":
-        marg = UniformMarginal(spec, ell)
-        log_unif = marginal_log_density(marg, flat)
-        log_zn = law.log_zprime(N, spec.r, 0.0)
-        vals = np.full(flat.shape[0], -np.inf)
-        if law.is_gaussian:
-            vals[inside] = (logf - log_gauss + log_unif)[inside]
-        else:
-            if d != 1:
-                raise ParameterError("mode='exact' needs the d = 1 pipeline")
-            grid = lifted_grid(law.f, N - ell, shape=law.grid_shape)
-            for idx in np.nonzero(inside)[0]:
-                r_sub = math.sqrt(d * N - sq[idx])
-                lz = grid.log_z_prime(r_sub, -bar[idx, 0])
-                vals[idx] = logf[idx] - log_gauss[idx] + lz - log_zn + log_unif[idx]
-        out[inside] = np.exp(vals[inside])
+        out = np.exp(_log_marginal_times_zn(law, ell, flat) - law.log_zprime(N, spec.r, 0.0))
     elif mode == "asymptotic":
+        sq, bar, inside, logf = _point_terms(law, ell, flat)
         # theta_1: Gaussian attenuation in the prefix sum and energy offset;
         # theta_2: ratio of sphere areas against its Stirling normalization
         eps = law.f.eps
         s2 = law.f.sigma2
+        bar2 = np.sum(bar * bar, axis=1)
         log_t1 = -bar2 / (2.0 * eps * (N - ell)) - (d * ell - sq) ** 2 / (2.0 * s2 * (N - ell))
         log_t2 = (
             log_sphere_surface(d * (N - ell - 1))
@@ -248,6 +256,7 @@ def conditioned_marginal_density(
             - 0.5 * (d * (N - 1) - 2) * math.log(d * N)
             + 0.5 * d * ell * math.log(2.0 * math.pi * math.e)
         )
+        out = np.zeros(flat.shape[0])
         out[inside] = np.exp((logf + log_t1 + log_t2)[inside])
     else:
         raise ParameterError(f"unknown mode {mode!r}")
@@ -255,15 +264,31 @@ def conditioned_marginal_density(
 
 
 def _marginal_curve(law: ConditionedLaw, n_points: int = 4001) -> tuple:
-    """(grid, normalized exact one-particle marginal) for d = 1."""
+    """(points, normalized exact one-particle marginal, log Z'_N) for d = 1.
+
+    The marginal integrates to one, so Z'_N is the quadrature mass of
+    F_1 Z'_N, and the curve needs the grid for N - 1 only.  A mass far from
+    the leading-order Z'_N (or, for the Gaussian base, from 1) means the
+    grid is misconfigured.
+    """
     spec = law.spec
-    vmax = min(law.f.tail_radius(), math.sqrt(spec.d * spec.N * (spec.N - 1) / spec.N))
-    grid = np.linspace(-vmax, vmax, n_points)
-    dens = conditioned_marginal_density(law, 1, grid[:, None], mode="exact")
-    mass = float(np.trapezoid(dens, grid))
-    if not 0.9 < mass < 1.1:
-        raise SupportError(f"marginal mass {mass:.4f} far from 1; grid misconfigured")
-    return grid, dens / mass, mass
+    N = spec.N
+    vmax = min(law.f.tail_radius(), math.sqrt(spec.d * N * (N - 1) / N))
+    pts = np.linspace(-vmax, vmax, n_points)
+    dens = np.exp(_log_marginal_times_zn(law, 1, pts[:, None]))
+    mass = float(np.trapezoid(dens, pts))
+    log_zn = math.log(mass) if mass > 0.0 else -math.inf
+    if law.is_gaussian:
+        if not 0.9 < mass < 1.1:
+            raise SupportError(f"marginal mass {mass:.4f} far from 1; grid misconfigured")
+    else:
+        ref = log_z_prime_asymptotic(law.f, N)
+        if not abs(log_zn - ref) < math.log(1.1):
+            raise SupportError(
+                f"log Z'_{N} = {log_zn:.4f} by quadrature, {ref:.4f} to leading order; "
+                "grid misconfigured"
+            )
+    return pts, dens / mass, log_zn
 
 
 def w1_rate_experiment(
@@ -302,7 +327,7 @@ def entropy_per_particle(law: ConditionedLaw, n_points: int = 4001) -> float:
         raise ParameterError("the exact pipeline is d = 1")
     if law.is_gaussian:
         return 0.0
-    grid, dens, _ = _marginal_curve(law, n_points)
+    grid, dens, log_zn = _marginal_curve(law, n_points)
     logf = law.f.log_density(grid[:, None])
     bad = (dens > 1e-12) & ~np.isfinite(logf)
     if np.any(bad):
@@ -310,5 +335,4 @@ def entropy_per_particle(law: ConditionedLaw, n_points: int = 4001) -> float:
     log_gauss = -0.5 * grid * grid - 0.5 * math.log(2.0 * math.pi)
     integrand = np.where(dens > 0.0, dens * (logf - log_gauss), 0.0)
     term1 = float(np.trapezoid(integrand, grid))
-    term2 = law.log_zprime(spec.N, spec.r, 0.0) / spec.N
-    return term1 - term2
+    return term1 - log_zn / spec.N

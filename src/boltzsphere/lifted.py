@@ -28,7 +28,7 @@ from .errors import (
     ParameterError,
     SupportError,
 )
-from .geometry import SphereSpec, log_sphere_measure
+from .geometry import log_sphere_surface
 
 __all__ = [
     "GridDensity",
@@ -112,34 +112,43 @@ class GridDensity:
         w = self.values * self.cell_volume
         return float(np.sum(w * (z * z + u * u) ** (0.5 * k)))
 
-    def interp_log(self, z: float, u: float) -> float:
+    def interp_log(self, z, u):
         """Bilinear interpolation of log-values (log of a peaked density is
-        nearly quadratic, so interpolating logs is far more accurate)."""
+        nearly quadratic, so interpolating logs is far more accurate).
+
+        Elementwise over broadcast arrays; scalars in, float out.  A cell with
+        a zero corner falls back to the log of the linear interpolant (-inf
+        where that is zero).  CoverageError if any point is outside the grid.
+        """
+        z, u = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(u, dtype=float))
         nz, nu = self.values.shape
-        fz = (z - self.z_lo) / self.dz
-        fu = u / self.du
-        if not (0.0 <= fz <= nz - 1 and 0.0 <= fu <= nu - 1):
-            raise CoverageError(f"query point (z={z}, u={u}) outside the grid window")
-        iz, iu = int(fz), int(fu)
-        iz = min(iz, nz - 2)
-        iu = min(iu, nu - 2)
-        tz, tu = fz - iz, fu - iu
-        corners = self.values[iz : iz + 2, iu : iu + 2]
-        if np.all(corners > 0.0):
-            lc = np.log(corners)
-            return float(
-                (1 - tz) * (1 - tu) * lc[0, 0]
-                + (1 - tz) * tu * lc[0, 1]
-                + tz * (1 - tu) * lc[1, 0]
-                + tz * tu * lc[1, 1]
+        fz = ((z - self.z_lo) / self.dz).ravel()
+        fu = (u / self.du).ravel()
+        outside = ~((0.0 <= fz) & (fz <= nz - 1) & (0.0 <= fu) & (fu <= nu - 1))
+        if outside.any():
+            k = int(np.argmax(outside))
+            raise CoverageError(
+                f"query point (z={z.flat[k]}, u={u.flat[k]}) outside the grid window"
             )
-        lin = (
-            (1 - tz) * (1 - tu) * corners[0, 0]
-            + (1 - tz) * tu * corners[0, 1]
-            + tz * (1 - tu) * corners[1, 0]
-            + tz * tu * corners[1, 1]
-        )
-        return math.log(lin) if lin > 0.0 else -math.inf
+        iz = np.minimum(fz.astype(np.int64), nz - 2)
+        iu = np.minimum(fu.astype(np.int64), nu - 2)
+        tz, tu = fz - iz, fu - iu
+        weights = ((1 - tz) * (1 - tu), (1 - tz) * tu, tz * (1 - tu), tz * tu)
+        v = self.values
+        corners = (v[iz, iu], v[iz, iu + 1], v[iz + 1, iu], v[iz + 1, iu + 1])
+        pos = (corners[0] > 0.0) & (corners[1] > 0.0) & (corners[2] > 0.0) & (corners[3] > 0.0)
+        out = np.empty(fz.shape)
+        w = [x[pos] for x in weights]
+        lc = [np.log(c[pos]) for c in corners]
+        out[pos] = w[0] * lc[0] + w[1] * lc[1] + w[2] * lc[2] + w[3] * lc[3]
+        zero = ~pos
+        if zero.any():
+            w = [x[zero] for x in weights]
+            c = [x[zero] for x in corners]
+            lin = w[0] * c[0] + w[1] * c[1] + w[2] * c[2] + w[3] * c[3]
+            # math.log, not np.log: the two differ in the last bit on some inputs
+            out[zero] = [math.log(x) if x > 0.0 else -math.inf for x in lin.tolist()]
+        return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
     def to_bytes(self) -> bytes:
         """Binary export: small header (dims, window, cell volume) + values."""
@@ -165,9 +174,11 @@ def default_window(f: BaseDensity, N: int) -> tuple:
     Momentum: +/- 6 sqrt(eps N), widened to the single-factor tail radius.
     Energy: N E + 12 Sigma sqrt(N), widened to the single-factor squared tail
     radius and capped at the exact maximum N vmax^2 for compactly supported f.
-    The sqrt(N) energy margin (rather than a margin proportional to N) keeps
-    the cell size small enough that splat smearing stays well below the
-    pipeline tolerances at large N.
+    The energy axis spans [0, u_hi) with u_hi ~ N E, so its cell is about
+    N E / nu and grows linearly in N: 0.37 at N = 512 for the uniform box on
+    2048 cells.  The sqrt(N) margin only sets the headroom above N E.  A cell
+    that scales like sqrt(N) needs the axis centred on N E (ROADMAP.md, "Grid
+    accuracy that scales like sqrt(N)").
     """
     vmax = f.tail_radius()
     z_half = max(6.0 * math.sqrt(f.eps * N), 1.05 * vmax)
@@ -232,16 +243,20 @@ def rasterize_lifted(
 
 
 def _spectrum_power(pmf_hat: np.ndarray, n: int) -> np.ndarray:
-    """n-fold convolution in the spectral domain by repeated squaring."""
+    """n-fold convolution in the spectral domain by repeated squaring.
+
+    Squares and multiplies in place in two buffers: the result and pmf_hat
+    itself, which is overwritten.
+    """
     out = np.ones_like(pmf_hat)
     base = pmf_hat
     k = n
     while k:
         if k & 1:
-            out = out * base
+            np.multiply(out, base, out=out)
         k >>= 1
         if k:
-            base = base * base
+            np.multiply(base, base, out=base)
     return out
 
 
@@ -283,7 +298,7 @@ def convolution_power(g: GridDensity, N: int) -> GridDensity:
 
 
 class LiftedGrid:
-    """Raster of the lifted law of f together with its N-fold power."""
+    """The N-fold convolution power of the rasterized lifted law of f."""
 
     def __init__(self, f: BaseDensity, N: int, shape: tuple = DEFAULT_SHAPE, window: tuple = None):
         if N < 1:
@@ -291,33 +306,35 @@ class LiftedGrid:
         self.f = f
         self.N = N
         self.window = window if window is not None else default_window(f, N)
-        self.raster = rasterize_lifted(f, window=self.window, shape=shape)
-        self.power = convolution_power(self.raster, N)
+        self.power = convolution_power(rasterize_lifted(f, window=self.window, shape=shape), N)
 
-    def log_density(self, z: float, u: float) -> float:
-        """log s_N(z, u) via log-bilinear interpolation."""
+    def log_density(self, z, u):
+        """log s_N(z, u) via log-bilinear interpolation (elementwise)."""
         return self.power.interp_log(z, u)
 
-    def log_z_prime(self, r: float, z_mom: float) -> float:
-        """log Z'_N at (r, z); SupportError on an empty sphere."""
+    def log_z_prime(self, r, z_mom):
+        """log Z'_N at (r, z), elementwise over broadcast arrays; scalars in,
+        float out.  SupportError if any of the spheres is empty."""
         N = self.N
+        r, z_mom = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(z_mom, dtype=float))
         u = r * r
         z2 = z_mom * z_mom
-        if u - z2 / N <= 0.0:
-            raise SupportError(f"empty sphere: r^2 = {u} <= z^2/N = {z2 / N}")
-        spec = SphereSpec(d=1, N=N, r=r, z=np.array([z_mom]))
-        log_s = self.log_density(z_mom, u)
-        if log_s == -math.inf:
-            return -math.inf
+        rho2 = u - z2 / N
+        if np.any(rho2 <= 0.0):
+            k = int(np.argmax(rho2 <= 0.0))
+            raise SupportError(f"empty sphere: r^2 = {u.flat[k]} <= z^2/N = {z2.flat[k] / N}")
+        log_rho2 = np.log(rho2)
+        n = N - 1  # the sphere's ambient dimension once the momentum shell is removed
         log_zn = (
             math.log(2.0)
-            + 0.5 * math.log(u - z2 / N)
+            + 0.5 * log_rho2
             + 0.5 * math.log(N)
-            + log_s
-            - log_sphere_measure(spec)
+            + self.log_density(z_mom, u)
+            - (log_sphere_surface(n) + 0.5 * (n - 1) * log_rho2)
         )
         # gamma^{xN} is constant on the sphere: (2 pi)^{-N/2} exp(-r^2 / 2)
-        return log_zn + 0.5 * N * math.log(2.0 * math.pi) + 0.5 * u
+        out = log_zn + 0.5 * N * math.log(2.0 * math.pi) + 0.5 * u
+        return float(out) if out.ndim == 0 else out
 
 
 _GRID_CACHE: OrderedDict = OrderedDict()

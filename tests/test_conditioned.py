@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate, stats
 
 import boltzsphere as bs
+from boltzsphere import lifted
 from boltzsphere.conditioned import (
     ConditionedLaw,
     _Chain,
@@ -127,9 +128,36 @@ class TestMarginalDensity:
         assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_exact_marginal_normalized(self):
+        # the curve's quadrature mass is Z'_N; divided by the grid-N value
+        # the exact marginal integrates to one
         lw = law(UNIF, 1, 64)
-        _, _, mass = _marginal_curve(lw)
+        _, _, log_zn = _marginal_curve(lw)
+        mass = math.exp(log_zn - lw.log_zprime(64, lw.spec.r, 0.0))
         assert mass == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("name", ["uniform", "mixture"])
+    @pytest.mark.parametrize("N", [16, 64, 256, 512])
+    def test_two_routes_to_log_zprime_agree(self, name, N):
+        # log Z'_N from the (N-1)-grid curve's normalization against the
+        # N-grid value at a single point
+        lw = law(bs.get_density(name, 1), 1, N)
+        _, _, log_zn = _marginal_curve(lw)
+        assert abs(log_zn - lw.log_zprime(N, lw.spec.r, 0.0)) <= 1e-4
+
+    def test_one_grid_per_n(self, monkeypatch):
+        built = []
+        init = lifted.LiftedGrid.__init__
+
+        def counting_init(self, f, N, *args, **kwargs):
+            built.append(N)
+            init(self, f, N, *args, **kwargs)
+
+        monkeypatch.setattr(lifted.LiftedGrid, "__init__", counting_init)
+        monkeypatch.setattr(lifted, "_GRID_CACHE", type(lifted._GRID_CACHE)())
+        w1_rate_experiment(UNIF, [8, 16])
+        assert built == [7, 15]
+        entropy_per_particle(law(UNIF, 1, 32))
+        assert built == [7, 15, 31]
 
     def test_support_indicator(self):
         lw = law(UNIF, 1, 8)

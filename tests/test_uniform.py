@@ -41,12 +41,25 @@ class TestMarginalDensity:
         assert val == pytest.approx(1.0, abs=1e-6)
 
     def test_two_particle_marginal_normalization(self):
+        # In Helmert coordinates a = (x+y)/sqrt2, b = (x-y)/sqrt2 the d = 1,
+        # N = 6 pair marginal depends only on 6 - 1.5 a^2 - b^2.  With
+        # a = rho cos(t)/sqrt1.5, b = rho sin(t) the integral over the plane
+        # is (2 pi/sqrt1.5) int_0^sqrt6 h(6 - rho^2) rho drho along any ray t.
         m = marginal(1, 6, ell=2)
-        val, _ = integrate.dblquad(
-            lambda y, x: float(marginal_density(m, np.array([[x, y]]))),
-            -3.0, 3.0, -3.0, 3.0, epsabs=1e-8,
-        )
-        assert val == pytest.approx(1.0, abs=1e-5)
+
+        def ray(rho, t):
+            a, b = rho * math.cos(t) / math.sqrt(1.5), rho * math.sin(t)
+            return np.column_stack([(a + b) / math.sqrt(2.0), (a - b) / math.sqrt(2.0)])
+
+        rho = np.linspace(0.0, math.sqrt(6.0), 41)[:-1]
+        on_axis = marginal_density(m, ray(rho, 0.0))
+        for t in (0.0, 0.7, 2.0, 4.5):
+            assert marginal_density(m, ray(rho, t)) == pytest.approx(on_axis, rel=1e-12)
+            val, _ = integrate.quad(
+                lambda r: float(marginal_density(m, ray(np.array([r]), t))) * r,
+                0.0, math.sqrt(6.0), epsabs=1e-10,
+            )
+            assert 2.0 * math.pi / math.sqrt(1.5) * val == pytest.approx(1.0, abs=1e-5)
 
     def test_order_validation(self):
         spec = bs.SphereSpec.boltzmann(1, 4)
