@@ -28,7 +28,6 @@ from .densities import gaussian_density, get_density, registry_names
 from .dsmc import CollisionKernel, ConditionedInitial, equilibrium_crosscheck, run as dsmc_run
 from .errors import BoltzsphereError, ConfigError
 from .geometry import (
-    ParticleConfiguration,
     ScalarField,
     SphereSpec,
     VectorField,
@@ -231,8 +230,9 @@ def cmd_geometry_selftest(args) -> int:
     idem = float(np.max(np.abs(cfg1.values - cfg2.values)))
     checks.append((f"projection idempotent {idem:.2e} <= 1e-12", idem <= 1e-12))
     checks.append(("projection constraints certified", cfg1.on_sphere))
-    F = ScalarField(value=lambda V: V[0], grad=lambda V: np.eye(V.size)[0])
-    g = tangent_gradient(F, cfg1)
+    e0 = np.eye(spec.dim_ambient)[0]
+    F = ScalarField(value=lambda V: V[:, 0], grad=lambda V: np.broadcast_to(e0, V.shape))
+    g = tangent_gradient(F, cfg1.values[None, :], spec)[0]
     orth = max(
         abs(float(g @ cfg1.values)),
         float(np.max(np.abs(g.reshape(spec.N, spec.d).sum(axis=0)))),
@@ -468,24 +468,36 @@ def _ipp_fields(d: int, N: int):
         out[idx] = 1.0
         return out
 
-    f1 = ScalarField(value=lambda V: V[0], grad=lambda V: e_vec(0))
-    phi1 = VectorField(value=lambda V, e=e_vec(min(d, n - 1)): e, jacobian=lambda V: np.zeros((n, n)))
-    scale = 2.0 * d * N
-    f2 = ScalarField(
-        value=lambda V: math.exp(-float(V @ V) / scale),
-        grad=lambda V: -2.0 * V / scale * math.exp(-float(V @ V) / scale),
-    )
-    phi2 = VectorField(value=lambda V: V.copy(), jacobian=lambda V: np.eye(n))
-    f3 = ScalarField(value=lambda V: V[0] * V[0], grad=lambda V: 2.0 * V[0] * e_vec(0))
+    def constant(vec):
+        return lambda V: np.broadcast_to(vec, V.shape)
 
-    def phi3_jac(V):
-        out = np.zeros((n, n))
-        out[1, 1] = math.cos(V[1])
+    def jac_constant(mat):
+        return lambda V: np.broadcast_to(mat, (V.shape[0], n, n))
+
+    f1 = ScalarField(value=lambda V: V[:, 0], grad=constant(e_vec(0)))
+    phi1 = VectorField(value=constant(e_vec(min(d, n - 1))), jacobian=jac_constant(np.zeros((n, n))))
+    scale = 2.0 * d * N
+
+    def f2_value(V):
+        return np.exp(-np.vecdot(V, V) / scale)
+
+    f2 = ScalarField(value=f2_value, grad=lambda V: -2.0 * V / scale * f2_value(V)[:, None])
+    phi2 = VectorField(value=lambda V: V.copy(), jacobian=jac_constant(np.eye(n)))
+    f3 = ScalarField(
+        value=lambda V: V[:, 0] * V[:, 0], grad=lambda V: 2.0 * V[:, :1] * e_vec(0)
+    )
+
+    def phi3_value(V):
+        out = np.zeros(V.shape)
+        out[:, 1] = np.sin(V[:, 1])
         return out
 
-    phi3 = VectorField(
-        value=lambda V: math.sin(V[1]) * e_vec(1), jacobian=phi3_jac
-    )
+    def phi3_jac(V):
+        out = np.zeros((V.shape[0], n, n))
+        out[:, 1, 1] = np.cos(V[:, 1])
+        return out
+
+    phi3 = VectorField(value=phi3_value, jacobian=phi3_jac)
     return [(f1, phi1), (f2, phi2), (f3, phi3)]
 
 
@@ -496,9 +508,8 @@ def cmd_ipp_check(args) -> int:
     for d, N in ((2, 4), (3, 3), (2, 10)):
         spec = SphereSpec.boltzmann(d, N)
         batch = sample_uniform_batch(spec, cfg.samples, stream(cfg.seed, "ipp", d, N))
-        samples = [ParticleConfiguration(row, spec) for row in batch]
         for k, (F, Phi) in enumerate(_ipp_fields(d, N)):
-            mean, se = ipp_residual(F, Phi, samples)
+            mean, se = ipp_residual(F, Phi, batch, spec)
             rows.append((d, N, k, mean, se))
             # the 1e-12 floor covers integrands that cancel pointwise, where
             # mean and stderr are both rounding noise

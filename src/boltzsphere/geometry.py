@@ -7,8 +7,9 @@ The state space of the N-particle collision process is
 a sphere of dimension d(N-1)-1 inside a hyperplane.  The collision case is
 r = sqrt(dN), z = 0.  This module provides the surface measure, the
 orthogonal change of variables that separates the total-momentum coordinate,
-projections onto the manifold, tangential gradient/divergence, and a Monte
-Carlo check of the integration-by-parts identity under the uniform law.
+projections onto the manifold, tangential gradient/divergence on batches of
+points, and a Monte Carlo check of the integration-by-parts identity under
+the uniform law.
 
 All surface-measure arithmetic is done in log space: the factor
 (dN)^{d(N-1)/2} overflows doubles near N ~ 150.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 from scipy.special import gammaln
@@ -138,17 +139,24 @@ class ParticleConfiguration:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Scalar field on R^{dN} given by value and gradient callbacks."""
+    """Scalar field on R^{dN} given by batch value and gradient callbacks.
 
-    value: Callable[[np.ndarray], float]
+    Both take an (n, dN) array of points, one per row: value(V) returns the
+    (n,) values and grad(V) the (n, dN) gradients.
+    """
+
+    value: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class VectorField:
-    """Vector field on R^{dN} given by value and Jacobian callbacks.
+    """Vector field on R^{dN} given by batch value and Jacobian callbacks.
 
-    jacobian(V)[c, a] = d Phi_c / d V_a, both indices flat over (particle, axis).
+    Both take an (n, dN) array of points: value(V) returns (n, dN) and
+    jacobian(V) returns (n, dN, dN), where jacobian(V)[k, c, a] =
+    d Phi_c / d V_a at row k, both indices flat over (particle, axis).  A
+    Jacobian that does not depend on V may be returned as a broadcast view.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -232,19 +240,6 @@ def helmert_matrix(N: int) -> np.ndarray:
     return diag[:, None] * A
 
 
-def _project_array(W: np.ndarray, spec: SphereSpec) -> np.ndarray:
-    w = _split(W, spec.d)
-    if w.shape[0] != spec.N:
-        raise ParameterError(f"array holds {w.shape[0]} particles, expected N={spec.N}")
-    centered = w - w.mean(axis=0)
-    norm = float(np.linalg.norm(centered))
-    if norm <= 1e-13 * max(1.0, float(np.linalg.norm(w))) or norm == 0.0:
-        raise DegenerateProjectionError(
-            "hyperplane projection vanished (all particles equal per component)"
-        )
-    return (centered * (spec.r / norm)).reshape(-1)
-
-
 def project_to_sphere(W: np.ndarray, spec: SphereSpec) -> ParticleConfiguration:
     """Project W in R^{dN} onto S^N_B: remove the per-component mean, rescale.
 
@@ -253,100 +248,138 @@ def project_to_sphere(W: np.ndarray, spec: SphereSpec) -> ParticleConfiguration:
     """
     if float(np.dot(spec.z, spec.z)) > 0.0:
         raise ParameterError("projection is defined for the centered sphere (z = 0)")
-    return ParticleConfiguration(_project_array(W, spec), spec)
+    w = np.asarray(W, dtype=float).reshape(-1)
+    if w.size != spec.dim_ambient:
+        raise ParameterError(f"array holds {w.size} entries, expected dN={spec.dim_ambient}")
+    return ParticleConfiguration(project_rows(w[None, :], spec)[0], spec)
 
 
 def project_rows(W: np.ndarray, spec: SphereSpec) -> np.ndarray:
-    """Vectorized projection of an (n, dN) batch; degenerate rows raise."""
+    """Projection of an (n, dN) batch onto S^N_B, row by row.
+
+    A row whose hyperplane part is below 1e-13 max(1, |row|) raises
+    DegenerateProjectionError: rescaling it would only blow up rounding.
+    """
     W = np.asarray(W, dtype=float)
     w = W.reshape(W.shape[0], spec.N, spec.d)
-    centered = w - w.mean(axis=1, keepdims=True)
-    norms = np.linalg.norm(centered.reshape(W.shape[0], -1), axis=1)
-    if np.any(norms <= 1e-300):
-        raise DegenerateProjectionError("degenerate row in batch projection")
-    out = centered.reshape(W.shape[0], -1) * (spec.r / norms)[:, None]
-    return out
+    centered = (w - w.mean(axis=1, keepdims=True)).reshape(W.shape[0], -1)
+    norms = np.sqrt(np.vecdot(centered, centered))
+    floor = 1e-13 * np.maximum(1.0, np.sqrt(np.vecdot(W, W)))
+    if np.any(norms <= floor):
+        raise DegenerateProjectionError(
+            "hyperplane projection vanished (all particles equal per component)"
+        )
+    return centered * (spec.r / norms)[:, None]
 
 
 def _hyperplane_projection(g: np.ndarray, spec: SphereSpec) -> np.ndarray:
-    gm = g.reshape(spec.N, spec.d)
-    return (gm - gm.mean(axis=0)).reshape(-1)
+    """Remove from each row of an (n, dN) batch its per-component mean."""
+    gm = g.reshape(g.shape[0], spec.N, spec.d)
+    return (gm - gm.mean(axis=1, keepdims=True)).reshape(g.shape[0], -1)
 
 
-def tangent_gradient(F: ScalarField, V: ParticleConfiguration) -> np.ndarray:
-    """Tangential gradient on the sphere at a configuration V.
+def _points(V: np.ndarray, spec: SphereSpec) -> np.ndarray:
+    V = np.asarray(V, dtype=float)
+    if V.ndim != 2 or V.shape[1] != spec.dim_ambient:
+        raise ParameterError(f"points must be an (n, {spec.dim_ambient}) array, got {V.shape}")
+    return V
+
+
+def tangent_gradient(F: ScalarField, V: np.ndarray, spec: SphereSpec) -> np.ndarray:
+    """Tangential gradient on the sphere at each row of an (n, dN) batch.
 
     grad_S F = grad F - (1/N) sum_a (sum_i dF/dv_{i,a}) e^N_a - (V.grad F) V/|V|^2,
     orthogonal to V and to every direction e^N_a = (e_a, ..., e_a).
+    Returns (n, dN).
     """
-    spec = V.spec
-    g = np.asarray(F.grad(V.values), dtype=float).reshape(-1)
+    V = _points(V, spec)
+    g = np.asarray(F.grad(V), dtype=float)
+    if g.shape != V.shape:
+        raise ParameterError(f"gradient must be {V.shape}, got {g.shape}")
     gh = _hyperplane_projection(g, spec)
-    vv = float(V.values @ V.values)
-    return gh - (float(V.values @ g) / vv) * V.values
+    return gh - (np.vecdot(V, g) / np.vecdot(V, V))[:, None] * V
 
 
-def surface_divergence(Phi: VectorField, V: ParticleConfiguration) -> float:
-    """Divergence on the sphere of an ambient vector field.
+def surface_divergence(Phi: VectorField, V: np.ndarray, spec: SphereSpec) -> np.ndarray:
+    """Divergence on the sphere of an ambient vector field, per row of V.
 
     Div_S Phi = Div Phi - (1/N) sum_{j,i,b} dPhi_{j,b}/dv_{i,b}
                 - sum_{j,b} (V . grad Phi_{j,b}) v_{j,b} / |V|^2.
+    Returns (n,).
     """
-    spec = V.spec
-    J = np.asarray(Phi.jacobian(V.values), dtype=float)
-    n = spec.dim_ambient
-    if J.shape != (n, n):
-        raise ParameterError(f"jacobian must be ({n}, {n}), got {J.shape}")
-    div = float(np.trace(J))
-    J4 = J.reshape(spec.N, spec.d, spec.N, spec.d)
-    hyper = float(np.einsum("jbib->", J4)) / spec.N
-    vv = float(V.values @ V.values)
-    radial = float((J @ V.values) @ V.values) / vv
+    V = _points(V, spec)
+    n, m = V.shape
+    J = np.asarray(Phi.jacobian(V), dtype=float)
+    if J.shape != (n, m, m):
+        raise ParameterError(f"jacobian must be {(n, m, m)}, got {J.shape}")
+    div = np.trace(J, axis1=1, axis2=2)
+    hyper = np.einsum("kjbib->k", J.reshape(n, spec.N, spec.d, spec.N, spec.d)) / spec.N
+    radial = np.einsum("kca,ka,kc->k", J, V, V) / np.vecdot(V, V)
     return div - hyper - radial
 
 
-def tangent_basis(V: ParticleConfiguration) -> np.ndarray:
-    """Orthonormal basis of the tangent space at V, shape (dim_sphere, dN)."""
-    spec = V.spec
-    n = spec.dim_ambient
-    normals = np.zeros((spec.d + 1, n))
-    normals[0] = V.values / np.linalg.norm(V.values)
+def tangent_basis(V: np.ndarray, spec: SphereSpec) -> np.ndarray:
+    """Orthonormal bases of the tangent spaces at the rows of an (n, dN)
+    batch, shape (n, dim_sphere, dN)."""
+    V = _points(V, spec)
+    n, m = V.shape
+    normals = np.zeros((n, spec.d + 1, m))
+    normals[:, 0] = V / np.sqrt(np.vecdot(V, V))[:, None]
     for a in range(spec.d):
-        e = np.zeros((spec.N, spec.d))
-        e[:, a] = 1.0
-        normals[1 + a] = e.reshape(-1) / math.sqrt(spec.N)
+        normals[:, 1 + a, a::spec.d] = 1.0 / math.sqrt(spec.N)
     # complete to an orthonormal frame, drop the normal directions
-    q, _ = np.linalg.qr(np.vstack([normals, np.eye(n)]).T)
-    basis = q.T[spec.d + 1 :]
-    return basis[: spec.dim_sphere]
+    frame = np.concatenate([normals, np.broadcast_to(np.eye(m), (n, m, m))], axis=1)
+    q, _ = np.linalg.qr(frame.transpose(0, 2, 1))
+    return q.transpose(0, 2, 1)[:, spec.d + 1 : spec.d + 1 + spec.dim_sphere]
 
 
-def ipp_residual(
-    F: ScalarField,
-    Phi: VectorField,
-    samples: Sequence[ParticleConfiguration],
-) -> tuple:
+# Rows per chunk of `ipp_residual` are chosen so that one chunk's Jacobians
+# hold at most this many entries (2 MiB of float64).
+_JACOBIAN_CHUNK_ENTRIES = 1 << 18
+
+
+def _ipp_chunk_rows(dim_ambient: int) -> int:
+    """Rows of one `ipp_residual` chunk in ambient dimension dN."""
+    return max(1, _JACOBIAN_CHUNK_ENTRIES // (dim_ambient * dim_ambient))
+
+
+def _ipp_integrand(F: ScalarField, Phi: VectorField, V: np.ndarray, spec: SphereSpec) -> np.ndarray:
+    """grad_S F . Phi + F Div_S Phi - ((d(N-1)-1)/(dN)) F (Phi . V) at each
+    row of V, evaluated in chunks of `_ipp_chunk_rows(dN)` rows."""
+    coef = (spec.d * (spec.N - 1) - 1) / (spec.d * spec.N)
+    rows = _ipp_chunk_rows(spec.dim_ambient)
+    out = np.empty(V.shape[0])
+    for lo in range(0, V.shape[0], rows):
+        chunk = V[lo : lo + rows]
+        fv = np.asarray(F.value(chunk), dtype=float)
+        phi = np.asarray(Phi.value(chunk), dtype=float)
+        if fv.shape != (chunk.shape[0],) or phi.shape != chunk.shape:
+            raise ParameterError(
+                f"field values must be {(chunk.shape[0],)} and {chunk.shape}, "
+                f"got {fv.shape} and {phi.shape}"
+            )
+        out[lo : lo + rows] = (
+            np.vecdot(tangent_gradient(F, chunk, spec), phi)
+            + fv * surface_divergence(Phi, chunk, spec)
+            - coef * fv * np.vecdot(phi, chunk)
+        )
+    return out
+
+
+def ipp_residual(F: ScalarField, Phi: VectorField, samples: np.ndarray, spec: SphereSpec) -> tuple:
     """Monte Carlo residual of the integration-by-parts identity.
 
     Estimates the mean of
         grad_S F . Phi + F Div_S Phi - ((d(N-1)-1)/(dN)) F (Phi . V)
-    over uniform-law samples; the identity asserts the mean is zero.
+    over uniform-law samples, the rows of an (n, dN) array such as
+    `sample_uniform_batch` returns; the identity asserts the mean is zero.
     Returns (mean, standard error).
     """
-    samples = list(samples)
-    if not samples:
+    V = _points(samples, spec)
+    if V.shape[0] == 0:
         raise ParameterError("need at least one sample")
-    spec = samples[0].spec
-    coef = (spec.d * (spec.N - 1) - 1) / (spec.d * spec.N)
-    vals = np.empty(len(samples))
-    for k, cfg in enumerate(samples):
-        fv = float(F.value(cfg.values))
-        phi = np.asarray(Phi.value(cfg.values), dtype=float).reshape(-1)
-        vals[k] = (
-            float(tangent_gradient(F, cfg) @ phi)
-            + fv * surface_divergence(Phi, cfg)
-            - coef * fv * float(phi @ cfg.values)
-        )
+    vals = _ipp_integrand(F, Phi, V, spec)
+    n = vals.size
     mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(len(samples))) if len(samples) > 1 else 0.0
+    stderr = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return mean, stderr

@@ -168,11 +168,37 @@ def w2(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     return math.sqrt(max(_min_cost(a, b, p=2), 0.0))
 
 
+def _knn_distances_1d(x: np.ndarray, k: int) -> np.ndarray:
+    """Distance from each point of x to its k-th nearest other point.
+
+    On a line a point and its k nearest neighbours fill a window of k + 1
+    consecutive sorted points, so the distance is the smallest, over the
+    k + 1 windows that hold the point, of the larger gap to the window's two
+    ends (infinite past the ends of the data).  Each gap is one subtraction,
+    and a k-d tree's distance sqrt((x_i - x_j)^2) rounds back to
+    |x_i - x_j|, so the result is bit-identical to a tree query.
+    """
+    n = x.size
+    order = np.argsort(x)
+    padded = np.concatenate([np.full(k, -np.inf), x[order], np.full(k, np.inf)])
+    mid = padded[k : k + n]
+    best = np.full(n, np.inf)
+    for a in range(k + 1):
+        # the window of a neighbours on the left and k - a on the right
+        reach = np.maximum(mid - padded[k - a : k - a + n], padded[2 * k - a : 2 * k - a + n] - mid)
+        np.minimum(best, reach, out=best)
+    eps = np.empty(n)
+    eps[order] = best
+    return eps
+
+
 def _knn_entropy(points: np.ndarray, k: int) -> float:
     n, d = points.shape
-    tree = cKDTree(points)
-    dist, _ = tree.query(points, k=k + 1, workers=-1)
-    eps = dist[:, k]
+    if d == 1:
+        eps = _knn_distances_1d(points[:, 0], k)
+    else:
+        dist, _ = cKDTree(points).query(points, k=k + 1, workers=-1)
+        eps = dist[:, k]
     log_ball = 0.5 * d * math.log(math.pi) - gammaln(0.5 * d + 1.0)
     return float(
         digamma(n) - digamma(k) + log_ball + d * np.mean(np.log(np.maximum(eps, 1e-300)))

@@ -11,6 +11,7 @@ from boltzsphere.geometry import (
     VectorField,
     ipp_residual,
     log_sphere_measure,
+    project_rows,
     surface_divergence,
     tangent_basis,
     tangent_gradient,
@@ -118,99 +119,146 @@ class TestProjection:
         with pytest.raises(bs.DegenerateProjectionError):
             bs.project_to_sphere(constant, spec)
 
+    def test_nearly_constant_row_raises_one_at_a_time_and_in_batch(self):
+        # a centred part at rounding level must not be blown up to radius r
+        spec = boltzmann(2, 4)
+        row = np.tile([1.3, -0.2], 4)
+        row[3] += 1e-15
+        with pytest.raises(bs.DegenerateProjectionError):
+            bs.project_to_sphere(row, spec)
+        batch = np.vstack([np.random.default_rng(4).normal(size=8), row])
+        with pytest.raises(bs.DegenerateProjectionError):
+            project_rows(batch, spec)
 
-def _geodesic(cfg, T, h):
-    R = math.sqrt(cfg.spec.d * cfg.spec.N)
+    def test_single_projection_is_the_batch_row(self):
+        spec = boltzmann(3, 7)
+        W = np.random.default_rng(6).normal(size=(40, 21))
+        batch = project_rows(W, spec)
+        for w, row in zip(W, batch):
+            assert np.array_equal(bs.project_to_sphere(w, spec).values, row)
+
+
+def _geodesic(V, T, h):
+    """Points at arc length +-h from the row V along the unit tangents T."""
+    R = math.sqrt(V.size)
     return (
-        math.cos(h / R) * cfg.values + R * math.sin(h / R) * T,
-        math.cos(h / R) * cfg.values - R * math.sin(h / R) * T,
+        math.cos(h / R) * V + R * math.sin(h / R) * T,
+        math.cos(h / R) * V - R * math.sin(h / R) * T,
     )
+
+
+def _coordinate_field(m):
+    e0 = np.eye(m)[0]
+    return ScalarField(value=lambda V: V[:, 0], grad=lambda V: np.broadcast_to(e0, V.shape))
 
 
 class TestTangentCalculus:
     def setup_method(self):
         self.spec = boltzmann(2, 3)
-        self.cfg = sample_uniform(self.spec, 5)
+        self.V = np.vstack([sample_uniform(self.spec, s).values for s in (5, 6, 7, 8)])
 
     def test_constant_field_has_zero_gradient(self):
-        F = ScalarField(value=lambda V: 3.0, grad=lambda V: np.zeros(V.size))
-        assert np.all(tangent_gradient(F, self.cfg) == 0.0)
+        F = ScalarField(value=lambda V: np.full(len(V), 3.0), grad=lambda V: np.zeros(V.shape))
+        assert np.all(tangent_gradient(F, self.V, self.spec) == 0.0)
 
     def test_squared_norm_is_radial(self):
-        F = ScalarField(value=lambda V: float(V @ V), grad=lambda V: 2.0 * V)
-        g = tangent_gradient(F, self.cfg)
+        F = ScalarField(value=lambda V: np.vecdot(V, V), grad=lambda V: 2.0 * V)
+        g = tangent_gradient(F, self.V, self.spec)
         assert np.max(np.abs(g)) <= 1e-12
 
     def test_coordinate_field_against_finite_differences(self):
-        F = ScalarField(value=lambda V: V[0], grad=lambda V: np.eye(V.size)[0])
-        g = tangent_gradient(F, self.cfg)
+        F = _coordinate_field(6)
+        g = tangent_gradient(F, self.V, self.spec)
         h = 1e-4 * math.sqrt(self.spec.d * self.spec.N)
-        for T in tangent_basis(self.cfg):
-            plus, minus = _geodesic(self.cfg, T, h)
+        for V, gk, basis in zip(self.V, g, tangent_basis(self.V, self.spec)):
+            plus, minus = _geodesic(V, basis, h)
             fd = (F.value(plus) - F.value(minus)) / (2.0 * h)
-            assert fd == pytest.approx(float(g @ T), abs=1e-5 * max(1.0, abs(fd)))
+            for fd_t, T in zip(fd, basis):
+                assert fd_t == pytest.approx(float(gk @ T), abs=1e-5 * max(1.0, abs(fd_t)))
 
     def test_gradient_orthogonality(self):
         rng = np.random.default_rng(2)
         A = rng.normal(size=(6, 6))
-        F = ScalarField(value=lambda V: float(V @ A @ V), grad=lambda V: (A + A.T) @ V)
-        g = tangent_gradient(F, self.cfg)
-        assert abs(g @ self.cfg.values) <= 1e-10
-        sums = g.reshape(self.spec.N, self.spec.d).sum(axis=0)
+        F = ScalarField(value=lambda V: np.einsum("ki,ij,kj->k", V, A, V), grad=lambda V: V @ (A + A.T))
+        g = tangent_gradient(F, self.V, self.spec)
+        assert np.max(np.abs(np.vecdot(g, self.V))) <= 1e-10
+        sums = g.reshape(-1, self.spec.N, self.spec.d).sum(axis=1)
         assert np.max(np.abs(sums)) <= 1e-10
 
     def test_divergence_of_constant_field(self):
-        Phi = VectorField(value=lambda V: np.ones(V.size), jacobian=lambda V: np.zeros((V.size, V.size)))
-        assert surface_divergence(Phi, self.cfg) == pytest.approx(0.0, abs=1e-12)
+        Phi = VectorField(value=lambda V: np.ones(V.shape), jacobian=lambda V: np.zeros((len(V), 6, 6)))
+        assert surface_divergence(Phi, self.V, self.spec) == pytest.approx(np.zeros(4), abs=1e-12)
 
     def test_divergence_of_identity_field(self):
         # the position field is normal to the sphere; its surface divergence
         # equals the sphere dimension dN - d - 1
-        Phi = VectorField(value=lambda V: V.copy(), jacobian=lambda V: np.eye(V.size))
+        Phi = VectorField(
+            value=lambda V: V.copy(), jacobian=lambda V: np.broadcast_to(np.eye(6), (len(V), 6, 6))
+        )
         want = self.spec.d * self.spec.N - self.spec.d - 1
-        assert surface_divergence(Phi, self.cfg) == pytest.approx(want, rel=1e-12)
+        assert surface_divergence(Phi, self.V, self.spec) == pytest.approx(np.full(4, want), rel=1e-12)
 
     def test_divergence_against_finite_differences(self):
         rng = np.random.default_rng(8)
         A = rng.normal(size=(6, 6)) / 3.0
 
         def phi(V):
-            return np.tanh(A @ V)
+            return np.tanh(V @ A.T)
 
         def jac(V):
-            return (1.0 - np.tanh(A @ V)[:, None] ** 2) * A
+            return (1.0 - np.tanh(V @ A.T)[:, :, None] ** 2) * A
 
         Phi = VectorField(value=phi, jacobian=jac)
         h = 1e-5 * math.sqrt(self.spec.d * self.spec.N)
-        fd = 0.0
-        for T in tangent_basis(self.cfg):
-            plus, minus = _geodesic(self.cfg, T, h)
-            fd += float(T @ (phi(plus) - phi(minus))) / (2.0 * h)
-        assert surface_divergence(Phi, self.cfg) == pytest.approx(fd, abs=1e-6)
+        div = surface_divergence(Phi, self.V, self.spec)
+        for V, div_k, basis in zip(self.V, div, tangent_basis(self.V, self.spec)):
+            plus, minus = _geodesic(V, basis, h)
+            fd = float(np.sum(basis * (phi(plus) - phi(minus)))) / (2.0 * h)
+            assert div_k == pytest.approx(fd, abs=1e-6)
+
+    def test_tangent_basis_is_orthonormal_and_tangent(self):
+        for V, basis in zip(self.V, tangent_basis(self.V, self.spec)):
+            assert basis.shape == (self.spec.dim_sphere, 6)
+            assert np.max(np.abs(basis @ basis.T - np.eye(self.spec.dim_sphere))) <= 1e-12
+            assert np.max(np.abs(basis @ V)) <= 1e-12
+            assert np.max(np.abs(basis.reshape(-1, self.spec.N, self.spec.d).sum(axis=1))) <= 1e-12
+
+    def test_callback_shapes_are_checked(self):
+        F = ScalarField(value=lambda V: V[:, 0], grad=lambda V: np.zeros(6))
+        with pytest.raises(bs.ParameterError):
+            tangent_gradient(F, self.V, self.spec)
+        Phi = VectorField(value=lambda V: V, jacobian=lambda V: np.eye(6))
+        with pytest.raises(bs.ParameterError):
+            surface_divergence(Phi, self.V, self.spec)
 
 
 class TestIppResidual:
     def test_trivial_pair_is_exact_zero(self):
         spec = boltzmann(2, 4)
-        samples = [sample_uniform(spec, s) for s in range(4)]
-        F = ScalarField(value=lambda V: 1.0, grad=lambda V: np.zeros(V.size))
-        Phi = VectorField(value=lambda V: np.zeros(V.size), jacobian=lambda V: np.zeros((V.size, V.size)))
-        mean, se = ipp_residual(F, Phi, samples)
+        samples = np.vstack([sample_uniform(spec, s).values for s in range(4)])
+        F = ScalarField(value=lambda V: np.ones(len(V)), grad=lambda V: np.zeros(V.shape))
+        Phi = VectorField(value=lambda V: np.zeros(V.shape), jacobian=lambda V: np.zeros((len(V), 8, 8)))
+        mean, se = ipp_residual(F, Phi, samples, spec)
         assert mean == 0.0 and se == 0.0
 
     def test_coordinate_pair_within_three_stderr(self):
         spec = boltzmann(2, 4)
-        batch = sample_uniform_batch(spec, 8000, 21)
-        samples = [bs.ParticleConfiguration(row, spec) for row in batch]
+        samples = sample_uniform_batch(spec, 8000, 21)
         e21 = np.zeros(8)
         e21[2] = 1.0
-        F = ScalarField(value=lambda V: V[0], grad=lambda V: np.eye(8)[0])
-        Phi = VectorField(value=lambda V: e21, jacobian=lambda V: np.zeros((8, 8)))
-        mean, se = ipp_residual(F, Phi, samples)
+        F = _coordinate_field(8)
+        Phi = VectorField(
+            value=lambda V: np.broadcast_to(e21, V.shape),
+            jacobian=lambda V: np.broadcast_to(np.zeros((8, 8)), (len(V), 8, 8)),
+        )
+        mean, se = ipp_residual(F, Phi, samples, spec)
         assert abs(mean) <= 3.0 * se
 
     def test_empty_sample_set_raises(self):
-        F = ScalarField(value=lambda V: 1.0, grad=lambda V: np.zeros(4))
-        Phi = VectorField(value=lambda V: np.zeros(4), jacobian=lambda V: np.zeros((4, 4)))
+        spec = boltzmann(2, 2)
+        F = ScalarField(value=lambda V: np.ones(len(V)), grad=lambda V: np.zeros(V.shape))
+        Phi = VectorField(value=lambda V: np.zeros(V.shape), jacobian=lambda V: np.zeros((len(V), 4, 4)))
         with pytest.raises(bs.ParameterError):
-            ipp_residual(F, Phi, [])
+            ipp_residual(F, Phi, [], spec)
+        with pytest.raises(bs.ParameterError):
+            ipp_residual(F, Phi, np.empty((0, 4)), spec)

@@ -3,11 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
+from scipy.special import digamma, gammaln
 
 import boltzsphere as bs
 from boltzsphere.metrics import (
     EmpiricalMeasure,
+    Estimate,
     _cost_matrix,
+    _knn_distances_1d,
     _transport_lp,
     interpolation_check,
     relative_entropy_vs_gaussian,
@@ -132,6 +136,89 @@ class TestEntropyEstimator:
         w = np.array([0.5, 0.25, 0.25])
         with pytest.raises(bs.ParameterError):
             relative_entropy_vs_gaussian(em([0.0, 1.0, 2.0], weights=w))
+
+
+def ref_knn_eps(pts, k):
+    """k-th nearest-neighbour distances by a k-d tree query (self excluded)."""
+    return cKDTree(pts).query(pts, k=k + 1)[0][:, k]
+
+
+def ref_relative_entropy_vs_gaussian(pts, k_nn=4, n_folds=10):
+    """The k-d tree estimator in every dimension, with the same jitter and
+    jackknife as `relative_entropy_vs_gaussian`."""
+    pts = np.array(pts, dtype=float)
+    n, d = pts.shape
+    jittered = False
+    order = np.lexsort(pts.T)
+    dup = np.nonzero(np.all(np.diff(pts[order], axis=0) == 0.0, axis=1))[0]
+    if dup.size:
+        jittered = True
+        pts[order[dup + 1]] += np.random.default_rng(0).uniform(-1e-12, 1e-12, size=(dup.size, d))
+
+    def h_rel(block):
+        m = block.shape[0]
+        eps = ref_knn_eps(block, k_nn)
+        log_ball = 0.5 * d * math.log(math.pi) - gammaln(0.5 * d + 1.0)
+        h = digamma(m) - digamma(k_nn) + log_ball + d * np.mean(np.log(np.maximum(eps, 1e-300)))
+        return (
+            -float(h)
+            + 0.5 * d * math.log(2.0 * math.pi)
+            + 0.5 * float(np.mean(np.sum(block * block, axis=1)))
+        )
+
+    full = h_rel(pts)
+    loo = np.empty(n_folds)
+    for i, fold in enumerate(np.array_split(np.arange(n), n_folds)):
+        mask = np.ones(n, dtype=bool)
+        mask[fold] = False
+        loo[i] = h_rel(pts[mask])
+    m = float(n_folds)
+    stderr = math.sqrt((m - 1.0) / m * float(np.sum((loo - loo.mean()) ** 2)))
+    return Estimate(value=full, stderr=stderr, jittered=jittered)
+
+
+def _samples_1d(kind, n=20_000):
+    rng = np.random.default_rng(31)
+    if kind == "gaussian":
+        return rng.normal(0.0, 2.0, size=(n, 1))
+    if kind == "uniform":
+        return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(n, 1))
+    # exact duplicates jittered by 1e-12, as the estimator does
+    pts = np.concatenate([np.zeros(50), rng.normal(size=500)])[:, None]
+    pts[1:50] += rng.uniform(-1e-12, 1e-12, size=(49, 1))
+    return pts
+
+
+class TestKnnOracle:
+    @pytest.mark.parametrize("kind", ["gaussian", "uniform", "jittered"])
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_sorted_window_equals_tree(self, kind, k):
+        pts = _samples_1d(kind)
+        assert np.array_equal(_knn_distances_1d(pts[:, 0], k), ref_knn_eps(pts, k))
+
+    def test_every_jackknife_fold(self):
+        pts = _samples_1d("gaussian")
+        n = pts.shape[0]
+        for fold in np.array_split(np.arange(n), 10):
+            mask = np.ones(n, dtype=bool)
+            mask[fold] = False
+            block = pts[mask]
+            assert np.array_equal(_knn_distances_1d(block[:, 0], 4), ref_knn_eps(block, 4))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "uniform"])
+    def test_estimate_is_bit_identical_to_tree_reference(self, kind):
+        pts = _samples_1d(kind)
+        assert relative_entropy_vs_gaussian(em(pts)) == ref_relative_entropy_vs_gaussian(pts)
+
+    def test_duplicates_estimate_is_bit_identical_to_tree_reference(self):
+        pts = np.concatenate([np.zeros(50), np.random.default_rng(1).normal(size=500)])[:, None]
+        with pytest.warns(UserWarning, match="jittered"):
+            est = relative_entropy_vs_gaussian(em(pts))
+        assert est == ref_relative_entropy_vs_gaussian(pts)
+
+    def test_two_dimensions_keep_the_tree(self):
+        pts = np.random.default_rng(32).normal(size=(5000, 2))
+        assert relative_entropy_vs_gaussian(em(pts)) == ref_relative_entropy_vs_gaussian(pts)
 
 
 class TestFisherEstimator:
