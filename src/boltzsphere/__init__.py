@@ -27,6 +27,7 @@ from .geometry import (
     helmert_forward,
     helmert_inverse,
     helmert_matrix,
+    ipp_pointwise,
     ipp_residual,
     project_to_sphere,
     sphere_measure,
@@ -56,6 +57,7 @@ from .conditioned import (
     ConditionedLaw,
     conditioned_marginal_density,
     entropy_per_particle,
+    entropy_rate_experiment,
     sample_conditioned,
     sample_conditioned_batch,
     w1_rate_experiment,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .conditioned import ConditionedLaw, entropy_per_particle, w1_rate_experiment
+from .conditioned import entropy_rate_experiment, w1_rate_experiment
 from .densities import gaussian_density, get_density, registry_names
 from .dsmc import CollisionKernel, ConditionedInitial, equilibrium_crosscheck, run as dsmc_run
 from .errors import BoltzsphereError, ConfigError
@@ -34,11 +34,12 @@ from .geometry import (
     helmert_forward,
     helmert_inverse,
     helmert_matrix,
+    ipp_pointwise,
     ipp_residual,
     project_to_sphere,
     tangent_gradient,
 )
-from .lifted import berry_esseen_sup, lifted_grid, z_prime_asymptotic
+from .lifted import LiftedGrid, _map_grid_builds, berry_esseen_sup, z_prime_asymptotic
 from .metrics import (
     EmpiricalMeasure,
     interpolation_check,
@@ -60,6 +61,9 @@ EXIT_RUNTIME = 5
 _DEFAULT_SEED = 20240901
 _TOLERANCE_PROFILES = ("strict", "default")
 _DRIFT_EVENTS = 1_000_000
+# a pointwise-cancelling ipp-check integrand may be this many units of
+# rounding (eps) of the largest sum of its terms' magnitudes
+_IPP_ULPS = 64
 
 
 @dataclass
@@ -292,9 +296,12 @@ def cmd_zprime(args) -> int:
     rows = []
     checks = []
     limit = z_prime_asymptotic(f, max(cfg.n_list))
-    for N in cfg.n_list:
-        grid = lifted_grid(f, N, shape=cfg.grid_shape)
-        exact = math.exp(grid.log_z_prime(math.sqrt(N), 0.0))
+
+    def log_exact(N):
+        return LiftedGrid(f, N, shape=cfg.grid_shape).log_z_prime(math.sqrt(N), 0.0)
+
+    for N, log_z in zip(cfg.n_list, _map_grid_builds(log_exact, cfg.n_list)):
+        exact = math.exp(log_z)
         asym = z_prime_asymptotic(f, N)
         sup = berry_esseen_sup(f, N, n_cells=cfg.be_cells)
         rows.append((N, exact, asym, sup))
@@ -376,11 +383,10 @@ def cmd_entropy_rate(args) -> int:
     cfg = _load_config(args, "entropy-rate", {"n_list": (16, 32, 64, 128, 256)})
     f = get_density(cfg.density, 1)
     limit = f.relative_entropy_vs_gamma()
-    rows = []
-    for N in cfg.n_list:
-        law = ConditionedLaw(f=f, spec=SphereSpec.boltzmann(1, N), grid_shape=cfg.grid_shape)
-        h = entropy_per_particle(law)
-        rows.append((N, abs(h - limit), 0.0, h))
+    rows = [
+        (N, abs(h - limit), 0.0, h)
+        for N, h in entropy_rate_experiment(f, cfg.n_list, grid_shape=cfg.grid_shape)
+    ]
     rep = fit_loglog([(n, gap, s) for n, gap, s, _ in rows])
     final_gap = rows[-1][1]
     checks = [
@@ -461,6 +467,11 @@ def cmd_dsmc(args) -> int:
 
 
 def _ipp_fields(d: int, N: int):
+    """The field pairs of `ipp-check` as (F, Phi, cancels_pointwise).
+
+    A pair whose integrand vanishes at every point of the sphere is checked
+    pointwise against the size of its terms, not by a Monte Carlo z-test.
+    """
     n = d * N
 
     def e_vec(idx):
@@ -498,7 +509,9 @@ def _ipp_fields(d: int, N: int):
         return out
 
     phi3 = VectorField(value=phi3_value, jacobian=phi3_jac)
-    return [(f1, phi1), (f2, phi2), (f3, phi3)]
+    # (f2, phi2), field_pair 1: grad_S f2 is orthogonal to V and
+    # Div_S V = dN - d - 1, so the three terms cancel exactly at every V
+    return [(f1, phi1, False), (f2, phi2, True), (f3, phi3, False)]
 
 
 def cmd_ipp_check(args) -> int:
@@ -508,15 +521,19 @@ def cmd_ipp_check(args) -> int:
     for d, N in ((2, 4), (3, 3), (2, 10)):
         spec = SphereSpec.boltzmann(d, N)
         batch = sample_uniform_batch(spec, cfg.samples, stream(cfg.seed, "ipp", d, N))
-        for k, (F, Phi) in enumerate(_ipp_fields(d, N)):
-            mean, se = ipp_residual(F, Phi, batch, spec)
+        for k, (F, Phi, cancels_pointwise) in enumerate(_ipp_fields(d, N)):
+            if cancels_pointwise:
+                mean, se, worst, size = ipp_pointwise(F, Phi, batch, spec)
+                ok = worst <= _IPP_ULPS * np.finfo(float).eps * size
+                label = (f"(d={d}, N={N}) pair {k}: pointwise residual max {worst:.2e} "
+                         f"<= {_IPP_ULPS} eps x term size {size:.2e}")
+            else:
+                mean, se = ipp_residual(F, Phi, batch, spec)
+                # the pinned rule; its 1e-12 floor is far below these stderrs
+                ok = abs(mean) <= cfg.stderr_mult() * se + 1e-12
+                label = f"(d={d}, N={N}) pair {k}: residual {mean:+.2e} +- {se:.2e}"
             rows.append((d, N, k, mean, se))
-            # the 1e-12 floor covers integrands that cancel pointwise, where
-            # mean and stderr are both rounding noise
-            ok = abs(mean) <= cfg.stderr_mult() * se + 1e-12
-            checks.append(
-                (f"(d={d}, N={N}) pair {k}: residual {mean:+.2e} +- {se:.2e}", ok)
-            )
+            checks.append((label, ok))
     code = _print_checks(checks)
     _emit(cfg, "ipp-check", ("d", "N", "field_pair", "mc_mean", "stderr"), rows,
           "integration-by-parts residual", {"passed": code == EXIT_OK})

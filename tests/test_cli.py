@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from boltzsphere import cli
+from boltzsphere import cli, geometry
 from boltzsphere.geometry import SphereSpec
 from boltzsphere.uniform import UniformMarginal, marginal_moment
 
@@ -144,3 +144,27 @@ class TestSmallExperiments:
         code_b = run_cli(base + ["--out", str(out_b), "--jobs", "2"])
         assert read(out_a / "dsmc.csv") == read(out_b / "dsmc.csv")
         assert code_a == code_b
+
+
+class TestIppPointwise:
+    def test_cancelling_pair_is_marked_where_it_is_defined(self):
+        for d, N in ((2, 4), (3, 3), (2, 10)):
+            assert [c for _, _, c in cli._ipp_fields(d, N)] == [False, True, False]
+
+    def test_pointwise_bound_fails_on_a_mutated_integrand(self, monkeypatch, tmp_path, capsys):
+        argv = ["ipp-check", "--samples", "200", "--out", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert capsys.readouterr().out.count("pair 1: pointwise") == 3
+        terms = geometry._ipp_terms
+
+        def no_inverse_n(F, Phi, V, spec):
+            # the hyperplane coefficient c = (d(N-1)-1)/(dN) without its 1/N
+            out = terms(F, Phi, V, spec)
+            out[:, 2] *= spec.N
+            return out
+
+        monkeypatch.setattr(geometry, "_ipp_terms", no_inverse_n)
+        assert cli.main(argv) == cli.EXIT_TOLERANCE
+        lines = capsys.readouterr().out.splitlines()
+        pair1 = [line for line in lines if "pair 1:" in line]
+        assert len(pair1) == 3 and all(line.startswith("FAIL") for line in pair1)

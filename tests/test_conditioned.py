@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate, stats
 
 import boltzsphere as bs
-from boltzsphere import lifted
+from boltzsphere import conditioned, lifted
 from boltzsphere.conditioned import (
     ConditionedLaw,
     _Chain,
@@ -154,10 +154,35 @@ class TestMarginalDensity:
 
         monkeypatch.setattr(lifted.LiftedGrid, "__init__", counting_init)
         monkeypatch.setattr(lifted, "_GRID_CACHE", type(lifted._GRID_CACHE)())
+        monkeypatch.setattr(conditioned, "_CURVES", type(conditioned._CURVES)())
         w1_rate_experiment(UNIF, [8, 16])
-        assert built == [7, 15]
+        # the two builds run on two pool threads, in either order
+        assert sorted(built) == [7, 15]
         entropy_per_particle(law(UNIF, 1, 32))
-        assert built == [7, 15, 31]
+        assert sorted(built) == [7, 15, 31]
+
+    def test_memoised_curve_is_read_only_and_shared(self, monkeypatch):
+        monkeypatch.setattr(conditioned, "_CURVES", type(conditioned._CURVES)())
+        lw = law(UNIF, 1, 8)
+        pts, dens, log_zn = _marginal_curve(lw)
+        assert not pts.flags.writeable and not dens.flags.writeable
+        with pytest.raises(ValueError):
+            dens[0] = 1.0
+        again = _marginal_curve(law(UNIF, 1, 8))
+        assert again[0] is pts and again[1] is dens and again[2] == log_zn
+
+    def test_curve_memo_is_bounded(self, monkeypatch):
+        # Gaussian curves need no grid, so this is cheap
+        monkeypatch.setattr(conditioned, "_CURVES", type(conditioned._CURVES)())
+        monkeypatch.setattr(conditioned, "_CURVES_SIZE", 2)
+        laws = [law(GAUSS, 1, N) for N in (8, 16, 32)]
+        curves = conditioned._marginal_curves(laws, 101)
+        assert [c[0].size for c in curves] == [101, 101, 101]
+        assert len(conditioned._CURVES) == 2
+        for lw, curve in zip(laws, curves):
+            pts, dens, log_zn = conditioned._compute_curve(lw, 101)
+            assert np.array_equal(curve[0], pts) and np.array_equal(curve[1], dens)
+            assert curve[2] == log_zn
 
     def test_support_indicator(self):
         lw = law(UNIF, 1, 8)

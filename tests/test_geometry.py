@@ -9,6 +9,7 @@ import boltzsphere as bs
 from boltzsphere.geometry import (
     ScalarField,
     VectorField,
+    ipp_pointwise,
     ipp_residual,
     log_sphere_measure,
     project_rows,
@@ -262,3 +263,20 @@ class TestIppResidual:
             ipp_residual(F, Phi, [], spec)
         with pytest.raises(bs.ParameterError):
             ipp_residual(F, Phi, np.empty((0, 4)), spec)
+        with pytest.raises(bs.ParameterError):
+            ipp_pointwise(F, Phi, np.empty((0, 4)), spec)
+
+    def test_pointwise_shares_the_residual_and_bounds_a_cancelling_pair(self):
+        # F = exp(-|V|^2 / 2dN), Phi = V: the integrand is zero at every point
+        spec = boltzmann(2, 4)
+        samples = sample_uniform_batch(spec, 500, 5)
+        F = ScalarField(
+            value=lambda V: np.exp(-np.vecdot(V, V) / 16.0),
+            grad=lambda V: -V / 8.0 * np.exp(-np.vecdot(V, V) / 16.0)[:, None],
+        )
+        Phi = VectorField(value=lambda V: V.copy(), jacobian=lambda V: np.broadcast_to(np.eye(8), (len(V), 8, 8)))
+        mean, se, worst, size = ipp_pointwise(F, Phi, samples, spec)
+        assert (mean, se) == ipp_residual(F, Phi, samples, spec)
+        # each term is O(1): F <= 1, |Phi . V| = dN = 8
+        assert 1.0 < size < 16.0
+        assert worst <= 64 * np.finfo(float).eps * size

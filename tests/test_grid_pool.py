@@ -1,0 +1,164 @@
+"""The grid-build thread pool and the exact-curve memo change no number.
+
+The exact d = 1 pipeline builds its grids on `lifted._map_grid_builds`
+(up to `lifted._GRID_WORKERS` threads) and keeps each one-particle curve in
+`conditioned._CURVES`.  These tests hold the results at one worker equal to
+those at two, check that the memo and the grid cache keep what they should,
+and that typed errors raised on a pool thread reach the CLI unchanged.
+"""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+import boltzsphere as bs
+from boltzsphere import cli, conditioned, lifted
+from boltzsphere.conditioned import (
+    ConditionedLaw,
+    entropy_per_particle,
+    entropy_rate_experiment,
+    w1_rate_experiment,
+)
+
+UNIF = bs.get_density("uniform", 1)
+SHAPE = (256, 256)
+
+# the spectral subcommands at the benchmark's tiny size (perfbench/workloads.py)
+TINY_SPECTRAL = [
+    ["w1-rate", "--n-list", "8,16", "--grid-shape", "512x512"],
+    ["entropy-rate", "--n-list", "16,32", "--grid-shape", "512x512"],
+    ["zprime", "--density", "uniform", "--n-list", "8,16", "--grid-shape", "512x512"],
+    ["berry-esseen", "--n-list", "2,4,8"],
+]
+
+
+@pytest.fixture
+def fresh(monkeypatch):
+    """An empty curve memo and grid cache; returns the list of N built."""
+    monkeypatch.setattr(conditioned, "_CURVES", type(conditioned._CURVES)())
+    monkeypatch.setattr(lifted, "_GRID_CACHE", type(lifted._GRID_CACHE)())
+    built = []
+    init = lifted.LiftedGrid.__init__
+
+    def counting_init(self, f, N, *args, **kwargs):
+        built.append(N)
+        init(self, f, N, *args, **kwargs)
+
+    monkeypatch.setattr(lifted.LiftedGrid, "__init__", counting_init)
+    return built
+
+
+def _law(N):
+    return ConditionedLaw(f=UNIF, spec=bs.SphereSpec.boltzmann(1, N), grid_shape=SHAPE)
+
+
+def _results(monkeypatch, workers, out):
+    monkeypatch.setattr(lifted, "_GRID_WORKERS", workers)
+    monkeypatch.setattr(conditioned, "_CURVES", type(conditioned._CURVES)())
+    w1_rows = np.array(w1_rate_experiment(UNIF, [8, 16, 32], grid_shape=SHAPE).rows)
+    monkeypatch.setattr(conditioned, "_CURVES", type(conditioned._CURVES)())
+    entropy = np.array([entropy_per_particle(_law(N)) for N in (16, 32)])
+    monkeypatch.setattr(conditioned, "_CURVES", type(conditioned._CURVES)())
+    entropy_rows = np.array(entropy_rate_experiment(UNIF, [16, 32], grid_shape=SHAPE))
+    zdir = out / "zprime"
+    code = cli.main(["zprime", "--density", "uniform", "--n-list", "8,16,32",
+                     "--grid-shape", "256x256", "--out", str(zdir)])
+    assert code in (cli.EXIT_OK, cli.EXIT_TOLERANCE)
+    zrows = np.loadtxt(zdir / "zprime.csv", delimiter=",", skiprows=2)
+    monkeypatch.setattr(conditioned, "_CURVES", type(conditioned._CURVES)())
+    csvs = {}
+    for argv in TINY_SPECTRAL:
+        tdir = out / "tiny"
+        cli.main(argv + ["--out", str(tdir)])
+        csvs[argv[0]] = (tdir / f"{argv[0]}.csv").read_bytes()
+    return [w1_rows, entropy, entropy_rows, zrows], csvs
+
+
+def test_one_and_two_workers_give_equal_numbers(monkeypatch, tmp_path, capsys):
+    one, one_csv = _results(monkeypatch, 1, tmp_path / "one")
+    two, two_csv = _results(monkeypatch, 2, tmp_path / "two")
+    for a, b in zip(one, two):
+        assert np.array_equal(a, b)
+    assert one_csv == two_csv
+
+
+def test_entropy_rate_after_w1_rate_builds_no_grid(fresh, tmp_path, capsys):
+    shape = ["--grid-shape", "256x256", "--out", str(tmp_path)]
+    cli.main(["w1-rate", "--n-list", "8,16,32"] + shape)
+    assert sorted(fresh) == [7, 15, 31]
+    cli.main(["entropy-rate", "--n-list", "16,32"] + shape)
+    assert sorted(fresh) == [7, 15, 31]
+
+
+def test_spectral_subcommands_leave_the_grid_cache_empty(fresh, tmp_path, capsys):
+    shape = ["--grid-shape", "256x256", "--out", str(tmp_path)]
+    for argv in (["w1-rate", "--n-list", "8,16,32"], ["entropy-rate", "--n-list", "16,32,64"],
+                 ["zprime", "--density", "uniform", "--n-list", "8,16,32"]):
+        assert cli.main(argv + shape) in (cli.EXIT_OK, cli.EXIT_TOLERANCE)
+    assert sorted(fresh) == [7, 8, 15, 16, 31, 32, 63]
+    assert len(lifted._GRID_CACHE) == 0
+
+
+def _record_threads(monkeypatch, module, name):
+    """Wrap module.name so each call records whether it ran off the main thread."""
+    threads = []
+    original = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        threads.append(threading.current_thread() is not threading.main_thread())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapped)
+    return threads
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["w1-rate", "--n-list", "8,16", "--grid-shape", "16x16"], "reached the window boundary"),
+        (["zprime", "--density", "uniform", "--n-list", "8,16", "--grid-shape", "16x16"],
+         "reached the window boundary"),
+        (["w1-rate", "--n-list", "8,16", "--grid-shape", "32x32"], "grid misconfigured"),
+    ],
+)
+def test_worker_errors_reach_main_typed(fresh, monkeypatch, tmp_path, capsys, workers, argv, message):
+    monkeypatch.setattr(lifted, "_GRID_WORKERS", workers)
+    threads = _record_threads(monkeypatch, lifted, "convolution_power")
+    assert cli.main(argv + ["--out", str(tmp_path)]) == cli.EXIT_RUNTIME
+    assert message in capsys.readouterr().err
+    assert threads and all(threads)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_worker_errors_keep_their_type(fresh, monkeypatch, workers):
+    monkeypatch.setattr(lifted, "_GRID_WORKERS", workers)
+    threads = _record_threads(monkeypatch, conditioned, "_compute_curve")
+    with pytest.raises(bs.CoverageError):
+        w1_rate_experiment(UNIF, [8, 16], grid_shape=(16, 16))
+    with pytest.raises(bs.SupportError):
+        w1_rate_experiment(UNIF, [8, 16], grid_shape=(32, 32))
+    assert threads and all(threads)
+
+
+def test_map_grid_builds_keeps_order_and_raises_first_error(monkeypatch):
+    monkeypatch.setattr(lifted, "_GRID_WORKERS", 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        items = list(range(64))
+        assert lifted._map_grid_builds(lambda x: x * x, items) == [x * x for x in items]
+        assert lifted._map_grid_builds(lambda x: x, []) == []
+
+        def fail_from_ten(x):
+            if x >= 10:
+                raise bs.CoverageError(f"item {x}")
+            return x
+
+        with pytest.raises(bs.CoverageError, match="item 10"):
+            lifted._map_grid_builds(fail_from_ten, items)
+    finally:
+        sys.setswitchinterval(interval)
+

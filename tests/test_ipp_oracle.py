@@ -107,7 +107,7 @@ def _check(d, N, n, seed):
     spec = bs.SphereSpec.boltzmann(d, N)
     batch = sample_uniform_batch(spec, n, seed)
     configs = [bs.ParticleConfiguration(row, spec) for row in batch]
-    for (F, Phi), pair in zip(_ipp_fields(d, N), ref_ipp_fields(d, N)):
+    for (F, Phi, _), pair in zip(_ipp_fields(d, N), ref_ipp_fields(d, N)):
         want = ref_integrand(pair, configs)
         assert _close(_ipp_integrand(F, Phi, batch, spec), want)
         mean, se = ipp_residual(F, Phi, batch, spec)
