@@ -39,7 +39,7 @@ from .geometry import (
     project_to_sphere,
     tangent_gradient,
 )
-from .lifted import LiftedGrid, _map_grid_builds, berry_esseen_sup, z_prime_asymptotic
+from .lifted import _map_grid_builds, berry_esseen_sup, z_prime_asymptotic, z_prime_exact
 from .metrics import (
     EmpiricalMeasure,
     interpolation_check,
@@ -187,6 +187,13 @@ def _load_config(args, experiment: str, defaults: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown density {cfg.density!r}; registry: {registry_names()}")
     if cfg.n_list and any(b <= a for a, b in zip(cfg.n_list, cfg.n_list[1:])):
         raise ConfigError("n_list must be strictly increasing")
+    for key in ("samples", "replicas", "be_cells", "n_times", "jobs"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)}")
+    if not cfg.t_end > 0.0:
+        raise ConfigError(f"t_end must be positive, got {cfg.t_end}")
+    if min(cfg.grid_shape) <= 0:
+        raise ConfigError(f"grid_shape sides must be positive, got {cfg.grid_shape}")
     os.makedirs(cfg.out, exist_ok=True)
     return cfg
 
@@ -296,12 +303,10 @@ def cmd_zprime(args) -> int:
     rows = []
     checks = []
     limit = z_prime_asymptotic(f, max(cfg.n_list))
-
-    def log_exact(N):
-        return LiftedGrid(f, N, shape=cfg.grid_shape).log_z_prime(math.sqrt(N), 0.0)
-
-    for N, log_z in zip(cfg.n_list, _map_grid_builds(log_exact, cfg.n_list)):
-        exact = math.exp(log_z)
+    exact_values = _map_grid_builds(
+        lambda N: z_prime_exact(f, N, math.sqrt(N), shape=cfg.grid_shape), cfg.n_list
+    )
+    for N, exact in zip(cfg.n_list, exact_values):
         asym = z_prime_asymptotic(f, N)
         sup = berry_esseen_sup(f, N, n_cells=cfg.be_cells)
         rows.append((N, exact, asym, sup))

@@ -88,14 +88,12 @@ class ConditionedLaw:
 
     def log_zprime(self, n: int, r: float, z_mom: float = 0.0) -> float:
         """log Z'_n(f; r, z) for the d = 1 pipeline (exactly 0 for Gaussian f)."""
-        if self.is_gaussian:
-            # the integrand (f/gamma)^{xn} is identically 1 on every sphere
-            if r * r - z_mom * z_mom / n <= 0.0:
-                raise SupportError("empty sphere")
-            return 0.0
-        if self.spec.d != 1:
-            raise ParameterError("exact partition values need the d = 1 pipeline")
-        return lifted_grid(self.f, n, shape=self.grid_shape).log_z_prime(r, z_mom)
+        grid = _exact_grid(self, n)
+        if grid is not None:
+            return grid.log_z_prime(r, z_mom)
+        if r * r - z_mom * z_mom / n <= 0.0:
+            raise SupportError("empty sphere")
+        return 0.0
 
 
 def _lattice_like(spec: SphereSpec, gen: np.random.Generator) -> np.ndarray:
@@ -204,15 +202,15 @@ def _point_terms(law: ConditionedLaw, ell: int, flat: np.ndarray) -> tuple:
     return sq, bar, inside, logf
 
 
-def _exact_grid(law: ConditionedLaw, n: int, build) -> Optional[LiftedGrid]:
-    """The grid for n that the exact ratio form reads, from `build`
-    (`lifted_grid` or `LiftedGrid`); None for the Gaussian base, whose
-    (f/gamma)^{x n} is identically 1, so Z' = 1."""
+def _exact_grid(law: ConditionedLaw, n: int) -> Optional[LiftedGrid]:
+    """A new grid for n, which the exact ratio form reads and the caller
+    drops; None for the Gaussian base, whose (f/gamma)^{x n} is identically
+    1 on every sphere, so Z' = 1.  Only the curves in `_CURVES` are kept."""
     if law.is_gaussian:
         return None
     if law.spec.d != 1:
-        raise ParameterError("mode='exact' needs the d = 1 pipeline")
-    return build(law.f, n, shape=law.grid_shape)
+        raise ParameterError("exact partition values need the d = 1 pipeline")
+    return lifted_grid(law.f, n, shape=law.grid_shape)
 
 
 def _log_marginal_times_zn(
@@ -220,7 +218,7 @@ def _log_marginal_times_zn(
 ) -> np.ndarray:
     """log(F_ell Z'_N): the exact marginal's log before the division by Z'_N,
     -inf outside the support.  Rows are validated (n, ell d) points; `grid`
-    is `_exact_grid(law, N - ell, ...)`."""
+    is `_exact_grid(law, N - ell)`."""
     spec = law.spec
     d, N = spec.d, spec.N
     sq, bar, inside, logf = _point_terms(law, ell, flat)
@@ -259,7 +257,7 @@ def conditioned_marginal_density(
     single = pts.ndim == 1
 
     if mode == "exact":
-        grid = _exact_grid(law, N - ell, lifted_grid)
+        grid = _exact_grid(law, N - ell)
         out = np.exp(_log_marginal_times_zn(law, ell, flat, grid) - law.log_zprime(N, spec.r, 0.0))
     elif mode == "asymptotic":
         sq, bar, inside, logf = _point_terms(law, ell, flat)
@@ -287,16 +285,15 @@ def _compute_curve(law: ConditionedLaw, n_points: int) -> tuple:
     """(points, normalized exact one-particle marginal, log Z'_N) for d = 1.
 
     The marginal integrates to one, so Z'_N is the quadrature mass of
-    F_1 Z'_N, and the curve needs the grid for N - 1 only.  That grid is
-    built here and dropped on return, not kept in the grid cache.  A mass
-    far from the leading-order Z'_N (or, for the Gaussian base, from 1)
-    means the grid is misconfigured.
+    F_1 Z'_N, and the curve needs the grid for N - 1 only, which is dropped
+    on return.  A mass far from the leading-order Z'_N (or, for the Gaussian
+    base, from 1) means the grid is misconfigured.
     """
     spec = law.spec
     N = spec.N
     vmax = min(law.f.tail_radius(), math.sqrt(spec.d * N * (N - 1) / N))
     pts = np.linspace(-vmax, vmax, n_points)
-    grid = _exact_grid(law, N - 1, LiftedGrid)
+    grid = _exact_grid(law, N - 1)
     dens = np.exp(_log_marginal_times_zn(law, 1, pts[:, None], grid))
     mass = float(np.trapezoid(dens, pts))
     log_zn = math.log(mass) if mass > 0.0 else -math.inf

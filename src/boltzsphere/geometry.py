@@ -263,7 +263,7 @@ def project_rows(W: np.ndarray, spec: SphereSpec) -> np.ndarray:
     """
     W = np.asarray(W, dtype=float)
     w = W.reshape(W.shape[0], spec.N, spec.d)
-    centered = (w - w.mean(axis=1, keepdims=True)).reshape(W.shape[0], -1)
+    centered = (w - w.mean(axis=1, keepdims=True)).reshape(W.shape[0], spec.dim_ambient)
     norms = np.sqrt(np.vecdot(centered, centered))
     floor = 1e-13 * np.maximum(1.0, np.sqrt(np.vecdot(W, W)))
     if np.any(norms <= floor):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,9 +162,13 @@ class GridDensity:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "GridDensity":
-        nz, nu = np.frombuffer(blob[:16], dtype=np.int64)
-        z_lo, z_hi, u_hi, _ = np.frombuffer(blob[16:48], dtype=np.float64)
-        values = np.frombuffer(blob[48:], dtype=np.float64).reshape(int(nz), int(nu))
+        """Inverse of `to_bytes`; ParameterError if the blob is not one."""
+        try:
+            nz, nu = np.frombuffer(blob[:16], dtype=np.int64)
+            z_lo, z_hi, u_hi, _ = np.frombuffer(blob[16:48], dtype=np.float64)
+            values = np.frombuffer(blob[48:], dtype=np.float64).reshape(int(nz), int(nu))
+        except ValueError as exc:
+            raise ParameterError(f"malformed grid blob of {len(blob)} bytes: {exc}") from None
         return cls(z_lo=float(z_lo), z_hi=float(z_hi), u_hi=float(u_hi), values=values.copy())
 
 
@@ -261,6 +264,23 @@ def _spectrum_power(pmf_hat: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _lattice_power(pmf: np.ndarray, n: int) -> np.ndarray:
+    """n-fold cyclic self-convolution of a lattice pmf, as a new array.
+
+    The lattice origin sits at index len // 2 of axis 0 and at index 0 of
+    any other axis.  Two real FFTs over all axes around `_spectrum_power`.
+    pmf is the work buffer: the inverse FFT overwrites it, so besides pmf at
+    most two spectrum-sized buffers are alive at a time.
+    """
+    axes = tuple(range(pmf.ndim))
+    half = pmf.shape[0] // 2
+    pmf[...] = np.roll(pmf, -half, axis=0)
+    spectrum = _spectrum_power(np.fft.rfftn(pmf, axes=axes), n)
+    np.fft.irfftn(spectrum, s=pmf.shape, axes=axes, out=pmf)
+    del spectrum
+    return np.roll(pmf, half, axis=0)
+
+
 def convolution_power(g: GridDensity, N: int) -> GridDensity:
     """The N-fold self-convolution of a grid density.
 
@@ -276,20 +296,13 @@ def convolution_power(g: GridDensity, N: int) -> GridDensity:
     if N == 1:
         return GridDensity(g.z_lo, g.z_hi, g.u_hi, g.values.copy())
     z_lo, z_hi, u_hi, cell = g.z_lo, g.z_hi, g.u_hi, g.cell_volume
-    pmf = np.roll(g.values, -(nz // 2), axis=0)
-    pmf *= cell
-    # Let go of g, and of each buffer once the next stage has read it.  g is
-    # not modified; when the caller passed it as a temporary (LiftedGrid
-    # passes its raster straight in), the raster is freed here, before the
-    # forward FFT, since CPython 3.11 hands argument references to the
-    # callee's frame.  That keeps one build's transients near three grids.
+    pmf = g.values * cell
+    # g is not modified.  LiftedGrid passes its raster as a temporary, which
+    # CPython 3.11 hands to this frame, so dropping g frees the raster before
+    # the forward FFT and one build's transients stay near three grids.
     del g
-    spectrum = np.fft.rfft2(pmf)
+    out = _lattice_power(pmf, N)
     del pmf
-    out = _spectrum_power(spectrum, N)
-    del spectrum
-    out = np.fft.irfft2(out, s=(nz, nu))
-    out = np.roll(out, nz // 2, axis=0)
     out /= cell
 
     neg_mass = -float(out[out < 0.0].sum()) * cell
@@ -376,28 +389,14 @@ def _map_grid_builds(fn, items) -> list:
         return list(pool.map(fn, items))
 
 
-_GRID_CACHE: OrderedDict = OrderedDict()
-_GRID_CACHE_SIZE = 3
-
-
 def lifted_grid(f: BaseDensity, N: int, shape: tuple = DEFAULT_SHAPE, window: tuple = None) -> LiftedGrid:
-    """LRU-cached pipeline; grids are 32 MB each at the default shape.
+    """A new N-fold lifted grid of f; 32 MB at the default shape.
 
-    Only the point-evaluation APIs use this cache:
-    `conditioned_marginal_density(mode="exact")`, `ConditionedLaw.log_zprime`
-    and `log_z_prime_exact`.  The rate experiments and `zprime` build their
-    grids uncached through `_map_grid_builds` and keep only what they read.
+    Every grid of the package is built here and held only by its caller, so
+    none outlives the call that asked for it.  The one memo of the exact
+    pipeline is `conditioned._CURVES`, which keeps curves, never grids.
     """
-    key = (f.key, N, tuple(shape), None if window is None else tuple(window))
-    hit = _GRID_CACHE.get(key)
-    if hit is not None:
-        _GRID_CACHE.move_to_end(key)
-        return hit
-    grid = LiftedGrid(f, N, shape=shape, window=window)
-    _GRID_CACHE[key] = grid
-    while len(_GRID_CACHE) > _GRID_CACHE_SIZE:
-        _GRID_CACHE.popitem(last=False)
-    return grid
+    return LiftedGrid(f, N, shape=shape, window=window)
 
 
 def log_z_prime_exact(
@@ -467,10 +466,7 @@ def berry_esseen_sup(g: BaseDensity, N: int, n_cells: int = 1 << 18) -> float:
     if 1.0 - total > _TRUNC_TOL:
         raise CoverageError(f"window too small: mass deficit {1.0 - total:.3e}")
     pmf /= total
-    pmf = np.roll(pmf, -(n_cells // 2))
-    out = np.fft.irfft(_spectrum_power(np.fft.rfft(pmf), N), n=n_cells)
-    out = np.roll(out, n_cells // 2)
-    g_n = math.sqrt(N) * out / dx
+    g_n = math.sqrt(N) * _lattice_power(pmf, N) / dx
     gauss = np.exp(-0.5 * (x / math.sqrt(N)) ** 2) / math.sqrt(2.0 * math.pi)
     return float(np.max(np.abs(g_n - gauss)))
 

@@ -69,6 +69,26 @@ class TestConfigHandling:
         code = run_cli(["w1-rate", "--n-list", "8", "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv, config", [
+        (["zprime", "--grid-shape", "0x0"], ""),
+        (["zprime", "--grid-shape", "512x-4"], ""),
+        (["ipp-check", "--samples", "-1"], ""),
+        (["ipp-check", "--samples", "0"], ""),
+        (["dsmc", "--replicas", "0"], ""),
+        (["dsmc", "--jobs", "0"], ""),
+        (["dsmc", "--t-end", "-1"], ""),
+        (["dsmc", "--t-end", "0"], ""),
+        (["dsmc"], "n_times = 0\n"),
+        (["berry-esseen"], "be_cells = 0\n"),
+    ])
+    def test_impossible_sizes_exit_3(self, tmp_path, capsys, argv, config):
+        if config:
+            cfgfile = tmp_path / "sizes.cfg"
+            cfgfile.write_text(config)
+            argv = argv + ["--config", str(cfgfile)]
+        assert run_cli(argv + ["--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+
     @pytest.mark.parametrize("flag, value", [
         ("--density", "gaussian"), ("--n-list", "8"), ("--d", "2"), ("--samples", "100"),
         ("--replicas", "2"), ("--grid-shape", "64x64"), ("--t-end", "1"),

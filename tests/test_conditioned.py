@@ -153,7 +153,6 @@ class TestMarginalDensity:
             init(self, f, N, *args, **kwargs)
 
         monkeypatch.setattr(lifted.LiftedGrid, "__init__", counting_init)
-        monkeypatch.setattr(lifted, "_GRID_CACHE", type(lifted._GRID_CACHE)())
         monkeypatch.setattr(conditioned, "_CURVES", type(conditioned._CURVES)())
         w1_rate_experiment(UNIF, [8, 16])
         # the two builds run on two pool threads, in either order

@@ -131,6 +131,15 @@ class TestProjection:
         with pytest.raises(bs.DegenerateProjectionError):
             project_rows(batch, spec)
 
+    def test_zero_rows_give_an_empty_batch(self):
+        spec = boltzmann(2, 4)
+        assert project_rows(np.empty((0, 8)), spec).shape == (0, 8)
+        empty = sample_uniform_batch(spec, 0, 3)
+        assert empty.shape == (0, 8)
+        Phi = VectorField(value=lambda V: np.zeros(V.shape), jacobian=lambda V: np.zeros((len(V), 8, 8)))
+        with pytest.raises(bs.ParameterError, match="need at least one sample"):
+            ipp_residual(_coordinate_field(8), Phi, empty, spec)
+
     def test_single_projection_is_the_batch_row(self):
         spec = boltzmann(3, 7)
         W = np.random.default_rng(6).normal(size=(40, 21))

@@ -2,13 +2,15 @@
 
 The exact d = 1 pipeline builds its grids on `lifted._map_grid_builds`
 (up to `lifted._GRID_WORKERS` threads) and keeps each one-particle curve in
-`conditioned._CURVES`.  These tests hold the results at one worker equal to
-those at two, check that the memo and the grid cache keep what they should,
-and that typed errors raised on a pool thread reach the CLI unchanged.
+`conditioned._CURVES`, its only memo: no grid outlives the call that built
+it.  These tests hold the results at one worker equal to those at two,
+check that the memo keeps what it should and that no grid stays alive, and
+that typed errors raised on a pool thread reach the CLI unchanged.
 """
 
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ import boltzsphere as bs
 from boltzsphere import cli, conditioned, lifted
 from boltzsphere.conditioned import (
     ConditionedLaw,
+    conditioned_marginal_density,
     entropy_per_particle,
     entropy_rate_experiment,
     w1_rate_experiment,
@@ -36,18 +39,25 @@ TINY_SPECTRAL = [
 
 @pytest.fixture
 def fresh(monkeypatch):
-    """An empty curve memo and grid cache; returns the list of N built."""
+    """An empty curve memo; returns (N, weak reference) of each grid built."""
     monkeypatch.setattr(conditioned, "_CURVES", type(conditioned._CURVES)())
-    monkeypatch.setattr(lifted, "_GRID_CACHE", type(lifted._GRID_CACHE)())
     built = []
     init = lifted.LiftedGrid.__init__
 
     def counting_init(self, f, N, *args, **kwargs):
-        built.append(N)
+        built.append((N, weakref.ref(self)))
         init(self, f, N, *args, **kwargs)
 
     monkeypatch.setattr(lifted.LiftedGrid, "__init__", counting_init)
     return built
+
+
+def _built(fresh):
+    return sorted(N for N, _ in fresh)
+
+
+def _alive(fresh):
+    return [N for N, grid in fresh if grid() is not None]
 
 
 def _law(N):
@@ -87,18 +97,34 @@ def test_one_and_two_workers_give_equal_numbers(monkeypatch, tmp_path, capsys):
 def test_entropy_rate_after_w1_rate_builds_no_grid(fresh, tmp_path, capsys):
     shape = ["--grid-shape", "256x256", "--out", str(tmp_path)]
     cli.main(["w1-rate", "--n-list", "8,16,32"] + shape)
-    assert sorted(fresh) == [7, 15, 31]
+    assert _built(fresh) == [7, 15, 31]
     cli.main(["entropy-rate", "--n-list", "16,32"] + shape)
-    assert sorted(fresh) == [7, 15, 31]
+    assert _built(fresh) == [7, 15, 31]
 
 
-def test_spectral_subcommands_leave_the_grid_cache_empty(fresh, tmp_path, capsys):
+def test_spectral_subcommands_leave_no_grid_alive(fresh, tmp_path, capsys):
     shape = ["--grid-shape", "256x256", "--out", str(tmp_path)]
     for argv in (["w1-rate", "--n-list", "8,16,32"], ["entropy-rate", "--n-list", "16,32,64"],
                  ["zprime", "--density", "uniform", "--n-list", "8,16,32"]):
         assert cli.main(argv + shape) in (cli.EXIT_OK, cli.EXIT_TOLERANCE)
-    assert sorted(fresh) == [7, 8, 15, 16, 31, 32, 63]
-    assert len(lifted._GRID_CACHE) == 0
+    assert _built(fresh) == [7, 8, 15, 16, 31, 32, 63]
+    assert _alive(fresh) == []
+
+
+@pytest.mark.parametrize(
+    "call, built",
+    [
+        (lambda lw: conditioned_marginal_density(lw, 1, np.array([[0.1], [0.5]])), [15, 16]),
+        (lambda lw: lw.log_zprime(16, lw.spec.r, 0.0), [16]),
+        (lambda lw: lifted.log_z_prime_exact(UNIF, 16, lw.spec.r, shape=SHAPE), [16]),
+    ],
+    ids=["conditioned_marginal_density", "log_zprime", "log_z_prime_exact"],
+)
+def test_point_apis_leave_no_grid_alive(fresh, call, built):
+    value = call(_law(16))
+    assert np.all(np.isfinite(value))
+    assert _built(fresh) == built
+    assert _alive(fresh) == []
 
 
 def _record_threads(monkeypatch, module, name):

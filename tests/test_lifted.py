@@ -173,3 +173,9 @@ class TestGridRoundtrip:
         assert back.shape == grid.shape
         assert back.z_lo == grid.z_lo and back.u_hi == grid.u_hi
         assert np.array_equal(back.values, grid.values)
+
+    @pytest.mark.parametrize("cut", [slice(None, 10), slice(None, -8)])
+    def test_malformed_blob_is_a_parameter_error(self, cut):
+        blob = rasterize_lifted(UNIF, shape=(256, 256)).to_bytes()
+        with pytest.raises(bs.ParameterError):
+            bs.GridDensity.from_bytes(blob[cut])
