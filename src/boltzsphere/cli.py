@@ -187,6 +187,8 @@ def _load_config(args, experiment: str, defaults: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown density {cfg.density!r}; registry: {registry_names()}")
     if cfg.n_list and any(b <= a for a, b in zip(cfg.n_list, cfg.n_list[1:])):
         raise ConfigError("n_list must be strictly increasing")
+    if cfg.n_list and cfg.n_list[0] < 1:
+        raise ConfigError(f"n_list values must be at least 1, got {cfg.n_list[0]}")
     for key in ("samples", "replicas", "be_cells", "n_times", "jobs"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)}")

@@ -276,7 +276,7 @@ def project_rows(W: np.ndarray, spec: SphereSpec) -> np.ndarray:
 def _hyperplane_projection(g: np.ndarray, spec: SphereSpec) -> np.ndarray:
     """Remove from each row of an (n, dN) batch its per-component mean."""
     gm = g.reshape(g.shape[0], spec.N, spec.d)
-    return (gm - gm.mean(axis=1, keepdims=True)).reshape(g.shape[0], -1)
+    return (gm - gm.mean(axis=1, keepdims=True)).reshape(g.shape[0], spec.dim_ambient)
 
 
 def _points(V: np.ndarray, spec: SphereSpec) -> np.ndarray:

@@ -80,6 +80,8 @@ class TestConfigHandling:
         (["dsmc", "--t-end", "0"], ""),
         (["dsmc"], "n_times = 0\n"),
         (["berry-esseen"], "be_cells = 0\n"),
+        (["zprime", "--n-list=-4,8"], ""),
+        (["berry-esseen", "--n-list", "0,2"], ""),
     ])
     def test_impossible_sizes_exit_3(self, tmp_path, capsys, argv, config):
         if config:
@@ -88,6 +90,11 @@ class TestConfigHandling:
             argv = argv + ["--config", str(cfgfile)]
         assert run_cli(argv + ["--out", str(tmp_path)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_one_particle_dsmc_is_a_runtime_error(self, tmp_path, capsys):
+        # N = 1 is a valid size for the config; the simulation needs a pair
+        assert run_cli(["dsmc", "--n-list", "1", "--out", str(tmp_path)]) == cli.EXIT_RUNTIME
+        assert "particle count must be >= 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [
         ("--density", "gaussian"), ("--n-list", "8"), ("--d", "2"), ("--samples", "100"),

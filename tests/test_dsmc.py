@@ -162,6 +162,13 @@ class TestRun:
         m2, _ = res.observables["m2"]
         assert np.allclose(m2, 3.0, atol=1e-9)
 
+    def test_long_run_is_bit_identical_across_jobs(self):
+        # 2000 mft at N = 64 is about 64,000 collisions per replica, so each
+        # replica runs over several event chunks and many waves
+        args = (UniformInitial(d=3, N=64), CollisionKernel.uniform(3))
+        kw = dict(t_end=2000.0, n_replicas=3, observables=("m2", "m4"), seed=14, n_times=5)
+        assert run(*args, jobs=1, **kw).rows() == run(*args, jobs=2, **kw).rows()
+
     def test_no_collision_past_the_observation_time(self):
         # at t_end = 1e-6 mft a collision is improbable (~6e-6 per replica),
         # so the observable must not move; a collision crossing the

@@ -233,6 +233,13 @@ class TestTangentCalculus:
             assert np.max(np.abs(basis @ V)) <= 1e-12
             assert np.max(np.abs(basis.reshape(-1, self.spec.N, self.spec.d).sum(axis=1))) <= 1e-12
 
+    def test_zero_rows_give_empty_results(self):
+        empty = np.empty((0, 6))
+        F = ScalarField(value=lambda V: V[:, 0], grad=lambda V: np.ones(V.shape))
+        Phi = VectorField(value=lambda V: V, jacobian=lambda V: np.zeros((len(V), 6, 6)))
+        assert tangent_gradient(F, empty, self.spec).shape == (0, 6)
+        assert surface_divergence(Phi, empty, self.spec).shape == (0,)
+
     def test_callback_shapes_are_checked(self):
         F = ScalarField(value=lambda V: V[:, 0], grad=lambda V: np.zeros(6))
         with pytest.raises(bs.ParameterError):
