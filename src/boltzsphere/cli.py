@@ -189,11 +189,11 @@ def _load_config(args, experiment: str, defaults: dict) -> ExperimentConfig:
         raise ConfigError("n_list must be strictly increasing")
     if cfg.n_list and cfg.n_list[0] < 1:
         raise ConfigError(f"n_list values must be at least 1, got {cfg.n_list[0]}")
-    for key in ("samples", "replicas", "be_cells", "n_times", "jobs"):
+    for key in ("d", "samples", "replicas", "be_cells", "n_times", "jobs"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)}")
-    if not cfg.t_end > 0.0:
-        raise ConfigError(f"t_end must be positive, got {cfg.t_end}")
+    if not (cfg.t_end > 0.0 and math.isfinite(cfg.t_end)):
+        raise ConfigError(f"t_end must be positive and finite, got {cfg.t_end}")
     if min(cfg.grid_shape) <= 0:
         raise ConfigError(f"grid_shape sides must be positive, got {cfg.grid_shape}")
     os.makedirs(cfg.out, exist_ok=True)

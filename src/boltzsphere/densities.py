@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammaln, ndtr
 
 from .errors import ParameterError
@@ -100,6 +99,8 @@ class BaseDensity:
             return self._h_rel_gaussian
         if self.d != 1:
             raise ParameterError("quadrature entropy limit only implemented for d=1")
+        from scipy import integrate
+
         r = self.tail_radius()
 
         def integrand(v):

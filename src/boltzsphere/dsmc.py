@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 import numpy as np
-from scipy import stats
 
 from . import rng as rngmod
 from ._kernels import default_kernels, draw_pair_indices, draw_unit_vectors
@@ -355,6 +354,8 @@ class UniformInitial:
 def equilibrium_crosscheck(N: int, d: int, samples: np.ndarray, alpha: float = 0.01) -> tuple:
     """KS test of pooled velocity coordinates against the uniform-law
     coordinate marginal; returns (statistic, p_value, passed)."""
+    from scipy import stats
+
     samples = np.asarray(samples, dtype=float).reshape(-1)
     if samples.size < 10_000:
         raise CapacityError(f"need at least 1e4 samples, got {samples.size}")

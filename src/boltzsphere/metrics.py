@@ -15,11 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 from scipy.special import digamma, gammaln
-from scipy.sparse import coo_matrix
 
 from .densities import BaseDensity
 from .errors import CapacityError, ParameterError
@@ -113,6 +109,8 @@ def _quantile_cost_1d(a: EmpiricalMeasure, b: EmpiricalMeasure, p: int) -> float
 
 
 def _cost_matrix(a: EmpiricalMeasure, b: EmpiricalMeasure, p: int) -> np.ndarray:
+    from scipy.spatial.distance import cdist
+
     # cdist keeps exact zeros for coincident points, unlike the expanded
     # |x|^2 + |y|^2 - 2 x.y form
     metric = "sqeuclidean" if p == 2 else "euclidean"
@@ -120,6 +118,9 @@ def _cost_matrix(a: EmpiricalMeasure, b: EmpiricalMeasure, p: int) -> np.ndarray
 
 
 def _transport_lp(cost: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> float:
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_matrix
+
     n, m = cost.shape
     rows_a = np.repeat(np.arange(n), m)
     rows_b = n + np.tile(np.arange(m), n)
@@ -153,6 +154,8 @@ def _min_cost(a: EmpiricalMeasure, b: EmpiricalMeasure, p: int) -> float:
         )
     cost = _cost_matrix(a, b, p)
     if a.n == b.n and a.uniform and b.uniform:
+        from scipy.optimize import linear_sum_assignment
+
         ri, ci = linear_sum_assignment(cost)
         return float(cost[ri, ci].mean())
     return _transport_lp(cost, a.weights, b.weights)
@@ -197,6 +200,8 @@ def _knn_entropy(points: np.ndarray, k: int) -> float:
     if d == 1:
         eps = _knn_distances_1d(points[:, 0], k)
     else:
+        from scipy.spatial import cKDTree
+
         dist, _ = cKDTree(points).query(points, k=k + 1, workers=-1)
         eps = dist[:, k]
     log_ball = 0.5 * d * math.log(math.pi) - gammaln(0.5 * d + 1.0)

@@ -19,8 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import betainc, gammaln
+from scipy.special import betainc, chdtrc, gammaln
 
 from . import rng as rngmod
 from .densities import gaussian_density
@@ -130,6 +129,8 @@ def sample_uniform_batch(spec: SphereSpec, n: int, rng_seed) -> np.ndarray:
 
 def _radial_marginal_moment_l1(m: UniformMarginal, k: int) -> float:
     # ell = 1: density depends on |v| only; one radial quadrature in any d
+    from scipy import integrate
+
     d, N = m.spec.d, m.spec.N
     scale = 1.0 + 1.0 / (N - 1)
     vmax = math.sqrt(d * N / scale)
@@ -159,6 +160,8 @@ def marginal_moment(m: UniformMarginal, k: int, n_mc: int = 200_000, seed: int =
     if ell == 1:
         return _radial_marginal_moment_l1(m, k)
     if d == 1 and ell in (2, 3):
+        from scipy import integrate
+
         # orthogonal change of variables inside the prefix block: the density
         # depends on rho = |U_{ell-1}| and x = u_ell, weight rho^{d(ell-1)-1}
         logc = m.log_prefactor + log_sphere_surface(d * (ell - 1)) + log_sphere_surface(d)
@@ -211,6 +214,8 @@ def moment_bound(d: int, k: int, ell: int) -> float:
 
 
 def _l1_gap_quadrature_1d(m: UniformMarginal) -> float:
+    from scipy import integrate
+
     d, N = m.spec.d, m.spec.N
     gauss = gaussian_density(d=1)
     vmax = math.sqrt(d * N * (N - 1) / N)
@@ -227,6 +232,8 @@ def _l1_gap_quadrature_1d(m: UniformMarginal) -> float:
 
 
 def _l1_gap_radial(m: UniformMarginal) -> float:
+    from scipy import integrate
+
     d, N = m.spec.d, m.spec.N
     scale = 1.0 + 1.0 / (N - 1)
     vmax = math.sqrt(d * N / scale)
@@ -240,9 +247,8 @@ def _l1_gap_radial(m: UniformMarginal) -> float:
         return abs(p - q) * math.exp(log_sphere_surface(d) + (d - 1) * math.log(rho))
 
     val, _ = integrate.quad(integrand, 1e-12, vmax, limit=400, epsabs=1e-9)
-    from scipy.stats import chi2
-
-    tail = float(chi2.sf(vmax * vmax, df=d))
+    # chi-square survival function; chi2.sf(x, df=d) evaluates this same call
+    tail = float(chdtrc(d, vmax * vmax))
     return val + tail
 
 

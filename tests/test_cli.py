@@ -82,6 +82,9 @@ class TestConfigHandling:
         (["berry-esseen"], "be_cells = 0\n"),
         (["zprime", "--n-list=-4,8"], ""),
         (["berry-esseen", "--n-list", "0,2"], ""),
+        (["dsmc", "--t-end", "inf"], ""),
+        (["l1-gap", "--d", "0"], ""),
+        (["dsmc", "--d", "-1"], ""),
     ])
     def test_impossible_sizes_exit_3(self, tmp_path, capsys, argv, config):
         if config:

@@ -231,6 +231,16 @@ class TestRates:
         with pytest.raises(bs.ParameterError):
             w1_rate_experiment(UNIF, [8])
 
+    def test_w1_cdf_is_scipy_cumulative_trapezoid(self):
+        # the marginal's CDF is scipy's cumulative trapezoid written in numpy;
+        # scipy stays the reference, and the W1 values agree bit for bit
+        Ns = [8, 16, 32]
+        rep = w1_rate_experiment(UNIF, Ns)
+        curves = conditioned._marginal_curves([law(UNIF, 1, N) for N in Ns], 4001)
+        for (N, val, _), (grid, dens, _) in zip(rep.rows, curves):
+            cdf = integrate.cumulative_trapezoid(dens, grid, initial=0.0)
+            assert val == float(np.trapezoid(np.abs(cdf - UNIF.cdf(grid)), grid))
+
 
 class TestEntropy:
     def test_gaussian_base_is_zero(self):

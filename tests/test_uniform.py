@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 import boltzsphere as bs
 from boltzsphere.uniform import (
@@ -168,6 +168,13 @@ class TestChaosGap:
     def test_regime_validation(self):
         with pytest.raises(bs.ParameterError):
             l1_chaos_gap(1, 1, 5)  # d*ell > d(N-2)-3
+
+    def test_radial_gap_tail_is_chi2_sf(self):
+        # the radial gap takes the Gaussian tail mass from special.chdtrc,
+        # the function stats.chi2.sf evaluates; scipy.stats stays the reference
+        x = np.concatenate([[0.0], np.logspace(-12, 0, 200), np.linspace(1.0, 400.0, 4000)])
+        for d in (1, 2, 3):
+            assert np.array_equal(special.chdtrc(d, x), stats.chi2.sf(x, df=d))
 
     def test_radial_and_mc_paths_agree(self):
         gap_quad, bound = l1_chaos_gap(2, 1, 24)
