@@ -26,7 +26,7 @@ from . import __version__
 from .conditioned import entropy_rate_experiment, w1_rate_experiment
 from .densities import gaussian_density, get_density, registry_names
 from .dsmc import CollisionKernel, ConditionedInitial, equilibrium_crosscheck, run as dsmc_run
-from .errors import BoltzsphereError, ConfigError
+from .errors import BoltzsphereError, ConfigError, ParameterError
 from .geometry import (
     ScalarField,
     SphereSpec,
@@ -59,6 +59,8 @@ EXIT_TOLERANCE = 4
 EXIT_RUNTIME = 5
 
 _DEFAULT_SEED = 20240901
+# the grid pipeline and the Berry-Esseen lattice are built for d = 1
+_D1_EXPERIMENTS = ("zprime", "berry-esseen", "w1-rate", "entropy-rate")
 _TOLERANCE_PROFILES = ("strict", "default")
 _DRIFT_EVENTS = 1_000_000
 # a pointwise-cancelling ipp-check integrand may be this many units of
@@ -192,6 +194,8 @@ def _load_config(args, experiment: str, defaults: dict) -> ExperimentConfig:
     for key in ("d", "samples", "replicas", "be_cells", "n_times", "jobs"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)}")
+    if cfg.experiment in _D1_EXPERIMENTS and cfg.d != 1:
+        raise ConfigError(f"{cfg.experiment} runs at d = 1 only, got d = {cfg.d}")
     if not (cfg.t_end > 0.0 and math.isfinite(cfg.t_end)):
         raise ConfigError(f"t_end must be positive and finite, got {cfg.t_end}")
     if min(cfg.grid_shape) <= 0:
@@ -305,13 +309,15 @@ def cmd_zprime(args) -> int:
     rows = []
     checks = []
     limit = z_prime_asymptotic(f, max(cfg.n_list))
-    exact_values = _map_grid_builds(
-        lambda N: z_prime_exact(f, N, math.sqrt(N), shape=cfg.grid_shape), cfg.n_list
+    # each worker also takes its N's Berry-Esseen gap, so the lattice of the
+    # last N runs while the other worker is still on a grid
+    values = _map_grid_builds(
+        lambda N: (z_prime_exact(f, N, math.sqrt(N), shape=cfg.grid_shape),
+                   berry_esseen_sup(f, N, n_cells=cfg.be_cells)),
+        cfg.n_list,
     )
-    for N, exact in zip(cfg.n_list, exact_values):
-        asym = z_prime_asymptotic(f, N)
-        sup = berry_esseen_sup(f, N, n_cells=cfg.be_cells)
-        rows.append((N, exact, asym, sup))
+    for N, (exact, sup) in zip(cfg.n_list, values):
+        rows.append((N, exact, z_prime_asymptotic(f, N), sup))
     if cfg.density == "gaussian":
         tol = 0.02 * cfg.rel_scale()
         worst = max(abs(r[1] - 1.0) for r in rows)
@@ -334,9 +340,8 @@ def cmd_zprime(args) -> int:
 def cmd_berry_esseen(args) -> int:
     cfg = _load_config(args, "berry-esseen", {"n_list": (2, 4, 8, 16, 32, 64, 128, 256)})
     g = get_density(cfg.density, 1)
-    rows = []
-    for N in cfg.n_list:
-        rows.append((N, berry_esseen_sup(g, N, n_cells=cfg.be_cells), 0.0))
+    sups = _map_grid_builds(lambda N: berry_esseen_sup(g, N, n_cells=cfg.be_cells), cfg.n_list)
+    rows = [(N, sup, 0.0) for N, sup in zip(cfg.n_list, sups)]
     checks = []
     base = [v for n, v, _ in rows if n == 2]
     if base:
@@ -523,6 +528,8 @@ def _ipp_fields(d: int, N: int):
 
 def cmd_ipp_check(args) -> int:
     cfg = _load_config(args, "ipp-check", {})
+    if cfg.samples < 2:  # the z-tests need a standard error
+        raise ParameterError(f"not enough samples: ipp-check needs at least 2, got {cfg.samples}")
     rows = []
     checks = []
     for d, N in ((2, 4), (3, 3), (2, 10)):

@@ -94,6 +94,19 @@ class TestConfigHandling:
         assert run_cli(argv + ["--out", str(tmp_path)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("command", ["w1-rate", "entropy-rate", "zprime", "berry-esseen"])
+    def test_d1_experiment_rejects_other_d(self, tmp_path, capsys, command):
+        # these run the d = 1 grid or lattice; a --d 2 run would be a d = 1
+        # run with "d": 2 in its report
+        assert run_cli([command, "--d", "2", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {command} runs at d = 1 only, got d = 2\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_ipp_check_one_sample_is_not_enough(self, tmp_path, capsys):
+        # one sample has no standard error, so no z-test can be run on it
+        assert run_cli(["ipp-check", "--samples", "1", "--out", str(tmp_path)]) == cli.EXIT_RUNTIME
+        assert "not enough samples" in capsys.readouterr().err
+
     def test_one_particle_dsmc_is_a_runtime_error(self, tmp_path, capsys):
         # N = 1 is a valid size for the config; the simulation needs a pair
         assert run_cli(["dsmc", "--n-list", "1", "--out", str(tmp_path)]) == cli.EXIT_RUNTIME
