@@ -23,7 +23,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from . import rng as rngmod
-from ._kernels import default_kernels, draw_pair_indices, draw_unit_vectors
+from ._kernels import _event_clock, default_kernels, draw_pair_indices, draw_unit_vectors
 from .errors import CapacityError, ParameterError
 from .geometry import ParticleConfiguration, SphereSpec
 from .metrics import EmpiricalMeasure, relative_entropy_vs_gaussian
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _EVENT_CHUNK = 1 << 15
+_COS_LO = -1.0 + 1e-9  # the low end of truncated_singular's cosine table
 
 
 def _sphere_area(d: int) -> float:
@@ -82,9 +83,12 @@ class CollisionKernel:
         The caller supplies the normalization beta; the deflection cosine is
         drawn by numeric inverse CDF of b(c) (1-c^2)^{(d-3)/2}.
         """
-        if not cos_max < 1.0:
-            raise ParameterError("the singular endpoint c = 1 must be truncated")
-        c = np.linspace(-1.0 + 1e-9, cos_max, table_size)
+        if not _COS_LO < cos_max < 1.0:  # NaN fails too
+            raise ParameterError(
+                f"cos_max must lie in (-1 + 1e-9, 1), got {cos_max}: the singular"
+                " endpoint c = 1 must be truncated, and the cosine table starts at -1 + 1e-9"
+            )
+        c = np.linspace(_COS_LO, cos_max, table_size)
         w = (1.0 - c) ** (-nu)
         if d != 3:
             w = w * np.maximum(1.0 - c * c, 0.0) ** (0.5 * (d - 3))
@@ -138,29 +142,45 @@ class SimulationState:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "SimulationState":
+        """Inverse of `to_bytes`; ParameterError if the blob is not one."""
         import json
 
-        d, N, count = (int(x) for x in np.frombuffer(blob[:24], dtype=np.int64))
-        t = float(np.frombuffer(blob[24:32], dtype=np.float64)[0])
-        slen = int(np.frombuffer(blob[32:40], dtype=np.int64)[0])
-        state = json.loads(blob[40 : 40 + slen].decode())
-        values = np.frombuffer(blob[40 + slen :], dtype=np.float64).copy()
-        gen = np.random.Generator(getattr(np.random, state["bit_generator"])())
-        gen.bit_generator.state = state
+        try:
+            d, N, count = (int(x) for x in np.frombuffer(blob[:24], dtype=np.int64))
+            t = float(np.frombuffer(blob[24:32], dtype=np.float64)[0])
+            slen = int(np.frombuffer(blob[32:40], dtype=np.int64)[0])
+            state = json.loads(blob[40 : 40 + slen].decode())
+            values = np.frombuffer(blob[40 + slen :], dtype=np.float64).copy()
+            gen = np.random.Generator(getattr(np.random, state["bit_generator"])())
+            gen.bit_generator.state = state
+            spec = SphereSpec.boltzmann(d, N)  # sqrt(dN) is a ValueError for dN < 0
+        except (ValueError, IndexError, KeyError, TypeError, AttributeError) as exc:
+            # json.JSONDecodeError and UnicodeDecodeError are ValueErrors
+            raise ParameterError(
+                f"malformed simulation snapshot of {len(blob)} bytes: {exc!r}"
+            ) from None
         return cls(
-            configuration=ParticleConfiguration(values, SphereSpec.boltzmann(d, N)),
+            configuration=ParticleConfiguration(values, spec),
             rng=gen,
             time=t,
             collision_count=count,
         )
 
 
-def _draw_events(gen: np.random.Generator, kernel: CollisionKernel, n: int, N: int) -> tuple:
-    """dsmc_advance's draws for n events: exponential waits, pairs, unit
-    vectors and, for a non-uniform angular law, deflection cosines."""
+def _draw_events(
+    gen: np.random.Generator, kernel: CollisionKernel, n: int, N: int,
+    t: float = 0.0, t_target: float = math.inf,
+) -> tuple:
+    """dsmc_advance's draws for n events from clock t: exponential waits,
+    pairs, unit vectors and, for a non-uniform angular law, deflection
+    cosines.  Every array is drawn in full and in this order, so the stream
+    does not depend on t_target.  The pair shift and the normalisation run
+    only on the events before the clock passes t_target, the ones
+    dsmc_advance applies; a short interval uses a few hundred of a chunk."""
     dts = -np.log(gen.random(n))
-    ii, jj = draw_pair_indices(gen, n, N)
-    sigmas = draw_unit_vectors(gen, n, kernel.d)
+    k = _event_clock(t, t_target, kernel.rate(N), dts)[2]
+    ii, jj = draw_pair_indices(gen, n, N, keep=k)
+    sigmas = draw_unit_vectors(gen, n, kernel.d, keep=k)
     cosines = None if kernel.costheta_sampler is None else kernel.costheta_sampler(gen, n)
     return dts, ii, jj, sigmas, cosines
 
@@ -184,7 +204,7 @@ def _advance(v, t, t_target, kernel: CollisionKernel, gen):
     N = v.shape[0]
     rate = kernel.rate(N)
     while t < t_target:
-        events = _draw_events(gen, kernel, _EVENT_CHUNK, N)
+        events = _draw_events(gen, kernel, _EVENT_CHUNK, N, t, t_target)
         t, _, _ = default_kernels().dsmc_advance(v, t, t_target, rate, *events)
     return t
 

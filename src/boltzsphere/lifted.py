@@ -324,16 +324,34 @@ def _z_power(rows: np.ndarray, row_spectra: np.ndarray, nz: int, n: int) -> np.n
 
 
 def _unrolled_irfft(spectrum: np.ndarray, nu: int) -> np.ndarray:
-    """The inverse real FFT along u of each row, as a new (nz, nu) array
-    with row nz // 2 of the lattice origin back in place.
+    """The inverse real FFT along u of each row, with row nz // 2 of the
+    lattice origin back in place, written over the front of spectrum's own
+    buffer and returned as a C-contiguous (nz, nu) view of it.
 
-    The two row halves are transformed straight into the swapped halves of
-    the result, so no rolled copy is made.
+    Spectrum row j becomes output row j + nz/2 (mod nz).  The complex
+    (nz, ncol) buffer holds nz (2 ncol) floats and 2 ncol > nu, so output
+    row i starts at or before the floats of spectrum row i.  Rows go in
+    blocks of about _BLOCK_BYTES: spectrum rows [nz/2 + a, nz/2 + b) into a
+    temporary, rows [a, b) straight into output rows [nz/2 + a, nz/2 + b),
+    then the temporary into output rows [a, b).  The first-half spectrum
+    rows from `lo` on share floats with output row nz/2, so they are
+    transformed before any write.  Every row gets the irfft it would get
+    in one call on the whole spectrum.
     """
-    half = spectrum.shape[0] // 2
-    out = np.empty((spectrum.shape[0], nu))
-    np.fft.irfft(spectrum[:half], n=nu, axis=1, out=out[half:])
-    np.fft.irfft(spectrum[half:], n=nu, axis=1, out=out[:half])
+    nz, ncol = spectrum.shape
+    half = nz // 2
+    out = spectrum.view(float).reshape(-1)[: nz * nu].reshape(nz, nu)
+    lo = half * nu // (2 * ncol)  # the spectrum row holding output row half's first float
+    tail = np.fft.irfft(spectrum[lo:half], n=nu, axis=1)
+    step = max(1, _BLOCK_BYTES // (8 * nu))
+    for a in range(0, half, step):
+        b = min(a + step, half)
+        upper = np.fft.irfft(spectrum[half + a : half + b], n=nu, axis=1)
+        if a < lo:
+            m = min(b, lo)
+            np.fft.irfft(spectrum[a:m], n=nu, axis=1, out=out[half + a : half + m])
+        out[a:b] = upper
+    out[half + lo :] = tail
     return out
 
 
@@ -345,9 +363,11 @@ def convolution_power(g: GridDensity, N: int) -> GridDensity:
     inverse FFT: log2(N) squarings, so rounding does not accumulate linearly
     in N.  The forward transform along u runs only on the rows that hold
     mass, the transforms along z and the power run on column blocks that fit
-    in cache, and the inverse along u writes straight into the rolled-back
-    rows.  The result is bit for bit that of `np.fft.rfftn` and `irfftn` on
-    the whole rolled grid.  One build holds at most two grid-sized buffers.
+    in cache, and the inverse along u writes the rolled-back rows over the
+    front of the spectrum's own buffer.  The result is bit for bit that of
+    `np.fft.rfftn` and `irfftn` on the whole rolled grid.  One build holds
+    one grid-sized buffer at a time: the raster until the mass rows are
+    transformed, then the half spectrum, whose memory becomes the result.
     Negative FFT ringing is clamped to zero; if the clamped mass exceeds
     1e-9, or noticeable mass reaches the window boundary (wrap-around), the
     window is considered misconfigured and a coverage error is raised.
@@ -366,15 +386,21 @@ def convolution_power(g: GridDensity, N: int) -> GridDensity:
     spectrum = _z_power(rows, row_spectra, nz, N)
     del row_spectra
     out = _unrolled_irfft(spectrum, nu)
-    del spectrum
-    out /= cell
-
-    neg_mass = -float(out[out < 0.0].sum()) * cell
+    # Rescale, sum the negative ringing and clamp it one block of rows at a
+    # time, while the block is in cache.  A masked sum: ringing makes about
+    # half the cells negative, and copying them out would take half a grid.
+    neg_mass = 0.0
+    step = max(1, _BLOCK_BYTES // (8 * nu))
+    for a in range(0, nz, step):
+        block = out[a : a + step]
+        block /= cell
+        neg_mass -= float(np.sum(block, where=block < 0.0))
+        np.maximum(block, 0.0, out=block)
+    neg_mass *= cell
     if neg_mass > _NEG_MASS_TOL:
         raise CoverageError(
             f"negative convolution mass {neg_mass:.3e}: window or shape misconfigured"
         )
-    np.maximum(out, 0.0, out=out)
 
     band_z = max(1, nz // 128)
     band_u = max(1, nu // 128)
@@ -431,9 +457,9 @@ class LiftedGrid:
 # Grid builds run on at most two threads.  numpy's FFTs and ufuncs release
 # the GIL, so two builds for different N overlap almost fully (1.9x on two
 # cores), while splitting one build's FFTs gains little (1.16x).  The cap is
-# set by memory: two concurrent builds at the default shape (about 67 MB of
-# transients each, two grids) stay under the peak of the earlier
-# one-at-a-time pipeline.
+# set by memory: two concurrent builds at the default shape (at most 36 to
+# 41 MB of transients each, one grid-sized buffer at a time) stay under the
+# peak of the earlier one-at-a-time pipeline.
 _GRID_WORKERS = min(2, len(os.sched_getaffinity(0)))
 
 
@@ -455,7 +481,8 @@ def _map_grid_builds(fn, items) -> list:
 
 
 def lifted_grid(f: BaseDensity, N: int, shape: tuple = DEFAULT_SHAPE, window: tuple = None) -> LiftedGrid:
-    """A new N-fold lifted grid of f; 32 MB at the default shape.
+    """A new N-fold lifted grid of f; 34 MB at the default shape (its values
+    are the front 32 MB of the half-spectrum buffer they were computed in).
 
     Every grid of the package is built here and held only by its caller, so
     none outlives the call that asked for it.  The one memo of the exact

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 import boltzsphere as bs
+from boltzsphere import _kernels, dsmc
 from boltzsphere.dsmc import (
     CollisionKernel,
     ConditionedInitial,
@@ -42,6 +43,20 @@ class TestKernel:
         lo = np.mean((cs > -1.0) & (cs < -0.05))
         hi = np.mean((cs > -0.05) & (cs < 0.9))
         assert hi > lo
+
+    @pytest.mark.parametrize("cos_max", [1.0, 1.5, -1.0, -1.5, float("nan")])
+    def test_truncated_singular_rejects_cos_max_outside_the_open_interval(self, cos_max):
+        # at cos_max = -1.5 the table ran below -1 and sigma lost its unit
+        # length, so collisions stopped conserving energy
+        with pytest.raises(bs.ParameterError, match="cos_max must lie in"):
+            CollisionKernel.truncated_singular(3, nu=0.5, cos_max=cos_max, beta=7.0)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("cos_max", [-0.999, -0.5, 0.9])
+    def test_truncated_singular_cosines_lie_in_range(self, d, cos_max):
+        k = CollisionKernel.truncated_singular(d, nu=0.5, cos_max=cos_max, beta=7.0)
+        cs = k.costheta_sampler(np.random.default_rng(1), 20_000)
+        assert cs.min() >= -1.0 and cs.max() <= cos_max
 
 
 class TestStep:
@@ -212,6 +227,17 @@ class TestSnapshot:
             step(restored, kernel)
         assert np.array_equal(restored.configuration.values, state.configuration.values)
 
+    @pytest.mark.parametrize("blob", [b"abc", b"", bytes(40)], ids=["short", "empty", "zeros"])
+    def test_malformed_blob_is_a_parameter_error(self, blob):
+        with pytest.raises(bs.ParameterError, match="malformed simulation snapshot"):
+            SimulationState.from_bytes(blob)
+
+    def test_negative_dimension_in_the_header_is_a_parameter_error(self):
+        blob = SimulationState.from_uniform(bs.SphereSpec.boltzmann(2, 8), 3).to_bytes()
+        bad = np.array([-1, 8], dtype=np.int64).tobytes() + blob[16:]
+        with pytest.raises(bs.ParameterError, match="malformed simulation snapshot"):
+            SimulationState.from_bytes(bad)
+
 
 class TestConservationDrift:
     def test_drift_over_many_collisions(self):
@@ -226,3 +252,51 @@ class TestConservationDrift:
         _advance(v, 0.0, target, kernel, gen)
         assert np.max(np.abs(v.sum(axis=0) - p0)) / math.sqrt(e0) <= 1e-9
         assert abs(float(np.sum(v * v)) - e0) / e0 <= 1e-9
+
+
+def _advance_drawing_in_full(v, t, t_target, kernel, gen):
+    """`_advance` as it was before the prefix derivation: every chunk's
+    pairs are shifted and every unit vector normalised."""
+    N, d = v.shape
+    rate = kernel.rate(N)
+    while t < t_target:
+        n = dsmc._EVENT_CHUNK
+        dts = -np.log(gen.random(n))
+        i = gen.integers(0, N, size=n)
+        j = gen.integers(0, N - 1, size=n)
+        j = np.where(j >= i, j + 1, j)
+        g = gen.normal(size=(n, d))
+        norms = np.linalg.norm(g, axis=1)
+        norms[norms == 0.0] = 1.0
+        sigmas = g / norms[:, None]
+        cosines = None if kernel.costheta_sampler is None else kernel.costheta_sampler(gen, n)
+        t, _, _ = _kernels.dsmc_advance(
+            v, t, t_target, rate, dts, i.astype(np.int64), j.astype(np.int64), sigmas, cosines
+        )
+    return t
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("law", ["uniform", "truncated"])
+@pytest.mark.parametrize("events", [[40, 300, 1_000], [50_000, 20]], ids=["short", "long"])
+def test_advance_matches_the_full_draw_path(d, law, events):
+    # the replicas' intervals use a few hundred events of a chunk; the long
+    # target runs over two chunks
+    kernel = (
+        CollisionKernel.uniform(d)
+        if law == "uniform"
+        else CollisionKernel.truncated_singular(d, nu=0.3, cos_max=0.8, beta=4.0)
+    )
+    N = 24
+    v0 = sample_uniform_batch(bs.SphereSpec.boltzmann(d, N), 1, 5)[0].reshape(N, d)
+    got_v, want_v = v0.copy(), v0.copy()
+    got_gen, want_gen = np.random.default_rng(11), np.random.default_rng(11)
+    got_t = want_t = 0.0
+    target = 0.0
+    for n in events:
+        target += n / kernel.rate(N)
+        got_t = dsmc._advance(got_v, got_t, target, kernel, got_gen)
+        want_t = _advance_drawing_in_full(want_v, want_t, target, kernel, want_gen)
+        assert got_t == want_t
+        assert got_v.tobytes() == want_v.tobytes()
+        assert got_gen.bit_generator.state == want_gen.bit_generator.state

@@ -4,8 +4,13 @@
 roll the lattice origin to row 0, `np.fft.rfftn`, raise the spectrum to the
 n-th power by repeated squaring from a buffer of ones, `np.fft.irfftn` and
 roll back.  `convolution_power` transforms only the rows that hold mass,
-runs the z-transforms and the power on column blocks and writes the inverse
-into the swapped row halves; it must reproduce the reference byte for byte.
+runs the z-transforms and the power on column blocks and writes the inverse,
+row halves swapped, over the front of the spectrum's own buffer; it must
+reproduce the reference byte for byte.  Output row i lies at or before the
+floats of spectrum row i, and the first output rows of the second half
+cover spectrum rows below nz/2 that are not yet transformed: a few rows at
+the default shape, many on tall grids with few energy cells, which the
+in-place tests below exercise.
 """
 
 import tracemalloc
@@ -151,3 +156,63 @@ def test_default_build_holds_at_most_two_grids():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * grid_bytes
+
+
+@pytest.mark.parametrize("shape", [(256, 2), (512, 6), (64, 1), (2048, 3)])
+@pytest.mark.parametrize("n", [2, 7, 255])
+@pytest.mark.parametrize("block_bytes", [None, 16, 24])
+def test_in_place_inverse_over_a_long_overwrite_lag(monkeypatch, shape, n, block_bytes):
+    # at nu = 1 and 2 the first second-half output row covers the floats of
+    # spectrum rows from nz/4 on, at nu = 3 and 6 those from 3 nz/8 on
+    nz, nu = shape
+    if block_bytes is not None:  # one column per z block, a few rows per irfft block
+        monkeypatch.setattr(lifted, "_BLOCK_BYTES", block_bytes * nu)
+    values, cell = _raster(shape, [0, 1, nz // 4, nz // 2 - 1, nz // 2, nz - 1])
+    rows, row_spectra = lifted._mass_row_spectra(values, cell)
+    spectrum = lifted._z_power(rows, row_spectra, nz, n)
+    got = lifted._unrolled_irfft(spectrum, nu)
+    assert np.shares_memory(got, spectrum)
+    assert got.flags.c_contiguous and got.flags.writeable
+    assert_same_bytes(got, ref_power(values, cell, n))
+
+
+def test_lifted_grid_values_are_a_plain_writeable_grid():
+    f = bs.get_density("uniform", 1)
+    values = LiftedGrid(f, 7, shape=(128, 96)).power.values
+    assert values.shape == (128, 96) and values.dtype == np.float64
+    assert values.flags.c_contiguous and values.flags.writeable
+
+
+@pytest.mark.parametrize("block_bytes", [None, 8 * 96 * 5])
+def test_negative_mass_check_sees_every_row_block(monkeypatch, block_bytes):
+    # the negative ringing is summed block by block; at a tolerance of half
+    # the reference's negative mass the build must fail, at twice it pass
+    if block_bytes is not None:
+        monkeypatch.setattr(lifted, "_BLOCK_BYTES", block_bytes)
+    f = bs.get_density("uniform", 1)
+    shape, N = (128, 96), 7
+    raster = rasterize_lifted(f, window=default_window(f, N), shape=shape)
+    cell = raster.cell_volume
+    ref = ref_power(raster.values, cell, N)
+    neg_mass = -float(ref[ref < 0.0].sum())
+    assert neg_mass > 0.0
+    monkeypatch.setattr(lifted, "_NEG_MASS_TOL", 2.0 * neg_mass)
+    LiftedGrid(f, N, shape=shape)
+    monkeypatch.setattr(lifted, "_NEG_MASS_TOL", 0.5 * neg_mass)
+    with pytest.raises(bs.CoverageError, match="negative convolution mass"):
+        LiftedGrid(f, N, shape=shape)
+
+
+@pytest.mark.parametrize("N", [7, 255, 511])
+def test_default_build_holds_one_grid_sized_buffer_at_a_time(N):
+    # the raster is freed before the power, the inverse reuses the
+    # spectrum's buffer, and no step copies half a grid
+    f = bs.get_density("uniform", 1)
+    grid_bytes = 2048 * 2048 * 8
+    tracemalloc.start()
+    try:
+        LiftedGrid(f, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * grid_bytes
