@@ -18,7 +18,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -60,7 +60,7 @@ EXIT_RUNTIME = 5
 
 _DEFAULT_SEED = 20240901
 # the grid pipeline and the Berry-Esseen lattice are built for d = 1
-_D1_EXPERIMENTS = ("zprime", "berry-esseen", "w1-rate", "entropy-rate")
+_D1_EXPERIMENTS = ("zprime", "berry-esseen", "w1-rate", "entropy-rate", "uniform-marginal")
 _TOLERANCE_PROFILES = ("strict", "default")
 _DRIFT_EVENTS = 1_000_000
 # a pointwise-cancelling ipp-check integrand may be this many units of
@@ -94,20 +94,11 @@ class ExperimentConfig:
         return 2.0 / 3.0 if self.tolerance_profile == "strict" else 1.0
 
     def as_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "density": self.density,
-            "d": self.d,
-            "n_list": ",".join(str(n) for n in self.n_list),
-            "samples": self.samples,
-            "replicas": self.replicas,
-            "seed": self.seed,
-            "grid_shape": f"{self.grid_shape[0]}x{self.grid_shape[1]}",
-            "be_cells": self.be_cells,
-            "t_end": self.t_end,
-            "n_times": self.n_times,
-            "tolerance_profile": self.tolerance_profile,
-        }
+        """Every field but out and jobs, which do not change the results."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("out", "jobs")}
+        out["n_list"] = ",".join(str(n) for n in self.n_list)
+        out["grid_shape"] = f"{self.grid_shape[0]}x{self.grid_shape[1]}"
+        return out
 
     def hash(self) -> str:
         return config_hash(self.as_dict())
@@ -130,17 +121,14 @@ def _parse_kv_file(path: str) -> dict:
     return out
 
 
-_INT_KEYS = {"d", "samples", "replicas", "seed", "be_cells", "n_times", "jobs"}
-_FLOAT_KEYS = {"t_end"}
-
-
 def _apply_overrides(cfg: ExperimentConfig, overrides: dict) -> ExperimentConfig:
-    # the subcommand names the experiment; no file or flag may rename it
-    known = (set(cfg.as_dict()) - {"experiment"}) | {"out", "jobs"}
+    # the subcommand names the experiment; no file or flag may rename it.
+    # A value takes the type of its field's default.
+    types = {f.name: type(f.default) for f in fields(cfg) if f.name != "experiment"}
     for key, val in overrides.items():
         if val is None:
             continue
-        if key not in known:
+        if key not in types:
             raise ConfigError(f"unknown config key {key!r}")
         try:
             if key == "n_list":
@@ -152,10 +140,8 @@ def _apply_overrides(cfg: ExperimentConfig, overrides: dict) -> ExperimentConfig
                 if isinstance(val, str):
                     a, _, b = val.partition("x")
                     val = (int(a), int(b))
-            elif key in _INT_KEYS:
-                val = int(val)
-            elif key in _FLOAT_KEYS:
-                val = float(val)
+            else:
+                val = types[key](val)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {exc}")
         cfg = replace(cfg, **{key: val})
@@ -167,20 +153,8 @@ def _load_config(args, experiment: str, defaults: dict) -> ExperimentConfig:
     cfg = _apply_overrides(cfg, defaults)
     if args.config:
         cfg = _apply_overrides(cfg, _parse_kv_file(args.config))
-    flag_overrides = {
-        "seed": args.seed,
-        "out": args.out,
-        "jobs": args.jobs,
-        "tolerance_profile": args.tolerance_profile,
-        "density": getattr(args, "density", None),
-        "n_list": getattr(args, "n_list", None),
-        "d": getattr(args, "d", None),
-        "samples": getattr(args, "samples", None),
-        "replicas": getattr(args, "replicas", None),
-        "grid_shape": getattr(args, "grid_shape", None),
-        "t_end": getattr(args, "t_end", None),
-    }
-    cfg = _apply_overrides(cfg, flag_overrides)
+    flags = {key: val for key, val in vars(args).items() if key not in ("command", "config")}
+    cfg = _apply_overrides(cfg, flags)
     if cfg.tolerance_profile not in _TOLERANCE_PROFILES:
         raise ConfigError(
             f"unknown tolerance_profile {cfg.tolerance_profile!r}; one of {_TOLERANCE_PROFILES}"
@@ -425,7 +399,9 @@ def _uniform_m4(d: int, N: int) -> float:
 
 def cmd_dsmc(args) -> int:
     cfg = _load_config(args, "dsmc", {"density": "mixture", "d": 3, "n_list": (256,)})
-    N = cfg.n_list[-1]
+    if len(cfg.n_list) != 1:
+        raise ConfigError(f"dsmc runs one N; n_list has {len(cfg.n_list)} values")
+    (N,) = cfg.n_list
     kernel = CollisionKernel.uniform(cfg.d)
     checks = []
 

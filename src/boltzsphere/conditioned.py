@@ -347,13 +347,11 @@ def _marginal_curve(law: ConditionedLaw, n_points: int = 4001) -> tuple:
 
 
 def w1_rate_experiment(
-    f: BaseDensity, Ns, ell: int = 1, n_points: int = 4001, grid_shape: tuple = DEFAULT_SHAPE
+    f: BaseDensity, Ns, n_points: int = 4001, grid_shape: tuple = DEFAULT_SHAPE
 ) -> RateReport:
     """W1 distance between the one-particle marginal and f across N, with a
     log-log slope fit (one-dimensional Kantorovich identity, no Monte Carlo).
     """
-    if ell != 1:
-        raise ParameterError("the rate experiment is wired for ell = 1")
     if f.d != 1:
         raise ParameterError("exact densities need d = 1")
     Ns = list(Ns)

@@ -118,14 +118,6 @@ class ParticleConfiguration:
         """View shaped (N, d)."""
         return self.values.reshape(self.spec.N, self.spec.d)
 
-    def leading(self, ell: int) -> np.ndarray:
-        """The first ell particles, flattened (the prefix V_ell)."""
-        return self.values[: ell * self.spec.d]
-
-    def leading_sum(self, ell: int) -> np.ndarray:
-        """Sum of the first ell particles (the prefix sum)."""
-        return self.particles()[:ell].sum(axis=0)
-
     def momentum_residual(self) -> float:
         return float(np.linalg.norm(self.particles().sum(axis=0) - self.spec.z))
 

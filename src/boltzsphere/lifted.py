@@ -48,6 +48,7 @@ __all__ = [
 DEFAULT_SHAPE = (2048, 2048)
 _NEG_MASS_TOL = 1e-9
 _TRUNC_TOL = 1e-6
+_OVERSAMPLE = 8  # subintervals of the momentum axis per raster cell
 
 
 @dataclass
@@ -193,15 +194,10 @@ def default_window(f: BaseDensity, N: int) -> tuple:
     return z_half, u_hi
 
 
-def rasterize_lifted(
-    f: BaseDensity,
-    window: tuple = None,
-    shape: tuple = DEFAULT_SHAPE,
-    oversample: int = 8,
-) -> GridDensity:
+def rasterize_lifted(f: BaseDensity, window: tuple = None, shape: tuple = DEFAULT_SHAPE) -> GridDensity:
     """Deposit the lifted law of f onto a grid along the parabola u = v^2.
 
-    The momentum axis is cut into `oversample` subintervals per cell; each
+    The momentum axis is cut into _OVERSAMPLE subintervals per cell; each
     subinterval carries its exact probability mass (CDF differences) and is
     splat bilinearly at (v_mid, v_mid^2).  Mass is conserved up to the window
     truncation, which must stay below 1e-6.
@@ -218,7 +214,7 @@ def rasterize_lifted(
     dz, du = grid.dz, grid.du
 
     vmax = min(z_half, math.sqrt(u_hi))
-    n_sub = min(max(oversample * int(2 * vmax / dz) + 1, 64), 4_000_000)
+    n_sub = min(max(_OVERSAMPLE * int(2 * vmax / dz) + 1, 64), 4_000_000)
     edges = np.linspace(-vmax, vmax, n_sub + 1)
     masses = np.diff(f.cdf(edges))
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -309,9 +305,15 @@ _BLOCK_BYTES = 1 << 20
 
 
 def _z_power(rows: np.ndarray, row_spectra: np.ndarray, nz: int, n: int) -> np.ndarray:
-    """ifft_z(fft_z(S)^n) as a new (nz, ncol) array, where S is zero but for
-    row_spectra at rows; `_spectrum_power` runs on each column block."""
+    """ifft_z(fft_z(S)^n) as a new (nz, ncol) array with the lattice origin
+    back at row nz // 2, where S is zero but for row_spectra at rows.
+
+    Each column block goes through the fft along z, `_spectrum_power` and
+    the inverse along z in place, while it is in cache, and is then copied
+    into the spectrum with its two row halves swapped.
+    """
     ncol = row_spectra.shape[1]
+    half = nz // 2
     spectrum = np.empty((nz, ncol), dtype=complex)
     width = max(1, _BLOCK_BYTES // (16 * nz))
     for c0 in range(0, ncol, width):
@@ -319,40 +321,35 @@ def _z_power(rows: np.ndarray, row_spectra: np.ndarray, nz: int, n: int) -> np.n
         block = np.zeros((nz, c1 - c0), dtype=complex)
         block[rows] = row_spectra[:, c0:c1]
         np.fft.fft(block, axis=0, out=block)
-        np.fft.ifft(_spectrum_power(block, n), axis=0, out=spectrum[:, c0:c1])
+        block = _spectrum_power(block, n)
+        np.fft.ifft(block, axis=0, out=block)
+        spectrum[:half, c0:c1] = block[half:]
+        spectrum[half:, c0:c1] = block[:half]
     return spectrum
 
 
-def _unrolled_irfft(spectrum: np.ndarray, nu: int) -> np.ndarray:
-    """The inverse real FFT along u of each row, with row nz // 2 of the
-    lattice origin back in place, written over the front of spectrum's own
-    buffer and returned as a C-contiguous (nz, nu) view of it.
+def _inverse_rows(spectrum: np.ndarray, nu: int, cell: float) -> tuple:
+    """The inverse real FFT along u of each row, divided by cell and clamped
+    at zero, written over the front of spectrum's own buffer.
 
-    Spectrum row j becomes output row j + nz/2 (mod nz).  The complex
-    (nz, ncol) buffer holds nz (2 ncol) floats and 2 ncol > nu, so output
-    row i starts at or before the floats of spectrum row i.  Rows go in
-    blocks of about _BLOCK_BYTES: spectrum rows [nz/2 + a, nz/2 + b) into a
-    temporary, rows [a, b) straight into output rows [nz/2 + a, nz/2 + b),
-    then the temporary into output rows [a, b).  The first-half spectrum
-    rows from `lo` on share floats with output row nz/2, so they are
-    transformed before any write.  Every row gets the irfft it would get
-    in one call on the whole spectrum.
+    Returns it as a C-contiguous (nz, nu) view of that buffer, and the mass
+    of the negative ringing the clamp removed.  Output row i ends at float
+    (i + 1) nu and spectrum row i + 1 starts at float (i + 1) 2 ncol, past
+    it, so a forward sweep over blocks of about _BLOCK_BYTES, each inverted
+    into a temporary before it is written, overwrites only rows it has
+    already read.  The negative ringing is a masked sum: about half the
+    cells are negative, and copying them out would take half a grid.
     """
     nz, ncol = spectrum.shape
-    half = nz // 2
     out = spectrum.view(float).reshape(-1)[: nz * nu].reshape(nz, nu)
-    lo = half * nu // (2 * ncol)  # the spectrum row holding output row half's first float
-    tail = np.fft.irfft(spectrum[lo:half], n=nu, axis=1)
+    neg_mass = 0.0
     step = max(1, _BLOCK_BYTES // (8 * nu))
-    for a in range(0, half, step):
-        b = min(a + step, half)
-        upper = np.fft.irfft(spectrum[half + a : half + b], n=nu, axis=1)
-        if a < lo:
-            m = min(b, lo)
-            np.fft.irfft(spectrum[a:m], n=nu, axis=1, out=out[half + a : half + m])
-        out[a:b] = upper
-    out[half + lo :] = tail
-    return out
+    for a in range(0, nz, step):
+        block = np.fft.irfft(spectrum[a : a + step], n=nu, axis=1)
+        block /= cell
+        neg_mass -= float(np.sum(block, where=block < 0.0))
+        np.maximum(block, 0.0, out=out[a : a + step])
+    return out, neg_mass * cell
 
 
 def convolution_power(g: GridDensity, N: int) -> GridDensity:
@@ -361,16 +358,18 @@ def convolution_power(g: GridDensity, N: int) -> GridDensity:
     The pmf g.values * cell, its origin rolled to index (0, 0), goes through
     a real FFT, the N-th power of its spectrum by repeated squaring and the
     inverse FFT: log2(N) squarings, so rounding does not accumulate linearly
-    in N.  The forward transform along u runs only on the rows that hold
-    mass, the transforms along z and the power run on column blocks that fit
-    in cache, and the inverse along u writes the rolled-back rows over the
-    front of the spectrum's own buffer.  The result is bit for bit that of
-    `np.fft.rfftn` and `irfftn` on the whole rolled grid.  One build holds
-    one grid-sized buffer at a time: the raster until the mass rows are
-    transformed, then the half spectrum, whose memory becomes the result.
-    Negative FFT ringing is clamped to zero; if the clamped mass exceeds
-    1e-9, or noticeable mass reaches the window boundary (wrap-around), the
-    window is considered misconfigured and a coverage error is raised.
+    in N.  Three passes: the forward transform along u of the rows that
+    hold mass, the transforms along z and the power on column blocks that
+    fit in cache, which end with the origin back in place, and one forward
+    sweep over row blocks that inverts along u, rescales and clamps over the
+    front of the spectrum's own buffer.  Before the clamp the result is bit
+    for bit that of `np.fft.rfftn` and `irfftn` on the whole rolled grid.
+    One build holds one grid-sized buffer at a time: the raster until the
+    mass rows are transformed, then the half spectrum, whose memory becomes
+    the result.  Negative FFT ringing is clamped to zero; if the clamped
+    mass exceeds 1e-9, or noticeable mass reaches the window boundary
+    (wrap-around), the window is considered misconfigured and a coverage
+    error is raised.
     """
     if N < 1:
         raise ParameterError("need N >= 1")
@@ -385,18 +384,7 @@ def convolution_power(g: GridDensity, N: int) -> GridDensity:
     del g
     spectrum = _z_power(rows, row_spectra, nz, N)
     del row_spectra
-    out = _unrolled_irfft(spectrum, nu)
-    # Rescale, sum the negative ringing and clamp it one block of rows at a
-    # time, while the block is in cache.  A masked sum: ringing makes about
-    # half the cells negative, and copying them out would take half a grid.
-    neg_mass = 0.0
-    step = max(1, _BLOCK_BYTES // (8 * nu))
-    for a in range(0, nz, step):
-        block = out[a : a + step]
-        block /= cell
-        neg_mass -= float(np.sum(block, where=block < 0.0))
-        np.maximum(block, 0.0, out=block)
-    neg_mass *= cell
+    out, neg_mass = _inverse_rows(spectrum, nu, cell)
     if neg_mass > _NEG_MASS_TOL:
         raise CoverageError(
             f"negative convolution mass {neg_mass:.3e}: window or shape misconfigured"

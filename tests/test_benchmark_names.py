@@ -51,3 +51,36 @@ def test_lifted_grid_is_a_module_function():
 def test_kernel_flags_read_by_the_child_exist():
     assert isinstance(_kernels.HAVE_NUMBA, bool)
     assert hasattr(_kernels.default_kernels(), "jitted")
+
+
+# The parameters that the hooks of perfbench/tracer.py read by position,
+# as (layer, function, {position: name}).  The chain hook reads log_us and
+# the four arguments from step0 on; a kernel is called positionally.
+_READ_BY_POSITION = [
+    ("_kernels", "pair_chain",
+     {6: "log_us", 7: "step0", 8: "burn_in", 9: "thin", 10: "out"}),
+    ("_kernels", "triple_chain",
+     {7: "log_us", 8: "step0", 9: "burn_in", 10: "thin", 11: "out"}),
+    ("_kernels", "dsmc_advance", {4: "dts"}),
+    ("lifted", "convolution_power", {0: "g", 1: "N"}),
+    ("conditioned", "conditioned_marginal_density", {0: "law", 1: "ell", 2: "V_ell"}),
+    ("conditioned", "sample_conditioned_batch", {2: "n_states"}),
+    ("geometry", "ipp_residual", {2: "samples"}),
+    ("uniform", "sample_uniform_batch", {1: "n"}),
+    ("cli", "main", {0: "argv"}),
+    ("reporting", "write_csv", {0: "path"}),
+    ("reporting", "write_json", {0: "path"}),
+    ("reporting", "svg_line_plot", {0: "path"}),
+]
+
+
+@pytest.mark.parametrize("layer, name, positions", _READ_BY_POSITION)
+def test_argument_positions_read_by_the_hooks(layer, name, positions):
+    fn = getattr(importlib.import_module(f"boltzsphere.{layer}"), name)
+    params = list(inspect.signature(fn).parameters)
+    assert {pos: params[pos] for pos in positions} == positions
+
+
+def test_every_hooked_function_is_checked(tracer):
+    checked = {f"{tracer._label(layer)}.{name}" for layer, name, _ in _READ_BY_POSITION}
+    assert set(tracer.HOOKS) == checked

@@ -94,10 +94,12 @@ class TestConfigHandling:
         assert run_cli(argv + ["--out", str(tmp_path)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
 
-    @pytest.mark.parametrize("command", ["w1-rate", "entropy-rate", "zprime", "berry-esseen"])
+    @pytest.mark.parametrize(
+        "command", ["w1-rate", "entropy-rate", "zprime", "berry-esseen", "uniform-marginal"]
+    )
     def test_d1_experiment_rejects_other_d(self, tmp_path, capsys, command):
-        # these run the d = 1 grid or lattice; a --d 2 run would be a d = 1
-        # run with "d": 2 in its report
+        # these run the d = 1 grid, lattice or marginal; a --d 2 run would be
+        # a d = 1 run with "d": 2 in its report
         assert run_cli([command, "--d", "2", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {command} runs at d = 1 only, got d = 2\n"
         assert not list(tmp_path.iterdir())
@@ -107,10 +109,48 @@ class TestConfigHandling:
         assert run_cli(["ipp-check", "--samples", "1", "--out", str(tmp_path)]) == cli.EXIT_RUNTIME
         assert "not enough samples" in capsys.readouterr().err
 
+    def test_dsmc_takes_exactly_one_n(self, tmp_path, capsys):
+        # dsmc simulates one N; a longer list would run its last N only and
+        # record the whole list in its report
+        argv = ["dsmc", "--n-list", "8,16", "--replicas", "2", "--t-end", "2"]
+        assert run_cli(argv + ["--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: dsmc runs one N; n_list has 2 values\n"
+        assert not list(tmp_path.iterdir())
+
     def test_one_particle_dsmc_is_a_runtime_error(self, tmp_path, capsys):
         # N = 1 is a valid size for the config; the simulation needs a pair
         assert run_cli(["dsmc", "--n-list", "1", "--out", str(tmp_path)]) == cli.EXIT_RUNTIME
         assert "particle count must be >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, want", [
+        ("geometry-selftest", "b39b3f6dd412"),
+        ("uniform-marginal", "0db5c4c013d8"),
+        ("l1-gap", "60e50fa13a94"),
+        ("zprime", "bbe328b644b5"),
+        ("berry-esseen", "89d416c0da35"),
+        ("w1-rate", "79a0fbb13674"),
+        ("entropy-rate", "81bd66105136"),
+        ("dsmc", "c7b9563eddcf"),
+        ("ipp-check", "870e3efbb759"),
+        ("metrics-selftest", "97d7762122e4"),
+    ])
+    def test_default_config_hash_is_pinned(self, monkeypatch, tmp_path, command, want):
+        # the hash heads every CSV; a schema change that moves it moves a
+        # byte of every report.  The experiment is stopped once its config
+        # is loaded.
+        class Loaded(Exception):
+            pass
+
+        load = cli._load_config
+
+        def stop_after_load(*args):
+            raise Loaded(load(*args))
+
+        monkeypatch.setattr(cli, "_load_config", stop_after_load)
+        args = cli.build_parser().parse_args([command, "--out", str(tmp_path)])
+        with pytest.raises(Loaded) as info:
+            cli._SUBCOMMANDS[command](args)
+        assert info.value.args[0].hash() == want
 
     @pytest.mark.parametrize("flag, value", [
         ("--density", "gaussian"), ("--n-list", "8"), ("--d", "2"), ("--samples", "100"),

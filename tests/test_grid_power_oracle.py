@@ -4,13 +4,15 @@
 roll the lattice origin to row 0, `np.fft.rfftn`, raise the spectrum to the
 n-th power by repeated squaring from a buffer of ones, `np.fft.irfftn` and
 roll back.  `convolution_power` transforms only the rows that hold mass,
-runs the z-transforms and the power on column blocks and writes the inverse,
-row halves swapped, over the front of the spectrum's own buffer; it must
-reproduce the reference byte for byte.  Output row i lies at or before the
-floats of spectrum row i, and the first output rows of the second half
-cover spectrum rows below nz/2 that are not yet transformed: a few rows at
-the default shape, many on tall grids with few energy cells, which the
-in-place tests below exercise.
+runs the z-transforms and the power on column blocks, which put the origin
+back, and inverts along u in one forward sweep over row blocks that
+rescales and clamps each block and writes it over the front of the
+spectrum's own buffer.  Its values must equal the reference divided by the
+cell volume and clamped at zero byte for byte, and the negative mass it
+reports must equal the reference's to rounding.  Output row i ends
+(i + 1)(2 ncol - nu) floats, 1 or 2 a row, before spectrum row i + 1
+starts, so the sweep overwrites only rows it has read; the in-place tests
+below run it on tall grids with few energy cells.
 """
 
 import tracemalloc
@@ -45,15 +47,30 @@ def ref_power(values, cell, n):
     return np.roll(np.fft.irfftn(spectrum, s=pmf.shape, axes=(0, 1)), half, axis=0)
 
 
+def ref_clamped(values, cell, n):
+    """The reference density, clamped at zero, and the negative mass removed."""
+    ref = ref_power(values, cell, n)
+    neg_mass = -float(ref[ref < 0.0].sum())
+    ref /= cell
+    return np.maximum(ref, 0.0, out=ref), neg_mass
+
+
 def new_power(values, cell, n):
     rows, row_spectra = lifted._mass_row_spectra(values, cell)
     spectrum = lifted._z_power(rows, row_spectra, values.shape[0], n)
-    return lifted._unrolled_irfft(spectrum, values.shape[1])
+    return lifted._inverse_rows(spectrum, values.shape[1], cell)
 
 
 def assert_same_bytes(got, want):
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+def assert_matches_reference(got, values, cell, n):
+    got_values, got_neg = got
+    want_values, want_neg = ref_clamped(values, cell, n)
+    assert_same_bytes(got_values, want_values)
+    assert got_neg == pytest.approx(want_neg, rel=1e-12, abs=0.0)
 
 
 def _raster(shape, rows, seed=0):
@@ -87,13 +104,13 @@ def test_pruned_power_matches_the_full_fft(monkeypatch, shape, rows, n, width):
     if width is not None:  # several column blocks on a small grid
         monkeypatch.setattr(lifted, "_BLOCK_BYTES", 16 * shape[0] * width)
     values, cell = _raster(shape, rows)
-    assert_same_bytes(new_power(values, cell, n), ref_power(values, cell, n))
+    assert_matches_reference(new_power(values, cell, n), values, cell, n)
 
 
 def test_zero_raster_gives_zeros():
-    out = new_power(np.zeros((8, 10)), 1.0, 5)
-    assert_same_bytes(out, ref_power(np.zeros((8, 10)), 1.0, 5))
-    assert not out.any()
+    out, neg_mass = new_power(np.zeros((8, 10)), 1.0, 5)
+    assert_same_bytes(out, ref_clamped(np.zeros((8, 10)), 1.0, 5)[0])
+    assert not out.any() and neg_mass == 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -115,7 +132,7 @@ def test_random_sparse_rasters(half, nu, row_bits, n, seed, width):
         got = new_power(values, cell, n)
     finally:
         lifted._BLOCK_BYTES = saved
-    assert_same_bytes(got, ref_power(values, cell, n))
+    assert_matches_reference(got, values, cell, n)
 
 
 @pytest.mark.parametrize("name", registry_names())
@@ -125,9 +142,7 @@ def test_lifted_grid_matches_the_full_fft(name, N):
     shape = (256, 384)
     window = default_window(f, N)
     raster = rasterize_lifted(f, window=window, shape=shape)
-    cell = raster.cell_volume
-    want = ref_power(raster.values, cell, N) / cell
-    np.maximum(want, 0.0, out=want)
+    want = ref_clamped(raster.values, raster.cell_volume, N)[0]
     got = LiftedGrid(f, N, shape=shape).power
     assert_same_bytes(got.values, want)
     assert (got.z_lo, got.z_hi, got.u_hi) == (raster.z_lo, raster.z_hi, raster.u_hi)
@@ -162,18 +177,20 @@ def test_default_build_holds_at_most_two_grids():
 @pytest.mark.parametrize("n", [2, 7, 255])
 @pytest.mark.parametrize("block_bytes", [None, 16, 24])
 def test_in_place_inverse_over_a_long_overwrite_lag(monkeypatch, shape, n, block_bytes):
-    # at nu = 1 and 2 the first second-half output row covers the floats of
-    # spectrum rows from nz/4 on, at nu = 3 and 6 those from 3 nz/8 on
+    # the forward sweep writes output row i over the floats of spectrum
+    # rows from i nu / (2 ncol) on, a lag of i / 2 rows at nu = 1 and 2 and
+    # i / 4 at nu = 3 and 6; the default block holds the whole grid, the
+    # small ones two or three rows
     nz, nu = shape
     if block_bytes is not None:  # one column per z block, a few rows per irfft block
         monkeypatch.setattr(lifted, "_BLOCK_BYTES", block_bytes * nu)
     values, cell = _raster(shape, [0, 1, nz // 4, nz // 2 - 1, nz // 2, nz - 1])
     rows, row_spectra = lifted._mass_row_spectra(values, cell)
     spectrum = lifted._z_power(rows, row_spectra, nz, n)
-    got = lifted._unrolled_irfft(spectrum, nu)
-    assert np.shares_memory(got, spectrum)
-    assert got.flags.c_contiguous and got.flags.writeable
-    assert_same_bytes(got, ref_power(values, cell, n))
+    got = lifted._inverse_rows(spectrum, nu, cell)
+    assert np.shares_memory(got[0], spectrum)
+    assert got[0].flags.c_contiguous and got[0].flags.writeable
+    assert_matches_reference(got, values, cell, n)
 
 
 def test_lifted_grid_values_are_a_plain_writeable_grid():
