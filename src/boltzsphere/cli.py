@@ -174,6 +174,8 @@ def _load_config(args, experiment: str, defaults: dict) -> ExperimentConfig:
         raise ConfigError(f"t_end must be positive and finite, got {cfg.t_end}")
     if min(cfg.grid_shape) <= 0:
         raise ConfigError(f"grid_shape sides must be positive, got {cfg.grid_shape}")
+    if cfg.grid_shape[0] % 2:
+        raise ConfigError(f"grid_shape nz must be even (origin on the lattice), got {cfg.grid_shape}")
     os.makedirs(cfg.out, exist_ok=True)
     return cfg
 

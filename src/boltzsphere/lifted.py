@@ -11,6 +11,12 @@ partition value on the sphere S^N(sqrt(u), z) follows from
 normalized against the Gaussian tensor power (constant on the sphere) to give
 Z'_N = Z_N / gamma^{xN}.  Everything runs in log space; the grid machinery is
 FFT-based with repeated squaring of the spectrum.
+
+Every base density of the registry is even, so s_N is even in the momentum
+z, and every grid is held on its z >= 0 half (`GridDensity`): the raster is
+folded, (p(z) + p(-z)) / 2, the transforms along z are DCT-I on the
+nz/2 + 1 rows of that half, and the power and the inverse run on those rows
+only.  Sums over the full lattice weight the rows by their fold weights.
 """
 
 from __future__ import annotations
@@ -51,36 +57,43 @@ _TRUNC_TOL = 1e-6
 _OVERSAMPLE = 8  # subintervals of the momentum axis per raster cell
 
 
+def _fold_weights(n_rows: int) -> np.ndarray:
+    """How many nodes of the full momentum lattice each stored row stands
+    for: 1 for the z = 0 row and the Nyquist row, 2 for every other row."""
+    w = np.full(n_rows, 2.0)
+    w[0] = w[-1] = 1.0
+    return w
+
+
 @dataclass
 class GridDensity:
-    """Nonnegative values on a uniform rectangular grid over R x [0, u_hi).
+    """A density on R x [0, u_hi), even in the momentum z, held on z >= 0.
 
-    Lattice nodes are z_i = z_lo + i dz (nz even, window symmetric about 0)
-    and u_j = j du, so the coordinate origin sits exactly on the lattice; the
-    convolution code relies on that alignment.
+    The full lattice has nz (even) momentum nodes z_lo + i dz with
+    z_lo = -z_hi and dz = 2 z_hi / nz, and energy nodes u_j = j du, so the
+    coordinate origin sits exactly on the lattice; the convolution code
+    relies on that alignment.  values holds rows k = 0 ... nz/2 at
+    z_k = k dz: row 0 is z = 0 and row nz/2 the Nyquist row, z = -z_hi,
+    which is also z_hi on the periodic lattice.  Each of these two rows is
+    one lattice node; every other row stands for the two nodes +-z_k.
+    Sums over the full lattice weight the rows by `fold_weights`.
     """
 
-    z_lo: float
     z_hi: float
     u_hi: float
-    values: np.ndarray  # shape (nz, nu)
+    values: np.ndarray  # shape (nz // 2 + 1, nu)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 2:
             raise ParameterError("grid values must be 2D")
-        if self.values.shape[0] % 2:
-            raise ParameterError("nz must be even (origin on the lattice)")
-        if not math.isclose(self.z_lo, -self.z_hi, rel_tol=1e-12):
-            raise ParameterError("momentum window must be symmetric about 0")
-
-    @property
-    def shape(self) -> tuple:
-        return self.values.shape
+        if self.values.shape[0] < 2:
+            raise ParameterError("need the z = 0 row and the Nyquist row")
 
     @property
     def dz(self) -> float:
-        return (self.z_hi - self.z_lo) / self.values.shape[0]
+        # z_hi / (nz / 2) has the bits of 2 z_hi / nz
+        return self.z_hi / (self.values.shape[0] - 1)
 
     @property
     def du(self) -> float:
@@ -90,48 +103,55 @@ class GridDensity:
     def cell_volume(self) -> float:
         return self.dz * self.du
 
+    def fold_weights(self) -> np.ndarray:
+        return _fold_weights(self.values.shape[0])
+
     @property
     def mass(self) -> float:
-        return float(self.values.sum()) * self.cell_volume
+        return float(self.fold_weights() @ self.values.sum(axis=1)) * self.cell_volume
 
     def z_nodes(self) -> np.ndarray:
-        return self.z_lo + self.dz * np.arange(self.values.shape[0])
+        return self.dz * np.arange(self.values.shape[0])
 
     def u_nodes(self) -> np.ndarray:
         return self.du * np.arange(self.values.shape[1])
 
     def momentum_marginal(self) -> np.ndarray:
+        """The marginal density of z at `z_nodes`, the z >= 0 half of an
+        even function: its integral over R is sum(fold_weights * marginal) dz."""
         return self.values.sum(axis=1) * self.du
 
     def energy_mean(self) -> float:
-        w = self.values.sum(axis=0) * self.dz
+        w = (self.fold_weights() @ self.values) * self.dz
         return float((w * self.u_nodes()).sum()) * self.du / self.mass
 
     def radial_moment(self, k: int) -> float:
         z = self.z_nodes()[:, None]
         u = self.u_nodes()[None, :]
-        w = self.values * self.cell_volume
+        w = self.values * (self.fold_weights()[:, None] * self.cell_volume)
         return float(np.sum(w * (z * z + u * u) ** (0.5 * k)))
 
     def interp_log(self, z, u):
-        """Bilinear interpolation of log-values (log of a peaked density is
-        nearly quadratic, so interpolating logs is far more accurate).
+        """Bilinear interpolation of log-values at (|z|, u) (log of a peaked
+        density is nearly quadratic, so interpolating logs is far more
+        accurate).  It reads |z|, so z and -z give the same bits.
 
         Elementwise over broadcast arrays; scalars in, float out.  A cell with
         a zero corner falls back to the log of the linear interpolant (-inf
-        where that is zero).  CoverageError if any point is outside the grid.
+        where that is zero).  CoverageError if any point is outside the grid:
+        |z| > z_hi, or u outside [0, u_hi - du].
         """
         z, u = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(u, dtype=float))
-        nz, nu = self.values.shape
-        fz = ((z - self.z_lo) / self.dz).ravel()
+        nk, nu = self.values.shape
+        fz = (np.abs(z) / self.dz).ravel()
         fu = (u / self.du).ravel()
-        outside = ~((0.0 <= fz) & (fz <= nz - 1) & (0.0 <= fu) & (fu <= nu - 1))
+        outside = ~((fz <= nk - 1) & (0.0 <= fu) & (fu <= nu - 1))
         if outside.any():
             k = int(np.argmax(outside))
             raise CoverageError(
                 f"query point (z={z.flat[k]}, u={u.flat[k]}) outside the grid window"
             )
-        iz = np.minimum(fz.astype(np.int64), nz - 2)
+        iz = np.minimum(fz.astype(np.int64), nk - 2)
         iu = np.minimum(fu.astype(np.int64), nu - 2)
         tz, tu = fz - iz, fu - iu
         weights = ((1 - tz) * (1 - tu), (1 - tz) * tu, tz * (1 - tu), tz * tu)
@@ -150,27 +170,6 @@ class GridDensity:
             # math.log, not np.log: the two differ in the last bit on some inputs
             out[zero] = [math.log(x) if x > 0.0 else -math.inf for x in lin.tolist()]
         return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)
-
-    def to_bytes(self) -> bytes:
-        """Binary export: small header (dims, window, cell volume) + values."""
-        header = np.array(
-            [self.values.shape[0], self.values.shape[1]], dtype=np.int64
-        ).tobytes()
-        window = np.array(
-            [self.z_lo, self.z_hi, self.u_hi, self.cell_volume], dtype=np.float64
-        ).tobytes()
-        return header + window + np.ascontiguousarray(self.values).tobytes()
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "GridDensity":
-        """Inverse of `to_bytes`; ParameterError if the blob is not one."""
-        try:
-            nz, nu = np.frombuffer(blob[:16], dtype=np.int64)
-            z_lo, z_hi, u_hi, _ = np.frombuffer(blob[16:48], dtype=np.float64)
-            values = np.frombuffer(blob[48:], dtype=np.float64).reshape(int(nz), int(nu))
-        except ValueError as exc:
-            raise ParameterError(f"malformed grid blob of {len(blob)} bytes: {exc}") from None
-        return cls(z_lo=float(z_lo), z_hi=float(z_hi), u_hi=float(u_hi), values=values.copy())
 
 
 def default_window(f: BaseDensity, N: int) -> tuple:
@@ -195,11 +194,18 @@ def default_window(f: BaseDensity, N: int) -> tuple:
 
 
 def rasterize_lifted(f: BaseDensity, window: tuple = None, shape: tuple = DEFAULT_SHAPE) -> GridDensity:
-    """Deposit the lifted law of f onto a grid along the parabola u = v^2.
+    """Deposit the lifted law of f onto a grid along the parabola u = v^2,
+    folded onto z >= 0.
 
     The momentum axis is cut into _OVERSAMPLE subintervals per cell; each
     subinterval carries its exact probability mass (CDF differences) and is
-    splat bilinearly at (v_mid, v_mid^2).  Mass is conserved up to the window
+    splat bilinearly at (v_mid, v_mid^2) into the full lattice of `shape`:
+    straight into the stored rows for z >= 0, and into a buffer of the rows
+    for z < 0 that hold mass (14 to 112 of 1024 for the uniform box at
+    N = 7 to 511 and the default shape).  The two are then folded,
+    (p(z) + p(-z)) / 2, which makes the law exactly even: the deposit is
+    even only to rounding, as the subinterval midpoints are.  No
+    full-lattice raster is allocated.  Mass is conserved up to the window
     truncation, which must stay below 1e-6.
     """
     if f.d != 1:
@@ -210,7 +216,20 @@ def rasterize_lifted(f: BaseDensity, window: tuple = None, shape: tuple = DEFAUL
         window = default_window(f, 1)
     z_half, u_hi = window
     nz, nu = shape
-    grid = GridDensity(z_lo=-z_half, z_hi=z_half, u_hi=u_hi, values=np.zeros((nz, nu)))
+    if nz < 2 or nz % 2:
+        raise ParameterError("nz must be even (origin on the lattice)")
+    h = nz // 2
+    # The raster sits at the front of a zeroed buffer the size of its
+    # (h + 1, nu // 2 + 1) complex half spectrum, the size of the buffer
+    # each build returns its grid in (`_inverse_rows`).  A build frees its
+    # raster before it allocates its spectrum, so malloc can hand the
+    # spectrum the raster's block and the next raster the block of the grid
+    # before it.  With a raster block 16 KB short of a spectrum, a worker
+    # thread's malloc arena often kept two blocks: the spectral workload's
+    # peak RSS had a median of 172 MB against 154 MB (8 runs each, 2-core
+    # VM).
+    buf = np.zeros((h + 1) * 2 * (nu // 2 + 1))
+    grid = GridDensity(z_hi=z_half, u_hi=u_hi, values=buf[: (h + 1) * nu].reshape(h + 1, nu))
     dz, du = grid.dz, grid.du
 
     vmax = min(z_half, math.sqrt(u_hi))
@@ -219,26 +238,46 @@ def rasterize_lifted(f: BaseDensity, window: tuple = None, shape: tuple = DEFAUL
     masses = np.diff(f.cdf(edges))
     mids = 0.5 * (edges[:-1] + edges[1:])
 
-    fz = (mids - grid.z_lo) / dz
+    fz = (mids + z_half) / dz
     fu = (mids * mids) / du
     iz = np.floor(fz).astype(np.int64)
     iu = np.floor(fu).astype(np.int64)
     tz = fz - iz
     tu = fu - iu
     ok = (iz >= 0) & (iz < nz - 1) & (iu >= 0) & (iu < nu - 1)
-    vals = grid.values
-    np.add.at(vals, (iz[ok], iu[ok]), masses[ok] * (1 - tz[ok]) * (1 - tu[ok]))
-    np.add.at(vals, (iz[ok], iu[ok] + 1), masses[ok] * (1 - tz[ok]) * tu[ok])
-    np.add.at(vals, (iz[ok] + 1, iu[ok]), masses[ok] * tz[ok] * (1 - tu[ok]))
-    np.add.at(vals, (iz[ok] + 1, iu[ok] + 1), masses[ok] * tz[ok] * tu[ok])
-
     deposited = float(masses[ok].sum())
     truncated = 1.0 - deposited
     if truncated > _TRUNC_TOL:
         raise CoverageError(
             f"window too small: {truncated:.3e} of the lifted mass falls outside"
         )
-    vals /= grid.cell_volume
+
+    # full row r is z = (r - h) dz and folds onto row |r - h|.  Rows r >= h
+    # take their deposit in place; rows r < h, of which there are at most
+    # h, take theirs in a buffer at row h - 1 - r and are then added in.
+    # Row h (z = 0) and row 0 (the Nyquist row) are their own mirrors,
+    # (p + p) / 2 = p, so only the rows in between are halved.
+    keep = ok & (masses > 0.0)
+    m, iz, iu, tz, tu = masses[keep], iz[keep], iu[keep], tz[keep], tu[keep]
+    lo, hi = int(iz.min()), int(iz.max()) + 2
+    vals = grid.values
+    below = np.zeros((max(h - lo, 0), nu))
+
+    def splat(rows, cols, w):
+        up = rows >= h
+        np.add.at(vals, (rows[up] - h, cols[up]), w[up])
+        np.add.at(below, (h - 1 - rows[~up], cols[~up]), w[~up])
+
+    splat(iz, iu, m * (1 - tz) * (1 - tu))
+    splat(iz, iu + 1, m * (1 - tz) * tu)
+    splat(iz + 1, iu, m * tz * (1 - tu))
+    splat(iz + 1, iu + 1, m * tz * tu)
+    cell = grid.cell_volume
+    vals[max(lo, h) - h : max(hi - h, 0)] /= cell
+    below /= cell
+    vals[1 : 1 + below.shape[0]] += below
+    k = np.abs(np.arange(lo, hi) - h)
+    vals[max(1, int(k.min())) : min(h - 1, int(k.max())) + 1] *= 0.5
     return grid
 
 
@@ -267,64 +306,70 @@ def _spectrum_power(pmf_hat: np.ndarray, n: int) -> np.ndarray:
 
 
 def _lattice_power(pmf: np.ndarray, n: int) -> np.ndarray:
-    """n-fold cyclic self-convolution of a 1-D lattice pmf, as a new array.
+    """n-fold cyclic self-convolution of a 1-D lattice pmf, written over pmf.
 
-    The lattice origin sits at index len // 2.  A real FFT of the pmf rolled
-    to put the origin at index 0, `_spectrum_power`, and the inverse FFT,
-    which overwrites pmf, rolled back.
+    The lattice origin sits at index len // 2.  A real FFT of one copy of
+    the pmf with its two parts swapped to put the origin at index 0,
+    `_spectrum_power`, the inverse FFT into that copy, and the parts swapped
+    back into pmf: the bits of `np.roll` on either side, with one copy.
     """
-    half = pmf.shape[0] // 2
-    pmf[...] = np.roll(pmf, -half)
-    spectrum = _spectrum_power(np.fft.rfft(pmf), n)
-    np.fft.irfft(spectrum, n=pmf.shape[0], out=pmf)
+    m = pmf.shape[0]
+    half = m // 2
+    rolled = np.concatenate((pmf[half:], pmf[:half]))
+    spectrum = _spectrum_power(np.fft.rfft(rolled), n)
+    np.fft.irfft(spectrum, n=m, out=rolled)
     del spectrum
-    return np.roll(pmf, half)
+    pmf[:half] = rolled[m - half :]
+    pmf[half:] = rolled[: m - half]
+    return pmf
 
 
 def _mass_row_spectra(values: np.ndarray, cell: float) -> tuple:
     """The rows of the pmf values * cell that hold mass, transformed along u.
 
-    Returns their indices once the lattice origin (row nz // 2) is rolled to
-    row 0, and their real FFTs.  rfftn transforms the last axis first, each
-    row on its own, and a row of zeros transforms to zeros, so the half
-    spectrum that is zero except these rows at these indices is bit for bit
-    the u-transform of the whole rolled pmf.  At the default shape a lifted
-    raster holds mass on 29 to 225 of its 2048 rows.
+    Returns their indices and their real FFTs.  A row of zeros transforms
+    to zeros, so the half spectrum that is zero except these rows is bit for
+    bit the u-transform of the whole pmf.  At the default shape the folded
+    raster of the uniform box holds mass on 15 to 113 of its 1025 rows.
     """
-    nz = values.shape[0]
     rows = np.flatnonzero(values.any(axis=1))
-    return (rows - nz // 2) % nz, np.fft.rfft(values[rows] * cell, axis=1)
+    return rows, np.fft.rfft(values[rows] * cell, axis=1)
 
 
 # Columns of the half spectrum go through the z-transforms and the power one
-# block at a time.  A block of about 1 MiB (32 columns at nz = 2048) stays in
+# block at a time.  A block of about 1 MiB (63 columns at 1025 rows) stays in
 # a core's cache through every squaring; the transforms along z are per
 # column and the power is elementwise, so the block width leaves every bit
 # as it is.
 _BLOCK_BYTES = 1 << 20
 
 
-def _z_power(rows: np.ndarray, row_spectra: np.ndarray, nz: int, n: int) -> np.ndarray:
-    """ifft_z(fft_z(S)^n) as a new (nz, ncol) array with the lattice origin
-    back at row nz // 2, where S is zero but for row_spectra at rows.
+def _z_power(rows: np.ndarray, row_spectra: np.ndarray, n_rows: int, n: int) -> np.ndarray:
+    """idct_z(dct_z(S)^n) as a new (n_rows, ncol) array, where S is zero
+    but for row_spectra at rows.
 
-    Each column block goes through the fft along z, `_spectrum_power` and
-    the inverse along z in place, while it is in cache, and is then copied
-    into the spectrum with its two row halves swapped.
+    S holds the z >= 0 rows of a spectrum that is even in z, row 0 at z = 0
+    and row n_rows - 1 at the Nyquist row.  Along z the full FFT of an even
+    sequence of length 2 (n_rows - 1) is the DCT-I of its half, with the
+    same half at both ends, and the inverse FFT is the inverse DCT-I.  Each
+    column block goes through the DCT-I, `_spectrum_power` and the inverse
+    DCT-I in place, while it is in cache, and is then copied into the
+    spectrum.  The real and imaginary parts are transformed as the float
+    columns of the block's real view.
     """
+    from scipy.fft import dct, idct
+
     ncol = row_spectra.shape[1]
-    half = nz // 2
-    spectrum = np.empty((nz, ncol), dtype=complex)
-    width = max(1, _BLOCK_BYTES // (16 * nz))
+    spectrum = np.empty((n_rows, ncol), dtype=complex)
+    width = max(1, _BLOCK_BYTES // (16 * n_rows))
     for c0 in range(0, ncol, width):
         c1 = min(c0 + width, ncol)
-        block = np.zeros((nz, c1 - c0), dtype=complex)
+        block = np.zeros((n_rows, c1 - c0), dtype=complex)
         block[rows] = row_spectra[:, c0:c1]
-        np.fft.fft(block, axis=0, out=block)
+        block = dct(block.view(float), type=1, axis=0, overwrite_x=True).view(complex)
         block = _spectrum_power(block, n)
-        np.fft.ifft(block, axis=0, out=block)
-        spectrum[:half, c0:c1] = block[half:]
-        spectrum[half:, c0:c1] = block[:half]
+        block = idct(block.view(float), type=1, axis=0, overwrite_x=True).view(complex)
+        spectrum[:, c0:c1] = block
     return spectrum
 
 
@@ -332,57 +377,60 @@ def _inverse_rows(spectrum: np.ndarray, nu: int, cell: float) -> tuple:
     """The inverse real FFT along u of each row, divided by cell and clamped
     at zero, written over the front of spectrum's own buffer.
 
-    Returns it as a C-contiguous (nz, nu) view of that buffer, and the mass
-    of the negative ringing the clamp removed.  Output row i ends at float
-    (i + 1) nu and spectrum row i + 1 starts at float (i + 1) 2 ncol, past
-    it, so a forward sweep over blocks of about _BLOCK_BYTES, each inverted
-    into a temporary before it is written, overwrites only rows it has
-    already read.  The negative ringing is a masked sum: about half the
-    cells are negative, and copying them out would take half a grid.
+    Returns it as a C-contiguous (n_rows, nu) view of that buffer, and the
+    mass of the negative ringing the clamp removed, each row counted by its
+    fold weight.  Output row i ends at float (i + 1) nu and spectrum row
+    i + 1 starts at float (i + 1) 2 ncol, past it, so a forward sweep over
+    blocks of about _BLOCK_BYTES, each inverted into a temporary before it
+    is written, overwrites only rows it has already read.  The negative
+    ringing is a masked sum per row: about half the cells are negative, and
+    copying them out would take half a grid.
     """
-    nz, ncol = spectrum.shape
-    out = spectrum.view(float).reshape(-1)[: nz * nu].reshape(nz, nu)
-    neg_mass = 0.0
+    n_rows, ncol = spectrum.shape
+    out = spectrum.view(float).reshape(-1)[: n_rows * nu].reshape(n_rows, nu)
+    row_neg = np.empty(n_rows)
     step = max(1, _BLOCK_BYTES // (8 * nu))
-    for a in range(0, nz, step):
+    for a in range(0, n_rows, step):
         block = np.fft.irfft(spectrum[a : a + step], n=nu, axis=1)
         block /= cell
-        neg_mass -= float(np.sum(block, where=block < 0.0))
+        np.sum(block, axis=1, where=block < 0.0, out=row_neg[a : a + step])
         np.maximum(block, 0.0, out=out[a : a + step])
-    return out, neg_mass * cell
+    return out, -float(_fold_weights(n_rows) @ row_neg) * cell
 
 
 def convolution_power(g: GridDensity, N: int) -> GridDensity:
-    """The N-fold self-convolution of a grid density.
+    """The N-fold self-convolution of an even grid density.
 
-    The pmf g.values * cell, its origin rolled to index (0, 0), goes through
-    a real FFT, the N-th power of its spectrum by repeated squaring and the
-    inverse FFT: log2(N) squarings, so rounding does not accumulate linearly
-    in N.  Three passes: the forward transform along u of the rows that
-    hold mass, the transforms along z and the power on column blocks that
-    fit in cache, which end with the origin back in place, and one forward
-    sweep over row blocks that inverts along u, rescales and clamps over the
-    front of the spectrum's own buffer.  Before the clamp the result is bit
-    for bit that of `np.fft.rfftn` and `irfftn` on the whole rolled grid.
-    One build holds one grid-sized buffer at a time: the raster until the
-    mass rows are transformed, then the half spectrum, whose memory becomes
-    the result.  Negative FFT ringing is clamped to zero; if the clamped
-    mass exceeds 1e-9, or noticeable mass reaches the window boundary
-    (wrap-around), the window is considered misconfigured and a coverage
-    error is raised.
+    The pmf g.values * cell goes through a real FFT along u, a DCT-I along
+    z (the FFT of the even full lattice, on its z >= 0 half), the N-th power
+    of its spectrum by repeated squaring and the inverse transforms: log2(N)
+    squarings, so rounding does not accumulate linearly in N.  Three
+    passes: the forward transform along u of the rows that hold mass, the
+    transforms along z and the power on column blocks that fit in cache,
+    and one forward sweep over row blocks that inverts along u, rescales
+    and clamps over the front of the spectrum's own buffer.  Before the
+    clamp the result equals, to rounding, the z >= 0 half of `np.fft.rfftn`
+    and `irfftn` on the whole even lattice.  One build holds one
+    half-grid-sized buffer at a time: the raster until the mass rows are
+    transformed, then the (nz/2 + 1, nu/2 + 1) complex half spectrum, whose
+    memory becomes the result.  Negative FFT ringing is clamped to zero; if
+    the clamped mass exceeds 1e-9, or noticeable mass reaches the window
+    boundary (wrap-around), the window is considered misconfigured and a
+    coverage error is raised.  Both masses count each row by its fold
+    weight, so they are the masses of the full lattice.
     """
     if N < 1:
         raise ParameterError("need N >= 1")
-    nz, nu = g.values.shape
+    n_rows, nu = g.values.shape
     if N == 1:
-        return GridDensity(g.z_lo, g.z_hi, g.u_hi, g.values.copy())
-    z_lo, z_hi, u_hi, cell = g.z_lo, g.z_hi, g.u_hi, g.cell_volume
+        return GridDensity(g.z_hi, g.u_hi, g.values.copy())
+    z_hi, u_hi, cell = g.z_hi, g.u_hi, g.cell_volume
     rows, row_spectra = _mass_row_spectra(g.values, cell)
     # g is not modified.  LiftedGrid passes its raster as a temporary, which
     # CPython 3.11 hands to this frame, so dropping g frees the raster before
     # the power.
     del g
-    spectrum = _z_power(rows, row_spectra, nz, N)
+    spectrum = _z_power(rows, row_spectra, n_rows, N)
     del row_spectra
     out, neg_mass = _inverse_rows(spectrum, nu, cell)
     if neg_mass > _NEG_MASS_TOL:
@@ -390,16 +438,19 @@ def convolution_power(g: GridDensity, N: int) -> GridDensity:
             f"negative convolution mass {neg_mass:.3e}: window or shape misconfigured"
         )
 
-    band_z = max(1, nz // 128)
+    # the full lattice's bands: its first and last band_z rows, which fold
+    # onto the last band_z + 1 stored rows with the end rows once, and its
+    # last band_u columns
+    h = n_rows - 1
+    band_z = max(1, 2 * h // 128)
     band_u = max(1, nu // 128)
     edge_mass = (
-        float(out[:band_z].sum())
-        + float(out[-band_z:].sum())
-        + float(out[:, -band_u:].sum())
+        float(_fold_weights(band_z + 1) @ out[h - band_z :].sum(axis=1))
+        + float(_fold_weights(n_rows) @ out[:, -band_u:].sum(axis=1))
     ) * cell
     if edge_mass > _TRUNC_TOL:
         raise CoverageError(f"mass {edge_mass:.3e} reached the window boundary")
-    return GridDensity(z_lo, z_hi, u_hi, out)
+    return GridDensity(z_hi, u_hi, out)
 
 
 class LiftedGrid:
@@ -445,9 +496,10 @@ class LiftedGrid:
 # Grid builds run on at most two threads.  numpy's FFTs and ufuncs release
 # the GIL, so two builds for different N overlap almost fully (1.9x on two
 # cores), while splitting one build's FFTs gains little (1.16x).  The cap is
-# set by memory: two concurrent builds at the default shape (at most 36 to
-# 41 MB of transients each, one grid-sized buffer at a time) stay under the
-# peak of the earlier one-at-a-time pipeline.
+# set by memory: two concurrent builds of the uniform box at the default
+# shape (19 to 21 MB each at their peak, 17 MB of it the half spectrum that
+# becomes the grid) stay well under the peak of the earlier one-at-a-time
+# full-grid pipeline.
 _GRID_WORKERS = min(2, len(os.sched_getaffinity(0)))
 
 
@@ -469,8 +521,9 @@ def _map_grid_builds(fn, items) -> list:
 
 
 def lifted_grid(f: BaseDensity, N: int, shape: tuple = DEFAULT_SHAPE, window: tuple = None) -> LiftedGrid:
-    """A new N-fold lifted grid of f; 34 MB at the default shape (its values
-    are the front 32 MB of the half-spectrum buffer they were computed in).
+    """A new N-fold lifted grid of f; 17 MB at the default shape: its values,
+    the (1025, 2048) rows for z >= 0, are the front of the (1025, 1025)
+    complex spectrum buffer they were computed in.
 
     Every grid of the package is built here and held only by its caller, so
     none outlives the call that asked for it.  The one memo of the exact
@@ -540,15 +593,32 @@ def berry_esseen_sup(g: BaseDensity, N: int, n_cells: int = 1 << 18) -> float:
         half = min(half, 1.0001 * N * g.support_radius)
         half = max(half, 1.05 * g.support_radius)
     dx = 2.0 * half / n_cells
-    x = -half + dx * np.arange(n_cells)
-    pmf = np.diff(g.cdf(np.append(x, half) - 0.5 * dx))
+    # few temporaries per lattice: the nodes, which become the Gaussian, and
+    # the CDF edges, whose front becomes the pmf, are one buffer each
+    x = np.arange(n_cells, dtype=float)
+    x *= dx
+    x += -half
+    edges = np.empty(n_cells + 1)
+    np.subtract(x, 0.5 * dx, out=edges[:-1])
+    edges[-1] = half - 0.5 * dx
+    cdf = g.cdf(edges)
+    pmf = np.subtract(cdf[1:], cdf[:-1], out=edges[:-1])
+    del cdf
     total = float(pmf.sum())
     if 1.0 - total > _TRUNC_TOL:
         raise CoverageError(f"window too small: mass deficit {1.0 - total:.3e}")
     pmf /= total
-    g_n = math.sqrt(N) * _lattice_power(pmf, N) / dx
-    gauss = np.exp(-0.5 * (x / math.sqrt(N)) ** 2) / math.sqrt(2.0 * math.pi)
-    return float(np.max(np.abs(g_n - gauss)))
+    g_n = _lattice_power(pmf, N)
+    g_n *= math.sqrt(N)
+    g_n /= dx
+    gauss = x
+    gauss /= math.sqrt(N)
+    np.square(gauss, out=gauss)
+    gauss *= -0.5
+    np.exp(gauss, out=gauss)
+    gauss /= math.sqrt(2.0 * math.pi)
+    g_n -= gauss
+    return float(np.max(np.abs(g_n, out=g_n)))
 
 
 def lifted_moment_check(f: BaseDensity, k: int, rtol: float = 0.01) -> bool:

@@ -85,6 +85,7 @@ class TestConfigHandling:
         (["dsmc", "--t-end", "inf"], ""),
         (["l1-gap", "--d", "0"], ""),
         (["dsmc", "--d", "-1"], ""),
+        (["zprime", "--grid-shape", "3x64", "--n-list", "8"], ""),
     ])
     def test_impossible_sizes_exit_3(self, tmp_path, capsys, argv, config):
         if config:

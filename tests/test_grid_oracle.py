@@ -1,9 +1,9 @@
 """The array grid lookups against the scalar ones as the reference.
 
 `ref_interp_log` is the per-point bilinear interpolation of log-values that
-`GridDensity.interp_log` evaluated one query at a time; the array form must
-reproduce it bit for bit, including the linear fallback in cells with a zero
-corner.  `ref_log_z_prime` is the per-point partition value; the array form
+`GridDensity.interp_log` evaluated one query at a time on the stored z >= 0
+rows at |z|; the array form must reproduce it bit for bit, including the
+linear fallback in cells with a zero corner.  `ref_log_z_prime` is the per-point partition value; the array form
 takes its logs with `np.log`, which differs from `math.log` in the last bit
 on some inputs, so it is compared to a tolerance of a few ulps of its terms.
 """
@@ -21,13 +21,13 @@ UNIF = bs.get_density("uniform", 1)
 
 
 def ref_interp_log(g, z, u):
-    nz, nu = g.values.shape
-    fz = (z - g.z_lo) / g.dz
+    nk, nu = g.values.shape
+    fz = abs(z) / g.dz
     fu = u / g.du
-    if not (0.0 <= fz <= nz - 1 and 0.0 <= fu <= nu - 1):
+    if not (fz <= nk - 1 and 0.0 <= fu <= nu - 1):
         raise bs.CoverageError(f"query point (z={z}, u={u}) outside the grid window")
     iz, iu = int(fz), int(fu)
-    iz = min(iz, nz - 2)
+    iz = min(iz, nk - 2)
     iu = min(iu, nu - 2)
     tz, tu = fz - iz, fu - iu
     corners = g.values[iz : iz + 2, iu : iu + 2]
@@ -69,8 +69,8 @@ def ref_log_z_prime(grid, r, z_mom):
 
 
 def _window_points(g, n, rng):
-    nz, nu = g.values.shape
-    z = g.z_lo + g.dz * (nz - 1) * rng.random(n)
+    nk, nu = g.values.shape
+    z = g.dz * (nk - 1) * (2.0 * rng.random(n) - 1.0)
     u = g.du * (nu - 1) * rng.random(n)
     return z, u
 
@@ -100,7 +100,7 @@ def test_interp_log_zero_corner_cells():
     vals[::2, ::2] = 0.0
     vals[5, :] = 0.0
     vals[:, 7] = 0.0
-    g = GridDensity(z_lo=-2.0, z_hi=2.0, u_hi=3.0, values=vals)
+    g = GridDensity(z_hi=2.0, u_hi=3.0, values=vals)
     z, u = _window_points(g, 5000, rng)
     # lattice nodes themselves, where a zero corner carries all the weight
     nodes_z = np.repeat(g.z_nodes()[:-1], 11)
