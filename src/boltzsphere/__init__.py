@@ -48,17 +48,14 @@ from .lifted import (
     GridDensity,
     berry_esseen_sup,
     convolution_power,
-    lifted_moment_check,
     rasterize_lifted,
     z_prime_asymptotic,
-    z_prime_exact,
 )
 from .conditioned import (
     ConditionedLaw,
     conditioned_marginal_density,
     entropy_per_particle,
     entropy_rate_experiment,
-    sample_conditioned,
     sample_conditioned_batch,
     w1_rate_experiment,
 )
@@ -71,7 +68,7 @@ from .metrics import (
     w1,
     w2,
 )
-from .dsmc import CollisionKernel, SimulationState, equilibrium_crosscheck, run, step
+from .dsmc import CollisionKernel, equilibrium_crosscheck, run
 from .reporting import RateReport, fit_loglog
 from .rng import stream
 

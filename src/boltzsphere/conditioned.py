@@ -22,7 +22,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from ._kernels import (
 )
 from .densities import BaseDensity
 from .errors import ParameterError, SupportError
-from .geometry import ParticleConfiguration, SphereSpec, log_sphere_surface
+from .geometry import SphereSpec, log_sphere_surface
 from .lifted import (
     DEFAULT_SHAPE,
     LiftedGrid,
@@ -49,7 +49,6 @@ from .uniform import UniformMarginal, marginal_log_density, sample_uniform
 
 __all__ = [
     "ConditionedLaw",
-    "sample_conditioned",
     "sample_conditioned_batch",
     "conditioned_marginal_density",
     "w1_rate_experiment",
@@ -172,20 +171,6 @@ def sample_conditioned_batch(
     Defaults: burn_in = 50 N proposals, thin = N proposals between states.
     """
     return _Chain(law, rng_seed, burn_in, thin).states(n_states)
-
-
-def sample_conditioned(
-    law: ConditionedLaw,
-    rng_seed,
-    burn_in: Optional[int] = None,
-    thin: Optional[int] = None,
-    chunk: int = 256,
-) -> Iterator[ParticleConfiguration]:
-    """Endless stream of chain states wrapped as configurations."""
-    chain = _Chain(law, rng_seed, burn_in, thin)
-    while True:
-        for s in chain.states(chunk):
-            yield ParticleConfiguration(s.reshape(-1), law.spec)
 
 
 def _point_terms(law: ConditionedLaw, ell: int, flat: np.ndarray) -> tuple:

@@ -25,18 +25,15 @@ import numpy as np
 from . import rng as rngmod
 from ._kernels import _event_clock, default_kernels, draw_pair_indices, draw_unit_vectors
 from .errors import CapacityError, ParameterError
-from .geometry import ParticleConfiguration, SphereSpec
+from .geometry import SphereSpec
 from .metrics import EmpiricalMeasure, relative_entropy_vs_gaussian
 from .uniform import coordinate_marginal
 
 __all__ = [
     "CollisionKernel",
-    "SimulationState",
-    "step",
     "run",
     "RunResult",
     "equilibrium_crosscheck",
-    "BUILTIN_OBSERVABLES",
 ]
 
 _EVENT_CHUNK = 1 << 15
@@ -109,67 +106,8 @@ class CollisionKernel:
         return N / ((N - 1) * self.beta)
 
 
-@dataclass
-class SimulationState:
-    """Mutable simulation state: configuration, clock, event count, stream."""
-
-    configuration: ParticleConfiguration
-    rng: np.random.Generator
-    time: float = 0.0
-    collision_count: int = 0
-
-    @classmethod
-    def from_uniform(cls, spec: SphereSpec, seed: int) -> "SimulationState":
-        from .uniform import sample_uniform
-
-        gen = rngmod.stream(seed, "dsmc-state")
-        return cls(configuration=sample_uniform(spec, gen), rng=gen)
-
-    def to_bytes(self) -> bytes:
-        """Restartable binary snapshot: header (d, N, t, count) + generator
-        state + velocities."""
-        import json
-
-        spec = self.configuration.spec
-        head = np.array([spec.d, spec.N, self.collision_count], dtype=np.int64).tobytes()
-        head += np.float64(self.time).tobytes()
-        state_blob = json.dumps(
-            self.rng.bit_generator.state,
-            default=lambda o: o.tolist() if hasattr(o, "tolist") else int(o),
-        ).encode()
-        head += np.int64(len(state_blob)).tobytes() + state_blob
-        return head + np.ascontiguousarray(self.configuration.values).tobytes()
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "SimulationState":
-        """Inverse of `to_bytes`; ParameterError if the blob is not one."""
-        import json
-
-        try:
-            d, N, count = (int(x) for x in np.frombuffer(blob[:24], dtype=np.int64))
-            t = float(np.frombuffer(blob[24:32], dtype=np.float64)[0])
-            slen = int(np.frombuffer(blob[32:40], dtype=np.int64)[0])
-            state = json.loads(blob[40 : 40 + slen].decode())
-            values = np.frombuffer(blob[40 + slen :], dtype=np.float64).copy()
-            gen = np.random.Generator(getattr(np.random, state["bit_generator"])())
-            gen.bit_generator.state = state
-            spec = SphereSpec.boltzmann(d, N)  # sqrt(dN) is a ValueError for dN < 0
-        except (ValueError, IndexError, KeyError, TypeError, AttributeError) as exc:
-            # json.JSONDecodeError and UnicodeDecodeError are ValueErrors
-            raise ParameterError(
-                f"malformed simulation snapshot of {len(blob)} bytes: {exc!r}"
-            ) from None
-        return cls(
-            configuration=ParticleConfiguration(values, spec),
-            rng=gen,
-            time=t,
-            collision_count=count,
-        )
-
-
 def _draw_events(
-    gen: np.random.Generator, kernel: CollisionKernel, n: int, N: int,
-    t: float = 0.0, t_target: float = math.inf,
+    gen: np.random.Generator, kernel: CollisionKernel, n: int, N: int, t: float, t_target: float
 ) -> tuple:
     """dsmc_advance's draws for n events from clock t: exponential waits,
     pairs, unit vectors and, for a non-uniform angular law, deflection
@@ -183,19 +121,6 @@ def _draw_events(
     sigmas = draw_unit_vectors(gen, n, kernel.d, keep=k)
     cosines = None if kernel.costheta_sampler is None else kernel.costheta_sampler(gen, n)
     return dts, ii, jj, sigmas, cosines
-
-
-def step(state: SimulationState, kernel: CollisionKernel) -> SimulationState:
-    """Advance by one collision event in place (also returns the state)."""
-    spec = state.configuration.spec
-    if kernel.d != spec.d:
-        raise ParameterError("kernel dimension does not match the configuration")
-    events = _draw_events(state.rng, kernel, 1, spec.N)
-    state.time, _, _ = default_kernels().dsmc_advance(
-        state.configuration.particles(), state.time, math.inf, kernel.rate(spec.N), *events
-    )
-    state.collision_count += 1
-    return state
 
 
 def _advance(v, t, t_target, kernel: CollisionKernel, gen):
@@ -224,9 +149,6 @@ class RunResult:
             for t, m, e in zip(self.times, mean, err):
                 out.append((float(t), name, float(m), float(e), self.n_replicas))
         return out
-
-
-BUILTIN_OBSERVABLES = ("m2", "m4", "rel_entropy_v1")
 
 
 def _particle_moment(v: np.ndarray, k: int) -> float:

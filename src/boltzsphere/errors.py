@@ -1,5 +1,16 @@
 """Exception taxonomy shared by all modules."""
 
+__all__ = [
+    "BoltzsphereError",
+    "ParameterError",
+    "DegenerateProjectionError",
+    "SupportError",
+    "CoverageError",
+    "CapacityError",
+    "DegenerateVarianceError",
+    "ConfigError",
+]
+
 
 class BoltzsphereError(Exception):
     """Base class for all package errors."""

@@ -43,12 +43,9 @@ __all__ = [
     "convolution_power",
     "LiftedGrid",
     "lifted_grid",
-    "z_prime_exact",
-    "log_z_prime_exact",
     "z_prime_asymptotic",
     "log_z_prime_asymptotic",
     "berry_esseen_sup",
-    "lifted_moment_check",
 ]
 
 DEFAULT_SHAPE = (2048, 2048)
@@ -532,19 +529,6 @@ def lifted_grid(f: BaseDensity, N: int, shape: tuple = DEFAULT_SHAPE, window: tu
     return LiftedGrid(f, N, shape=shape, window=window)
 
 
-def log_z_prime_exact(
-    f: BaseDensity, N: int, r: float, z_mom: float = 0.0, shape: tuple = DEFAULT_SHAPE
-) -> float:
-    return lifted_grid(f, N, shape=shape).log_z_prime(r, z_mom)
-
-
-def z_prime_exact(
-    f: BaseDensity, N: int, r: float, z_mom: float = 0.0, shape: tuple = DEFAULT_SHAPE
-) -> float:
-    """Grid-exact Z'_N(f; r, z) through the full convolution pipeline."""
-    return math.exp(log_z_prime_exact(f, N, r, z_mom, shape=shape))
-
-
 def log_z_prime_asymptotic(f: BaseDensity, N: int, r: float = None, z_norm: float = 0.0) -> float:
     """Leading-order log Z'_N(f; r, z) for any d (remainder not added).
 
@@ -619,26 +603,3 @@ def berry_esseen_sup(g: BaseDensity, N: int, n_cells: int = 1 << 18) -> float:
     gauss /= math.sqrt(2.0 * math.pi)
     g_n -= gauss
     return float(np.max(np.abs(g_n, out=g_n)))
-
-
-def lifted_moment_check(f: BaseDensity, k: int, rtol: float = 0.01) -> bool:
-    """Check the radial moment of the rasterized lifted law against the value
-    implied by f's moments; for even k the analytic target for k = 2 is
-    M_2(f) + M_4(f) (lift coordinates are (v, v^2))."""
-    if k % 2:
-        raise ParameterError("analytic lift moments implemented for even k")
-    grid = rasterize_lifted(f)
-    got = grid.radial_moment(k)
-    if k == 0:
-        want = 1.0
-    elif k == 2:
-        want = f.moment(2) + f.moment(4)
-    else:
-        # E[(v^2 + v^4)^{k/2}], binomial expansion in f's even moments
-        want = sum(
-            math.comb(k // 2, j) * f.moment(2 * (k // 2 - j) + 4 * j)
-            for j in range(k // 2 + 1)
-        )
-    if not math.isfinite(got):
-        return False
-    return abs(got - want) <= rtol * abs(want)

@@ -216,6 +216,11 @@ class TestSmallExperiments:
         code = run_cli(["berry-esseen", "--config", str(cfgfile), "--out", str(tmp_path)])
         assert code == 0
 
+    def test_berry_esseen_gaussian_fixed_point(self, tmp_path):
+        # the Gaussian's gap is lattice error only, so it has no decay to fit
+        argv = ["berry-esseen", "--n-list", "2,4", "--density", "gaussian", "--out", str(tmp_path)]
+        assert run_cli(argv) == 0
+
     def test_ipp_small(self, tmp_path):
         code = run_cli(["ipp-check", "--samples", "4000", "--out", str(tmp_path)])
         assert code == 0

@@ -12,7 +12,6 @@ from boltzsphere.conditioned import (
     _marginal_curve,
     conditioned_marginal_density,
     entropy_per_particle,
-    sample_conditioned,
     sample_conditioned_batch,
     w1_rate_experiment,
 )
@@ -69,20 +68,14 @@ class TestSampler:
         stderr = e1.std() / math.sqrt(e1.size)
         assert abs(e1.mean() - 1.0) <= 3.0 * stderr
 
-    def test_stream_interface(self):
-        lw = law(bs.get_density("gaussian", 2), 2, 8)
-        gen = sample_conditioned(lw, 4)
-        for _, cfg in zip(range(5), gen):
-            assert cfg.on_sphere
-
     def test_stream_resumes_where_the_last_chunk_stopped(self):
-        # the chain keeps the proposals it drew but did not run, so a stream
-        # served in chunks of states is the one thinned chain of a batch
+        # the chain keeps the proposals it drew but did not run, so states
+        # served in chunks are the one thinned chain of a batch
         lw = law(bs.get_density("mixture", 2), 2, 8)
-        n = 3000
-        stream = sample_conditioned(lw, 12, chunk=1000)
-        streamed = np.stack([cfg.values for _, cfg in zip(range(n), stream)])
-        assert np.array_equal(streamed, sample_conditioned_batch(lw, 12, n).reshape(n, -1))
+        chain = _Chain(lw, 12, None, None)
+        streamed = np.concatenate([chain.states(1000) for _ in range(3)])
+        assert np.array_equal(streamed, sample_conditioned_batch(lw, 12, 3000))
+        assert all(bs.ParticleConfiguration(s.reshape(-1), lw.spec).on_sphere for s in streamed)
 
     def test_chain_runs_only_the_proposals_it_needs(self):
         chain = _Chain(law(bs.get_density("mixture", 3), 3, 32), 13, None, None)

@@ -9,13 +9,11 @@ from boltzsphere import _kernels, dsmc
 from boltzsphere.dsmc import (
     CollisionKernel,
     ConditionedInitial,
-    SimulationState,
     UniformInitial,
     equilibrium_crosscheck,
     run,
-    step,
 )
-from boltzsphere.uniform import sample_uniform_batch
+from boltzsphere.uniform import sample_uniform, sample_uniform_batch
 
 
 class TestKernel:
@@ -59,55 +57,51 @@ class TestKernel:
         assert cs.min() >= -1.0 and cs.max() <= cos_max
 
 
+def _uniform_state(d, N, seed):
+    """(velocities, generator): a uniform-law start and the stream that goes on from it."""
+    gen = bs.stream(seed, "dsmc-state")
+    return sample_uniform(bs.SphereSpec.boltzmann(d, N), gen).particles().copy(), gen
+
+
 class TestStep:
-    def test_pair_conservation_identity(self):
-        spec = bs.SphereSpec.boltzmann(3, 6)
-        state = SimulationState.from_uniform(spec, 0)
-        kernel = CollisionKernel.uniform(3)
-        for _ in range(200):
-            v = state.configuration.particles()
-            p0, e0 = v.sum(axis=0).copy(), float(np.sum(v * v))
-            step(state, kernel)
-            v = state.configuration.particles()
-            assert np.max(np.abs(v.sum(axis=0) - p0)) <= 1e-14 * math.sqrt(e0) + 1e-14
-            assert abs(float(np.sum(v * v)) - e0) <= 1e-14 * e0
+    """Single collision events through the chunked path's draws and kernel."""
 
     def test_identity_collision_when_sigma_is_relative_direction(self):
-        spec = bs.SphereSpec.boltzmann(2, 4)
-        state = SimulationState.from_uniform(spec, 1)
-        v = state.configuration.particles()
-        vi, vj = v[0].copy(), v[1].copy()
-        sigma = (vi - vj) / np.linalg.norm(vi - vj)
-        center = 0.5 * (vi + vj)
-        half = 0.5 * np.linalg.norm(vi - vj)
-        assert np.allclose(center + half * sigma, vi, atol=1e-14)
-        assert np.allclose(center - half * sigma, vj, atol=1e-14)
+        v, _ = _uniform_state(2, 4, 1)
+        v0 = v.copy()
+        sigma = (v[0] - v[1]) / np.linalg.norm(v[0] - v[1])
+        out = _kernels.default_kernels().dsmc_advance(
+            v, 0.0, math.inf, 1.0, np.ones(1), np.array([0]), np.array([1]), sigma[None, :]
+        )
+        assert out[1:] == (1, 1)
+        assert np.allclose(v, v0, rtol=0.0, atol=1e-14)
 
     def test_deflection_cosines_follow_angular_law(self):
         kernel = CollisionKernel.truncated_singular(3, nu=0.3, cos_max=0.8, beta=4.0)
-        state = SimulationState.from_uniform(bs.SphereSpec.boltzmann(3, 6), 14)
+        N, n = 6, 2000
+        v, gen = _uniform_state(3, N, 14)
+        dts, ii, jj, sigmas, cos = dsmc._draw_events(gen, kernel, n, N, 0.0, math.inf)
+        advance = _kernels.default_kernels().dsmc_advance
         cosines = []
-        for _ in range(2000):
-            v0 = state.configuration.particles().copy()
-            step(state, kernel)
-            i, j = np.flatnonzero(np.any(state.configuration.particles() != v0, axis=1))
-            rel0 = v0[i] - v0[j]
-            rel1 = state.configuration.particles()[i] - state.configuration.particles()[j]
+        for e in range(n):
+            rel0 = v[ii[e]] - v[jj[e]]
+            ev = slice(e, e + 1)
+            advance(v, 0.0, math.inf, kernel.rate(N), dts[ev], ii[ev], jj[ev], sigmas[ev], cos[ev])
+            rel1 = v[ii[e]] - v[jj[e]]
             cosines.append(rel1 @ rel0 / (rel0 @ rel0))
-        want = kernel.costheta_sampler(np.random.default_rng(15), 2000)
+        want = kernel.costheta_sampler(np.random.default_rng(15), n)
         assert stats.ks_2samp(cosines, want).pvalue > 0.01
 
     def test_poisson_clock_rate(self):
         kernel = CollisionKernel.uniform(2)
         N, horizon = 6, 0.4
+        advance = _kernels.default_kernels().dsmc_advance
         counts = []
         for seed in range(1000):
-            state = SimulationState.from_uniform(bs.SphereSpec.boltzmann(2, N), seed)
-            while True:
-                step(state, kernel)
-                if state.time > horizon:
-                    counts.append(state.collision_count - 1)
-                    break
+            v, gen = _uniform_state(2, N, seed)
+            events = dsmc._draw_events(gen, kernel, dsmc._EVENT_CHUNK, N, 0.0, horizon)
+            _, _, k = advance(v, 0.0, horizon, kernel.rate(N), *events)
+            counts.append(k)
         want = horizon * kernel.rate(N)
         stderr = np.std(counts) / math.sqrt(len(counts))
         assert abs(np.mean(counts) - want) <= 3.0 * stderr
@@ -211,32 +205,6 @@ class TestEquilibriumCrosscheck:
     def test_sample_floor(self):
         with pytest.raises(bs.CapacityError):
             equilibrium_crosscheck(16, 2, np.zeros(100))
-
-
-class TestSnapshot:
-    def test_binary_restart_round_trip(self):
-        state = SimulationState.from_uniform(bs.SphereSpec.boltzmann(2, 8), 3)
-        kernel = CollisionKernel.uniform(2)
-        for _ in range(25):
-            step(state, kernel)
-        restored = SimulationState.from_bytes(state.to_bytes())
-        assert restored.time == state.time
-        assert restored.collision_count == state.collision_count
-        for _ in range(25):
-            step(state, kernel)
-            step(restored, kernel)
-        assert np.array_equal(restored.configuration.values, state.configuration.values)
-
-    @pytest.mark.parametrize("blob", [b"abc", b"", bytes(40)], ids=["short", "empty", "zeros"])
-    def test_malformed_blob_is_a_parameter_error(self, blob):
-        with pytest.raises(bs.ParameterError, match="malformed simulation snapshot"):
-            SimulationState.from_bytes(blob)
-
-    def test_negative_dimension_in_the_header_is_a_parameter_error(self):
-        blob = SimulationState.from_uniform(bs.SphereSpec.boltzmann(2, 8), 3).to_bytes()
-        bad = np.array([-1, 8], dtype=np.int64).tobytes() + blob[16:]
-        with pytest.raises(bs.ParameterError, match="malformed simulation snapshot"):
-            SimulationState.from_bytes(bad)
 
 
 class TestConservationDrift:

@@ -116,7 +116,7 @@ def test_spectral_subcommands_leave_no_grid_alive(fresh, tmp_path, capsys):
     [
         (lambda lw: conditioned_marginal_density(lw, 1, np.array([[0.1], [0.5]])), [15, 16]),
         (lambda lw: lw.log_zprime(16, lw.spec.r, 0.0), [16]),
-        (lambda lw: lifted.log_z_prime_exact(UNIF, 16, lw.spec.r, shape=SHAPE), [16]),
+        (lambda lw: lifted.lifted_grid(UNIF, 16, shape=SHAPE).log_z_prime(lw.spec.r, 0.0), [16]),
     ],
     ids=["conditioned_marginal_density", "log_zprime", "log_z_prime_exact"],
 )
