@@ -243,18 +243,6 @@ def triple_chain(
     return out_count, accepted, len(log_us)
 
 
-def _event_clock(t0, t_target, rate, dts):
-    """(time, events consumed, collisions applied) of a walk from t0 that
-    takes the waits dts / rate in order and stops at t_target."""
-    # cumsum adds in order, so ts[k + 1] is the clock after event k exactly
-    ts = np.cumsum(np.concatenate(([t0], dts / rate)))
-    late = np.flatnonzero(ts[1:] > t_target)
-    if late.size:
-        k = int(late[0])
-        return t_target, k + 1, k
-    return float(ts[-1]), len(dts), len(dts)
-
-
 def dsmc_advance(v, t0, t_target, rate, dts, ii, jj, sigmas, cosines=None):
     """Event-driven binary collisions until t_target or draws run out.
 
@@ -263,11 +251,18 @@ def dsmc_advance(v, t0, t_target, rate, dts, ii, jj, sigmas, cosines=None):
     the post-collisional pair, conserving momentum and energy exactly.
     The scattering direction is the drawn unit vector itself, or, when
     deflection cosines are given, the direction with that cosine to the
-    relative velocity whose azimuth the unit vector sets.  ii, jj, sigmas
-    and cosines need only cover the collisions applied.
+    relative velocity whose azimuth the unit vector sets.
     Returns (time, events consumed, collisions applied).
     """
-    t, used, k = _event_clock(t0, t_target, rate, dts)
+    # cumsum adds in order, so ts[k + 1] is the clock after event k exactly
+    ts = np.cumsum(np.concatenate(([t0], dts / rate)))
+    late = np.flatnonzero(ts[1:] > t_target)
+    if late.size:
+        k = int(late[0])
+        t, used = t_target, k + 1
+    else:
+        k = used = len(dts)
+        t = float(ts[-1])
     if k:
         _collide_in_waves(
             v, ii[:k], jj[:k], sigmas[:k], None if cosines is None else cosines[:k]
@@ -388,12 +383,10 @@ def default_kernels() -> SimpleNamespace:
     return _DEFAULT
 
 
-def draw_pair_indices(rng: np.random.Generator, n_steps: int, N: int, keep: int = None) -> tuple:
-    """Uniform distinct (i, j); the shift trick keeps consumption fixed.
-    All n_steps pairs are drawn, and the first `keep` (all by default) are
-    shifted and returned."""
-    i = rng.integers(0, N, size=n_steps)[:keep]
-    j = rng.integers(0, N - 1, size=n_steps)[:keep]
+def draw_pair_indices(rng: np.random.Generator, n_steps: int, N: int) -> tuple:
+    """Uniform distinct (i, j); the shift trick keeps consumption fixed."""
+    i = rng.integers(0, N, size=n_steps)
+    j = rng.integers(0, N - 1, size=n_steps)
     j = np.where(j >= i, j + 1, j)
     return i.astype(np.int64), j.astype(np.int64)
 
@@ -410,10 +403,9 @@ def draw_triple_indices(rng: np.random.Generator, n_steps: int, N: int) -> tuple
     return i.astype(np.int64), j.astype(np.int64), k.astype(np.int64)
 
 
-def draw_unit_vectors(rng: np.random.Generator, n_steps: int, d: int, keep: int = None) -> np.ndarray:
-    """n_steps Gaussian draws, of which the first `keep` (all by default)
-    are normalised and returned."""
-    g = rng.normal(size=(n_steps, d))[:keep]
+def draw_unit_vectors(rng: np.random.Generator, n_steps: int, d: int) -> np.ndarray:
+    """n_steps normalised Gaussian draws."""
+    g = rng.normal(size=(n_steps, d))
     norms = np.linalg.norm(g, axis=1)
     norms[norms == 0.0] = 1.0
     return g / norms[:, None]

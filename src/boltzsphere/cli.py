@@ -61,6 +61,7 @@ EXIT_RUNTIME = 5
 _DEFAULT_SEED = 20240901
 # the grid pipeline and the Berry-Esseen lattice are built for d = 1
 _D1_EXPERIMENTS = ("zprime", "berry-esseen", "w1-rate", "entropy-rate", "uniform-marginal")
+_RATE_EXPERIMENTS = ("l1-gap", "berry-esseen", "w1-rate", "entropy-rate")  # plot a rate in N
 _TOLERANCE_PROFILES = ("strict", "default")
 _DRIFT_EVENTS = 1_000_000
 # a pointwise-cancelling ipp-check integrand may be this many units of
@@ -170,6 +171,8 @@ def _load_config(args, experiment: str, defaults: dict) -> ExperimentConfig:
             raise ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)}")
     if cfg.experiment in _D1_EXPERIMENTS and cfg.d != 1:
         raise ConfigError(f"{cfg.experiment} runs at d = 1 only, got d = {cfg.d}")
+    if cfg.experiment in _RATE_EXPERIMENTS and len(cfg.n_list) < 2:
+        raise ConfigError(f"{cfg.experiment} needs at least two values of N to plot a rate")
     if not (cfg.t_end > 0.0 and math.isfinite(cfg.t_end)):
         raise ConfigError(f"t_end must be positive and finite, got {cfg.t_end}")
     if min(cfg.grid_shape) <= 0:
@@ -320,13 +323,14 @@ def cmd_berry_esseen(args) -> int:
     sups = _map_grid_builds(lambda N: berry_esseen_sup(g, N, n_cells=cfg.be_cells), cfg.n_list)
     rows = [(N, sup, 0.0) for N, sup in zip(cfg.n_list, sups)]
     checks = []
-    rep = fit_loglog(rows)
     if cfg.density == "gaussian":
         # the Gaussian's N-fold power is Gaussian: the gap is lattice error
-        # only, with no C/sqrt(N) decay to check
+        # only, with no C/sqrt(N) decay to check or fit
+        rep = None
         worst = max(sups)
         checks.append((f"sup gap {worst:.2e} <= 1e-6 (Gaussian fixed point)", worst <= 1e-6))
     else:
+        rep = fit_loglog(rows)
         base = [v for n, v, _ in rows if n == 2]
         if base:
             c = base[0] * math.sqrt(2.0)
@@ -336,17 +340,15 @@ def cmd_berry_esseen(args) -> int:
         checks.append((f"fitted slope {rep.slope:.3f} <= -0.45", rep.slope <= -0.45))
     code = _print_checks(checks)
     _emit(cfg, "berry-esseen", ("N", "sup_gap", "stderr"), rows, "sup-norm density gap",
-          {"passed": code == EXIT_OK, "fit": rep.to_dict()})
+          {"passed": code == EXIT_OK, "fit": None if rep is None else rep.to_dict()})
     svg_line_plot(os.path.join(cfg.out, "berry-esseen.svg"),
                   [r[0] for r in rows], [r[1] for r in rows],
-                  "Local CLT sup-norm gap", fit=(rep.slope, rep.intercept))
+                  "Local CLT sup-norm gap", fit=None if rep is None else (rep.slope, rep.intercept))
     return code
 
 
 def cmd_w1_rate(args) -> int:
     cfg = _load_config(args, "w1-rate", {"n_list": (8, 16, 32, 64, 128, 256, 512)})
-    if len(cfg.n_list) < 2:
-        raise ConfigError("w1-rate needs at least two values of N to fit a slope")
     f = get_density(cfg.density, 1)
     rep = w1_rate_experiment(f, cfg.n_list, grid_shape=cfg.grid_shape)
     # the paper's bound W1 <= C/sqrt(N), C calibrated at the first N; a

@@ -23,7 +23,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from . import rng as rngmod
-from ._kernels import _event_clock, default_kernels, draw_pair_indices, draw_unit_vectors
+from ._kernels import default_kernels, draw_pair_indices, draw_unit_vectors
 from .errors import CapacityError, ParameterError
 from .geometry import SphereSpec
 from .metrics import EmpiricalMeasure, relative_entropy_vs_gaussian
@@ -106,30 +106,32 @@ class CollisionKernel:
         return N / ((N - 1) * self.beta)
 
 
-def _draw_events(
-    gen: np.random.Generator, kernel: CollisionKernel, n: int, N: int, t: float, t_target: float
-) -> tuple:
-    """dsmc_advance's draws for n events from clock t: exponential waits,
-    pairs, unit vectors and, for a non-uniform angular law, deflection
-    cosines.  Every array is drawn in full and in this order, so the stream
-    does not depend on t_target.  The pair shift and the normalisation run
-    only on the events before the clock passes t_target, the ones
-    dsmc_advance applies; a short interval uses a few hundred of a chunk."""
+def _draw_events(gen: np.random.Generator, kernel: CollisionKernel, n: int, N: int) -> tuple:
+    """dsmc_advance's draws for n events: exponential waits, pairs, unit
+    vectors and, for a non-uniform angular law, deflection cosines, each
+    array drawn in full and in this order."""
     dts = -np.log(gen.random(n))
-    k = _event_clock(t, t_target, kernel.rate(N), dts)[2]
-    ii, jj = draw_pair_indices(gen, n, N, keep=k)
-    sigmas = draw_unit_vectors(gen, n, kernel.d, keep=k)
+    ii, jj = draw_pair_indices(gen, n, N)
+    sigmas = draw_unit_vectors(gen, n, kernel.d)
     cosines = None if kernel.costheta_sampler is None else kernel.costheta_sampler(gen, n)
     return dts, ii, jj, sigmas, cosines
 
 
 def _advance(v, t, t_target, kernel: CollisionKernel, gen):
-    """Apply collision events in chunks until master time t_target; returns
-    the new clock."""
+    """Apply collision events until master time t_target; returns the new
+    clock.
+
+    Each chunk draws 1.25 times the events the rest of the interval expects,
+    plus 64, capped at _EVENT_CHUNK, so the stream depends on t_target.  A
+    chunk that runs out before t_target is followed by another, which is
+    exact: the waits are memoryless, and the clock goes on from the last
+    applied event."""
     N = v.shape[0]
     rate = kernel.rate(N)
     while t < t_target:
-        events = _draw_events(gen, kernel, _EVENT_CHUNK, N, t, t_target)
+        # min before int: an infinite target never reaches int()
+        n = int(min(_EVENT_CHUNK, 1.25 * (t_target - t) * rate + 64))
+        events = _draw_events(gen, kernel, n, N)
         t, _, _ = default_kernels().dsmc_advance(v, t, t_target, rate, *events)
     return t
 

@@ -69,6 +69,21 @@ class TestConfigHandling:
         code = run_cli(["w1-rate", "--n-list", "8", "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [
+        ["berry-esseen", "--n-list", "2"],
+        ["berry-esseen", "--n-list", "2", "--density", "gaussian"],
+        ["berry-esseen", "--n-list", "2", "--density", "mixture"],
+        ["entropy-rate", "--n-list", "16", "--grid-shape", "512x512"],
+        ["l1-gap", "--n-list", "10"],
+    ])
+    def test_rate_experiment_single_n_is_config_error(self, tmp_path, capsys, argv):
+        # one N has no rate to plot; the check runs before any grid or lattice
+        assert run_cli(argv + ["--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: {argv[0]} needs at least two values of N to plot a rate\n"
+        )
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv, config", [
         (["zprime", "--grid-shape", "0x0"], ""),
         (["zprime", "--grid-shape", "512x-4"], ""),
@@ -220,6 +235,8 @@ class TestSmallExperiments:
         # the Gaussian's gap is lattice error only, so it has no decay to fit
         argv = ["berry-esseen", "--n-list", "2,4", "--density", "gaussian", "--out", str(tmp_path)]
         assert run_cli(argv) == 0
+        assert json.loads(read(tmp_path / "berry-esseen.json"))["fit"] is None
+        assert b"<line" not in read(tmp_path / "berry-esseen.svg")
 
     def test_ipp_small(self, tmp_path):
         code = run_cli(["ipp-check", "--samples", "4000", "--out", str(tmp_path)])

@@ -6,6 +6,7 @@ from scipy import stats
 
 import boltzsphere as bs
 from boltzsphere import _kernels, dsmc
+from boltzsphere.cli import _uniform_m4
 from boltzsphere.dsmc import (
     CollisionKernel,
     ConditionedInitial,
@@ -80,7 +81,7 @@ class TestStep:
         kernel = CollisionKernel.truncated_singular(3, nu=0.3, cos_max=0.8, beta=4.0)
         N, n = 6, 2000
         v, gen = _uniform_state(3, N, 14)
-        dts, ii, jj, sigmas, cos = dsmc._draw_events(gen, kernel, n, N, 0.0, math.inf)
+        dts, ii, jj, sigmas, cos = dsmc._draw_events(gen, kernel, n, N)
         advance = _kernels.default_kernels().dsmc_advance
         cosines = []
         for e in range(n):
@@ -99,7 +100,7 @@ class TestStep:
         counts = []
         for seed in range(1000):
             v, gen = _uniform_state(2, N, seed)
-            events = dsmc._draw_events(gen, kernel, dsmc._EVENT_CHUNK, N, 0.0, horizon)
+            events = dsmc._draw_events(gen, kernel, dsmc._EVENT_CHUNK, N)
             _, _, k = advance(v, 0.0, horizon, kernel.rate(N), *events)
             counts.append(k)
         want = horizon * kernel.rate(N)
@@ -223,12 +224,13 @@ class TestConservationDrift:
 
 
 def _advance_drawing_in_full(v, t, t_target, kernel, gen):
-    """`_advance` as it was before the prefix derivation: every chunk's
-    pairs are shifted and every unit vector normalised."""
+    """`_advance` written out: each chunk is sized to 1.25 times the events
+    the rest of the interval expects plus 64, capped at `_EVENT_CHUNK`, and
+    drawn in full; every pair is shifted and every unit vector normalised."""
     N, d = v.shape
     rate = kernel.rate(N)
     while t < t_target:
-        n = dsmc._EVENT_CHUNK
+        n = int(min(dsmc._EVENT_CHUNK, 1.25 * (t_target - t) * rate + 64))
         dts = -np.log(gen.random(n))
         i = gen.integers(0, N, size=n)
         j = gen.integers(0, N - 1, size=n)
@@ -248,8 +250,9 @@ def _advance_drawing_in_full(v, t, t_target, kernel, gen):
 @pytest.mark.parametrize("law", ["uniform", "truncated"])
 @pytest.mark.parametrize("events", [[40, 300, 1_000], [50_000, 20]], ids=["short", "long"])
 def test_advance_matches_the_full_draw_path(d, law, events):
-    # the replicas' intervals use a few hundred events of a chunk; the long
-    # target runs over two chunks
+    # the replicas' intervals need a few hundred events; the long target
+    # runs over a capped chunk and a sized one; the generator state check
+    # pins the sizing rule
     kernel = (
         CollisionKernel.uniform(d)
         if law == "uniform"
@@ -268,3 +271,84 @@ def test_advance_matches_the_full_draw_path(d, law, events):
         assert got_t == want_t
         assert got_v.tobytes() == want_v.tobytes()
         assert got_gen.bit_generator.state == want_gen.bit_generator.state
+
+
+class AnisotropicStart:
+    """Picklable fixed start on the Boltzmann sphere, stretched along the
+    first axis: zero momentum and energy dN exactly, whatever the stream."""
+
+    def __init__(self, d, N):
+        v = np.random.default_rng(3).normal(size=(N, d)) * np.linspace(2.0, 0.3, d)
+        v -= v.mean(axis=0)
+        self.v = v * math.sqrt(d * N / np.sum(v * v))
+
+    def __call__(self, gen):
+        return self.v.copy()
+
+
+def q11(v):
+    """The (1, 1) entry of Q = sum_i v_i v_i^T - N I."""
+    return float(np.sum(v[:, 0] ** 2) - v.shape[0])
+
+
+def _degree4_generator(d, N):
+    """Rows of G for (A, B) with A = sum |v_i|^4 and B = |sum v_i v_i^T|_F^2:
+    d(A, B)/dtau = G (A, B, 1), tau in mean free times, for Maxwell molecules
+    with a uniform scattering direction."""
+    a, b = (d + 1) / (2 * d), (d - 1) / (2 * d)
+    dN2 = (d * N) ** 2
+    return np.array([
+        [a * (N - 2) + 1 / d - (N - 1), -1 / d, a * dN2],
+        [b * N, 2 * b - N, d * N ** 3 + b * dN2],
+    ]) / (N - 1)
+
+
+def _predicted_m4(v0, taus):
+    """E[mean |v_i|^4 at tau | v0] = (exp(tau G) (A0, B0, 1))[0] / N, from the
+    fixed point of G's 2x2 block and that block's eigendecomposition."""
+    N, d = v0.shape
+    G = _degree4_generator(d, N)
+    H, c = G[:, :2], G[:, 2]
+    fixed = np.linalg.solve(H, -c)
+    S = v0.T @ v0
+    x0 = np.array([np.sum(np.sum(v0 * v0, axis=1) ** 2), np.sum(S * S)])
+    lam, U = np.linalg.eig(H)
+    coef = np.linalg.solve(U, x0 - fixed)
+    A = fixed[0] + (U[0] * coef * np.exp(np.outer(taus, lam))).sum(axis=1)
+    return np.real(A) / N
+
+
+class TestMomentOracle:
+    """The run's time evolution against the exact finite-N moment ODEs:
+    a collision maps the polynomials of each degree to the same degree."""
+
+    d, N = 3, 8
+
+    @pytest.mark.parametrize("N", [8, 32, 256])
+    def test_fixed_point_is_the_uniform_m4(self, N):
+        G = _degree4_generator(3, N)
+        A, _ = np.linalg.solve(G[:, :2], -G[:, 2])
+        assert A / N == pytest.approx(_uniform_m4(3, N), rel=1e-15)
+
+    @pytest.fixture(scope="class")
+    def curves(self):
+        start = AnisotropicStart(self.d, self.N)
+        res = run(start, CollisionKernel.uniform(self.d), t_end=4.0, n_replicas=400,
+                  observables=("m4", q11), seed=20240901, n_times=9)
+        return start.v, res
+
+    def test_m4_follows_the_degree4_closed_form(self, curves):
+        v0, res = curves
+        m4, e4 = res.observables["m4"]
+        want = _predicted_m4(v0, res.times)
+        assert m4[0] == pytest.approx(want[0], rel=1e-14)
+        z = np.abs(m4[1:] - want[1:]) / e4[1:]
+        assert np.all(z <= 3.0), z
+
+    def test_q_decays_at_the_degree2_rate(self, curves):
+        v0, res = curves
+        q, eq = res.observables["q11"]
+        want = q11(v0) * np.exp(-self.N * res.times / (2 * (self.N - 1)))
+        assert q[0] == pytest.approx(want[0], rel=1e-14)
+        z = np.abs(q[1:] - want[1:]) / eq[1:]
+        assert np.all(z <= 3.0), z
