@@ -20,7 +20,6 @@ from .errors import (
     SupportError,
 )
 from .geometry import (
-    ParticleConfiguration,
     ScalarField,
     SphereSpec,
     VectorField,
@@ -29,6 +28,7 @@ from .geometry import (
     helmert_matrix,
     ipp_pointwise,
     ipp_residual,
+    on_sphere,
     project_to_sphere,
     sphere_measure,
     surface_divergence,

@@ -29,12 +29,13 @@ pair.  `dsmc_advance` reads the clock off one cumulative sum, then splits
 the events it applies into waves (`_waves`): an event's wave is one past the
 last wave of an earlier event that shares a particle with it.  The events of
 a wave touch disjoint pairs, and every event lands after each earlier event
-it depends on, so applying the waves in turn, each as one batch of numpy
-operations, gives the sequential result; the arithmetic per event is the
-loop's, elementwise in the same order, so the velocities are bit-identical.
-At N = 256 a wave holds about 35 events (the 1,000,000-event drift check of
-`dsmc` runs about 29,000 waves), and the waves take 0.60 to 0.65 of the time
-of a per-event Python loop (2-core VM).
+it depends on, so applying the waves in turn gives the sequential result.
+The events are sorted into wave order once, and each wave is one gather of
+its particles' velocity rows, one batch of numpy operations on the first
+and the second particles' rows, and one scatter back.  The arithmetic per
+event is the loop's, elementwise in the same order, so the velocities are
+bit-identical.  At N = 256 a wave holds about 35 events (the
+1,000,000-event drift check of `dsmc` runs about 29,000 waves).
 
 Density evaluation inside kernels is restricted to the registry families,
 identified by an integer code:
@@ -289,70 +290,46 @@ def _collide_in_waves(v, ii, jj, sigmas, cosines):
     """Apply the events with the result of applying them in order, one
     batch of numpy operations per wave of `_waves` (see the module notes).
 
-    A wave of m events is laid out as the rows of its m first particles and
-    then those of its m second particles, as indices into the flat velocity
-    array, so one gather and one scatter serve it.  The second particle's
-    direction is stored negated, since c + r (-s) is c - r s exactly.
+    The events are sorted into wave order once.  A wave of m events is laid
+    out as the rows of its m first particles, then those of its m second
+    particles, so one row gather and one row scatter serve it.
     """
-    N, d = v.shape
-    k = len(ii)
-    wave = _waves(ii, jj, N)
+    wave = _waves(ii, jj, v.shape[0])
+    order = np.argsort(wave, kind="stable")
+    wave = wave[order]
     sizes = np.bincount(wave)
-    starts = np.concatenate(([0], np.cumsum(sizes)))
-    rank = np.empty(k, dtype=np.int64)
-    rank[np.argsort(wave, kind="stable")] = np.arange(k)
-    # wave w has the row slots from 2 starts[w]; an event's rank in wave
-    # order is starts[w] plus its place in the wave
-    slot_i = starts[wave] + rank
-    slot_j = slot_i + sizes[wave]
-    rows = np.empty(2 * k, dtype=np.int64)
-    rows[slot_i] = ii
-    rows[slot_j] = jj
-    row_starts = rows * d
-    flat = np.empty((2 * k, d), dtype=np.int64)  # indices into v.reshape(-1)
-    for a in range(d):
-        np.add(row_starts, a, out=flat[:, a])
-    flat = flat.ravel()
-    dirs = np.empty((2 * k, d))
-    dirs[slot_i] = sigmas
-    dirs[slot_j] = -sigmas
-    dirs = dirs.ravel()
-    cos = None
-    if cosines is not None:
-        cos = np.empty(k)
-        cos[rank] = cosines
-    work = np.ascontiguousarray(v)
-    vf = work.reshape(-1)
-    spread = {}  # m -> the (2, m, d) layout's event index of each entry
+    starts = np.cumsum(sizes) - sizes
+    # wave w holds the sorted events from starts[w] and the rows from twice
+    # that; an event's first row is starts[w] plus its sorted position, its
+    # second row sizes[w] further on
+    slot = starts[wave] + np.arange(len(wave))
+    idx = np.empty(2 * len(wave), dtype=np.int64)
+    idx[slot] = ii[order]
+    idx[slot + sizes[wave]] = jj[order]
+    sig = sigmas[order]
+    cos = None if cosines is None else cosines[order]
+    d = v.shape[1]
     for e0, m in zip(starts.tolist(), sizes.tolist()):
-        h = m * d
-        lo, hi = 2 * d * e0, 2 * d * e0 + 2 * h
-        idx = flat[lo:hi]
-        p = vf[idx]
-        diff = p[:h] - p[h:]
-        sq = (diff * diff).reshape(m, d)
+        rows = idx[2 * e0 : 2 * (e0 + m)]
+        pq = v[rows]
+        p, q = pq[:m], pq[m:]
+        diff = p - q
+        sq = diff * diff
         rr = sq[:, 0]
         for a in range(1, d):
             rr = rr + sq[:, a]
         r = np.sqrt(rr)
         r *= 0.5
-        s = dirs[lo:hi]
+        s = sig[e0 : e0 + m]
         if cos is not None:
-            for q in np.flatnonzero(rr > 0.0).tolist():
-                a0 = q * d
-                s[a0 : a0 + d] = _deflected(diff[a0 : a0 + d], s[a0 : a0 + d], cos[e0 + q])
-                s[h + a0 : h + a0 + d] = -s[a0 : a0 + d]
-        at = spread.get(m)
-        if at is None:
-            at = spread[m] = np.tile(np.arange(m).repeat(d), 2)
-        new = s * r[at]
-        c = p[:h] + p[h:]
+            for k in np.flatnonzero(rr > 0.0).tolist():
+                s[k] = _deflected(diff[k], s[k], cos[e0 + k])
+        rs = s * r[:, None]
+        c = p + q
         c *= 0.5
-        new[:h] += c
-        new[h:] += c
-        vf[idx] = new
-    if work is not v:
-        v[...] = work
+        np.add(c, rs, out=p)
+        np.subtract(c, rs, out=q)
+        v[rows] = pq
 
 
 def _deflected(rel, g, cos_theta):

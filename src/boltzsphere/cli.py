@@ -36,6 +36,7 @@ from .geometry import (
     helmert_matrix,
     ipp_pointwise,
     ipp_residual,
+    on_sphere,
     project_to_sphere,
     tangent_gradient,
 )
@@ -50,7 +51,7 @@ from .metrics import (
 )
 from .reporting import config_hash, fit_loglog, svg_line_plot, write_csv, write_json
 from .rng import stream
-from .uniform import UniformMarginal, l1_chaos_gap, marginal_density, sample_uniform_batch
+from .uniform import UniformMarginal, l1_chaos_gap, marginal_density, sample_uniform, sample_uniform_batch
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -179,6 +180,8 @@ def _load_config(args, experiment: str, defaults: dict) -> ExperimentConfig:
         raise ConfigError(f"grid_shape sides must be positive, got {cfg.grid_shape}")
     if cfg.grid_shape[0] % 2:
         raise ConfigError(f"grid_shape nz must be even (origin on the lattice), got {cfg.grid_shape}")
+    if cfg.be_cells % 2:
+        raise ConfigError(f"be_cells must be even (origin on the lattice), got {cfg.be_cells}")
     os.makedirs(cfg.out, exist_ok=True)
     return cfg
 
@@ -221,16 +224,16 @@ def cmd_geometry_selftest(args) -> int:
     det_err = max(abs(np.linalg.det(helmert_matrix(n)) - 1.0) for n in range(2, 65))
     checks.append((f"det(M_N)=1 (N<=64) err {det_err:.2e} <= 1e-10", det_err <= 1e-10))
     spec = SphereSpec.boltzmann(2, 8)
-    cfg1 = project_to_sphere(gen.normal(size=16), spec)
-    cfg2 = project_to_sphere(cfg1.values, spec)
-    idem = float(np.max(np.abs(cfg1.values - cfg2.values)))
+    V1 = project_to_sphere(gen.normal(size=16), spec)
+    V2 = project_to_sphere(V1, spec)
+    idem = float(np.max(np.abs(V1 - V2)))
     checks.append((f"projection idempotent {idem:.2e} <= 1e-12", idem <= 1e-12))
-    checks.append(("projection constraints certified", cfg1.on_sphere))
+    checks.append(("projection constraints certified", on_sphere(V1, spec)))
     e0 = np.eye(spec.dim_ambient)[0]
     F = ScalarField(value=lambda V: V[:, 0], grad=lambda V: np.broadcast_to(e0, V.shape))
-    g = tangent_gradient(F, cfg1.values[None, :], spec)[0]
+    g = tangent_gradient(F, V1[None, :], spec)[0]
     orth = max(
-        abs(float(g @ cfg1.values)),
+        abs(float(g @ V1)),
         float(np.max(np.abs(g.reshape(spec.N, spec.d).sum(axis=0)))),
     )
     checks.append((f"tangent gradient orthogonality {orth:.2e} <= 1e-10", orth <= 1e-10))
@@ -420,7 +423,7 @@ def cmd_dsmc(args) -> int:
     from .dsmc import _advance
 
     gen = stream(cfg.seed, "dsmc-drift")
-    v = sample_uniform_batch(SphereSpec.boltzmann(cfg.d, N), 1, gen)[0].reshape(N, cfg.d)
+    v = sample_uniform(SphereSpec.boltzmann(cfg.d, N), gen)
     p0 = v.sum(axis=0).copy()
     e0 = float(np.sum(v * v))
     _advance(v, 0.0, _DRIFT_EVENTS / kernel.rate(N), kernel, gen)

@@ -119,8 +119,7 @@ class _Chain:
         self.code, self.params = density_code(law.f)
         self.gen = rngmod.stream(rng_seed, "conditioned") if isinstance(rng_seed, int) else rng_seed
         self.law = law
-        start = sample_uniform(spec, self.gen)
-        self.v = start.particles().copy()
+        self.v = sample_uniform(spec, self.gen)
         if law.f.name == "uniform":
             # deterministic start inside the box support; the Metropolis
             # penalty rule would otherwise have to walk into it first

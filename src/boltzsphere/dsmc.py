@@ -292,7 +292,7 @@ class UniformInitial:
         from .geometry import SphereSpec
         from .uniform import sample_uniform
 
-        return sample_uniform(SphereSpec.boltzmann(self.d, self.N), gen).particles()
+        return sample_uniform(SphereSpec.boltzmann(self.d, self.N), gen)
 
 
 def equilibrium_crosscheck(N: int, d: int, samples: np.ndarray, alpha: float = 0.01) -> tuple:

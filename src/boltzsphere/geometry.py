@@ -18,8 +18,8 @@ All surface-measure arithmetic is done in log space: the factor
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Union
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln
@@ -28,7 +28,6 @@ from .errors import DegenerateProjectionError, ParameterError
 
 __all__ = [
     "SphereSpec",
-    "ParticleConfiguration",
     "ScalarField",
     "VectorField",
     "log_sphere_surface",
@@ -37,6 +36,7 @@ __all__ = [
     "helmert_forward",
     "helmert_inverse",
     "helmert_matrix",
+    "on_sphere",
     "project_to_sphere",
     "tangent_gradient",
     "surface_divergence",
@@ -96,40 +96,6 @@ class SphereSpec:
         return 1e-9 * self.d * self.N
 
 
-@dataclass
-class ParticleConfiguration:
-    """A point V in R^{dN} together with its sphere spec.
-
-    `values` is the flat array (v_1, ..., v_N) with each v_i in R^d.
-    """
-
-    values: np.ndarray
-    spec: SphereSpec
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).reshape(-1)
-        if v.size != self.spec.dim_ambient:
-            raise ParameterError(
-                f"configuration has {v.size} entries, expected dN={self.spec.dim_ambient}"
-            )
-        self.values = v
-
-    def particles(self) -> np.ndarray:
-        """View shaped (N, d)."""
-        return self.values.reshape(self.spec.N, self.spec.d)
-
-    def momentum_residual(self) -> float:
-        return float(np.linalg.norm(self.particles().sum(axis=0) - self.spec.z))
-
-    def energy_residual(self) -> float:
-        return abs(float(self.values @ self.values) - self.spec.r * self.spec.r)
-
-    @property
-    def on_sphere(self) -> bool:
-        tol = self.spec.constraint_tolerance()
-        return self.momentum_residual() <= tol and self.energy_residual() <= tol
-
-
 @dataclass(frozen=True)
 class ScalarField:
     """Scalar field on R^{dN} given by batch value and gradient callbacks.
@@ -181,19 +147,15 @@ def _split(values: np.ndarray, d: int) -> np.ndarray:
     return np.asarray(values, dtype=float).reshape(-1, d)
 
 
-def helmert_forward(V: Union[ParticleConfiguration, np.ndarray], d: int = None) -> np.ndarray:
+def helmert_forward(V: np.ndarray, d: int) -> np.ndarray:
     """Orthogonal change of variables separating the total momentum.
 
     u_N = N^{-1/2} sum v_i and, for 1 <= k <= N-1,
     u_k = (k(k+1))^{-1/2} (v_1 + ... + v_k - k v_{k+1}),
-    applied componentwise.  The map is an isometry with unit Jacobian.
+    applied componentwise to the particles v_i, the rows of d entries of V.
+    The map is an isometry with unit Jacobian.
     """
-    if isinstance(V, ParticleConfiguration):
-        v, d = V.particles(), V.spec.d
-    else:
-        if d is None:
-            raise ParameterError("pass d when transforming a raw array")
-        v = _split(V, d)
+    v = _split(V, d)
     N = v.shape[0]
     u = np.empty_like(v)
     cs = np.cumsum(v, axis=0)
@@ -233,26 +195,40 @@ def helmert_matrix(N: int) -> np.ndarray:
     return diag[:, None] * A
 
 
-def project_to_sphere(W: np.ndarray, spec: SphereSpec) -> ParticleConfiguration:
+def on_sphere(V: np.ndarray, spec: SphereSpec) -> bool:
+    """Whether V, as N rows of d or one row of dN, has momentum z and
+    squared norm r^2, each to `spec.constraint_tolerance()`."""
+    v = np.asarray(V, dtype=float).reshape(-1)
+    if v.size != spec.dim_ambient:
+        raise ParameterError(f"array holds {v.size} entries, expected dN={spec.dim_ambient}")
+    tol = spec.constraint_tolerance()
+    momentum = float(np.linalg.norm(v.reshape(spec.N, spec.d).sum(axis=0) - spec.z))
+    energy = abs(float(v @ v) - spec.r * spec.r)
+    return momentum <= tol and energy <= tol
+
+
+def project_to_sphere(W: np.ndarray, spec: SphereSpec) -> np.ndarray:
     """Project W in R^{dN} onto S^N_B: remove the per-component mean, rescale.
 
-    Only defined for the centered case z = 0.  Idempotent; raises
-    DegenerateProjectionError when the hyperplane part of W vanishes.
+    Returns the (dN,) row.  Only defined for the centered case z = 0.
+    Idempotent; raises DegenerateProjectionError when the hyperplane part of
+    W vanishes.
     """
-    if float(np.dot(spec.z, spec.z)) > 0.0:
-        raise ParameterError("projection is defined for the centered sphere (z = 0)")
     w = np.asarray(W, dtype=float).reshape(-1)
     if w.size != spec.dim_ambient:
         raise ParameterError(f"array holds {w.size} entries, expected dN={spec.dim_ambient}")
-    return ParticleConfiguration(project_rows(w[None, :], spec)[0], spec)
+    return project_rows(w[None, :], spec)[0]
 
 
 def project_rows(W: np.ndarray, spec: SphereSpec) -> np.ndarray:
     """Projection of an (n, dN) batch onto S^N_B, row by row.
 
-    A row whose hyperplane part is below 1e-13 max(1, |row|) raises
-    DegenerateProjectionError: rescaling it would only blow up rounding.
+    Only defined for the centered case z = 0.  A row whose hyperplane part
+    is below 1e-13 max(1, |row|) raises DegenerateProjectionError: rescaling
+    it would only blow up rounding.
     """
+    if float(np.dot(spec.z, spec.z)) > 0.0:
+        raise ParameterError("projection is defined for the centered sphere (z = 0)")
     W = np.asarray(W, dtype=float)
     w = W.reshape(W.shape[0], spec.N, spec.d)
     centered = (w - w.mean(axis=1, keepdims=True)).reshape(W.shape[0], spec.dim_ambient)

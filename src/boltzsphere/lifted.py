@@ -561,7 +561,9 @@ def berry_esseen_sup(g: BaseDensity, N: int, n_cells: int = 1 << 18) -> float:
     standard Gaussian, for a 1D density standardized to mean 0, variance 1.
 
     Builds g_N(x) = sqrt(N) g*^N(sqrt(N) x) on a lattice via spectral
-    repeated squaring and evaluates the sup over the lattice.
+    repeated squaring and evaluates the sup over the lattice.  n_cells must
+    be even and at least 2, so that a node sits at the origin: on an odd
+    lattice each convolution would shift the result by half a cell.
     """
     if g.d != 1:
         raise ParameterError("the Berry-Esseen pipeline is 1D")
@@ -571,6 +573,8 @@ def berry_esseen_sup(g: BaseDensity, N: int, n_cells: int = 1 << 18) -> float:
         raise ParameterError("needs a CDF for exact cell masses")
     if N < 1:
         raise ParameterError("need N >= 1")
+    if n_cells < 2 or n_cells % 2:
+        raise ParameterError(f"n_cells must be even and at least 2, got {n_cells}")
     vmax = g.tail_radius()
     half = max(12.0 * math.sqrt(N), 1.05 * vmax)
     if g.support_radius is not None:

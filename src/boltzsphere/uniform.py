@@ -23,14 +23,8 @@ from scipy.special import betainc, chdtrc, gammaln
 
 from . import rng as rngmod
 from .densities import gaussian_density
-from .errors import DegenerateProjectionError, ParameterError
-from .geometry import (
-    ParticleConfiguration,
-    SphereSpec,
-    log_sphere_surface,
-    project_rows,
-    project_to_sphere,
-)
+from .errors import ParameterError
+from .geometry import SphereSpec, log_sphere_surface, project_rows
 
 __all__ = [
     "UniformMarginal",
@@ -104,24 +98,18 @@ def marginal_density(m: UniformMarginal, V_ell) -> np.ndarray:
     return val if val.size > 1 else float(val[0])
 
 
-def sample_uniform(spec: SphereSpec, rng_seed) -> ParticleConfiguration:
-    """One exact draw from the uniform law on the centered sphere.
+def sample_uniform(spec: SphereSpec, rng_seed) -> np.ndarray:
+    """One exact draw from the uniform law on the centered sphere, as N rows
+    of d: the one row of `sample_uniform_batch(spec, 1, rng_seed)`."""
+    return sample_uniform_batch(spec, 1, rng_seed)[0].reshape(spec.N, spec.d)
+
+
+def sample_uniform_batch(spec: SphereSpec, n: int, rng_seed) -> np.ndarray:
+    """n uniform-law draws as an (n, dN) array.
 
     An isotropic Gaussian in R^{dN} is rotation invariant inside the momentum
     hyperplane, so projecting it to the sphere gives the uniform law.
     """
-    gen = rngmod.stream(rng_seed, "uniform") if isinstance(rng_seed, int) else rng_seed
-    for _ in range(64):
-        w = gen.normal(size=spec.dim_ambient)
-        try:
-            return project_to_sphere(w, spec)
-        except DegenerateProjectionError:
-            continue
-    raise ParameterError("repeated degenerate Gaussian draws; broken generator state")
-
-
-def sample_uniform_batch(spec: SphereSpec, n: int, rng_seed) -> np.ndarray:
-    """n uniform-law draws as an (n, dN) array."""
     gen = rngmod.stream(rng_seed, "uniform") if isinstance(rng_seed, int) else rng_seed
     w = gen.normal(size=(n, spec.dim_ambient))
     return project_rows(w, spec)

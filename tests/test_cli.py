@@ -110,6 +110,19 @@ class TestConfigHandling:
         assert run_cli(argv + ["--out", str(tmp_path)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("cells", [1001, (1 << 18) + 1])
+    def test_odd_berry_esseen_lattice_exits_3(self, tmp_path, capsys, cells):
+        # an odd lattice has no node at the origin, so every convolution
+        # would shift the result by half a cell
+        cfgfile = tmp_path / "cells.cfg"
+        cfgfile.write_text(f"be_cells = {cells}\n")
+        out = tmp_path / "out"
+        assert run_cli(["berry-esseen", "--config", str(cfgfile), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: be_cells must be even (origin on the lattice), got {cells}\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command", ["w1-rate", "entropy-rate", "zprime", "berry-esseen", "uniform-marginal"]
     )

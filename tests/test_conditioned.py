@@ -75,7 +75,7 @@ class TestSampler:
         chain = _Chain(lw, 12, None, None)
         streamed = np.concatenate([chain.states(1000) for _ in range(3)])
         assert np.array_equal(streamed, sample_conditioned_batch(lw, 12, 3000))
-        assert all(bs.ParticleConfiguration(s.reshape(-1), lw.spec).on_sphere for s in streamed)
+        assert all(bs.on_sphere(s, lw.spec) for s in streamed)
 
     def test_chain_runs_only_the_proposals_it_needs(self):
         chain = _Chain(law(bs.get_density("mixture", 3), 3, 32), 13, None, None)

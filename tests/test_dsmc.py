@@ -61,7 +61,7 @@ class TestKernel:
 def _uniform_state(d, N, seed):
     """(velocities, generator): a uniform-law start and the stream that goes on from it."""
     gen = bs.stream(seed, "dsmc-state")
-    return sample_uniform(bs.SphereSpec.boltzmann(d, N), gen).particles().copy(), gen
+    return sample_uniform(bs.SphereSpec.boltzmann(d, N), gen), gen
 
 
 class TestStep:

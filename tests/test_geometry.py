@@ -12,6 +12,7 @@ from boltzsphere.geometry import (
     ipp_pointwise,
     ipp_residual,
     log_sphere_measure,
+    on_sphere,
     project_rows,
     surface_divergence,
     tangent_basis,
@@ -74,8 +75,8 @@ class TestHelmert:
         # on the collision sphere the last block vanishes and the remaining
         # blocks carry the full squared radius
         spec = boltzmann(3, 9)
-        cfg = sample_uniform(spec, 7)
-        U = bs.helmert_forward(cfg)
+        V = sample_uniform(spec, 7)
+        U = bs.helmert_forward(V, d=spec.d)
         tail = U[-spec.d :]
         assert np.max(np.abs(tail)) <= 1e-12
         head = U[: -spec.d]
@@ -94,25 +95,23 @@ class TestHelmert:
 
 class TestProjection:
     def test_hand_example(self):
-        cfg = bs.project_to_sphere(np.array([2.0, 0.0]), boltzmann(1, 2))
-        assert np.allclose(cfg.values, [1.0, -1.0], atol=1e-15)
+        V = bs.project_to_sphere(np.array([2.0, 0.0]), boltzmann(1, 2))
+        assert np.allclose(V, [1.0, -1.0], atol=1e-15)
 
     def test_idempotent(self):
         spec = boltzmann(2, 5)
         rng = np.random.default_rng(0)
-        cfg = bs.project_to_sphere(rng.normal(size=10), spec)
-        again = bs.project_to_sphere(cfg.values, spec)
-        assert np.max(np.abs(cfg.values - again.values)) <= 1e-13
-        assert cfg.on_sphere
+        V = bs.project_to_sphere(rng.normal(size=10), spec)
+        again = bs.project_to_sphere(V, spec)
+        assert np.max(np.abs(V - again)) <= 1e-13
+        assert on_sphere(V, spec)
 
     def test_constraints_within_tolerance(self):
         spec = boltzmann(3, 40)
         rng = np.random.default_rng(1)
         for _ in range(20):
-            cfg = bs.project_to_sphere(rng.normal(size=120), spec)
-            tol = spec.constraint_tolerance()
-            assert cfg.momentum_residual() <= tol
-            assert cfg.energy_residual() <= tol
+            V = bs.project_to_sphere(rng.normal(size=120), spec)
+            assert on_sphere(V, spec)
 
     def test_degenerate_input_raises(self):
         spec = boltzmann(2, 4)
@@ -145,7 +144,33 @@ class TestProjection:
         W = np.random.default_rng(6).normal(size=(40, 21))
         batch = project_rows(W, spec)
         for w, row in zip(W, batch):
-            assert np.array_equal(bs.project_to_sphere(w, spec).values, row)
+            assert np.array_equal(bs.project_to_sphere(w, spec), row)
+
+    def test_off_centre_sphere_raises_one_at_a_time_and_in_batch(self):
+        # the projection removes the mean, so it can only reach z = 0
+        spec = bs.SphereSpec(d=1, N=4, r=3.0, z=[1.0])
+        with pytest.raises(bs.ParameterError, match="centered sphere"):
+            bs.project_to_sphere(np.arange(4.0), spec)
+        with pytest.raises(bs.ParameterError, match="centered sphere"):
+            project_rows(np.arange(8.0).reshape(2, 4), spec)
+
+    def test_off_centre_sphere_raises_in_both_samplers(self):
+        spec = bs.SphereSpec(d=1, N=4, r=3.0, z=[1.0])
+        with pytest.raises(bs.ParameterError, match="centered sphere"):
+            sample_uniform(spec, 3)
+        with pytest.raises(bs.ParameterError, match="centered sphere"):
+            sample_uniform_batch(spec, 5, 3)
+
+    def test_on_sphere_reads_both_constraints(self):
+        spec = boltzmann(2, 3)
+        V = sample_uniform(spec, 9)
+        assert on_sphere(V, spec) and on_sphere(V.reshape(-1), spec)
+        # a shift breaks the momentum alone (the energy moves by 6e-12), a
+        # scale the energy alone
+        assert not on_sphere(V + 1e-6, spec)
+        assert not on_sphere(1.001 * V, spec)
+        with pytest.raises(bs.ParameterError):
+            on_sphere(V[:2], spec)
 
 
 def _geodesic(V, T, h):
@@ -165,7 +190,7 @@ def _coordinate_field(m):
 class TestTangentCalculus:
     def setup_method(self):
         self.spec = boltzmann(2, 3)
-        self.V = np.vstack([sample_uniform(self.spec, s).values for s in (5, 6, 7, 8)])
+        self.V = np.vstack([sample_uniform(self.spec, s).reshape(-1) for s in (5, 6, 7, 8)])
 
     def test_constant_field_has_zero_gradient(self):
         F = ScalarField(value=lambda V: np.full(len(V), 3.0), grad=lambda V: np.zeros(V.shape))
@@ -252,7 +277,7 @@ class TestTangentCalculus:
 class TestIppResidual:
     def test_trivial_pair_is_exact_zero(self):
         spec = boltzmann(2, 4)
-        samples = np.vstack([sample_uniform(spec, s).values for s in range(4)])
+        samples = np.vstack([sample_uniform(spec, s).reshape(-1) for s in range(4)])
         F = ScalarField(value=lambda V: np.ones(len(V)), grad=lambda V: np.zeros(V.shape))
         Phi = VectorField(value=lambda V: np.zeros(V.shape), jacobian=lambda V: np.zeros((len(V), 8, 8)))
         mean, se = ipp_residual(F, Phi, samples, spec)

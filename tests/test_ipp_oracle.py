@@ -1,8 +1,7 @@
 """The batch integration-by-parts integrand against the per-sample one.
 
 `ref_tangent_gradient`, `ref_surface_divergence` and `ref_ipp_residual` are
-the per-sample definitions that evaluated one `ParticleConfiguration` at a
-time, and `ref_ipp_fields` are the three field pairs of `ipp-check` written
+the per-sample definitions that evaluate one (dN,) row at a time, and `ref_ipp_fields` are the three field pairs of `ipp-check` written
 for them.  The batch form takes its row dot products with `np.vecdot`, the
 same dot as the reference's `@`, but its traces and contractions with
 `einsum` and its exponentials and sines with numpy's ufuncs, so the two
@@ -28,44 +27,41 @@ from boltzsphere.uniform import sample_uniform_batch
 CASES = ((2, 4), (3, 3), (2, 10))
 
 
-def ref_tangent_gradient(grad, V):
-    spec = V.spec
-    g = np.asarray(grad(V.values), dtype=float).reshape(-1)
+def ref_tangent_gradient(grad, V, spec):
+    g = np.asarray(grad(V), dtype=float).reshape(-1)
     gm = g.reshape(spec.N, spec.d)
     gh = (gm - gm.mean(axis=0)).reshape(-1)
-    vv = float(V.values @ V.values)
-    return gh - (float(V.values @ g) / vv) * V.values
+    vv = float(V @ V)
+    return gh - (float(V @ g) / vv) * V
 
 
-def ref_surface_divergence(jacobian, V):
-    spec = V.spec
-    J = np.asarray(jacobian(V.values), dtype=float)
+def ref_surface_divergence(jacobian, V, spec):
+    J = np.asarray(jacobian(V), dtype=float)
     div = float(np.trace(J))
     J4 = J.reshape(spec.N, spec.d, spec.N, spec.d)
     hyper = float(np.einsum("jbib->", J4)) / spec.N
-    vv = float(V.values @ V.values)
-    radial = float((J @ V.values) @ V.values) / vv
+    vv = float(V @ V)
+    radial = float((J @ V) @ V) / vv
     return div - hyper - radial
 
 
-def ref_integrand(pair, samples):
+def ref_integrand(pair, samples, spec):
     (f_value, f_grad), (phi_value, phi_jac) = pair
-    spec = samples[0].spec
     coef = (spec.d * (spec.N - 1) - 1) / (spec.d * spec.N)
     vals = np.empty(len(samples))
-    for k, cfg in enumerate(samples):
-        fv = float(f_value(cfg.values))
-        phi = np.asarray(phi_value(cfg.values), dtype=float).reshape(-1)
+    for k, V in enumerate(samples):
+        fv = float(f_value(V))
+        phi = np.asarray(phi_value(V), dtype=float).reshape(-1)
         vals[k] = (
-            float(ref_tangent_gradient(f_grad, cfg) @ phi)
-            + fv * ref_surface_divergence(phi_jac, cfg)
-            - coef * fv * float(phi @ cfg.values)
+            float(ref_tangent_gradient(f_grad, V, spec) @ phi)
+            + fv * ref_surface_divergence(phi_jac, V, spec)
+            - coef * fv * float(phi @ V)
         )
     return vals
 
 
-def ref_ipp_residual(pair, samples):
-    vals = ref_integrand(pair, samples)
+def ref_ipp_residual(pair, samples, spec):
+    vals = ref_integrand(pair, samples, spec)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(len(samples))) if len(samples) > 1 else 0.0
     return mean, stderr
@@ -106,12 +102,11 @@ def _close(got, want):
 def _check(d, N, n, seed):
     spec = bs.SphereSpec.boltzmann(d, N)
     batch = sample_uniform_batch(spec, n, seed)
-    configs = [bs.ParticleConfiguration(row, spec) for row in batch]
     for (F, Phi, _), pair in zip(_ipp_fields(d, N), ref_ipp_fields(d, N)):
-        want = ref_integrand(pair, configs)
+        want = ref_integrand(pair, batch, spec)
         assert _close(_ipp_integrand(F, Phi, batch, spec), want)
         mean, se = ipp_residual(F, Phi, batch, spec)
-        ref_mean, ref_se = ref_ipp_residual(pair, configs)
+        ref_mean, ref_se = ref_ipp_residual(pair, batch, spec)
         scale = 1e-13 * (1.0 + float(np.max(np.abs(want))))
         assert abs(mean - ref_mean) <= scale
         assert abs(se - ref_se) <= scale

@@ -161,6 +161,16 @@ class TestBerryEsseen:
         with pytest.raises(bs.ParameterError):
             berry_esseen_sup(bs.gaussian_density(1, 4.0), 2)
 
+    @pytest.mark.parametrize("cells", [-2, 0, 1, 1001, (1 << 18) + 1])
+    def test_rejects_odd_or_tiny_lattices(self, cells):
+        # on an odd lattice no node sits at the origin: at N = 64 1001 cells
+        # read 0.174 against 0.0021 at 1000
+        with pytest.raises(bs.ParameterError, match="n_cells must be even"):
+            berry_esseen_sup(UNIF, 64, n_cells=cells)
+
+    def test_smallest_even_lattice_runs(self):
+        assert math.isfinite(berry_esseen_sup(UNIF, 2, n_cells=2))
+
 
 class TestLiftedMoments:
     def test_mass(self):
