@@ -5,23 +5,32 @@ kernels through the `default_kernels()` namespace.  All randomness is drawn
 outside the kernels, so a trajectory is fixed by the stream alone, whatever
 the worker count.
 
-The two chain kernels are plain Python loops on Python floats.  Reading a
-numpy array one element at a time boxes every value into a new numpy
-scalar, and arithmetic on numpy scalars goes through numpy's type dispatch;
-that, not the arithmetic, was most of the cost of a step.  So each chain
-copies `v` to nested lists at entry (`v.tolist()`) and writes it back before
-it returns.  Python floats and float64 are the same IEEE doubles, and the
-loops apply the same operations in the same order (`math.sqrt`, `math.exp`
-and `math.log` on the same values), so every result is bit-identical to
-indexing the arrays directly.  The per-particle log density is built once
-per kernel call (`_log_density`), so its normalising constant is computed
-once, by the same expression, instead of once per particle; each particle's
-value of it is computed at entry and replaced only when a move is accepted,
-so the old state's density is a lookup.  The pre-drawn arrays are turned
-into lists `_BLOCK` entries at a time, not whole: a list of boxed floats
-takes several times the memory of the array, so converting a chunk of draws
-at once would raise the peak memory, and a kernel that stops early would
-convert draws it never uses.
+The two chain kernels are Python loops on Python floats.  Reading a numpy
+array one element at a time boxes every value into a new numpy scalar, and
+arithmetic on numpy scalars goes through numpy's type dispatch; that, not
+the arithmetic, was most of the cost of a step.  So each chain copies `v` to
+nested lists at entry (`v.tolist()`) and writes it back before it returns.
+Python floats and float64 are the same IEEE doubles, and the loops apply the
+same operations in the same order (`math.sqrt`, `math.exp` and `math.log` on
+the same values), so every result is bit-identical to indexing the arrays
+directly.  Each particle's log density is computed at entry and replaced
+only when a move is accepted, so the old state's density is a lookup.  The
+pre-drawn arrays are turned into lists `_BLOCK` entries at a time, not
+whole: a list of boxed floats takes several times the memory of the array,
+so converting a chunk of draws at once would raise the peak memory, and a
+kernel that stops early would convert draws it never uses.
+
+What is left of a step's cost is interpreter overhead, so each loop is
+generated for its (move, density code, d) and compiled on first use
+(`_generated`), the way `dataclasses` builds `__init__`.  A template holds
+one move and its bookkeeping: the pair move for d >= 2, unrolled over the d
+axes, and the triple rotation for d = 1.  Each density code is one list of
+source lines (`_logf_lines`), inlined for every new particle of a proposal,
+and the chains and `_log_density` are both built from those lines, so each
+density's arithmetic is written once; its constants are computed from
+`params` once per call, at entry.  The emission schedule is one counter
+compared with the step of the next state, not a modulo per step.  Nothing is
+compiled at import or by `default_kernels()`.
 
 A Metropolis step reads the state its predecessor left, so the chains stay
 sequential.  A collision event does not: it reads and writes only its own
@@ -45,8 +54,9 @@ identified by an integer code:
     2  symmetric two-component Gaussian mixture, params = (m, 1 - m^2)
 
 The uniform box is handled with a large finite out-of-support penalty
-(1e4 per offending particle) so that chains started from the uniform sphere
-law descend into the support during burn-in and never leave it afterwards.
+(1e4 per coordinate outside the box) so that chains started from the uniform
+sphere law descend into the support during burn-in and never leave it
+afterwards.
 """
 
 from __future__ import annotations
@@ -56,7 +66,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-# The loops are never compiled; perfbench/child.py records this flag and the
+# No loop is compiled to machine code; perfbench/child.py records this flag and the
 # namespace's `jitted` in its run metadata.
 HAVE_NUMBA = False
 
@@ -81,57 +91,247 @@ def density_code(density) -> tuple:
     raise ParameterError(f"no kernel code for density {density.name!r}")
 
 
-def _log_density(code, params, d):
-    """Per-particle log density of a registry code up to the support
-    penalty, as a function of one row of d floats (any indexable); additive
-    constants cancel in Metropolis ratios but are kept for clarity."""
-    if code == 0:
-        s2 = float(params[0])
-        norm = 0.5 * d * math.log(2.0 * math.pi * s2)
+# The chain kernels and the per-particle log density are generated source,
+# compiled on first use and kept in _GENERATED by (kind, code, d).  A
+# template holds the move and the bookkeeping.  The fields {x}, {y}, {a},
+# {b} and {g} take the names x0, x1, ... of the d axes with that letter,
+# "@setup" the density's constants, "@move" the unrolled pair move, and
+# "@logf out names" the lines of the density of the named coordinates, each
+# at the line's indentation.
+# `emit` is the next step that emits a state: the first after step0 that is
+# past burn_in by a multiple of thin.
+_PAIR_TEMPLATE = """\
+def pair_chain(v, params, ii, jj, sigmas, log_us, step0, burn_in, thin, out, out_count0):
+    @setup
+    rows = v.tolist()
+    lf = []
+    for {x} in rows:
+        @logf li {x}
+        lf.append(li)
+    n_out = out.shape[0]
+    out_count = out_count0
+    accepted = 0
+    step = step0
+    emit = burn_in + max(1, (step0 - burn_in) // thin + 1) * thin
+    for start in range(0, len(log_us), _BLOCK):
+        stop = start + _BLOCK
+        for i, j, log_u, {g} in zip(
+            ii[start:stop].tolist(), jj[start:stop].tolist(), log_us[start:stop].tolist(),
+            {sigma_columns}
+        ):
+            {a} = rows[i]
+            {b} = rows[j]
+            # post-collisional velocities on the pair's collision sphere
+            @move
+            @logf li {x}
+            @logf lj {y}
+            if log_u < li + lj - (lf[i] + lf[j]):
+                rows[i] = {x}
+                rows[j] = {y}
+                lf[i] = li
+                lf[j] = lj
+                accepted += 1
+            step += 1
+            if step == emit:
+                out[out_count] = rows
+                out_count += 1
+                if out_count == n_out:
+                    v[...] = rows
+                    return out_count, accepted, step - step0
+                emit += thin
+    v[...] = rows
+    return out_count, accepted, step - step0
+"""
 
-        def logf(w):
-            q = 0.0
-            for x in w:
-                q += x * x
-            return -0.5 * q / s2 - norm
+_TRIPLE_TEMPLATE = """\
+def triple_chain(v, params, ii, jj, kk, angles, log_us, step0, burn_in, thin, out, out_count0):
+    @setup
+    inv_sqrt2 = 1.0 / sqrt(2.0)
+    inv_sqrt6 = 1.0 / sqrt(6.0)
+    x = v[:, 0].tolist()
+    lf = []
+    for x0 in x:
+        @logf l1 x0
+        lf.append(l1)
+    n_out = out.shape[0]
+    out_count = out_count0
+    accepted = 0
+    step = step0
+    emit = burn_in + max(1, (step0 - burn_in) // thin + 1) * thin
+    for start in range(0, len(log_us), _BLOCK):
+        stop = start + _BLOCK
+        for i, j, k, angle, log_u in zip(
+            ii[start:stop].tolist(), jj[start:stop].tolist(), kk[start:stop].tolist(),
+            angles[start:stop].tolist(), log_us[start:stop].tolist(),
+        ):
+            xi = x[i]
+            xj = x[j]
+            xk = x[k]
+            s = xi + xj + xk
+            e = xi * xi + xj * xj + xk * xk
+            c = s / 3.0
+            rho2 = e - s * s / 3.0
+            step += 1
+            if rho2 <= 0.0:
+                # the circle is a point: no move, and no state at this step
+                if step == emit:
+                    emit += thin
+                continue
+            rho = sqrt(rho2)
+            ca = cos(angle)
+            sa = sin(angle)
+            # orthonormal basis of the zero-sum plane in R^3
+            n1 = c + rho * (ca * inv_sqrt2 + sa * inv_sqrt6)
+            n2 = c + rho * (-ca * inv_sqrt2 + sa * inv_sqrt6)
+            n3 = c + rho * (-2.0 * sa * inv_sqrt6)
+            @logf l1 n1
+            @logf l2 n2
+            @logf l3 n3
+            if log_u < l1 + l2 + l3 - (lf[i] + lf[j] + lf[k]):
+                x[i] = n1
+                x[j] = n2
+                x[k] = n3
+                lf[i] = l1
+                lf[j] = l2
+                lf[k] = l3
+                accepted += 1
+            if step == emit:
+                out[out_count, :, 0] = x
+                out_count += 1
+                if out_count == n_out:
+                    v[:, 0] = x
+                    return out_count, accepted, step - step0
+                emit += thin
+    v[:, 0] = x
+    return out_count, accepted, step - step0
+"""
 
-        return logf
-    if code == 1:
-        half = float(params[0])
-        norm = d * math.log(2.0 * half)
+_LOG_DENSITY_TEMPLATE = """\
+def log_density(params):
+    @setup
 
-        def logf(w):
-            viol = 0.0
-            for x in w:
-                if abs(x) > half:
-                    viol += 1.0
-            return -viol * _PENALTY - norm
-
-        return logf
-    m = float(params[0])
-    c1 = float(params[1])
-    norm = -0.5 * (math.log(2.0 * math.pi * c1) + (d - 1) * math.log(2.0 * math.pi))
-    rest_axes = range(1, d)
-
-    def logf(w):
-        qa = (w[0] - m) * (w[0] - m) / c1
-        qb = (w[0] + m) * (w[0] + m) / c1
-        rest = 0.0
-        for a in rest_axes:
-            rest += w[a] * w[a]
-        la = -0.5 * (qa + rest)
-        lb = -0.5 * (qb + rest)
-        hi = la if la > lb else lb
-        return norm + hi + math.log(0.5 * (math.exp(la - hi) + math.exp(lb - hi)))
+    def logf(row):
+        {x} = map(float, row)
+        @logf lw {x}
+        return lw
 
     return logf
+"""
 
 
-def _draws(*arrays):
-    """The arrays' entries side by side as Python objects, converted `_BLOCK`
-    entries at a time."""
-    for b0 in range(0, len(arrays[0]), _BLOCK):
-        yield from zip(*(a[b0 : b0 + _BLOCK].tolist() for a in arrays))
+def _setup_lines(code, d):
+    """Lines that compute a code's constants from `params` at entry."""
+    if code == CODE_GAUSSIAN:
+        return ["s2 = float(params[0])", f"norm = 0.5 * {d} * log(2.0 * pi * s2)"]
+    if code == CODE_UNIFORM:
+        # lbox[n] is the value with n coordinates outside the box
+        return [
+            "half = float(params[0])",
+            f"norm = {d} * log(2.0 * half)",
+            f"lbox = tuple(-float(n) * _PENALTY - norm for n in range({d + 1}))",
+        ]
+    return [
+        "m = float(params[0])",
+        "c1 = float(params[1])",
+        f"norm = -0.5 * (log(2.0 * pi * c1) + {d - 1} * log(2.0 * pi))",
+    ]
+
+
+def _logf_lines(code, xs, out):
+    """Lines that set `out` to the per-particle log density, up to the
+    support penalty, of the coordinates named xs.  Additive constants cancel
+    in Metropolis ratios but are kept for clarity.
+
+    A sum of squares starts at its first square: 0.0 + x * x is x * x for
+    every double, since x * x is never -0.0.  For the mixture, with hi the
+    larger of la and lb, exp(la - hi) + exp(lb - hi) is 1.0 plus the other
+    exponential (exp(0.0) is exactly 1.0, and addition commutes; la and lb
+    are at most 0, so la - la is 0.0 unless both are -inf, which is nan
+    either way).
+    """
+    squares = [f"{x} * {x}" for x in xs]
+    if code == CODE_GAUSSIAN:
+        return [f"{out} = -0.5 * ({' + '.join(squares)}) / s2 - norm"]
+    if code == CODE_UNIFORM:
+        outside = " + ".join(f"(abs({x}) > half)" for x in xs)
+        return [f"{out} = lbox[{outside}]"]
+    return [
+        f"u = {xs[0]} - m",
+        f"w = {xs[0]} + m",
+        f"rest = {' + '.join(squares[1:]) or '0.0'}",
+        "la = -0.5 * (u * u / c1 + rest)",
+        "lb = -0.5 * (w * w / c1 + rest)",
+        "if la > lb:",
+        f"    {out} = norm + la + log(0.5 * (1.0 + exp(lb - la)))",
+        "else:",
+        f"    {out} = norm + lb + log(0.5 * (1.0 + exp(la - lb)))",
+    ]
+
+
+def _pair_move_lines(d):
+    lines = [f"d{a} = a{a} - b{a}" for a in range(d)]
+    lines.append(f"r = 0.5 * sqrt({' + '.join(f'd{a} * d{a}' for a in range(d))})")
+    for a in range(d):
+        lines += [
+            f"c = 0.5 * (a{a} + b{a})",
+            f"t = r * g{a}",
+            f"x{a} = c + t",
+            f"y{a} = c - t",
+        ]
+    return lines
+
+
+_TEMPLATES = {
+    "pair_chain": _PAIR_TEMPLATE,
+    "triple_chain": _TRIPLE_TEMPLATE,
+    "log_density": _LOG_DENSITY_TEMPLATE,
+}
+
+
+def _source(kind, code, d):
+    fields = {p: ", ".join(f"{p}{a}" for a in range(d)) + "," for p in "xyabg"}
+    fields["sigma_columns"] = ", ".join(f"sigmas[start:stop, {a}].tolist()" for a in range(d)) + ","
+    lines = []
+    for line in _TEMPLATES[kind].format(**fields).splitlines():
+        body = line.lstrip()
+        if body == "@setup":
+            block = _setup_lines(code, d)
+        elif body == "@move":
+            block = _pair_move_lines(d)
+        elif body.startswith("@logf "):
+            out, *xs = body[len("@logf "):].replace(",", " ").split()
+            block = _logf_lines(code, xs, out)
+        else:
+            block = [body]
+        pad = line[: len(line) - len(body)]
+        lines += [pad + b for b in block]
+    return "\n".join(lines) + "\n"
+
+
+_GENERATED = {}  # (kind, code, d) -> compiled function
+_NAMESPACE = {
+    "_BLOCK": _BLOCK, "_PENALTY": _PENALTY, "pi": math.pi,
+    "sqrt": math.sqrt, "log": math.log, "exp": math.exp, "cos": math.cos, "sin": math.sin,
+}
+
+
+def _generated(kind, code, d):
+    """The function `kind` ("pair_chain", "triple_chain" or "log_density")
+    for density code `code` in dimension d, compiled on its first request."""
+    key = (kind, code, d)
+    fn = _GENERATED.get(key)
+    if fn is None:
+        namespace = dict(_NAMESPACE)
+        exec(compile(_source(kind, code, d), f"<{kind} code={code} d={d}>", "exec"), namespace)
+        fn = _GENERATED[key] = namespace[kind]
+    return fn
+
+
+def _log_density(code, params, d):
+    """Per-particle log density of a registry code up to the support
+    penalty, as a function of one row of d numbers; the chain kernels inline
+    the same lines."""
+    return _generated("log_density", code, d)(params)
 
 
 def pair_chain(
@@ -144,49 +344,11 @@ def pair_chain(
     `out` is full.  Returns the number of emitted states, the number of
     accepted proposals and the number of proposals consumed.
     """
-    n_out = out.shape[0]
-    if out_count0 >= n_out:
+    if out_count0 >= out.shape[0]:
         return out_count0, 0, 0
-    d = v.shape[1]
-    axes = range(d)
-    logf = _log_density(code, params, d)
-    rows = v.tolist()
-    lf = [logf(row) for row in rows]
-    vi_new = [0.0] * d
-    vj_new = [0.0] * d
-    out_count = out_count0
-    accepted = 0
-    for t, (i, j, sigma, log_u) in enumerate(_draws(ii, jj, sigmas, log_us)):
-        vi = rows[i]
-        vj = rows[j]
-        lf_old = lf[i] + lf[j]
-        # post-collisional velocities on the pair's collision sphere
-        rr = 0.0
-        for a in axes:
-            diff = vi[a] - vj[a]
-            rr += diff * diff
-        r = 0.5 * math.sqrt(rr)
-        for a in axes:
-            c = 0.5 * (vi[a] + vj[a])
-            vi_new[a] = c + r * sigma[a]
-            vj_new[a] = c - r * sigma[a]
-        lfi = logf(vi_new)
-        lfj = logf(vj_new)
-        if log_u < lfi + lfj - lf_old:
-            vi[:] = vi_new
-            vj[:] = vj_new
-            lf[i] = lfi
-            lf[j] = lfj
-            accepted += 1
-        step = step0 + t + 1
-        if step > burn_in and (step - burn_in) % thin == 0:
-            out[out_count] = rows
-            out_count += 1
-            if out_count == n_out:
-                v[...] = rows
-                return out_count, accepted, t + 1
-    v[...] = rows
-    return out_count, accepted, len(log_us)
+    return _generated("pair_chain", code, v.shape[1])(
+        v, params, ii, jj, sigmas, log_us, step0, burn_in, thin, out, out_count0
+    )
 
 
 def triple_chain(
@@ -195,53 +357,11 @@ def triple_chain(
     """Metropolis chain for d = 1: uniform rotations on the circle of a
     particle triple that conserve its momentum and energy.  Stops and
     returns like `pair_chain`."""
-    n_out = out.shape[0]
-    if out_count0 >= n_out:
+    if out_count0 >= out.shape[0]:
         return out_count0, 0, 0
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    inv_sqrt6 = 1.0 / math.sqrt(6.0)
-    logf = _log_density(code, params, 1)
-    x = v[:, 0].tolist()
-    lf = [logf((xi,)) for xi in x]
-    out_count = out_count0
-    accepted = 0
-    for t, (i, j, k, angle, log_u) in enumerate(_draws(ii, jj, kk, angles, log_us)):
-        xi = x[i]
-        xj = x[j]
-        xk = x[k]
-        s = xi + xj + xk
-        e = xi * xi + xj * xj + xk * xk
-        c = s / 3.0
-        rho2 = e - s * s / 3.0
-        if rho2 <= 0.0:
-            continue
-        rho = math.sqrt(rho2)
-        ca = math.cos(angle)
-        sa = math.sin(angle)
-        # orthonormal basis of the zero-sum plane in R^3
-        n1 = c + rho * (ca * inv_sqrt2 + sa * inv_sqrt6)
-        n2 = c + rho * (-ca * inv_sqrt2 + sa * inv_sqrt6)
-        n3 = c + rho * (-2.0 * sa * inv_sqrt6)
-        l1 = logf((n1,))
-        l2 = logf((n2,))
-        l3 = logf((n3,))
-        if log_u < l1 + l2 + l3 - (lf[i] + lf[j] + lf[k]):
-            x[i] = n1
-            x[j] = n2
-            x[k] = n3
-            lf[i] = l1
-            lf[j] = l2
-            lf[k] = l3
-            accepted += 1
-        step = step0 + t + 1
-        if step > burn_in and (step - burn_in) % thin == 0:
-            out[out_count, :, 0] = x
-            out_count += 1
-            if out_count == n_out:
-                v[:, 0] = x
-                return out_count, accepted, t + 1
-    v[:, 0] = x
-    return out_count, accepted, len(log_us)
+    return _generated("triple_chain", code, 1)(
+        v, params, ii, jj, kk, angles, log_us, step0, burn_in, thin, out, out_count0
+    )
 
 
 def dsmc_advance(v, t0, t_target, rate, dts, ii, jj, sigmas, cosines=None):

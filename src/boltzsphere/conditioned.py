@@ -117,7 +117,14 @@ class _Chain:
         if self.thin < 1 or self.burn_in < 0:
             raise ParameterError("need thin >= 1 and burn_in >= 0")
         self.code, self.params = density_code(law.f)
-        self.gen = rngmod.stream(rng_seed, "conditioned") if isinstance(rng_seed, int) else rng_seed
+        if isinstance(rng_seed, (int, np.integer)):
+            self.gen = rngmod.stream(rng_seed, "conditioned")
+        elif isinstance(rng_seed, np.random.Generator):
+            self.gen = rng_seed
+        else:
+            raise ParameterError(
+                f"rng_seed must be an integer seed or a numpy Generator, got {type(rng_seed).__name__}"
+            )
         self.law = law
         self.v = sample_uniform(spec, self.gen)
         if law.f.name == "uniform":
@@ -141,6 +148,8 @@ class _Chain:
     def states(self, n_states: int) -> np.ndarray:
         """The next n_states thinned states.  The kernel stops at the last
         one, and the next call resumes from the proposals it left."""
+        if n_states < 0:
+            raise ParameterError(f"need n_states >= 0 (got {n_states})")
         out = np.empty((n_states, self.N, self.d))
         kernels = default_kernels()
         kernel = kernels.triple_chain if self.d == 1 else kernels.pair_chain

@@ -328,9 +328,20 @@ def _mass_row_spectra(values: np.ndarray, cell: float) -> tuple:
     to zeros, so the half spectrum that is zero except these rows is bit for
     bit the u-transform of the whole pmf.  At the default shape the folded
     raster of the uniform box holds mass on 15 to 113 of its 1025 rows.
+    The rows are scaled and transformed in blocks of about _BLOCK_BYTES,
+    each into its rows of one preallocated array, so no scaled copy of the
+    raster is made; each row's transform is its own, so the block size
+    leaves every bit as it is.
     """
     rows = np.flatnonzero(values.any(axis=1))
-    return rows, np.fft.rfft(values[rows] * cell, axis=1)
+    nu = values.shape[1]
+    spectra = np.empty((rows.size, nu // 2 + 1), dtype=complex)
+    step = max(1, _BLOCK_BYTES // (8 * nu))
+    for a in range(0, rows.size, step):
+        block = values[rows[a : a + step]]
+        block *= cell
+        np.fft.rfft(block, axis=1, out=spectra[a : a + step])
+    return rows, spectra
 
 
 # Columns of the half spectrum go through the z-transforms and the power one

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -68,7 +69,7 @@ class EmpiricalMeasure:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    @property
+    @cached_property
     def uniform(self) -> bool:
         return bool(np.allclose(self.weights, 1.0 / self.n, rtol=0.0, atol=1e-12 / self.n))
 

@@ -91,6 +91,20 @@ class TestSampler:
         b = sample_conditioned_batch(lw, 9, 50)
         assert np.array_equal(a, b)
 
+    def test_numpy_integer_seed_is_the_int_seed(self):
+        lw = law(UNIF, 1, 8)
+        a = sample_conditioned_batch(lw, np.int64(9), 50)
+        assert np.array_equal(a, sample_conditioned_batch(lw, 9, 50))
+
+    @pytest.mark.parametrize("seed", [9.0, "9", None])
+    def test_rejects_a_seed_that_is_neither_integer_nor_generator(self, seed):
+        with pytest.raises(bs.ParameterError, match="rng_seed"):
+            sample_conditioned_batch(law(UNIF, 1, 8), seed, 2)
+
+    def test_negative_state_count_is_a_parameter_error(self):
+        with pytest.raises(bs.ParameterError, match="n_states"):
+            sample_conditioned_batch(law(UNIF, 1, 8), 9, -1)
+
     def test_no_constraint_drift_over_a_million_proposals(self):
         lw = law(bs.get_density("mixture", 2), 2, 16)
         states = sample_conditioned_batch(lw, 10, 62_500, burn_in=0, thin=16)

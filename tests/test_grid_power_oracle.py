@@ -427,3 +427,27 @@ def test_default_build_holds_one_grid_sized_buffer_at_a_time(N):
     finally:
         tracemalloc.stop()
     assert peak < 1.0 * grid_bytes
+
+
+def test_mass_row_spectra_transform_in_blocks_into_one_array():
+    # a raster with mass on 878 of 1025 rows, 14 blocks of 64 rows at the
+    # default block size; the last block is partial
+    rng = np.random.default_rng(18)
+    values = rng.random((1025, 2048))
+    values[::7] = 0.0
+    cell = 0.37
+    want_rows = np.flatnonzero(values.any(axis=1))
+    want = np.fft.rfft(values[want_rows] * cell, axis=1)
+    # bound fixed before the run: the result, one scaled block of rows and
+    # up to three block-sized buffers of its transform; the unblocked
+    # transform held a scaled copy of all 878 rows (14 MiB) besides
+    bound = want.nbytes + 4 * lifted._BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        rows, spectra = lifted._mass_row_spectra(values, cell)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(rows, want_rows)
+    assert spectra.tobytes() == want.tobytes()
+    assert peak <= bound, (peak, bound)

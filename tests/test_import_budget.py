@@ -1,9 +1,11 @@
-"""Cold start: the package imports scipy.special and no other scipy module.
+"""Cold start: the package imports scipy.special and no other scipy module,
+and compiles no chain kernel.
 
 The heavier scipy modules load only inside the functions that use them
 (transport LPs, k-d trees, quadrature, the KS test), so a subcommand that
-needs none of them never pays for their import.  Each check runs in a fresh
-interpreter, because this test process has imported them already.
+needs none of them never pays for their import.  The chain kernels are
+compiled on first use.  Each check runs in a fresh interpreter, because this
+test process has imported those modules and compiled those kernels already.
 """
 
 import json
@@ -12,25 +14,31 @@ import subprocess
 import sys
 
 import boltzsphere
-from boltzsphere import cli
+from boltzsphere import _kernels, cli
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(boltzsphere.__file__)))
 HEAVY = ("scipy.stats", "scipy.optimize", "scipy.spatial", "scipy.integrate", "scipy.sparse")
 
 
+def run_fresh(code: str):
+    """Run `code` in a fresh interpreter that imports boltzsphere from this
+    source tree; the JSON value on its last line of output."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def loaded_scipy_modules(code: str) -> set:
     """The scipy modules in sys.modules after running `code` in a fresh
-    interpreter that imports boltzsphere from this source tree."""
+    interpreter."""
     report = (
         "\nimport json, sys\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy.'))))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", code + report], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return set(run_fresh(code + report))
 
 
 def test_package_import_loads_only_scipy_special():
@@ -54,3 +62,24 @@ def test_w1_rate_leaves_scipy_integrate_unloaded(tmp_path):
     )
     assert (tmp_path / "w1-rate.csv").exists()
     assert "scipy.integrate" not in loaded
+
+
+def test_chain_kernels_compile_on_first_use_and_once():
+    before, keys, reused = run_fresh(
+        "import json\n"
+        "import boltzsphere as bs, boltzsphere.cli\n"
+        "from boltzsphere import _kernels\n"
+        "from boltzsphere.conditioned import ConditionedLaw, sample_conditioned_batch\n"
+        "_kernels.default_kernels()\n"
+        "before = sorted(_kernels._GENERATED)\n"
+        "law = ConditionedLaw(bs.get_density('mixture', 3), bs.SphereSpec.boltzmann(3, 8))\n"
+        "sample_conditioned_batch(law, 1, 2)\n"
+        "first = dict(_kernels._GENERATED)\n"
+        "sample_conditioned_batch(law, 2, 2)\n"
+        "reused = _kernels._GENERATED == first and all(\n"
+        "    _kernels._GENERATED[k] is fn for k, fn in first.items())\n"
+        "print(json.dumps([before, sorted(first), reused]))\n"
+    )
+    assert before == []
+    assert keys == [["pair_chain", _kernels.CODE_MIXTURE, 3]]
+    assert reused

@@ -221,24 +221,37 @@ def _chain_matches_reference(kernel, ref, v0, density, draws, step0, burn_in, th
     return got
 
 
-@pytest.mark.parametrize("density", ["gaussian", "uniform", "mixture"])
-@pytest.mark.parametrize("d", [2, 3])
-def test_pair_chain_matches_reference(d, density):
+# step0 = 5 starts in burn-in; 1003 resumes a chain past it, 3 proposals
+# after its last state ((1003 - 300) % 10 == 3).  No workload runs the pair
+# move at d = 4: it checks the generated kernel on a case no one wrote out.
+DENSITIES = ["gaussian", "uniform", "mixture"]
+STARTS = [(5, ""), (1003, "-resumed")]
+
+
+@pytest.mark.parametrize("d, density, step0", [
+    pytest.param(d, density, step0, id=f"{d}-{density}{suffix}")
+    for step0, suffix in STARTS for d in (2, 3, 4) for density in DENSITIES
+])
+def test_pair_chain_matches_reference(d, density, step0):
     N, n = 10, 2 * BLOCK + 123
     draws = _pair_draws(10 * d, n, N, d)
     got = _chain_matches_reference(
         _kernels.pair_chain, ref_pair_chain, _start(d, N, d), bs.get_density(density, d),
-        draws, step0=5, burn_in=300, thin=N, n_out=n // N + 3, out_count0=2,
+        draws, step0=step0, burn_in=300, thin=N, n_out=n // N + 3, out_count0=2,
     )
     assert got[2] == n and got[0] > 2 + n // (2 * N)  # ran every draw, emitted states
 
 
-@pytest.mark.parametrize("density", ["gaussian", "uniform", "mixture"])
-def test_triple_chain_matches_reference(density):
+@pytest.mark.parametrize("density, step0", [
+    pytest.param(density, step0, id=f"{density}{suffix}")
+    for step0, suffix in STARTS for density in DENSITIES
+])
+def test_triple_chain_matches_reference(density, step0):
     N, n = 10, 2 * BLOCK + 123
     got = _chain_matches_reference(
         _kernels.triple_chain, ref_triple_chain, _start(1, N, 1), bs.get_density(density, 1),
-        _triple_draws(11, n, N), step0=5, burn_in=300, thin=N, n_out=n // N + 3, out_count0=2,
+        _triple_draws(11, n, N), step0=step0, burn_in=300, thin=N, n_out=n // N + 3,
+        out_count0=2,
     )
     assert got[2] == n and got[0] > 2 + n // (2 * N)
 
@@ -352,4 +365,12 @@ def test_log_density_matches_reference(d, density):
     code, params = _kernels.density_code(bs.get_density(density, d))
     logf = _kernels._log_density(code, params, d)
     rows = np.random.default_rng(16).uniform(-2.5, 2.5, size=(50, d))
+    # rows on each branch boundary: w[0] = 0 puts the mixture's two
+    # components level (la == lb), and |x| == half puts a coordinate on the
+    # edge of the box, which is inside
+    half = math.sqrt(3.0)
+    rows[:3, 0] = 0.0
+    rows[3:6] = half
+    rows[6:9] = -half
+    rows[9, 0] = half
     assert [logf(w) for w in rows.tolist()] == [_ref_logf_particle(code, params, w) for w in rows]

@@ -289,3 +289,11 @@ class TestEmpiricalMeasure:
     def test_moment(self):
         m = em([[3.0, 4.0]])
         assert m.moment(2) == pytest.approx(25.0)
+
+    def test_uniform_is_computed_once_per_measure(self, monkeypatch):
+        calls = []
+        allclose = np.allclose
+        monkeypatch.setattr(np, "allclose", lambda *a, **k: calls.append(a) or allclose(*a, **k))
+        even, skewed = em([[0.0], [1.0]]), em([[0.0], [1.0]], np.array([0.25, 0.75]))
+        assert [even.uniform, even.uniform, skewed.uniform, skewed.uniform] == [True, True, False, False]
+        assert len(calls) == 2
