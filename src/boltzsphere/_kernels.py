@@ -32,19 +32,14 @@ density's arithmetic is written once; its constants are computed from
 compared with the step of the next state, not a modulo per step.  Nothing is
 compiled at import or by `default_kernels()`.
 
-A Metropolis step reads the state its predecessor left, so the chains stay
-sequential.  A collision event does not: it reads and writes only its own
-pair.  `dsmc_advance` reads the clock off one cumulative sum, then splits
-the events it applies into waves (`_waves`): an event's wave is one past the
-last wave of an earlier event that shares a particle with it.  The events of
-a wave touch disjoint pairs, and every event lands after each earlier event
-it depends on, so applying the waves in turn gives the sequential result.
-The events are sorted into wave order once, and each wave is one gather of
-its particles' velocity rows, one batch of numpy operations on the first
-and the second particles' rows, and one scatter back.  The arithmetic per
-event is the loop's, elementwise in the same order, so the velocities are
-bit-identical.  At N = 256 a wave holds about 35 events (the
-1,000,000-event drift check of `dsmc` runs about 29,000 waves).
+The collision walk (`dsmc_advance`) reads its clock off one cumulative sum
+of the waiting times and applies the events it reaches in one generated loop
+(`dsmc_collide`), keyed by d and by the angular law.  The loop holds the
+velocities as one list per axis (`v[:, a].tolist()`) and writes each column
+back before it returns.  An event loads both particles, then writes both,
+with the per-event reference arithmetic in the same order, so the
+velocities are bit-identical.  With deflection cosines, an event whose
+relative velocity is not zero rebuilds its direction with `_deflected`.
 
 Density evaluation inside kernels is restricted to the registry families,
 identified by an integer code:
@@ -91,13 +86,14 @@ def density_code(density) -> tuple:
     raise ParameterError(f"no kernel code for density {density.name!r}")
 
 
-# The chain kernels and the per-particle log density are generated source,
-# compiled on first use and kept in _GENERATED by (kind, code, d).  A
-# template holds the move and the bookkeeping.  The fields {x}, {y}, {a},
-# {b} and {g} take the names x0, x1, ... of the d axes with that letter,
-# "@setup" the density's constants, "@move" the unrolled pair move, and
-# "@logf out names" the lines of the density of the named coordinates, each
-# at the line's indentation.
+# The chain kernels, the per-particle log density and the collision event
+# loop are generated source, compiled on first use and kept in _GENERATED by
+# (kind, code, d).  A template holds the move and the bookkeeping.  The
+# fields {x}, {y}, {a}, {b}, {g} and {X} take the names x0, x1, ... of the
+# d axes with that letter, "@setup" the density's constants, "@move" the
+# unrolled pair move, "@collide" the same move on the per-axis lists X0,
+# X1, ..., and "@logf out names" the lines of the density of the named
+# coordinates, each at the line's indentation.
 # `emit` is the next step that emits a state: the first after step0 that is
 # past burn_in by a multiple of thin.
 _PAIR_TEMPLATE = """\
@@ -206,6 +202,23 @@ def triple_chain(v, params, ii, jj, kk, angles, log_us, step0, burn_in, thin, ou
     return out_count, accepted, step - step0
 """
 
+# The event loop's code is True when deflection cosines are given, which
+# adds them to the zipped draws.
+_COLLIDE_TEMPLATE = """\
+def dsmc_collide(v, ii, jj, sigmas, cosines):
+    {X} = {columns}
+    for start in range(0, len(ii), _BLOCK):
+        stop = start + _BLOCK
+        for i, j, {g} {cos_theta} in zip(
+            ii[start:stop].tolist(), jj[start:stop].tolist(), {sigma_columns} {cos_column}
+        ):
+            {a} = {Xi}
+            {b} = {Xj}
+            @collide
+    for a, column in enumerate(({X})):
+        v[:, a] = column
+"""
+
 _LOG_DENSITY_TEMPLATE = """\
 def log_density(params):
     @setup
@@ -268,15 +281,30 @@ def _logf_lines(code, xs, out):
     ]
 
 
-def _pair_move_lines(d):
+def _pair_move_lines(d, new_i, new_j, deflect=False):
+    """Lines that set new_i and new_j, patterns in the axis {a}, to the
+    post-collisional velocities of a and b along the unit vector g.  With
+    `deflect`, g is first turned to the direction with cosine cos_theta to
+    a nonzero relative velocity (`_deflected`)."""
     lines = [f"d{a} = a{a} - b{a}" for a in range(d)]
-    lines.append(f"r = 0.5 * sqrt({' + '.join(f'd{a} * d{a}' for a in range(d))})")
+    squares = " + ".join(f"d{a} * d{a}" for a in range(d))
+    if deflect:
+        gs = ", ".join(f"g{a}" for a in range(d)) + ","
+        ds = ", ".join(f"d{a}" for a in range(d)) + ","
+        lines += [
+            f"rr = {squares}",
+            "if rr > 0.0:",
+            f"    {gs} = _deflected(array(({ds})), array(({gs})), cos_theta).tolist()",
+            "r = 0.5 * sqrt(rr)",
+        ]
+    else:
+        lines.append(f"r = 0.5 * sqrt({squares})")
     for a in range(d):
         lines += [
             f"c = 0.5 * (a{a} + b{a})",
             f"t = r * g{a}",
-            f"x{a} = c + t",
-            f"y{a} = c - t",
+            f"{new_i.format(a=a)} = c + t",
+            f"{new_j.format(a=a)} = c - t",
         ]
     return lines
 
@@ -285,19 +313,30 @@ _TEMPLATES = {
     "pair_chain": _PAIR_TEMPLATE,
     "triple_chain": _TRIPLE_TEMPLATE,
     "log_density": _LOG_DENSITY_TEMPLATE,
+    "dsmc_collide": _COLLIDE_TEMPLATE,
 }
 
 
 def _source(kind, code, d):
-    fields = {p: ", ".join(f"{p}{a}" for a in range(d)) + "," for p in "xyabg"}
-    fields["sigma_columns"] = ", ".join(f"sigmas[start:stop, {a}].tolist()" for a in range(d)) + ","
+    def names(pattern):
+        return ", ".join(pattern.format(a=a) for a in range(d)) + ","
+
+    fields = {p: names(p + "{a}") for p in "xyabgX"}
+    fields["sigma_columns"] = names("sigmas[start:stop, {a}].tolist()")
+    fields["columns"] = names("v[:, {a}].tolist()")
+    fields["Xi"], fields["Xj"] = names("X{a}[i]"), names("X{a}[j]")
+    deflect = kind == "dsmc_collide" and code
+    fields["cos_theta"] = "cos_theta," if deflect else ""
+    fields["cos_column"] = "cosines[start:stop].tolist()," if deflect else ""
     lines = []
     for line in _TEMPLATES[kind].format(**fields).splitlines():
         body = line.lstrip()
         if body == "@setup":
             block = _setup_lines(code, d)
         elif body == "@move":
-            block = _pair_move_lines(d)
+            block = _pair_move_lines(d, "x{a}", "y{a}")
+        elif body == "@collide":
+            block = _pair_move_lines(d, "X{a}[i]", "X{a}[j]", deflect)
         elif body.startswith("@logf "):
             out, *xs = body[len("@logf "):].replace(",", " ").split()
             block = _logf_lines(code, xs, out)
@@ -308,21 +347,43 @@ def _source(kind, code, d):
     return "\n".join(lines) + "\n"
 
 
+def _deflected(rel, g, cos_theta):
+    """c k + sqrt(1 - c^2) w for k = rel / |rel| and w the unit vector g
+    projected off k and renormalised."""
+    k = rel / np.linalg.norm(rel)
+    w = g - (g @ k) * k
+    w -= (w @ k) * k  # a second pass keeps w orthogonal to k to rounding
+    norm = np.linalg.norm(w)
+    if norm < 1e-8:  # g (anti)parallel to k: use the axis least aligned with k
+        a = int(np.argmin(np.abs(k)))
+        w = -k[a] * k
+        w[a] += 1.0
+        norm = np.linalg.norm(w)
+    return cos_theta * k + math.sqrt(max(1.0 - cos_theta * cos_theta, 0.0)) * (w / norm)
+
+
 _GENERATED = {}  # (kind, code, d) -> compiled function
 _NAMESPACE = {
     "_BLOCK": _BLOCK, "_PENALTY": _PENALTY, "pi": math.pi,
     "sqrt": math.sqrt, "log": math.log, "exp": math.exp, "cos": math.cos, "sin": math.sin,
+    "array": np.array, "_deflected": _deflected,
 }
 
 
 def _generated(kind, code, d):
-    """The function `kind` ("pair_chain", "triple_chain" or "log_density")
-    for density code `code` in dimension d, compiled on its first request."""
+    """The function `kind` ("pair_chain", "triple_chain", "log_density" or
+    "dsmc_collide") for code `code` (a density code; for "dsmc_collide",
+    whether deflection cosines are given) in dimension d, compiled on its
+    first request."""
     key = (kind, code, d)
     fn = _GENERATED.get(key)
     if fn is None:
+        if kind == "dsmc_collide":
+            label = f"<{kind}{' deflected' if code else ''} d={d}>"
+        else:
+            label = f"<{kind} code={code} d={d}>"
         namespace = dict(_NAMESPACE)
-        exec(compile(_source(kind, code, d), f"<{kind} code={code} d={d}>", "exec"), namespace)
+        exec(compile(_source(kind, code, d), label, "exec"), namespace)
         fn = _GENERATED[key] = namespace[kind]
     return fn
 
@@ -385,86 +446,10 @@ def dsmc_advance(v, t0, t_target, rate, dts, ii, jj, sigmas, cosines=None):
         k = used = len(dts)
         t = float(ts[-1])
     if k:
-        _collide_in_waves(
+        _generated("dsmc_collide", cosines is not None, v.shape[1])(
             v, ii[:k], jj[:k], sigmas[:k], None if cosines is None else cosines[:k]
         )
     return t, used, k
-
-
-def _waves(ii, jj, N):
-    """Each event's wave: one past the last wave of an earlier event that
-    shares a particle with it, so no two events of a wave share one."""
-    last = [0] * N
-    waves = []
-    add = waves.append
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        w = last[i]
-        if last[j] > w:
-            w = last[j]
-        add(w)
-        last[i] = last[j] = w + 1
-    return np.array(waves)
-
-
-def _collide_in_waves(v, ii, jj, sigmas, cosines):
-    """Apply the events with the result of applying them in order, one
-    batch of numpy operations per wave of `_waves` (see the module notes).
-
-    The events are sorted into wave order once.  A wave of m events is laid
-    out as the rows of its m first particles, then those of its m second
-    particles, so one row gather and one row scatter serve it.
-    """
-    wave = _waves(ii, jj, v.shape[0])
-    order = np.argsort(wave, kind="stable")
-    wave = wave[order]
-    sizes = np.bincount(wave)
-    starts = np.cumsum(sizes) - sizes
-    # wave w holds the sorted events from starts[w] and the rows from twice
-    # that; an event's first row is starts[w] plus its sorted position, its
-    # second row sizes[w] further on
-    slot = starts[wave] + np.arange(len(wave))
-    idx = np.empty(2 * len(wave), dtype=np.int64)
-    idx[slot] = ii[order]
-    idx[slot + sizes[wave]] = jj[order]
-    sig = sigmas[order]
-    cos = None if cosines is None else cosines[order]
-    d = v.shape[1]
-    for e0, m in zip(starts.tolist(), sizes.tolist()):
-        rows = idx[2 * e0 : 2 * (e0 + m)]
-        pq = v[rows]
-        p, q = pq[:m], pq[m:]
-        diff = p - q
-        sq = diff * diff
-        rr = sq[:, 0]
-        for a in range(1, d):
-            rr = rr + sq[:, a]
-        r = np.sqrt(rr)
-        r *= 0.5
-        s = sig[e0 : e0 + m]
-        if cos is not None:
-            for k in np.flatnonzero(rr > 0.0).tolist():
-                s[k] = _deflected(diff[k], s[k], cos[e0 + k])
-        rs = s * r[:, None]
-        c = p + q
-        c *= 0.5
-        np.add(c, rs, out=p)
-        np.subtract(c, rs, out=q)
-        v[rows] = pq
-
-
-def _deflected(rel, g, cos_theta):
-    """c k + sqrt(1 - c^2) w for k = rel / |rel| and w the unit vector g
-    projected off k and renormalised."""
-    k = rel / np.linalg.norm(rel)
-    w = g - (g @ k) * k
-    w -= (w @ k) * k  # a second pass keeps w orthogonal to k to rounding
-    norm = np.linalg.norm(w)
-    if norm < 1e-8:  # g (anti)parallel to k: use the axis least aligned with k
-        a = int(np.argmin(np.abs(k)))
-        w = -k[a] * k
-        w[a] += 1.0
-        norm = np.linalg.norm(w)
-    return cos_theta * k + math.sqrt(max(1.0 - cos_theta * cos_theta, 0.0)) * (w / norm)
 
 
 _DEFAULT = SimpleNamespace(
@@ -484,25 +469,32 @@ def draw_pair_indices(rng: np.random.Generator, n_steps: int, N: int) -> tuple:
     """Uniform distinct (i, j); the shift trick keeps consumption fixed."""
     i = rng.integers(0, N, size=n_steps)
     j = rng.integers(0, N - 1, size=n_steps)
-    j = np.where(j >= i, j + 1, j)
-    return i.astype(np.int64), j.astype(np.int64)
+    j += j >= i
+    return i, j
 
 
 def draw_triple_indices(rng: np.random.Generator, n_steps: int, N: int) -> tuple:
     i = rng.integers(0, N, size=n_steps)
     j = rng.integers(0, N - 1, size=n_steps)
-    j = np.where(j >= i, j + 1, j)
+    j += j >= i
     k = rng.integers(0, N - 2, size=n_steps)
-    lo = np.minimum(i, j)
-    hi = np.maximum(i, j)
-    k = np.where(k >= lo, k + 1, k)
-    k = np.where(k >= hi, k + 1, k)
-    return i.astype(np.int64), j.astype(np.int64), k.astype(np.int64)
+    k += k >= np.minimum(i, j)
+    k += k >= np.maximum(i, j)
+    return i, j, k
 
 
 def draw_unit_vectors(rng: np.random.Generator, n_steps: int, d: int) -> np.ndarray:
-    """n_steps normalised Gaussian draws."""
+    """n_steps normalised Gaussian draws, each divided by its
+    `np.linalg.norm`.  That norm sums the squares pairwise from 8 terms on;
+    below 8 the sum left to right is the same and cheaper."""
     g = rng.normal(size=(n_steps, d))
-    norms = np.linalg.norm(g, axis=1)
+    if d < 8:
+        norms = g[:, 0] * g[:, 0]
+        for a in range(1, d):
+            norms += g[:, a] * g[:, a]
+    else:
+        norms = np.add.reduce(g * g, axis=1)
+    np.sqrt(norms, out=norms)
     norms[norms == 0.0] = 1.0
-    return g / norms[:, None]
+    g /= norms[:, None]
+    return g

@@ -174,6 +174,13 @@ def _load_config(args, experiment: str, defaults: dict) -> ExperimentConfig:
         raise ConfigError(f"{cfg.experiment} runs at d = 1 only, got d = {cfg.d}")
     if cfg.experiment in _RATE_EXPERIMENTS and len(cfg.n_list) < 2:
         raise ConfigError(f"{cfg.experiment} needs at least two values of N to plot a rate")
+    if cfg.experiment == "dsmc":
+        if len(cfg.n_list) != 1:
+            raise ConfigError(f"dsmc runs one N; n_list has {len(cfg.n_list)} values")
+        if cfg.replicas < 2:
+            raise ConfigError(f"dsmc needs at least two replicas for error bars, got {cfg.replicas}")
+        if cfg.d < 2:
+            raise ConfigError(f"dsmc collides pairs in d >= 2, got d = {cfg.d}")
     if not (cfg.t_end > 0.0 and math.isfinite(cfg.t_end)):
         raise ConfigError(f"t_end must be positive and finite, got {cfg.t_end}")
     if min(cfg.grid_shape) <= 0:
@@ -413,8 +420,6 @@ def _uniform_m4(d: int, N: int) -> float:
 
 def cmd_dsmc(args) -> int:
     cfg = _load_config(args, "dsmc", {"density": "mixture", "d": 3, "n_list": (256,)})
-    if len(cfg.n_list) != 1:
-        raise ConfigError(f"dsmc runs one N; n_list has {len(cfg.n_list)} values")
     (N,) = cfg.n_list
     kernel = CollisionKernel.uniform(cfg.d)
     checks = []

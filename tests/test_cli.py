@@ -142,9 +142,22 @@ class TestConfigHandling:
         # dsmc simulates one N; a longer list would run its last N only and
         # record the whole list in its report
         argv = ["dsmc", "--n-list", "8,16", "--replicas", "2", "--t-end", "2"]
-        assert run_cli(argv + ["--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        out = tmp_path / "out"
+        assert run_cli(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == "config error: dsmc runs one N; n_list has 2 values\n"
-        assert not list(tmp_path.iterdir())
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--replicas", "1"], "dsmc needs at least two replicas for error bars, got 1"),
+        (["--d", "1"], "dsmc collides pairs in d >= 2, got d = 1"),
+    ])
+    def test_dsmc_rejects_impossible_settings_before_running(self, tmp_path, capsys, argv, message):
+        # rejected before the drift check runs and before the output
+        # directory is made
+        out = tmp_path / "out"
+        assert run_cli(["dsmc"] + argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
     def test_one_particle_dsmc_is_a_runtime_error(self, tmp_path, capsys):
         # N = 1 is a valid size for the config; the simulation needs a pair

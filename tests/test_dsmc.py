@@ -174,7 +174,7 @@ class TestRun:
 
     def test_long_run_is_bit_identical_across_jobs(self):
         # 2000 mft at N = 64 is about 64,000 collisions per replica, so each
-        # replica runs over several event chunks and many waves
+        # replica runs over several event chunks and many draw blocks
         args = (UniformInitial(d=3, N=64), CollisionKernel.uniform(3))
         kw = dict(t_end=2000.0, n_replicas=3, observables=("m2", "m4"), seed=14, n_times=5)
         assert run(*args, jobs=1, **kw).rows() == run(*args, jobs=2, **kw).rows()

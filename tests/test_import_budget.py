@@ -1,11 +1,12 @@
 """Cold start: the package imports scipy.special and no other scipy module,
-and compiles no chain kernel.
+and compiles no generated kernel.
 
 The heavier scipy modules load only inside the functions that use them
 (transport LPs, k-d trees, quadrature, the KS test), so a subcommand that
-needs none of them never pays for their import.  The chain kernels are
-compiled on first use.  Each check runs in a fresh interpreter, because this
-test process has imported those modules and compiled those kernels already.
+needs none of them never pays for their import.  The chain kernels and the
+collision event loop are compiled on first use.  Each check runs in a fresh
+interpreter, because this test process has imported those modules and
+compiled those kernels already.
 """
 
 import json
@@ -82,4 +83,29 @@ def test_chain_kernels_compile_on_first_use_and_once():
     )
     assert before == []
     assert keys == [["pair_chain", _kernels.CODE_MIXTURE, 3]]
+    assert reused
+
+
+def test_event_loop_compiles_on_first_use_and_once():
+    before, keys, reused = run_fresh(
+        "import json\n"
+        "import numpy as np\n"
+        "import boltzsphere.cli\n"
+        "from boltzsphere import _kernels\n"
+        "advance = _kernels.default_kernels().dsmc_advance\n"
+        "before = sorted(_kernels._GENERATED)\n"
+        "rng = np.random.default_rng(0)\n"
+        "def step():\n"
+        "    v = rng.normal(size=(8, 3))\n"
+        "    ii, jj = _kernels.draw_pair_indices(rng, 50, 8)\n"
+        "    advance(v, 0.0, np.inf, 1.0, np.ones(50), ii, jj, _kernels.draw_unit_vectors(rng, 50, 3))\n"
+        "step()\n"
+        "first = dict(_kernels._GENERATED)\n"
+        "step()\n"
+        "reused = _kernels._GENERATED == first and all(\n"
+        "    _kernels._GENERATED[k] is fn for k, fn in first.items())\n"
+        "print(json.dumps([before, sorted(first), reused]))\n"
+    )
+    assert before == []
+    assert keys == [["dsmc_collide", False, 3]]
     assert reused

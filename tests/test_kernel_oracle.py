@@ -315,7 +315,7 @@ def test_dsmc_advance_matches_reference(kernel, stop):
 
 _LAWS = {
     (law, d): kernel
-    for d in (2, 3)
+    for d in (2, 3, 4)
     for law, kernel in (
         ("uniform", CollisionKernel.uniform(d)),
         ("truncated", CollisionKernel.truncated_singular(d, nu=0.3, cos_max=0.8, beta=4.0)),
@@ -331,11 +331,12 @@ _LAWS = {
     stop=st.sampled_from(["before-first", "inside", "on-a-partial-sum", "past-end"]),
     seed=st.integers(0, 2**32 - 1),
     where=st.floats(0.0, 1.0),
-    d=st.sampled_from([2, 3]),
+    d=st.sampled_from([2, 3, 4]),
 )
 def test_dsmc_advance_matches_reference_on_random_cases(N, n, law, stop, seed, where, d):
-    # N = 2 puts every event in a wave of its own; a target equal to a
-    # partial sum of the clock must not stop there, since the stop is strict
+    # N = 2 makes every event collide the same pair; each d runs its own
+    # generated event loop; a target equal to a partial sum of the clock
+    # must not stop there, since the stop is strict
     kernel = _LAWS[law, d]
     rng = np.random.default_rng(seed)
     dts = -np.log(rng.random(n))

@@ -52,6 +52,51 @@ def test_pair_indices_distinct_and_uniform():
     assert np.all(np.diag(counts) == 0)
 
 
+class _ZeroRow:
+    """Seed `seed`'s normal draws with row 7 zeroed."""
+
+    def __init__(self, seed):
+        self.gen = np.random.default_rng(seed)
+
+    def normal(self, size):
+        g = self.gen.normal(size=size)
+        g[7] = 0.0
+        return g
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_unit_vectors_are_the_linalg_norm_quotients(d):
+    # bit for bit on the same draws, across numpy's switch to pairwise sums
+    # at 8 terms; a zero row stays zero
+    g = _ZeroRow(d).normal(size=(5000, d))
+    norms = np.linalg.norm(g, axis=1)
+    norms[norms == 0.0] = 1.0
+    got = _kernels.draw_unit_vectors(_ZeroRow(d), 5000, d)
+    assert np.array_equal(got, g / norms[:, None])
+    assert not got[7].any()
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 300])
+def test_index_draws_match_the_where_form(N):
+    rng = np.random.default_rng(10)
+    i = rng.integers(0, N, size=20_000)
+    j = rng.integers(0, N - 1, size=20_000)
+    j = np.where(j >= i, j + 1, j)
+    got = _kernels.draw_pair_indices(np.random.default_rng(10), 20_000, N)
+    assert all(a.dtype == np.int64 for a in got)
+    assert np.array_equal(got[0], i) and np.array_equal(got[1], j)
+    assert np.all(got[0] != got[1])
+    if N < 3:
+        return
+    k = rng.integers(0, N - 2, size=20_000)
+    k = np.where(k >= np.minimum(i, j), k + 1, k)
+    k = np.where(k >= np.maximum(i, j), k + 1, k)
+    got = _kernels.draw_triple_indices(np.random.default_rng(10), 20_000, N)
+    assert all(a.dtype == np.int64 for a in got)
+    assert all(np.array_equal(a, b) for a, b in zip(got, (i, j, k)))
+    assert np.all(got[0] != got[1]) and np.all(got[1] != got[2]) and np.all(got[0] != got[2])
+
+
 @pytest.mark.parametrize(
     "kernel",
     [CollisionKernel.uniform(3), CollisionKernel.truncated_singular(3, nu=0.3, cos_max=0.8, beta=4.0)],
