@@ -15,10 +15,11 @@ same operations in the same order (`math.sqrt`, `math.exp` and `math.log` on
 the same values), so every result is bit-identical to indexing the arrays
 directly.  Each particle's log density is computed at entry and replaced
 only when a move is accepted, so the old state's density is a lookup.  The
-pre-drawn arrays are turned into lists `_BLOCK` entries at a time, not
-whole: a list of boxed floats takes several times the memory of the array,
-so converting a chunk of draws at once would raise the peak memory, and a
-kernel that stops early would convert draws it never uses.
+pre-drawn arrays are turned into lists whole.  A list of boxed floats takes
+several times the memory of its array, so the callers bound it: the chains
+(`conditioned._Chain`) and the collision walk (`dsmc._advance`) draw at
+most `_BLOCK` proposals or events for one kernel call.  That also bounds the
+draws a chain that stops early leaves unused to less than one block.
 
 What is left of a step's cost is interpreter overhead, so each loop is
 generated for its (move, density code, d) and compiled on first use
@@ -69,7 +70,7 @@ CODE_GAUSSIAN = 0
 CODE_UNIFORM = 1
 CODE_MIXTURE = 2
 _PENALTY = 1.0e4
-_BLOCK = 4096  # draws converted to Python objects at a time
+_BLOCK = 4096  # the most draws one kernel call is given
 
 
 def density_code(density) -> tuple:
@@ -109,32 +110,27 @@ def pair_chain(v, params, ii, jj, sigmas, log_us, step0, burn_in, thin, out, out
     accepted = 0
     step = step0
     emit = burn_in + max(1, (step0 - burn_in) // thin + 1) * thin
-    for start in range(0, len(log_us), _BLOCK):
-        stop = start + _BLOCK
-        for i, j, log_u, {g} in zip(
-            ii[start:stop].tolist(), jj[start:stop].tolist(), log_us[start:stop].tolist(),
-            {sigma_columns}
-        ):
-            {a} = rows[i]
-            {b} = rows[j]
-            # post-collisional velocities on the pair's collision sphere
-            @move
-            @logf li {x}
-            @logf lj {y}
-            if log_u < li + lj - (lf[i] + lf[j]):
-                rows[i] = {x}
-                rows[j] = {y}
-                lf[i] = li
-                lf[j] = lj
-                accepted += 1
-            step += 1
-            if step == emit:
-                out[out_count] = rows
-                out_count += 1
-                if out_count == n_out:
-                    v[...] = rows
-                    return out_count, accepted, step - step0
-                emit += thin
+    for i, j, log_u, {g} in zip(ii.tolist(), jj.tolist(), log_us.tolist(), {sigma_columns}):
+        {a} = rows[i]
+        {b} = rows[j]
+        # post-collisional velocities on the pair's collision sphere
+        @move
+        @logf li {x}
+        @logf lj {y}
+        if log_u < li + lj - (lf[i] + lf[j]):
+            rows[i] = {x}
+            rows[j] = {y}
+            lf[i] = li
+            lf[j] = lj
+            accepted += 1
+        step += 1
+        if step == emit:
+            out[out_count] = rows
+            out_count += 1
+            if out_count == n_out:
+                v[...] = rows
+                return out_count, accepted, step - step0
+            emit += thin
     v[...] = rows
     return out_count, accepted, step - step0
 """
@@ -154,50 +150,47 @@ def triple_chain(v, params, ii, jj, kk, angles, log_us, step0, burn_in, thin, ou
     accepted = 0
     step = step0
     emit = burn_in + max(1, (step0 - burn_in) // thin + 1) * thin
-    for start in range(0, len(log_us), _BLOCK):
-        stop = start + _BLOCK
-        for i, j, k, angle, log_u in zip(
-            ii[start:stop].tolist(), jj[start:stop].tolist(), kk[start:stop].tolist(),
-            angles[start:stop].tolist(), log_us[start:stop].tolist(),
-        ):
-            xi = x[i]
-            xj = x[j]
-            xk = x[k]
-            s = xi + xj + xk
-            e = xi * xi + xj * xj + xk * xk
-            c = s / 3.0
-            rho2 = e - s * s / 3.0
-            step += 1
-            if rho2 <= 0.0:
-                # the circle is a point: no move, and no state at this step
-                if step == emit:
-                    emit += thin
-                continue
-            rho = sqrt(rho2)
-            ca = cos(angle)
-            sa = sin(angle)
-            # orthonormal basis of the zero-sum plane in R^3
-            n1 = c + rho * (ca * inv_sqrt2 + sa * inv_sqrt6)
-            n2 = c + rho * (-ca * inv_sqrt2 + sa * inv_sqrt6)
-            n3 = c + rho * (-2.0 * sa * inv_sqrt6)
-            @logf l1 n1
-            @logf l2 n2
-            @logf l3 n3
-            if log_u < l1 + l2 + l3 - (lf[i] + lf[j] + lf[k]):
-                x[i] = n1
-                x[j] = n2
-                x[k] = n3
-                lf[i] = l1
-                lf[j] = l2
-                lf[k] = l3
-                accepted += 1
+    for i, j, k, angle, log_u in zip(
+        ii.tolist(), jj.tolist(), kk.tolist(), angles.tolist(), log_us.tolist()
+    ):
+        xi = x[i]
+        xj = x[j]
+        xk = x[k]
+        s = xi + xj + xk
+        e = xi * xi + xj * xj + xk * xk
+        c = s / 3.0
+        rho2 = e - s * s / 3.0
+        step += 1
+        if rho2 <= 0.0:
+            # the circle is a point: no move, and no state at this step
             if step == emit:
-                out[out_count, :, 0] = x
-                out_count += 1
-                if out_count == n_out:
-                    v[:, 0] = x
-                    return out_count, accepted, step - step0
                 emit += thin
+            continue
+        rho = sqrt(rho2)
+        ca = cos(angle)
+        sa = sin(angle)
+        # orthonormal basis of the zero-sum plane in R^3
+        n1 = c + rho * (ca * inv_sqrt2 + sa * inv_sqrt6)
+        n2 = c + rho * (-ca * inv_sqrt2 + sa * inv_sqrt6)
+        n3 = c + rho * (-2.0 * sa * inv_sqrt6)
+        @logf l1 n1
+        @logf l2 n2
+        @logf l3 n3
+        if log_u < l1 + l2 + l3 - (lf[i] + lf[j] + lf[k]):
+            x[i] = n1
+            x[j] = n2
+            x[k] = n3
+            lf[i] = l1
+            lf[j] = l2
+            lf[k] = l3
+            accepted += 1
+        if step == emit:
+            out[out_count, :, 0] = x
+            out_count += 1
+            if out_count == n_out:
+                v[:, 0] = x
+                return out_count, accepted, step - step0
+            emit += thin
     v[:, 0] = x
     return out_count, accepted, step - step0
 """
@@ -207,14 +200,10 @@ def triple_chain(v, params, ii, jj, kk, angles, log_us, step0, burn_in, thin, ou
 _COLLIDE_TEMPLATE = """\
 def dsmc_collide(v, ii, jj, sigmas, cosines):
     {X} = {columns}
-    for start in range(0, len(ii), _BLOCK):
-        stop = start + _BLOCK
-        for i, j, {g} {cos_theta} in zip(
-            ii[start:stop].tolist(), jj[start:stop].tolist(), {sigma_columns} {cos_column}
-        ):
-            {a} = {Xi}
-            {b} = {Xj}
-            @collide
+    for i, j, {g} {cos_theta} in zip(ii.tolist(), jj.tolist(), {sigma_columns} {cos_column}):
+        {a} = {Xi}
+        {b} = {Xj}
+        @collide
     for a, column in enumerate(({X})):
         v[:, a] = column
 """
@@ -322,12 +311,12 @@ def _source(kind, code, d):
         return ", ".join(pattern.format(a=a) for a in range(d)) + ","
 
     fields = {p: names(p + "{a}") for p in "xyabgX"}
-    fields["sigma_columns"] = names("sigmas[start:stop, {a}].tolist()")
+    fields["sigma_columns"] = names("sigmas[:, {a}].tolist()")
     fields["columns"] = names("v[:, {a}].tolist()")
     fields["Xi"], fields["Xj"] = names("X{a}[i]"), names("X{a}[j]")
     deflect = kind == "dsmc_collide" and code
     fields["cos_theta"] = "cos_theta," if deflect else ""
-    fields["cos_column"] = "cosines[start:stop].tolist()," if deflect else ""
+    fields["cos_column"] = "cosines.tolist()," if deflect else ""
     lines = []
     for line in _TEMPLATES[kind].format(**fields).splitlines():
         body = line.lstrip()
@@ -364,7 +353,7 @@ def _deflected(rel, g, cos_theta):
 
 _GENERATED = {}  # (kind, code, d) -> compiled function
 _NAMESPACE = {
-    "_BLOCK": _BLOCK, "_PENALTY": _PENALTY, "pi": math.pi,
+    "_PENALTY": _PENALTY, "pi": math.pi,
     "sqrt": math.sqrt, "log": math.log, "exp": math.exp, "cos": math.cos, "sin": math.sin,
     "array": np.array, "_deflected": _deflected,
 }

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import rng as rngmod
 from ._kernels import (
+    _BLOCK,
     default_kernels,
     density_code,
     draw_pair_indices,
@@ -55,8 +56,6 @@ __all__ = [
     "entropy_per_particle",
     "entropy_rate_experiment",
 ]
-
-_CHAIN_CHUNK = 1 << 16
 
 
 @dataclass
@@ -136,7 +135,8 @@ class _Chain:
         self._draws = None  # the proposals of the last chunk not yet run
 
     def _draw_chunk(self) -> tuple:
-        n_prop = _CHAIN_CHUNK
+        """One kernel block of proposals: the draws of each kind in turn."""
+        n_prop = _BLOCK
         log_us = np.log(self.gen.random(n_prop))
         if self.d == 1:
             ii, jj, kk = draw_triple_indices(self.gen, n_prop, self.N)

@@ -23,7 +23,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from . import rng as rngmod
-from ._kernels import default_kernels, draw_pair_indices, draw_unit_vectors
+from ._kernels import _BLOCK, default_kernels, draw_pair_indices, draw_unit_vectors
 from .errors import CapacityError, ParameterError
 from .geometry import SphereSpec
 from .metrics import EmpiricalMeasure, relative_entropy_vs_gaussian
@@ -36,7 +36,6 @@ __all__ = [
     "equilibrium_crosscheck",
 ]
 
-_EVENT_CHUNK = 1 << 15
 _COS_LO = -1.0 + 1e-9  # the low end of truncated_singular's cosine table
 
 
@@ -122,15 +121,15 @@ def _advance(v, t, t_target, kernel: CollisionKernel, gen):
     clock.
 
     Each chunk draws 1.25 times the events the rest of the interval expects,
-    plus 64, capped at _EVENT_CHUNK, so the stream depends on t_target.  A
-    chunk that runs out before t_target is followed by another, which is
-    exact: the waits are memoryless, and the clock goes on from the last
-    applied event."""
+    plus 64, capped at one kernel block (`_BLOCK`), so the stream depends on
+    t_target.  A chunk that runs out before t_target is followed by another,
+    which is exact: the waits are memoryless, and the clock goes on from the
+    last applied event."""
     N = v.shape[0]
     rate = kernel.rate(N)
     while t < t_target:
         # min before int: an infinite target never reaches int()
-        n = int(min(_EVENT_CHUNK, 1.25 * (t_target - t) * rate + 64))
+        n = int(min(_BLOCK, 1.25 * (t_target - t) * rate + 64))
         events = _draw_events(gen, kernel, n, N)
         t, _, _ = default_kernels().dsmc_advance(v, t, t_target, rate, *events)
     return t

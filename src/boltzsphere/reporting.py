@@ -117,13 +117,15 @@ def write_json(path, obj: dict) -> None:
 
 
 def svg_line_plot(path, x, y, title: str, fit: Optional[tuple] = None) -> None:
-    """Minimal static log-log line plot (points plus an optional fitted line)."""
+    """Minimal static log-log line plot (points plus an optional fitted line).
+
+    With fewer than two positive points, such as a gap that is exactly 0 at
+    every N, the plot holds its title and a note that it has nothing to draw.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     ok = (x > 0) & (y > 0)
     lx, ly = np.log10(x[ok]), np.log10(y[ok])
-    if lx.size < 2:
-        raise ParameterError("need two positive points to plot")
     W, H, pad = 480, 320, 40
 
     def sx(v):
@@ -137,18 +139,22 @@ def svg_line_plot(path, x, y, title: str, fit: Optional[tuple] = None) -> None:
         f'<rect width="{W}" height="{H}" fill="white"/>',
         f'<text x="{W / 2}" y="20" text-anchor="middle" font-size="13">{title}</text>',
     ]
-    pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(lx, ly))
-    parts.append(f'<polyline points="{pts}" fill="none" stroke="steelblue" stroke-width="1.5"/>')
-    for a, b in zip(lx, ly):
-        parts.append(f'<circle cx="{sx(a):.2f}" cy="{sy(b):.2f}" r="3" fill="steelblue"/>')
-    if fit is not None:
-        slope, intercept = fit
-        fy0 = (slope * lx.min() * math.log(10) + intercept) / math.log(10)
-        fy1 = (slope * lx.max() * math.log(10) + intercept) / math.log(10)
-        parts.append(
-            f'<line x1="{sx(lx.min()):.2f}" y1="{sy(fy0):.2f}" '
-            f'x2="{sx(lx.max()):.2f}" y2="{sy(fy1):.2f}" stroke="crimson" stroke-dasharray="4"/>'
-        )
+    if lx.size < 2:
+        parts.append(f'<text x="{W / 2}" y="{H / 2}" text-anchor="middle" font-size="12">'
+                     "fewer than two positive values: nothing to plot on log-log axes</text>")
+    else:
+        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(lx, ly))
+        parts.append(f'<polyline points="{pts}" fill="none" stroke="steelblue" stroke-width="1.5"/>')
+        for a, b in zip(lx, ly):
+            parts.append(f'<circle cx="{sx(a):.2f}" cy="{sy(b):.2f}" r="3" fill="steelblue"/>')
+        if fit is not None:
+            slope, intercept = fit
+            fy0 = (slope * lx.min() * math.log(10) + intercept) / math.log(10)
+            fy1 = (slope * lx.max() * math.log(10) + intercept) / math.log(10)
+            parts.append(
+                f'<line x1="{sx(lx.min()):.2f}" y1="{sy(fy0):.2f}" '
+                f'x2="{sx(lx.max()):.2f}" y2="{sy(fy1):.2f}" stroke="crimson" stroke-dasharray="4"/>'
+            )
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")

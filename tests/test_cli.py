@@ -150,6 +150,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize("argv, message", [
         (["--replicas", "1"], "dsmc needs at least two replicas for error bars, got 1"),
         (["--d", "1"], "dsmc collides pairs in d >= 2, got d = 1"),
+        (["--n-list", "2"], "dsmc starts from a conditioned chain, which needs N >= 3, got N = 2"),
     ])
     def test_dsmc_rejects_impossible_settings_before_running(self, tmp_path, capsys, argv, message):
         # rejected before the drift check runs and before the output
@@ -157,6 +158,15 @@ class TestConfigHandling:
         out = tmp_path / "out"
         assert run_cli(["dsmc"] + argv + ["--out", str(out)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_zprime_rejects_one_particle_before_running(self, tmp_path, capsys):
+        # the N = 1 worker would fail only after the other worker's grid
+        out = tmp_path / "out"
+        assert run_cli(["zprime", "--n-list", "1,2", "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: zprime needs N >= 2 (Z'_1 is a point mass), got N = 1\n"
+        )
         assert not out.exists()
 
     def test_one_particle_dsmc_is_a_runtime_error(self, tmp_path, capsys):
@@ -263,6 +273,16 @@ class TestSmallExperiments:
         assert run_cli(argv) == 0
         assert json.loads(read(tmp_path / "berry-esseen.json"))["fit"] is None
         assert b"<line" not in read(tmp_path / "berry-esseen.svg")
+
+    def test_entropy_rate_gaussian_fixed_point(self, tmp_path):
+        # the Gaussian's entropy per particle is exactly its limit, 0, at
+        # every N, so there is no rate to fit and no positive gap to plot
+        argv = ["entropy-rate", "--n-list", "16,32", "--density", "gaussian", "--out", str(tmp_path)]
+        assert run_cli(argv) == 0
+        report = json.loads(read(tmp_path / "entropy-rate.json"))
+        assert report["fit"] is None and report["passed"] is True
+        svg = read(tmp_path / "entropy-rate.svg")
+        assert b"<line" not in svg and b"<polyline" not in svg and b"nothing to plot" in svg
 
     def test_ipp_small(self, tmp_path):
         code = run_cli(["ipp-check", "--samples", "4000", "--out", str(tmp_path)])

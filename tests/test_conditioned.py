@@ -6,6 +6,7 @@ from scipy import integrate, stats
 
 import boltzsphere as bs
 from boltzsphere import conditioned, lifted
+from boltzsphere._kernels import _BLOCK
 from boltzsphere.conditioned import (
     ConditionedLaw,
     _Chain,
@@ -73,7 +74,12 @@ class TestSampler:
         # served in chunks are the one thinned chain of a batch
         lw = law(bs.get_density("mixture", 2), 2, 8)
         chain = _Chain(lw, 12, None, None)
-        streamed = np.concatenate([chain.states(1000) for _ in range(3)])
+        chunks = []
+        for _ in range(3):
+            chunks.append(chain.states(1000))
+            assert chain.step % _BLOCK  # stopped inside a block of draws
+        streamed = np.concatenate(chunks)
+        assert chain.step > 5 * _BLOCK
         assert np.array_equal(streamed, sample_conditioned_batch(lw, 12, 3000))
         assert all(bs.on_sphere(s, lw.spec) for s in streamed)
 
@@ -84,6 +90,23 @@ class TestSampler:
         assert 0 < chain.accepted <= chain.step
         chain.states(2)
         assert chain.step == chain.burn_in + 7 * chain.thin
+
+    def test_burn_in_draws_less_than_a_block_it_does_not_use(self, monkeypatch):
+        # dsmc's conditioned start: an N = 256 burn-in and one state
+        drawn = []
+        draw = _Chain._draw_chunk
+
+        def recorded(chain):
+            draws = draw(chain)
+            drawn.append(len(draws[-1]))
+            return draws
+
+        monkeypatch.setattr(_Chain, "_draw_chunk", recorded)
+        chain = _Chain(law(bs.get_density("mixture", 3), 3, 256), 13, None, None)
+        chain.states(1)
+        assert chain.step == 51 * 256
+        assert set(drawn) == {_BLOCK}
+        assert chain.step <= sum(drawn) < chain.step + _BLOCK
 
     def test_deterministic(self):
         lw = law(UNIF, 1, 8)
@@ -141,6 +164,33 @@ class TestMarginalDensity:
         _, _, log_zn = _marginal_curve(lw)
         mass = math.exp(log_zn - lw.log_zprime(64, lw.spec.r, 0.0))
         assert mass == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("name", ["uniform", "mixture"])
+    def test_two_particle_marginal_meets_the_sphere_identities(self, name):
+        # sum v_i = 0 and sum v_i^2 = N on every state give, exactly at every
+        # N: mass 1, (N-1) E[v1 v2] = -1 and (N-1) Cov(v1^2, v2^2) =
+        # -Var(v1^2).  The default lifted grid and an 801^2 trapezoid grid
+        # meet them to 1.3e-4 at N = 16; 5e-4 keeps a margin of about 4,
+        # while a missing factor N - 1 or a sign moves them by order 1 and
+        # an O(1/N) error in the marginal by several percent.
+        N, tol = 16, 5e-4
+        lw = law(bs.get_density(name, 1), 1, N)
+        vmax = min(lw.f.tail_radius(), math.sqrt(N - 1))
+        v = np.linspace(-vmax, vmax, 801)
+        x, y = np.meshgrid(v, v, indexing="ij")
+        pts = np.column_stack([x.ravel(), y.ravel()])
+        dens = conditioned_marginal_density(lw, 2, pts).reshape(x.shape)
+
+        def integral(g):
+            return float(np.trapezoid(np.trapezoid(dens * g, v, axis=1), v))
+
+        mass = integral(1.0)
+        e11, e12 = integral(x * x) / mass, integral(x * y) / mass
+        var11 = integral(x**4) / mass - e11 * e11
+        cov = integral(x * x * y * y) / mass - e11 * integral(y * y) / mass
+        assert mass == pytest.approx(1.0, abs=tol)
+        assert (N - 1) * e12 == pytest.approx(-1.0, abs=tol)
+        assert (N - 1) * cov / var11 == pytest.approx(-1.0, abs=tol)
 
     @pytest.mark.parametrize("name", ["uniform", "mixture"])
     @pytest.mark.parametrize("N", [16, 64, 256, 512])

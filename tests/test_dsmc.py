@@ -100,7 +100,7 @@ class TestStep:
         counts = []
         for seed in range(1000):
             v, gen = _uniform_state(2, N, seed)
-            events = dsmc._draw_events(gen, kernel, dsmc._EVENT_CHUNK, N)
+            events = dsmc._draw_events(gen, kernel, _kernels._BLOCK, N)
             _, _, k = advance(v, 0.0, horizon, kernel.rate(N), *events)
             counts.append(k)
         want = horizon * kernel.rate(N)
@@ -225,12 +225,12 @@ class TestConservationDrift:
 
 def _advance_drawing_in_full(v, t, t_target, kernel, gen):
     """`_advance` written out: each chunk is sized to 1.25 times the events
-    the rest of the interval expects plus 64, capped at `_EVENT_CHUNK`, and
+    the rest of the interval expects plus 64, capped at `_BLOCK`, and
     drawn in full; every pair is shifted and every unit vector normalised."""
     N, d = v.shape
     rate = kernel.rate(N)
     while t < t_target:
-        n = int(min(dsmc._EVENT_CHUNK, 1.25 * (t_target - t) * rate + 64))
+        n = int(min(_kernels._BLOCK, 1.25 * (t_target - t) * rate + 64))
         dts = -np.log(gen.random(n))
         i = gen.integers(0, N, size=n)
         j = gen.integers(0, N - 1, size=n)
@@ -271,6 +271,36 @@ def test_advance_matches_the_full_draw_path(d, law, events):
         assert got_t == want_t
         assert got_v.tobytes() == want_v.tobytes()
         assert got_gen.bit_generator.state == want_gen.bit_generator.state
+
+
+def test_no_draw_or_kernel_call_exceeds_one_block(monkeypatch):
+    # the walk and the chains draw one kernel block at a time, so no list
+    # a kernel builds from its draws outgrows _BLOCK entries
+    draws, calls = [], []
+
+    def recorded(fn, sizes, size_of):
+        def wrapper(*args):
+            out = fn(*args)
+            sizes.append(size_of(args, out))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(dsmc, "_draw_events", recorded(
+        dsmc._draw_events, draws, lambda args, out: len(out[0])))
+    monkeypatch.setattr(bs.conditioned._Chain, "_draw_chunk", recorded(
+        bs.conditioned._Chain._draw_chunk, draws, lambda args, out: len(out[-1])))
+    namespace = _kernels.default_kernels()
+    for name, first_draw in (("pair_chain", 3), ("triple_chain", 3), ("dsmc_advance", 4)):
+        monkeypatch.setattr(namespace, name, recorded(
+            getattr(namespace, name), calls, lambda args, out, k=first_draw: len(args[k])))
+    # each 620-mean-free-time interval at N = 32 expects about 9,900 events
+    run(ConditionedInitial(density="mixture", d=3, N=32), CollisionKernel.uniform(3),
+        t_end=1240.0, n_replicas=2, observables=("m2",), seed=4, n_times=3)
+    lw = bs.conditioned.ConditionedLaw(
+        f=bs.get_density("mixture", 2), spec=bs.SphereSpec.boltzmann(2, 16))
+    bs.conditioned.sample_conditioned_batch(lw, 5, 1000)
+    assert max(draws) == max(calls) == _kernels._BLOCK
+    assert len(calls) >= len(draws) > 10
 
 
 class AnisotropicStart:
