@@ -5,21 +5,24 @@ kernels through the `default_kernels()` namespace.  All randomness is drawn
 outside the kernels, so a trajectory is fixed by the stream alone, whatever
 the worker count.
 
-The two chain kernels are Python loops on Python floats.  Reading a numpy
-array one element at a time boxes every value into a new numpy scalar, and
-arithmetic on numpy scalars goes through numpy's type dispatch; that, not
-the arithmetic, was most of the cost of a step.  So each chain copies `v` to
-nested lists at entry (`v.tolist()`) and writes it back before it returns.
-Python floats and float64 are the same IEEE doubles, and the loops apply the
-same operations in the same order (`math.sqrt`, `math.exp` and `math.log` on
-the same values), so every result is bit-identical to indexing the arrays
-directly.  Each particle's log density is computed at entry and replaced
-only when a move is accepted, so the old state's density is a lookup.  The
-pre-drawn arrays are turned into lists whole.  A list of boxed floats takes
-several times the memory of its array, so the callers bound it: the chains
-(`conditioned._Chain`) and the collision walk (`dsmc._advance`) draw at
-most `_BLOCK` proposals or events for one kernel call.  That also bounds the
-draws a chain that stops early leaves unused to less than one block.
+The two chain kernels and the collision walk are Python loops on Python
+floats.  Reading a numpy array one element at a time boxes every value into
+a new numpy scalar, and arithmetic on numpy scalars goes through numpy's type
+dispatch; that, not the arithmetic, was most of the cost of a step.  So each
+loop holds the velocities as one list per axis (`v[:, a].tolist()`), loads
+and stores single coordinates, and writes each column back before it
+returns; the pair chain emits a state as d column writes, and the triple
+chain, with d = 1, as one.  Python floats and float64 are the same IEEE
+doubles, and the loops apply the same operations in the same order
+(`math.sqrt`, `math.exp` and `math.log` on the same values), so every
+result is bit-identical to indexing the arrays directly.  Each particle's
+log density is computed at entry and replaced only when a move is accepted,
+so the old state's density is a lookup.  The pre-drawn arrays are turned
+into lists whole.  A list of boxed floats takes several times the memory of
+its array, so the callers bound it: the chains (`conditioned._Chain`) and
+the collision walk (`dsmc._advance`) draw at most `_BLOCK` proposals or
+events for one kernel call.  That also bounds the draws a chain that stops
+early leaves unused to less than one block.
 
 What is left of a step's cost is interpreter overhead, so each loop is
 generated for its (move, density code, d) and compiled on first use
@@ -35,12 +38,11 @@ compiled at import or by `default_kernels()`.
 
 The collision walk (`dsmc_advance`) reads its clock off one cumulative sum
 of the waiting times and applies the events it reaches in one generated loop
-(`dsmc_collide`), keyed by d and by the angular law.  The loop holds the
-velocities as one list per axis (`v[:, a].tolist()`) and writes each column
-back before it returns.  An event loads both particles, then writes both,
-with the per-event reference arithmetic in the same order, so the
-velocities are bit-identical.  With deflection cosines, an event whose
-relative velocity is not zero rebuilds its direction with `_deflected`.
+(`dsmc_collide`), keyed by d and by the angular law.  An event loads both
+particles, then writes both, with the per-event reference arithmetic in the
+same order, so the velocities are bit-identical.  With deflection cosines,
+an event whose relative velocity is not zero rebuilds its direction with
+`_deflected`.
 
 Density evaluation inside kernels is restricted to the registry families,
 identified by an integer code:
@@ -93,16 +95,18 @@ def density_code(density) -> tuple:
 # fields {x}, {y}, {a}, {b}, {g} and {X} take the names x0, x1, ... of the
 # d axes with that letter, "@setup" the density's constants, "@move" the
 # unrolled pair move, "@collide" the same move on the per-axis lists X0,
-# X1, ..., and "@logf out names" the lines of the density of the named
-# coordinates, each at the line's indentation.
+# X1, ..., "@axes line" the line once per axis with {a} its number (written
+# {{a}}, since the template is formatted first), and "@logf out names" the
+# lines of the density of the named coordinates, each at the line's
+# indentation.
 # `emit` is the next step that emits a state: the first after step0 that is
 # past burn_in by a multiple of thin.
 _PAIR_TEMPLATE = """\
 def pair_chain(v, params, ii, jj, sigmas, log_us, step0, burn_in, thin, out, out_count0):
     @setup
-    rows = v.tolist()
+    {X} = {columns}
     lf = []
-    for {x} in rows:
+    for {x} in zip({X}):
         @logf li {x}
         lf.append(li)
     n_out = out.shape[0]
@@ -111,27 +115,26 @@ def pair_chain(v, params, ii, jj, sigmas, log_us, step0, burn_in, thin, out, out
     step = step0
     emit = burn_in + max(1, (step0 - burn_in) // thin + 1) * thin
     for i, j, log_u, {g} in zip(ii.tolist(), jj.tolist(), log_us.tolist(), {sigma_columns}):
-        {a} = rows[i]
-        {b} = rows[j]
+        {a} = {Xi}
+        {b} = {Xj}
         # post-collisional velocities on the pair's collision sphere
         @move
         @logf li {x}
         @logf lj {y}
         if log_u < li + lj - (lf[i] + lf[j]):
-            rows[i] = {x}
-            rows[j] = {y}
+            @axes X{{a}}[i] = x{{a}}
+            @axes X{{a}}[j] = y{{a}}
             lf[i] = li
             lf[j] = lj
             accepted += 1
         step += 1
         if step == emit:
-            out[out_count] = rows
+            @axes out[out_count, :, {{a}}] = X{{a}}
             out_count += 1
             if out_count == n_out:
-                v[...] = rows
-                return out_count, accepted, step - step0
+                break
             emit += thin
-    v[...] = rows
+    @axes v[:, {{a}}] = X{{a}}
     return out_count, accepted, step - step0
 """
 
@@ -204,8 +207,7 @@ def dsmc_collide(v, ii, jj, sigmas, cosines):
         {a} = {Xi}
         {b} = {Xj}
         @collide
-    for a, column in enumerate(({X})):
-        v[:, a] = column
+    @axes v[:, {{a}}] = X{{a}}
 """
 
 _LOG_DENSITY_TEMPLATE = """\
@@ -326,6 +328,8 @@ def _source(kind, code, d):
             block = _pair_move_lines(d, "x{a}", "y{a}")
         elif body == "@collide":
             block = _pair_move_lines(d, "X{a}[i]", "X{a}[j]", deflect)
+        elif body.startswith("@axes "):
+            block = [body[len("@axes "):].format(a=a) for a in range(d)]
         elif body.startswith("@logf "):
             out, *xs = body[len("@logf "):].replace(",", " ").split()
             block = _logf_lines(code, xs, out)

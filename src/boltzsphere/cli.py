@@ -580,8 +580,9 @@ def cmd_metrics_selftest(args) -> int:
         b = EmpiricalMeasure(gen.normal(0.3, 1.2, size=(40, dim)))
         c = EmpiricalMeasure(gen.normal(-0.4, 0.8, size=(40, dim)))
         for dist in (w1, w2):
-            worst_sym = max(worst_sym, abs(dist(a, b) - dist(b, a)))
-            worst_tri = max(worst_tri, dist(a, c) - dist(a, b) - dist(b, c))
+            d_ab = dist(a, b)
+            worst_sym = max(worst_sym, abs(d_ab - dist(b, a)))
+            worst_tri = max(worst_tri, dist(a, c) - d_ab - dist(b, c))
         idty_ok = idty_ok and w1(a, a) == 0.0 and w2(a, a) == 0.0
     checks.append((f"symmetry violation {worst_sym:.2e} <= 1e-9", worst_sym <= 1e-9))
     checks.append((f"triangle violation {worst_tri:.2e} <= 1e-9", worst_tri <= 1e-9))

@@ -567,6 +567,13 @@ def z_prime_asymptotic(f: BaseDensity, N: int, r: float = None, z_norm: float = 
     return math.exp(log_z_prime_asymptotic(f, N, r, z_norm))
 
 
+# Berry-Esseen gaps by (g.key, N, n_cells), so that zprime and berry-esseen
+# share their lattices.  A gap is one float, and a process asks for a few
+# dozen, so nothing is evicted.  Two pool threads that miss the same key
+# both compute it, to the same bits.
+_GAPS: dict = {}
+
+
 def berry_esseen_sup(g: BaseDensity, N: int, n_cells: int = 1 << 18) -> float:
     """Sup-norm gap between the rescaled N-fold convolution power and the
     standard Gaussian, for a 1D density standardized to mean 0, variance 1.
@@ -574,7 +581,8 @@ def berry_esseen_sup(g: BaseDensity, N: int, n_cells: int = 1 << 18) -> float:
     Builds g_N(x) = sqrt(N) g*^N(sqrt(N) x) on a lattice via spectral
     repeated squaring and evaluates the sup over the lattice.  n_cells must
     be even and at least 2, so that a node sits at the origin: on an odd
-    lattice each convolution would shift the result by half a cell.
+    lattice each convolution would shift the result by half a cell.  Each
+    gap is computed once per process (`_GAPS`).
     """
     if g.d != 1:
         raise ParameterError("the Berry-Esseen pipeline is 1D")
@@ -586,6 +594,15 @@ def berry_esseen_sup(g: BaseDensity, N: int, n_cells: int = 1 << 18) -> float:
         raise ParameterError("need N >= 1")
     if n_cells < 2 or n_cells % 2:
         raise ParameterError(f"n_cells must be even and at least 2, got {n_cells}")
+    key = (g.key, N, n_cells)
+    gap = _GAPS.get(key)
+    if gap is None:
+        gap = _GAPS[key] = _lattice_gap(g, N, n_cells)
+    return gap
+
+
+def _lattice_gap(g: BaseDensity, N: int, n_cells: int) -> float:
+    """`berry_esseen_sup` computed on a new lattice."""
     vmax = g.tail_radius()
     half = max(12.0 * math.sqrt(N), 1.05 * vmax)
     if g.support_radius is not None:

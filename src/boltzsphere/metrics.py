@@ -97,15 +97,23 @@ def _quantile_cost_1d(a: EmpiricalMeasure, b: EmpiricalMeasure, p: int) -> float
     xa, wa = a.points[ia, 0], a.weights[ia]
     xb, wb = b.points[ib, 0], b.weights[ib]
     ca = np.cumsum(wa)
-    cb = np.cumsum(wb)
-    qs = np.union1d(ca, cb)
-    qs = qs[qs <= 1.0 + 1e-15]
+    if a.n == b.n and np.all(a.weights == a.weights[0]) and np.array_equal(a.weights, b.weights):
+        # one weight throughout: both quantile functions step at the same
+        # sums, so the k-th points of the two sorted samples are coupled
+        qs = ca
+        diffs = np.abs(xa - xb)
+    else:
+        cb = np.cumsum(wb)
+        qs = np.union1d(ca, cb)
+        # a cumulative sum can end a little above 1; cutting below the
+        # smaller end would drop the last segment
+        qs = qs[qs <= max(1.0 + 1e-15, min(ca[-1], cb[-1]))]
+        pa = np.searchsorted(ca, qs - 1e-15, side="left")
+        pb = np.searchsorted(cb, qs - 1e-15, side="left")
+        pa = np.clip(pa, 0, xa.size - 1)
+        pb = np.clip(pb, 0, xb.size - 1)
+        diffs = np.abs(xa[pa] - xb[pb])
     seg = np.diff(np.concatenate(([0.0], qs)))
-    pa = np.searchsorted(ca, qs - 1e-15, side="left")
-    pb = np.searchsorted(cb, qs - 1e-15, side="left")
-    pa = np.clip(pa, 0, xa.size - 1)
-    pb = np.clip(pb, 0, xb.size - 1)
-    diffs = np.abs(xa[pa] - xb[pb])
     return float(np.sum(seg * diffs**p))
 
 
@@ -172,7 +180,7 @@ def w2(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     return math.sqrt(max(_min_cost(a, b, p=2), 0.0))
 
 
-def _knn_distances_1d(x: np.ndarray, k: int) -> np.ndarray:
+def _knn_distances_1d(x: np.ndarray, k: int, order: Optional[np.ndarray] = None) -> np.ndarray:
     """Distance from each point of x to its k-th nearest other point.
 
     On a line a point and its k nearest neighbours fill a window of k + 1
@@ -181,25 +189,36 @@ def _knn_distances_1d(x: np.ndarray, k: int) -> np.ndarray:
     ends (infinite past the ends of the data).  Each gap is one subtraction,
     and a k-d tree's distance sqrt((x_i - x_j)^2) rounds back to
     |x_i - x_j|, so the result is bit-identical to a tree query.
+
+    `order`, if given, is a permutation that sorts x.  Tied values have equal
+    distances, so any sorting permutation gives the same result.
     """
     n = x.size
-    order = np.argsort(x)
-    padded = np.concatenate([np.full(k, -np.inf), x[order], np.full(k, np.inf)])
-    mid = padded[k : k + n]
+    if order is None:
+        order = np.argsort(x)
+    padded = np.empty(n + 2 * k)
+    padded[:k] = -np.inf
+    padded[k + n :] = np.inf
+    # mode="clip" lets take write into `out` directly; "raise" would buffer
+    mid = np.take(x, order, out=padded[k : k + n], mode="clip")
     best = np.full(n, np.inf)
+    left = np.empty(n)
+    right = np.empty(n)
     for a in range(k + 1):
         # the window of a neighbours on the left and k - a on the right
-        reach = np.maximum(mid - padded[k - a : k - a + n], padded[2 * k - a : 2 * k - a + n] - mid)
-        np.minimum(best, reach, out=best)
-    eps = np.empty(n)
-    eps[order] = best
-    return eps
+        np.subtract(mid, padded[k - a : k - a + n], out=left)
+        np.subtract(padded[2 * k - a : 2 * k - a + n], mid, out=right)
+        np.minimum(best, np.maximum(left, right, out=left), out=best)
+    right[order] = best  # `right` is free after the last window
+    return right
 
 
-def _knn_entropy(points: np.ndarray, k: int) -> float:
+def _knn_entropy(points: np.ndarray, k: int, order: Optional[np.ndarray] = None) -> float:
+    """k-NN differential entropy of the rows of `points`; `order`, for
+    d = 1 only, sorts the first column (see `_knn_distances_1d`)."""
     n, d = points.shape
     if d == 1:
-        eps = _knn_distances_1d(points[:, 0], k)
+        eps = _knn_distances_1d(points[:, 0], k, order)
     else:
         from scipy.spatial import cKDTree
 
@@ -220,6 +239,9 @@ def relative_entropy_vs_gaussian(
     k-nearest-neighbor differential entropy; the standard error comes from a
     delete-one-fold jackknife over `n_folds` folds.  Exact duplicate points
     are jittered by 1e-12 (flagged in the result).
+
+    In d = 1 the sample is sorted once: that order finds the duplicates, and
+    restricted to each fold it sorts the fold's points too.
     """
     if k_nn < 1:
         raise ParameterError("k_nn must be >= 1")
@@ -231,28 +253,38 @@ def relative_entropy_vs_gaussian(
         raise ParameterError("not enough samples")
 
     jittered = False
-    order = np.lexsort(pts.T)
-    dup = np.nonzero(np.all(np.diff(pts[order], axis=0) == 0.0, axis=1))[0]
-    if dup.size:
-        jittered = True
-        gen = rng if rng is not None else np.random.default_rng(0)
-        pts[order[dup + 1]] += gen.uniform(-1e-12, 1e-12, size=(dup.size, d))
-        warnings.warn(f"jittered {dup.size} duplicate points by 1e-12", stacklevel=2)
+    order = np.argsort(pts[:, 0]) if d == 1 else None
+    if order is None or np.any(np.diff(pts[order, 0]) == 0.0):
+        lex = np.lexsort(pts.T)
+        dup = np.nonzero(np.all(np.diff(pts[lex], axis=0) == 0.0, axis=1))[0]
+        if dup.size:
+            jittered = True
+            gen = rng if rng is not None else np.random.default_rng(0)
+            pts[lex[dup + 1]] += gen.uniform(-1e-12, 1e-12, size=(dup.size, d))
+            warnings.warn(f"jittered {dup.size} duplicate points by 1e-12", stacklevel=2)
+            if order is not None:
+                order = np.argsort(pts[:, 0])
 
-    def h_rel(block: np.ndarray) -> float:
+    def h_rel(block: np.ndarray, block_order: Optional[np.ndarray]) -> float:
         return (
-            -_knn_entropy(block, k_nn)
+            -_knn_entropy(block, k_nn, block_order)
             + 0.5 * d * math.log(2.0 * math.pi)
             + 0.5 * float(np.mean(np.sum(block * block, axis=1)))
         )
 
-    full = h_rel(pts)
+    full = h_rel(pts, order)
     folds = np.array_split(np.arange(n), n_folds)
     loo = np.empty(n_folds)
     for i, fold in enumerate(folds):
         mask = np.ones(n, dtype=bool)
         mask[fold] = False
-        loo[i] = h_rel(pts[mask])
+        fold_order = None
+        if order is not None:
+            # the kept points in sorted order, renumbered to their rows of
+            # pts[mask]: a fold is one contiguous run of rows
+            fold_order = order[mask[order]]
+            fold_order[fold_order > fold[-1]] -= fold.size
+        loo[i] = h_rel(pts[mask], fold_order)
     m = float(n_folds)
     stderr = math.sqrt((m - 1.0) / m * float(np.sum((loo - loo.mean()) ** 2)))
     return Estimate(value=full, stderr=stderr, jittered=jittered)

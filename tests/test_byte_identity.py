@@ -1,0 +1,47 @@
+"""Pinned sha256 digests of outputs that the random streams and the metric
+estimators feed.
+
+A speed change must leave these bytes as they are.  A change that re-rolls a
+random stream on purpose updates the pins and says so in CHANGES.md.  The
+chains evaluate `math.exp` and `math.log`, whose last bits can differ between
+C libraries, so another platform may need its own pins.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+import boltzsphere as bs
+from boltzsphere import cli
+from boltzsphere.conditioned import ConditionedLaw, sample_conditioned_batch
+
+SEED = 20240901
+
+
+def test_metrics_selftest_csv_is_pinned(tmp_path):
+    argv = ["metrics-selftest", "--samples", "4000", "--seed", str(SEED), "--out", str(tmp_path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    digest = hashlib.sha256((tmp_path / "metrics-selftest.csv").read_bytes()).hexdigest()
+    assert digest == "d1a2c4d689dd07b59d6d266ae455218ec6e6e61955299a93467e9a853b5af8ab"
+
+
+# the four (density, move) cases of the montecarlo benchmark workload, each
+# seeded SEED + its position as there
+CHAINS = [
+    ("uniform", 1, 64, "2df885ba452be82d67fc6a23d6e74d4c619324e25969cac99bb1b8c730a48282"),
+    ("mixture", 3, 64, "38b41ff4b05e584638825b5f8127980578d1ae4787d1f3a16620c96a6d6371e1"),
+    ("gaussian", 1, 16, "999f81b2f6ff3f050d2ae5073fe4ae621c629452277fcf248a2ed244bda2da76"),
+    ("gaussian", 2, 16, "09f256016418fa03455b2d7f1a9e58627d5adafccae62a15af53921113a87dc4"),
+]
+
+
+@pytest.mark.parametrize("k", range(len(CHAINS)), ids=[f"{c[0]}-d{c[1]}" for c in CHAINS])
+def test_chain_states_are_pinned(k):
+    density, d, N, want = CHAINS[k]
+    law = ConditionedLaw(f=bs.get_density(density, d), spec=bs.SphereSpec.boltzmann(d, N))
+    states = sample_conditioned_batch(law, SEED + k, 200)
+    assert states.shape == (200, N, d)
+    assert hashlib.sha256(states.tobytes()).hexdigest() == want

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from boltzsphere import cli, geometry
+from boltzsphere import cli, geometry, lifted
 from boltzsphere.geometry import SphereSpec
 from boltzsphere.uniform import UniformMarginal, marginal_moment
 
@@ -266,6 +266,25 @@ class TestSmallExperiments:
         cfgfile.write_text("be_cells = 65536\nn_list = 2,4,8\n")
         code = run_cli(["berry-esseen", "--config", str(cfgfile), "--out", str(tmp_path)])
         assert code == 0
+
+    def test_berry_esseen_reuses_the_zprime_gaps(self, monkeypatch, tmp_path):
+        # zprime --density uniform takes the gaps at N = 8 ... 128, five of
+        # berry-esseen's eight; the grid shape does not enter a gap
+        monkeypatch.setattr(lifted, "_GAPS", {})
+        built = []
+        gap = lifted._lattice_gap
+        monkeypatch.setattr(lifted, "_lattice_gap", lambda g, N, n: built.append(N) or gap(g, N, n))
+        assert run_cli(["berry-esseen", "--out", str(tmp_path / "alone")]) == 0
+        assert len(built) == 8
+        lifted._GAPS.clear()
+        run_cli(["zprime", "--density", "uniform", "--grid-shape", "512x512",
+                 "--out", str(tmp_path / "zprime")])
+        built.clear()
+        assert run_cli(["berry-esseen", "--out", str(tmp_path / "after")]) == 0
+        assert sorted(built) == [2, 4, 256]
+        assert read(tmp_path / "after" / "berry-esseen.csv") == read(
+            tmp_path / "alone" / "berry-esseen.csv"
+        )
 
     def test_berry_esseen_gaussian_fixed_point(self, tmp_path):
         # the Gaussian's gap is lattice error only, so it has no decay to fit

@@ -208,38 +208,42 @@ def _start(d, N, seed):
 def _chain_matches_reference(kernel, ref, v0, density, draws, step0, burn_in, thin, n_out,
                              out_count0=0):
     """Run `kernel` and, over the proposals it consumed, `ref`; both must
-    leave the same v and out and count the same states and acceptances."""
+    leave the same v and out and count the same states and acceptances, and
+    the kernel must leave the rows of `out` it did not emit as they were."""
     code, params = _kernels.density_code(density)
     v, v_ref = v0.copy(), v0.copy()
-    out, out_ref = np.zeros((n_out,) + v0.shape), np.zeros((n_out,) + v0.shape)
+    out, out_ref = np.full((n_out,) + v0.shape, -7.0), np.full((n_out,) + v0.shape, -7.0)
     got = kernel(v, code, params, *draws, step0, burn_in, thin, out, out_count0)
     used = got[2]
     want = ref(v_ref, code, params, *(a[:used] for a in draws), step0, burn_in, thin,
                out_ref, out_count0)
     assert got[:2] == want
     assert np.array_equal(v, v_ref) and np.array_equal(out, out_ref)
+    assert np.all(out[:out_count0] == -7.0) and np.all(out[got[0]:] == -7.0)
     return got
 
 
 # step0 = 5 starts in burn-in; 1003 resumes a chain past it, 3 proposals
 # after its last state ((1003 - 300) % 10 == 3).  No workload runs the pair
 # move at d = 4: it checks the generated kernel on a case no one wrote out.
+# Thin 1 emits a state at every step past burn-in.
 DENSITIES = ["gaussian", "uniform", "mixture"]
 STARTS = [(5, ""), (1003, "-resumed")]
 
 
-@pytest.mark.parametrize("d, density, step0", [
-    pytest.param(d, density, step0, id=f"{d}-{density}{suffix}")
-    for step0, suffix in STARTS for d in (2, 3, 4) for density in DENSITIES
+@pytest.mark.parametrize("d, density, step0, thin", [
+    pytest.param(d, density, step0, thin, id=f"{d}-{density}{suffix}{'-thin1' * (thin == 1)}")
+    for thin in (10, 1) for step0, suffix in STARTS[: 2 if thin > 1 else 1]
+    for d in (2, 3, 4) for density in DENSITIES
 ])
-def test_pair_chain_matches_reference(d, density, step0):
+def test_pair_chain_matches_reference(d, density, step0, thin):
     N, n = 10, 2 * BLOCK + 123
     draws = _pair_draws(10 * d, n, N, d)
     got = _chain_matches_reference(
         _kernels.pair_chain, ref_pair_chain, _start(d, N, d), bs.get_density(density, d),
-        draws, step0=step0, burn_in=300, thin=N, n_out=n // N + 3, out_count0=2,
+        draws, step0=step0, burn_in=300, thin=thin, n_out=n // thin + 3, out_count0=2,
     )
-    assert got[2] == n and got[0] > 2 + n // (2 * N)  # ran every draw, emitted states
+    assert got[2] == n and got[0] > 2 + n // (2 * thin)  # ran every draw, emitted states
 
 
 @pytest.mark.parametrize("density, step0", [

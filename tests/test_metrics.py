@@ -12,6 +12,7 @@ from boltzsphere.metrics import (
     Estimate,
     _cost_matrix,
     _knn_distances_1d,
+    _quantile_cost_1d,
     _transport_lp,
     interpolation_check,
     relative_entropy_vs_gaussian,
@@ -78,6 +79,53 @@ class TestDualAlgorithmOracle:
         b = em(rng.normal(0.3, 1.2, size=(40, 2)))
         lp = _transport_lp(_cost_matrix(a, b, 1), a.weights, b.weights)
         assert w1(a, b) == pytest.approx(lp, abs=1e-9)
+
+
+def ref_quantile_cost_1d(a, b, p):
+    """The quantile coupling through the merged cumulative sums of both
+    measures, whatever their sizes and weights."""
+    ia = np.argsort(a.points[:, 0], kind="stable")
+    ib = np.argsort(b.points[:, 0], kind="stable")
+    ca, cb = np.cumsum(a.weights[ia]), np.cumsum(b.weights[ib])
+    qs = np.union1d(ca, cb)
+    qs = qs[qs <= max(1.0 + 1e-15, min(ca[-1], cb[-1]))]
+    pa = np.clip(np.searchsorted(ca, qs - 1e-15, side="left"), 0, a.n - 1)
+    pb = np.clip(np.searchsorted(cb, qs - 1e-15, side="left"), 0, b.n - 1)
+    diffs = np.abs(a.points[ia, 0][pa] - b.points[ib, 0][pb])
+    return float(np.sum(np.diff(np.concatenate(([0.0], qs))) * diffs**p))
+
+
+class TestQuantileCoupling:
+    def test_equal_sizes_give_the_merged_coupling_bit_for_bit(self):
+        rng = np.random.default_rng(16)
+        for n in (40, 120, 1001):
+            a, b = em(rng.normal(size=n)), em(rng.normal(0.3, 1.2, size=n))
+            for p in (1, 2):
+                assert _quantile_cost_1d(a, b, p) == ref_quantile_cost_1d(a, b, p)
+
+    @pytest.mark.parametrize("n", [12_345, 1_000_000])
+    def test_last_segment_is_kept_at_equal_sizes(self, n):
+        # the cumulative sum of n weights 1/n ends above 1 + 1e-15 here, and
+        # the last point, moved, carries the whole cost
+        assert np.cumsum(np.full(n, 1.0 / n))[-1] > 1.0 + 1e-15
+        a = np.arange(n, dtype=float)
+        b = a.copy()
+        b[-1] = 100.0 * n
+        gap = b[-1] - a[-1]
+        assert w1(em(a), em(b)) == pytest.approx(gap / n, rel=1e-9)
+        assert w2(em(a), em(b)) == pytest.approx(gap / math.sqrt(n), rel=1e-9)
+
+    def test_last_segment_is_kept_when_merging(self):
+        # b lists each point twice: the same measure on 2n points, whose
+        # cumulative sum also ends above 1 + 1e-15.  The merged sums round
+        # differently, so the segment is exact to about 1e-8 only.
+        n = 12_345
+        assert np.cumsum(np.full(2 * n, 0.5 / n))[-1] > 1.0 + 1e-15
+        a = np.arange(n, dtype=float)
+        b = a.copy()
+        b[-1] = 100.0 * n
+        gap = b[-1] - a[-1]
+        assert w1(em(a), em(np.repeat(b, 2))) == pytest.approx(gap / n, rel=1e-7)
 
 
 class TestMetricAxioms:
@@ -215,6 +263,33 @@ class TestKnnOracle:
         with pytest.warns(UserWarning, match="jittered"):
             est = relative_entropy_vs_gaussian(em(pts))
         assert est == ref_relative_entropy_vs_gaussian(pts)
+
+    def _count_sorts(self, monkeypatch):
+        calls = {"argsort": 0, "lexsort": 0}
+        for name in calls:
+            def counted(*args, _sort=getattr(np, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _sort(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counted)
+        return calls
+
+    def test_one_sort_per_sample(self, monkeypatch):
+        # the sort that finds duplicates also sorts every jackknife fold
+        pts = _samples_1d("gaussian")
+        want = ref_relative_entropy_vs_gaussian(pts)
+        calls = self._count_sorts(monkeypatch)
+        assert relative_entropy_vs_gaussian(em(pts)) == want
+        assert calls == {"argsort": 1, "lexsort": 0}
+
+    def test_ties_take_the_lexsort_path(self, monkeypatch):
+        # ties are jittered as the lexsort order finds them, then re-sorted
+        pts = np.concatenate([np.zeros(50), np.random.default_rng(1).normal(size=500)])[:, None]
+        want = ref_relative_entropy_vs_gaussian(pts)
+        calls = self._count_sorts(monkeypatch)
+        with pytest.warns(UserWarning, match="jittered"):
+            assert relative_entropy_vs_gaussian(em(pts)) == want
+        assert calls == {"argsort": 2, "lexsort": 1}
 
     def test_two_dimensions_keep_the_tree(self):
         pts = np.random.default_rng(32).normal(size=(5000, 2))
