@@ -97,23 +97,17 @@ def _quantile_cost_1d(a: EmpiricalMeasure, b: EmpiricalMeasure, p: int) -> float
     xa, wa = a.points[ia, 0], a.weights[ia]
     xb, wb = b.points[ib, 0], b.weights[ib]
     ca = np.cumsum(wa)
-    if a.n == b.n and np.all(a.weights == a.weights[0]) and np.array_equal(a.weights, b.weights):
-        # one weight throughout: both quantile functions step at the same
-        # sums, so the k-th points of the two sorted samples are coupled
-        qs = ca
-        diffs = np.abs(xa - xb)
-    else:
-        cb = np.cumsum(wb)
-        qs = np.union1d(ca, cb)
-        # a cumulative sum can end a little above 1; cutting below the
-        # smaller end would drop the last segment
-        qs = qs[qs <= max(1.0 + 1e-15, min(ca[-1], cb[-1]))]
-        pa = np.searchsorted(ca, qs - 1e-15, side="left")
-        pb = np.searchsorted(cb, qs - 1e-15, side="left")
-        pa = np.clip(pa, 0, xa.size - 1)
-        pb = np.clip(pb, 0, xb.size - 1)
-        diffs = np.abs(xa[pa] - xb[pb])
+    cb = np.cumsum(wb)
+    qs = np.union1d(ca, cb)
+    # a cumulative sum can end a little above 1; cutting below the
+    # smaller end would drop the last segment
+    qs = qs[qs <= max(1.0 + 1e-15, min(ca[-1], cb[-1]))]
     seg = np.diff(np.concatenate(([0.0], qs)))
+    pa = np.searchsorted(ca, qs - 1e-15, side="left")
+    pb = np.searchsorted(cb, qs - 1e-15, side="left")
+    pa = np.clip(pa, 0, xa.size - 1)
+    pb = np.clip(pb, 0, xb.size - 1)
+    diffs = np.abs(xa[pa] - xb[pb])
     return float(np.sum(seg * diffs**p))
 
 

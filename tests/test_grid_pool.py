@@ -1,11 +1,13 @@
 """The grid-build thread pool and the exact-curve memo change no number.
 
 The exact d = 1 pipeline builds its grids on `lifted._map_grid_builds`
-(up to `lifted._GRID_WORKERS` threads) and keeps each one-particle curve in
-`conditioned._CURVES`, its only memo: no grid outlives the call that built
-it.  These tests hold the results at one worker equal to those at two,
-check that the memo keeps what it should and that no grid stays alive, and
-that typed errors raised on a pool thread reach the CLI unchanged.
+(up to `lifted._GRID_WORKERS` threads).  It keeps two memos,
+`conditioned._CURVES` (one-particle curves) and `lifted._GAPS`
+(Berry-Esseen gaps), neither of which holds a grid: no grid outlives the
+call that built it.  These tests hold the results at one worker equal to
+those at two, with both memos emptied before each run, check that the memo
+keeps what it should and that no grid stays alive, and that typed errors
+raised on a pool thread reach the CLI unchanged.
 """
 
 import sys
@@ -37,10 +39,15 @@ TINY_SPECTRAL = [
 ]
 
 
+def _empty_memos(monkeypatch):
+    monkeypatch.setattr(conditioned, "_CURVES", type(conditioned._CURVES)())
+    monkeypatch.setattr(lifted, "_GAPS", {})
+
+
 @pytest.fixture
 def fresh(monkeypatch):
-    """An empty curve memo; returns (N, weak reference) of each grid built."""
-    monkeypatch.setattr(conditioned, "_CURVES", type(conditioned._CURVES)())
+    """Empty memos; returns (N, weak reference) of each grid built."""
+    _empty_memos(monkeypatch)
     built = []
     init = lifted.LiftedGrid.__init__
 
@@ -66,18 +73,18 @@ def _law(N):
 
 def _results(monkeypatch, workers, out):
     monkeypatch.setattr(lifted, "_GRID_WORKERS", workers)
-    monkeypatch.setattr(conditioned, "_CURVES", type(conditioned._CURVES)())
+    _empty_memos(monkeypatch)
     w1_rows = np.array(w1_rate_experiment(UNIF, [8, 16, 32], grid_shape=SHAPE).rows)
-    monkeypatch.setattr(conditioned, "_CURVES", type(conditioned._CURVES)())
+    _empty_memos(monkeypatch)
     entropy = np.array([entropy_per_particle(_law(N)) for N in (16, 32)])
-    monkeypatch.setattr(conditioned, "_CURVES", type(conditioned._CURVES)())
+    _empty_memos(monkeypatch)
     entropy_rows = np.array(entropy_rate_experiment(UNIF, [16, 32], grid_shape=SHAPE))
     zdir = out / "zprime"
     code = cli.main(["zprime", "--density", "uniform", "--n-list", "8,16,32",
                      "--grid-shape", "256x256", "--out", str(zdir)])
     assert code in (cli.EXIT_OK, cli.EXIT_TOLERANCE)
     zrows = np.loadtxt(zdir / "zprime.csv", delimiter=",", skiprows=2)
-    monkeypatch.setattr(conditioned, "_CURVES", type(conditioned._CURVES)())
+    _empty_memos(monkeypatch)
     csvs = {}
     for argv in TINY_SPECTRAL:
         tdir = out / "tiny"

@@ -12,7 +12,6 @@ from boltzsphere.metrics import (
     Estimate,
     _cost_matrix,
     _knn_distances_1d,
-    _quantile_cost_1d,
     _transport_lp,
     interpolation_check,
     relative_entropy_vs_gaussian,
@@ -81,28 +80,7 @@ class TestDualAlgorithmOracle:
         assert w1(a, b) == pytest.approx(lp, abs=1e-9)
 
 
-def ref_quantile_cost_1d(a, b, p):
-    """The quantile coupling through the merged cumulative sums of both
-    measures, whatever their sizes and weights."""
-    ia = np.argsort(a.points[:, 0], kind="stable")
-    ib = np.argsort(b.points[:, 0], kind="stable")
-    ca, cb = np.cumsum(a.weights[ia]), np.cumsum(b.weights[ib])
-    qs = np.union1d(ca, cb)
-    qs = qs[qs <= max(1.0 + 1e-15, min(ca[-1], cb[-1]))]
-    pa = np.clip(np.searchsorted(ca, qs - 1e-15, side="left"), 0, a.n - 1)
-    pb = np.clip(np.searchsorted(cb, qs - 1e-15, side="left"), 0, b.n - 1)
-    diffs = np.abs(a.points[ia, 0][pa] - b.points[ib, 0][pb])
-    return float(np.sum(np.diff(np.concatenate(([0.0], qs))) * diffs**p))
-
-
 class TestQuantileCoupling:
-    def test_equal_sizes_give_the_merged_coupling_bit_for_bit(self):
-        rng = np.random.default_rng(16)
-        for n in (40, 120, 1001):
-            a, b = em(rng.normal(size=n)), em(rng.normal(0.3, 1.2, size=n))
-            for p in (1, 2):
-                assert _quantile_cost_1d(a, b, p) == ref_quantile_cost_1d(a, b, p)
-
     @pytest.mark.parametrize("n", [12_345, 1_000_000])
     def test_last_segment_is_kept_at_equal_sizes(self, n):
         # the cumulative sum of n weights 1/n ends above 1 + 1e-15 here, and
