@@ -11,11 +11,13 @@ import contextlib
 import hashlib
 import io
 
+import numpy as np
 import pytest
 
 import boltzsphere as bs
-from boltzsphere import cli
+from boltzsphere import cli, dsmc
 from boltzsphere.conditioned import ConditionedLaw, sample_conditioned_batch
+from boltzsphere.dsmc import CollisionKernel, ConditionedInitial
 
 SEED = 20240901
 
@@ -45,3 +47,40 @@ def test_chain_states_are_pinned(k):
     states = sample_conditioned_batch(law, SEED + k, 200)
     assert states.shape == (200, N, d)
     assert hashlib.sha256(states.tobytes()).hexdigest() == want
+
+
+def test_collision_run_is_pinned():
+    # each 620-mean-free-time interval at N = 32 expects about 9,900 events,
+    # so every replica's walk runs over several kernel blocks
+    states = []
+
+    def snapshot(v):
+        states.append(v.copy())
+        return float(v[0, 0])
+
+    res = dsmc.run(ConditionedInitial("mixture", 3, 32), CollisionKernel.uniform(3), t_end=1240.0,
+                   n_replicas=2, observables=("m2", "m4", snapshot), seed=SEED, n_times=3)
+    rows = hashlib.sha256(repr(res.rows()).encode()).hexdigest()
+    assert rows == "daa03933614e0ae701959629c0638684abbd5c19ac09316046afbdc88e7f0c90"
+    finals = np.stack(states[2::3])  # each replica's velocities at t_end
+    assert hashlib.sha256(finals.tobytes()).hexdigest() == (
+        "3d546e60e40dc77fe011861eaf00ec707f6b171805979e33431d6bde240785b1"
+    )
+
+
+# the stream and size of the dsmc subcommand's drift check, over 20,000 events
+WALKS = [
+    (2, "7e90e939de1e60caff14b39a66e5afce966845c7836f6496c5b6e478d39cb50a", 0.9872839701116183),
+    (3, "84f3e51176e058f71715e6da4638e039f829636b80d09bd1d4223537fe0686b4", 0.9819003744764648),
+]
+
+
+@pytest.mark.parametrize("d, want, next_draw", WALKS, ids=[f"d{w[0]}" for w in WALKS])
+def test_collision_walk_is_pinned(d, want, next_draw):
+    kernel = CollisionKernel.uniform(d)
+    gen = bs.stream(SEED, "dsmc-drift")
+    v = bs.uniform.sample_uniform(bs.SphereSpec.boltzmann(d, 256), gen)
+    target = 20_000 / kernel.rate(256)
+    assert dsmc._advance(v, 0.0, target, kernel, gen) == target
+    assert hashlib.sha256(v.tobytes()).hexdigest() == want
+    assert gen.random() == next_draw  # the walk drew as many numbers as before
