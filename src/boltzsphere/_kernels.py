@@ -38,11 +38,9 @@ compiled at import or by `default_kernels()`.
 
 The collision walk (`dsmc_advance`) reads its clock off one cumulative sum
 of the waiting times and applies the events it reaches in one generated loop
-(`dsmc_collide`), keyed by d and by the angular law.  An event loads both
-particles, then writes both, with the per-event reference arithmetic in the
-same order, so the velocities are bit-identical.  With deflection cosines,
-an event whose relative velocity is not zero rebuilds its direction with
-`_deflected`.
+(`dsmc_collide`), keyed by d.  An event loads both particles, then writes
+both, with the per-event reference arithmetic in the same order, so the
+velocities are bit-identical.
 
 Density evaluation inside kernels is restricted to the registry families,
 identified by an integer code:
@@ -198,12 +196,10 @@ def triple_chain(v, params, ii, jj, kk, angles, log_us, step0, burn_in, thin, ou
     return out_count, accepted, step - step0
 """
 
-# The event loop's code is True when deflection cosines are given, which
-# adds them to the zipped draws.
 _COLLIDE_TEMPLATE = """\
-def dsmc_collide(v, ii, jj, sigmas, cosines):
+def dsmc_collide(v, ii, jj, sigmas):
     {X} = {columns}
-    for i, j, {g} {cos_theta} in zip(ii.tolist(), jj.tolist(), {sigma_columns} {cos_column}):
+    for i, j, {g} in zip(ii.tolist(), jj.tolist(), {sigma_columns}):
         {a} = {Xi}
         {b} = {Xj}
         @collide
@@ -272,24 +268,12 @@ def _logf_lines(code, xs, out):
     ]
 
 
-def _pair_move_lines(d, new_i, new_j, deflect=False):
+def _pair_move_lines(d, new_i, new_j):
     """Lines that set new_i and new_j, patterns in the axis {a}, to the
-    post-collisional velocities of a and b along the unit vector g.  With
-    `deflect`, g is first turned to the direction with cosine cos_theta to
-    a nonzero relative velocity (`_deflected`)."""
+    post-collisional velocities of a and b along the unit vector g."""
     lines = [f"d{a} = a{a} - b{a}" for a in range(d)]
     squares = " + ".join(f"d{a} * d{a}" for a in range(d))
-    if deflect:
-        gs = ", ".join(f"g{a}" for a in range(d)) + ","
-        ds = ", ".join(f"d{a}" for a in range(d)) + ","
-        lines += [
-            f"rr = {squares}",
-            "if rr > 0.0:",
-            f"    {gs} = _deflected(array(({ds})), array(({gs})), cos_theta).tolist()",
-            "r = 0.5 * sqrt(rr)",
-        ]
-    else:
-        lines.append(f"r = 0.5 * sqrt({squares})")
+    lines.append(f"r = 0.5 * sqrt({squares})")
     for a in range(d):
         lines += [
             f"c = 0.5 * (a{a} + b{a})",
@@ -316,9 +300,6 @@ def _source(kind, code, d):
     fields["sigma_columns"] = names("sigmas[:, {a}].tolist()")
     fields["columns"] = names("v[:, {a}].tolist()")
     fields["Xi"], fields["Xj"] = names("X{a}[i]"), names("X{a}[j]")
-    deflect = kind == "dsmc_collide" and code
-    fields["cos_theta"] = "cos_theta," if deflect else ""
-    fields["cos_column"] = "cosines.tolist()," if deflect else ""
     lines = []
     for line in _TEMPLATES[kind].format(**fields).splitlines():
         body = line.lstrip()
@@ -327,7 +308,7 @@ def _source(kind, code, d):
         elif body == "@move":
             block = _pair_move_lines(d, "x{a}", "y{a}")
         elif body == "@collide":
-            block = _pair_move_lines(d, "X{a}[i]", "X{a}[j]", deflect)
+            block = _pair_move_lines(d, "X{a}[i]", "X{a}[j]")
         elif body.startswith("@axes "):
             block = [body[len("@axes "):].format(a=a) for a in range(d)]
         elif body.startswith("@logf "):
@@ -340,41 +321,21 @@ def _source(kind, code, d):
     return "\n".join(lines) + "\n"
 
 
-def _deflected(rel, g, cos_theta):
-    """c k + sqrt(1 - c^2) w for k = rel / |rel| and w the unit vector g
-    projected off k and renormalised."""
-    k = rel / np.linalg.norm(rel)
-    w = g - (g @ k) * k
-    w -= (w @ k) * k  # a second pass keeps w orthogonal to k to rounding
-    norm = np.linalg.norm(w)
-    if norm < 1e-8:  # g (anti)parallel to k: use the axis least aligned with k
-        a = int(np.argmin(np.abs(k)))
-        w = -k[a] * k
-        w[a] += 1.0
-        norm = np.linalg.norm(w)
-    return cos_theta * k + math.sqrt(max(1.0 - cos_theta * cos_theta, 0.0)) * (w / norm)
-
-
 _GENERATED = {}  # (kind, code, d) -> compiled function
 _NAMESPACE = {
     "_PENALTY": _PENALTY, "pi": math.pi,
     "sqrt": math.sqrt, "log": math.log, "exp": math.exp, "cos": math.cos, "sin": math.sin,
-    "array": np.array, "_deflected": _deflected,
 }
 
 
 def _generated(kind, code, d):
     """The function `kind` ("pair_chain", "triple_chain", "log_density" or
-    "dsmc_collide") for code `code` (a density code; for "dsmc_collide",
-    whether deflection cosines are given) in dimension d, compiled on its
-    first request."""
+    "dsmc_collide") for density code `code` (None for "dsmc_collide") in
+    dimension d, compiled on its first request."""
     key = (kind, code, d)
     fn = _GENERATED.get(key)
     if fn is None:
-        if kind == "dsmc_collide":
-            label = f"<{kind}{' deflected' if code else ''} d={d}>"
-        else:
-            label = f"<{kind} code={code} d={d}>"
+        label = f"<{kind} d={d}>" if code is None else f"<{kind} code={code} d={d}>"
         namespace = dict(_NAMESPACE)
         exec(compile(_source(kind, code, d), label, "exec"), namespace)
         fn = _GENERATED[key] = namespace[kind]
@@ -418,15 +379,13 @@ def triple_chain(
     )
 
 
-def dsmc_advance(v, t0, t_target, rate, dts, ii, jj, sigmas, cosines=None):
+def dsmc_advance(v, t0, t_target, rate, dts, ii, jj, sigmas):
     """Event-driven binary collisions until t_target or draws run out.
 
     Each event: exponential waiting time (pre-drawn, scaled by 1/rate),
-    a uniform pair, a scattering direction; velocities are replaced by
-    the post-collisional pair, conserving momentum and energy exactly.
-    The scattering direction is the drawn unit vector itself, or, when
-    deflection cosines are given, the direction with that cosine to the
-    relative velocity whose azimuth the unit vector sets.
+    a uniform pair, a scattering direction (the drawn unit vector);
+    velocities are replaced by the post-collisional pair, conserving
+    momentum and energy exactly.
     Returns (time, events consumed, collisions applied).
     """
     # cumsum adds in order, so ts[k + 1] is the clock after event k exactly
@@ -439,9 +398,7 @@ def dsmc_advance(v, t0, t_target, rate, dts, ii, jj, sigmas, cosines=None):
         k = used = len(dts)
         t = float(ts[-1])
     if k:
-        _generated("dsmc_collide", cosines is not None, v.shape[1])(
-            v, ii[:k], jj[:k], sigmas[:k], None if cosines is None else cosines[:k]
-        )
+        _generated("dsmc_collide", None, v.shape[1])(v, ii[:k], jj[:k], sigmas[:k])
     return t, used, k
 
 

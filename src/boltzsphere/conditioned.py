@@ -37,7 +37,7 @@ from ._kernels import (
 )
 from .densities import BaseDensity
 from .errors import ParameterError, SupportError
-from .geometry import SphereSpec, log_sphere_surface
+from .geometry import SphereSpec
 from .lifted import (
     DEFAULT_SHAPE,
     LiftedGrid,
@@ -224,20 +224,9 @@ def _log_marginal_times_zn(
     return vals
 
 
-def conditioned_marginal_density(
-    law: ConditionedLaw, ell: int, V_ell, mode: str = "exact"
-) -> np.ndarray:
-    """Density of the ell-particle marginal at V_ell (vectorized over rows).
-
-    mode="exact" uses the partition-value ratio through the d = 1 grid
-    pipeline; mode="asymptotic" evaluates the leading-order correction
-    factors against f^{x ell} (any registry d), dropping the remainder.
-    It keeps theta_1 (the Gaussian attenuation) and theta_2 (the sphere-area
-    ratio) but omits the third-cumulant (first Edgeworth) term, which is of
-    the same order 1/N, so it gets the order of the gap to f right but not
-    its constant: for the uniform box its W1 distance to f is about 0.325/N,
-    against 0.107/N for the exact marginal.
-    """
+def conditioned_marginal_density(law: ConditionedLaw, ell: int, V_ell) -> np.ndarray:
+    """Density of the ell-particle marginal at V_ell (vectorized over rows),
+    from the partition-value ratio through the d = 1 grid pipeline."""
     spec = law.spec
     d, N = spec.d, spec.N
     if ell >= N - 1:
@@ -248,28 +237,8 @@ def conditioned_marginal_density(
         raise ParameterError(f"points must have {ell * d} coordinates")
     single = pts.ndim == 1
 
-    if mode == "exact":
-        grid = _exact_grid(law, N - ell)
-        out = np.exp(_log_marginal_times_zn(law, ell, flat, grid) - law.log_zprime(N, spec.r, 0.0))
-    elif mode == "asymptotic":
-        sq, bar, inside, logf = _point_terms(law, ell, flat)
-        # theta_1: Gaussian attenuation in the prefix sum and energy offset;
-        # theta_2: ratio of sphere areas against its Stirling normalization
-        eps = law.f.eps
-        s2 = law.f.sigma2
-        bar2 = np.sum(bar * bar, axis=1)
-        log_t1 = -bar2 / (2.0 * eps * (N - ell)) - (d * ell - sq) ** 2 / (2.0 * s2 * (N - ell))
-        log_t2 = (
-            log_sphere_surface(d * (N - ell - 1))
-            - log_sphere_surface(d * (N - 1))
-            + 0.5 * (d * (N - ell - 1) - 2) * math.log(d * (N - ell))
-            - 0.5 * (d * (N - 1) - 2) * math.log(d * N)
-            + 0.5 * d * ell * math.log(2.0 * math.pi * math.e)
-        )
-        out = np.zeros(flat.shape[0])
-        out[inside] = np.exp((logf + log_t1 + log_t2)[inside])
-    else:
-        raise ParameterError(f"unknown mode {mode!r}")
+    grid = _exact_grid(law, N - ell)
+    out = np.exp(_log_marginal_times_zn(law, ell, flat, grid) - law.log_zprime(N, spec.r, 0.0))
     return float(out[0]) if single else out
 
 

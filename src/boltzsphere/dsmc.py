@@ -3,8 +3,8 @@
 Collision rates are velocity independent (Maxwellian molecules), so the
 process is simulated exactly: exponential waiting times with total rate
 (N-1) beta / 2 (the master-equation normalization with the 1/N rescaling),
-a uniform colliding pair, a scattering direction sigma drawn from the
-angular law, and the post-collisional update
+a uniform colliding pair, a scattering direction sigma drawn uniformly on
+the unit sphere, and the post-collisional update
 
     v_i* = (v_i + v_j)/2 + |v_i - v_j|/2 sigma,
     v_j* = (v_i + v_j)/2 - |v_i - v_j|/2 sigma,
@@ -36,9 +36,6 @@ __all__ = [
     "equilibrium_crosscheck",
 ]
 
-_COS_LO = -1.0 + 1e-9  # the low end of truncated_singular's cosine table
-
-
 def _sphere_area(d: int) -> float:
     from .geometry import log_sphere_surface
 
@@ -47,18 +44,15 @@ def _sphere_area(d: int) -> float:
 
 @dataclass(frozen=True)
 class CollisionKernel:
-    """Angular collision law with velocity-independent rate.
+    """The uniform angular collision law with velocity-independent rate
+    (Maxwellian molecules): sigma is uniform on the unit sphere.
 
     `beta` is the total angular mass (the per-pair collision rate before the
-    1/N rescaling).  A `costheta_sampler` of None means sigma is uniform on
-    the sphere; otherwise sigma is rebuilt from a sampled deflection cosine
-    around the relative-velocity direction.
+    1/N rescaling).
     """
 
     d: int
     beta: float
-    costheta_sampler: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
-    label: str = "uniform"
 
     def __post_init__(self):
         if self.d < 2:
@@ -68,33 +62,7 @@ class CollisionKernel:
 
     @classmethod
     def uniform(cls, d: int) -> "CollisionKernel":
-        return cls(d=d, beta=_sphere_area(d), label="uniform")
-
-    @classmethod
-    def truncated_singular(
-        cls, d: int, nu: float, cos_max: float, beta: float, table_size: int = 4096
-    ) -> "CollisionKernel":
-        """b(c) proportional to (1-c)^{-nu} for c <= cos_max, zero beyond.
-
-        The caller supplies the normalization beta; the deflection cosine is
-        drawn by numeric inverse CDF of b(c) (1-c^2)^{(d-3)/2}.
-        """
-        if not _COS_LO < cos_max < 1.0:  # NaN fails too
-            raise ParameterError(
-                f"cos_max must lie in (-1 + 1e-9, 1), got {cos_max}: the singular"
-                " endpoint c = 1 must be truncated, and the cosine table starts at -1 + 1e-9"
-            )
-        c = np.linspace(_COS_LO, cos_max, table_size)
-        w = (1.0 - c) ** (-nu)
-        if d != 3:
-            w = w * np.maximum(1.0 - c * c, 0.0) ** (0.5 * (d - 3))
-        cdf = np.concatenate(([0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(c))))
-        cdf /= cdf[-1]
-
-        def sampler(gen: np.random.Generator, n: int) -> np.ndarray:
-            return np.interp(gen.random(n), cdf, c)
-
-        return cls(d=d, beta=beta, costheta_sampler=sampler, label=f"truncated(nu={nu})")
+        return cls(d=d, beta=_sphere_area(d))
 
     def rate(self, N: int) -> float:
         """Total event rate (N-1) beta / 2 in master-equation time."""
@@ -106,14 +74,12 @@ class CollisionKernel:
 
 
 def _draw_events(gen: np.random.Generator, kernel: CollisionKernel, n: int, N: int) -> tuple:
-    """dsmc_advance's draws for n events: exponential waits, pairs, unit
-    vectors and, for a non-uniform angular law, deflection cosines, each
-    array drawn in full and in this order."""
+    """dsmc_advance's draws for n events: exponential waits, pairs and unit
+    vectors, each array drawn in full and in this order."""
     dts = -np.log(gen.random(n))
     ii, jj = draw_pair_indices(gen, n, N)
     sigmas = draw_unit_vectors(gen, n, kernel.d)
-    cosines = None if kernel.costheta_sampler is None else kernel.costheta_sampler(gen, n)
-    return dts, ii, jj, sigmas, cosines
+    return dts, ii, jj, sigmas
 
 
 def _advance(v, t, t_target, kernel: CollisionKernel, gen):
@@ -256,7 +222,7 @@ def run(
         times=times,
         observables=result,
         n_replicas=n_replicas,
-        meta={"seed": seed, "kernel": kernel.label, "beta": kernel.beta},
+        meta={"seed": seed, "beta": kernel.beta},
     )
 
 

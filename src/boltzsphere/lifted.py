@@ -540,31 +540,31 @@ def lifted_grid(f: BaseDensity, N: int, shape: tuple = DEFAULT_SHAPE, window: tu
     return LiftedGrid(f, N, shape=shape, window=window)
 
 
-def log_z_prime_asymptotic(f: BaseDensity, N: int, r: float = None, z_norm: float = 0.0) -> float:
-    """Leading-order log Z'_N(f; r, z) for any d (remainder not added).
+def log_z_prime_asymptotic(f: BaseDensity, N: int) -> float:
+    """Leading-order log Z'_N(f) on the Boltzmann sphere of radius
+    r = sqrt(dN), for any d (remainder not added).
 
         Z'_N = sqrt(2d)/(Sigma eps^{d/2})
-               * [(dN)/(r^2-|z|^2/N)]^{(d(N-1)-2)/2} * e^{(r^2-dN)/2}
-               * exp(-|z|^2/(2 eps N) - (r^2 - N E)^2 / (2 Sigma^2 N)).
+               * [dN/r^2]^{(d(N-1)-2)/2} * e^{(r^2-dN)/2}
+               * exp(-(r^2 - N E)^2 / (2 Sigma^2 N)).
+
+    r^2 is the rounded square of the rounded sqrt(dN), not dN itself, so the
+    values keep the bits they had when r was a parameter.
     """
     if f.sigma2 <= 0.0:
         raise DegenerateVarianceError("energy fluctuation Sigma is zero (|v|^2 deterministic)")
     d = f.d
-    if r is None:
-        r = math.sqrt(d * N)
-    z2 = z_norm * z_norm
-    rho2 = r * r - z2 / N
-    if rho2 <= 0.0:
-        raise SupportError("empty sphere in asymptotic evaluation")
+    r = math.sqrt(d * N)
+    r2 = r * r
     val = 0.5 * math.log(2.0 * d) - 0.5 * math.log(f.sigma2) - 0.5 * d * math.log(f.eps)
-    val += 0.5 * (d * (N - 1) - 2) * (math.log(d * N) - math.log(rho2))
-    val += 0.5 * (r * r - d * N)
-    val += -z2 / (2.0 * f.eps * N) - (r * r - N * f.E) ** 2 / (2.0 * f.sigma2 * N)
+    val += 0.5 * (d * (N - 1) - 2) * (math.log(d * N) - math.log(r2))
+    val += 0.5 * (r2 - d * N)
+    val += -((r2 - N * f.E) ** 2) / (2.0 * f.sigma2 * N)
     return val
 
 
-def z_prime_asymptotic(f: BaseDensity, N: int, r: float = None, z_norm: float = 0.0) -> float:
-    return math.exp(log_z_prime_asymptotic(f, N, r, z_norm))
+def z_prime_asymptotic(f: BaseDensity, N: int) -> float:
+    return math.exp(log_z_prime_asymptotic(f, N))
 
 
 # Berry-Esseen gaps by (g.key, N, n_cells), so that zprime and berry-esseen

@@ -153,7 +153,7 @@ class TestMarginalDensity:
         lw = law(GAUSS, 1, 16)
         m = UniformMarginal(lw.spec, 1)
         pts = np.linspace(-3.0, 3.0, 31)[:, None]
-        got = conditioned_marginal_density(lw, 1, pts, mode="exact")
+        got = conditioned_marginal_density(lw, 1, pts)
         want = marginal_density(m, pts)
         assert np.max(np.abs(got - want)) <= 1e-10
 
@@ -243,17 +243,6 @@ class TestMarginalDensity:
     def test_support_indicator(self):
         lw = law(UNIF, 1, 8)
         assert conditioned_marginal_density(lw, 1, np.array([5.0])) == 0.0
-
-    def test_asymptotic_close_to_exact(self):
-        # self-consistency: sup gap at N shrinks at least like 1/sqrt(N)
-        grid = np.linspace(-1.5, 1.5, 61)[:, None]
-        gaps = {}
-        for N in (16, 64):
-            lw = law(UNIF, 1, N)
-            exact = conditioned_marginal_density(lw, 1, grid, mode="exact")
-            asym = conditioned_marginal_density(lw, 1, grid, mode="asymptotic")
-            gaps[N] = float(np.max(np.abs(exact - asym)))
-        assert gaps[64] <= gaps[16] / math.sqrt(64.0 / 16.0)
 
     def test_order_validation(self):
         lw = law(UNIF, 1, 8)

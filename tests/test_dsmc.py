@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
 import boltzsphere as bs
 from boltzsphere import _kernels, dsmc
@@ -33,30 +32,6 @@ class TestKernel:
         # one collision per particle per mean free time: rate * mft = N/2
         assert k.rate(N) * k.mean_free_time(N) == pytest.approx(N / 2.0)
 
-    def test_truncated_singular_sampler(self):
-        k = CollisionKernel.truncated_singular(3, nu=0.5, cos_max=0.9, beta=7.0)
-        gen = np.random.default_rng(0)
-        cs = k.costheta_sampler(gen, 20_000)
-        assert np.all(cs <= 0.9)
-        # density increases toward the truncation point
-        lo = np.mean((cs > -1.0) & (cs < -0.05))
-        hi = np.mean((cs > -0.05) & (cs < 0.9))
-        assert hi > lo
-
-    @pytest.mark.parametrize("cos_max", [1.0, 1.5, -1.0, -1.5, float("nan")])
-    def test_truncated_singular_rejects_cos_max_outside_the_open_interval(self, cos_max):
-        # at cos_max = -1.5 the table ran below -1 and sigma lost its unit
-        # length, so collisions stopped conserving energy
-        with pytest.raises(bs.ParameterError, match="cos_max must lie in"):
-            CollisionKernel.truncated_singular(3, nu=0.5, cos_max=cos_max, beta=7.0)
-
-    @pytest.mark.parametrize("d", [2, 3])
-    @pytest.mark.parametrize("cos_max", [-0.999, -0.5, 0.9])
-    def test_truncated_singular_cosines_lie_in_range(self, d, cos_max):
-        k = CollisionKernel.truncated_singular(d, nu=0.5, cos_max=cos_max, beta=7.0)
-        cs = k.costheta_sampler(np.random.default_rng(1), 20_000)
-        assert cs.min() >= -1.0 and cs.max() <= cos_max
-
 
 def _uniform_state(d, N, seed):
     """(velocities, generator): a uniform-law start and the stream that goes on from it."""
@@ -76,22 +51,6 @@ class TestStep:
         )
         assert out[1:] == (1, 1)
         assert np.allclose(v, v0, rtol=0.0, atol=1e-14)
-
-    def test_deflection_cosines_follow_angular_law(self):
-        kernel = CollisionKernel.truncated_singular(3, nu=0.3, cos_max=0.8, beta=4.0)
-        N, n = 6, 2000
-        v, gen = _uniform_state(3, N, 14)
-        dts, ii, jj, sigmas, cos = dsmc._draw_events(gen, kernel, n, N)
-        advance = _kernels.default_kernels().dsmc_advance
-        cosines = []
-        for e in range(n):
-            rel0 = v[ii[e]] - v[jj[e]]
-            ev = slice(e, e + 1)
-            advance(v, 0.0, math.inf, kernel.rate(N), dts[ev], ii[ev], jj[ev], sigmas[ev], cos[ev])
-            rel1 = v[ii[e]] - v[jj[e]]
-            cosines.append(rel1 @ rel0 / (rel0 @ rel0))
-        want = kernel.costheta_sampler(np.random.default_rng(15), n)
-        assert stats.ks_2samp(cosines, want).pvalue > 0.01
 
     def test_poisson_clock_rate(self):
         kernel = CollisionKernel.uniform(2)
@@ -163,15 +122,6 @@ class TestRun:
             run(UniformInitial(d=2, N=8), CollisionKernel.uniform(2),
                 t_end=1.0, n_replicas=1, seed=0)
 
-    def test_nonuniform_angular_law_path(self):
-        # the truncated-singular kernel draws deflection cosines; conservation
-        # and the pinned second moment must still hold
-        kernel = CollisionKernel.truncated_singular(3, nu=0.3, cos_max=0.8, beta=4.0)
-        res = run(UniformInitial(d=3, N=12), kernel, t_end=2.0, n_replicas=3,
-                  observables=("m2",), seed=13, n_times=3)
-        m2, _ = res.observables["m2"]
-        assert np.allclose(m2, 3.0, atol=1e-9)
-
     def test_long_run_is_bit_identical_across_jobs(self):
         # 2000 mft at N = 64 is about 64,000 collisions per replica, so each
         # replica runs over several event chunks and many draw blocks
@@ -183,7 +133,7 @@ class TestRun:
         # at t_end = 1e-6 mft a collision is improbable (~6e-6 per replica),
         # so the observable must not move; a collision crossing the
         # observation time must not be applied before the observation
-        kernel = CollisionKernel.truncated_singular(3, nu=0.3, cos_max=0.8, beta=4.0)
+        kernel = CollisionKernel.uniform(3)
         res = run(UniformInitial(d=3, N=12), kernel, t_end=1e-6, n_replicas=3,
                   observables=("m4",), seed=0, n_times=2)
         m4, _ = res.observables["m4"]
@@ -239,25 +189,19 @@ def _advance_drawing_in_full(v, t, t_target, kernel, gen):
         norms = np.linalg.norm(g, axis=1)
         norms[norms == 0.0] = 1.0
         sigmas = g / norms[:, None]
-        cosines = None if kernel.costheta_sampler is None else kernel.costheta_sampler(gen, n)
         t, _, _ = _kernels.dsmc_advance(
-            v, t, t_target, rate, dts, i.astype(np.int64), j.astype(np.int64), sigmas, cosines
+            v, t, t_target, rate, dts, i.astype(np.int64), j.astype(np.int64), sigmas
         )
     return t
 
 
 @pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("law", ["uniform", "truncated"])
 @pytest.mark.parametrize("events", [[40, 300, 1_000], [50_000, 20]], ids=["short", "long"])
-def test_advance_matches_the_full_draw_path(d, law, events):
+def test_advance_matches_the_full_draw_path(d, events):
     # the replicas' intervals need a few hundred events; the long target
     # runs over a capped chunk and a sized one; the generator state check
     # pins the sizing rule
-    kernel = (
-        CollisionKernel.uniform(d)
-        if law == "uniform"
-        else CollisionKernel.truncated_singular(d, nu=0.3, cos_max=0.8, beta=4.0)
-    )
+    kernel = CollisionKernel.uniform(d)
     N = 24
     v0 = sample_uniform_batch(bs.SphereSpec.boltzmann(d, N), 1, 5)[0].reshape(N, d)
     got_v, want_v = v0.copy(), v0.copy()

@@ -107,5 +107,5 @@ def test_event_loop_compiles_on_first_use_and_once():
         "print(json.dumps([before, sorted(first), reused]))\n"
     )
     assert before == []
-    assert keys == [["dsmc_collide", False, 3]]
+    assert keys == [["dsmc_collide", None, 3]]
     assert reused

@@ -150,15 +150,13 @@ def ref_triple_chain(
     return out_count, accepted
 
 
-def ref_dsmc_advance(v, t0, t_target, rate, dts, ii, jj, sigmas, cosines=None):
+def ref_dsmc_advance(v, t0, t_target, rate, dts, ii, jj, sigmas):
     """Event-driven binary collisions until t_target or draws run out.
 
     Each event: exponential waiting time (pre-drawn, scaled by 1/rate),
-    a uniform pair, a scattering direction; velocities are replaced by
-    the post-collisional pair, conserving momentum and energy exactly.
-    The scattering direction is the drawn unit vector itself, or, when
-    deflection cosines are given, the direction with that cosine to the
-    relative velocity whose azimuth the unit vector sets.
+    a uniform pair, a scattering direction (the drawn unit vector);
+    velocities are replaced by the post-collisional pair, conserving
+    momentum and energy exactly.
     Returns (time, events consumed, collisions applied).
     """
     d = v.shape[1]
@@ -176,8 +174,6 @@ def ref_dsmc_advance(v, t0, t_target, rate, dts, ii, jj, sigmas, cosines=None):
             rr += diff * diff
         r = 0.5 * math.sqrt(rr)
         sigma = sigmas[idx]
-        if cosines is not None and rr > 0.0:
-            sigma = _kernels._deflected(v[i] - v[j], sigma, cosines[idx])
         for a in range(d):
             c = 0.5 * (v[i, a] + v[j, a])
             vi = c + r * sigma[a]
@@ -287,19 +283,13 @@ def test_chain_with_full_out_consumes_nothing():
 @pytest.mark.parametrize(
     "stop", ["inside-block", "last-of-block", "first-of-next-block", "past-end", "never"]
 )
-@pytest.mark.parametrize(
-    "kernel",
-    [CollisionKernel.uniform(3), CollisionKernel.truncated_singular(3, nu=0.3, cos_max=0.8, beta=4.0)],
-    ids=["uniform", "truncated"],
-)
-def test_dsmc_advance_matches_reference(kernel, stop):
+def test_dsmc_advance_matches_reference(stop):
     N, n, t0 = 16, 2 * BLOCK + 300, 0.5
     rng = np.random.default_rng(15)
     dts = -np.log(rng.random(n))
     ii, jj = _kernels.draw_pair_indices(rng, n, N)
     sigmas = _kernels.draw_unit_vectors(rng, n, 3)
-    cosines = None if kernel.costheta_sampler is None else kernel.costheta_sampler(rng, n)
-    rate = kernel.rate(N)
+    rate = CollisionKernel.uniform(3).rate(N)
     clock = t0 + np.cumsum(dts / rate)
     # the event whose waiting time crosses t_target; midpoints keep the
     # crossing clear of rounding
@@ -311,43 +301,30 @@ def test_dsmc_advance_matches_reference(kernel, stop):
         t_target, counts = (clock[-1] + 1.0 if stop == "past-end" else math.inf), (n, n)
     v0 = _start(3, N, 4)
     v, v_ref = v0.copy(), v0.copy()
-    got = _kernels.dsmc_advance(v, t0, t_target, rate, dts, ii, jj, sigmas, cosines)
-    want = ref_dsmc_advance(v_ref, t0, t_target, rate, dts, ii, jj, sigmas, cosines)
+    got = _kernels.dsmc_advance(v, t0, t_target, rate, dts, ii, jj, sigmas)
+    want = ref_dsmc_advance(v_ref, t0, t_target, rate, dts, ii, jj, sigmas)
     assert got == want and got[1:] == counts
     assert np.array_equal(v, v_ref)
-
-
-_LAWS = {
-    (law, d): kernel
-    for d in (2, 3, 4)
-    for law, kernel in (
-        ("uniform", CollisionKernel.uniform(d)),
-        ("truncated", CollisionKernel.truncated_singular(d, nu=0.3, cos_max=0.8, beta=4.0)),
-    )
-}
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     N=st.sampled_from([2, 3, 5, 64]),
     n=st.sampled_from([0, 1, 2, 3000, 4500]),
-    law=st.sampled_from(["truncated", "uniform"]),
     stop=st.sampled_from(["before-first", "inside", "on-a-partial-sum", "past-end"]),
     seed=st.integers(0, 2**32 - 1),
     where=st.floats(0.0, 1.0),
     d=st.sampled_from([2, 3, 4]),
 )
-def test_dsmc_advance_matches_reference_on_random_cases(N, n, law, stop, seed, where, d):
+def test_dsmc_advance_matches_reference_on_random_cases(N, n, stop, seed, where, d):
     # N = 2 makes every event collide the same pair; each d runs its own
     # generated event loop; a target equal to a partial sum of the clock
     # must not stop there, since the stop is strict
-    kernel = _LAWS[law, d]
     rng = np.random.default_rng(seed)
     dts = -np.log(rng.random(n))
     ii, jj = _kernels.draw_pair_indices(rng, n, N)
     sigmas = _kernels.draw_unit_vectors(rng, n, d)
-    cosines = None if kernel.costheta_sampler is None else kernel.costheta_sampler(rng, n)
-    rate, t0 = kernel.rate(N), 0.25
+    rate, t0 = CollisionKernel.uniform(d).rate(N), 0.25
     ts = np.cumsum(np.concatenate(([t0], dts / rate)))
     k = int(where * n)
     t_target = {
@@ -358,8 +335,8 @@ def test_dsmc_advance_matches_reference_on_random_cases(N, n, law, stop, seed, w
     }[stop]
     v0 = rng.normal(size=(N, d))
     v, v_ref = v0.copy(), v0.copy()
-    got = _kernels.dsmc_advance(v, t0, t_target, rate, dts, ii, jj, sigmas, cosines)
-    want = ref_dsmc_advance(v_ref, t0, t_target, rate, dts, ii, jj, sigmas, cosines)
+    got = _kernels.dsmc_advance(v, t0, t_target, rate, dts, ii, jj, sigmas)
+    want = ref_dsmc_advance(v_ref, t0, t_target, rate, dts, ii, jj, sigmas)
     assert got == want
     assert np.array_equal(v, v_ref)
 

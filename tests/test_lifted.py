@@ -9,7 +9,6 @@ from boltzsphere.lifted import (
     convolution_power,
     default_window,
     lifted_grid,
-    log_z_prime_asymptotic,
     rasterize_lifted,
     z_prime_asymptotic,
 )
@@ -126,10 +125,6 @@ class TestZPrime:
         )
         with pytest.raises(bs.DegenerateVarianceError):
             z_prime_asymptotic(frozen, 16)
-
-    def test_asymptotic_empty_sphere(self):
-        with pytest.raises(bs.SupportError):
-            log_z_prime_asymptotic(GAUSS, 4, r=0.1, z_norm=2.0)
 
     def test_exact_approaches_asymptotic(self):
         rows = []
