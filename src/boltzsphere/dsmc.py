@@ -36,6 +36,7 @@ __all__ = [
     "equilibrium_crosscheck",
 ]
 
+
 def _sphere_area(d: int) -> float:
     from .geometry import log_sphere_surface
 

@@ -548,8 +548,8 @@ def log_z_prime_asymptotic(f: BaseDensity, N: int) -> float:
                * [dN/r^2]^{(d(N-1)-2)/2} * e^{(r^2-dN)/2}
                * exp(-(r^2 - N E)^2 / (2 Sigma^2 N)).
 
-    r^2 is the rounded square of the rounded sqrt(dN), not dN itself, so the
-    values keep the bits they had when r was a parameter.
+    r^2 is the square of the rounded radius sqrt(dN), not dN itself: the
+    zprime outputs hold the bits of that evaluation.
     """
     if f.sigma2 <= 0.0:
         raise DegenerateVarianceError("energy fluctuation Sigma is zero (|v|^2 deterministic)")
