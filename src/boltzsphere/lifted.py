@@ -22,7 +22,10 @@ only.  Sums over the full lattice weight the rows by their fold weights.
 from __future__ import annotations
 
 import math
+import mmap
 import os
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,15 +220,15 @@ def rasterize_lifted(f: BaseDensity, window: tuple = None, shape: tuple = DEFAUL
         raise ParameterError("nz must be even (origin on the lattice)")
     h = nz // 2
     # The raster sits at the front of a zeroed buffer the size of its
-    # (h + 1, nu // 2 + 1) complex half spectrum, the size of the buffer
-    # each build returns its grid in (`_inverse_rows`).  A build frees its
-    # raster before it allocates its spectrum, so malloc can hand the
-    # spectrum the raster's block and the next raster the block of the grid
-    # before it.  With a raster block 16 KB short of a spectrum, a worker
-    # thread's malloc arena often kept two blocks: the spectral workload's
-    # peak RSS had a median of 172 MB against 154 MB (8 runs each, 2-core
-    # VM).
-    buf = np.zeros((h + 1) * 2 * (nu // 2 + 1))
+    # (h + 1, nu // 2 + 1) complex half spectrum: on a pool worker, the
+    # worker's grid buffer, which `convolution_power` writes that spectrum
+    # over once the raster is dead.
+    n = (h + 1) * 2 * (nu // 2 + 1)
+    buf = _worker_buffer(n)
+    if buf is None:
+        buf = np.zeros(n)
+    else:
+        buf[: (h + 1) * nu] = 0.0
     grid = GridDensity(z_hi=z_half, u_hi=u_hi, values=buf[: (h + 1) * nu].reshape(h + 1, nu))
     dz, du = grid.dz, grid.du
 
@@ -352,9 +355,9 @@ def _mass_row_spectra(values: np.ndarray, cell: float) -> tuple:
 _BLOCK_BYTES = 1 << 20
 
 
-def _z_power(rows: np.ndarray, row_spectra: np.ndarray, n_rows: int, n: int) -> np.ndarray:
-    """idct_z(dct_z(S)^n) as a new (n_rows, ncol) array, where S is zero
-    but for row_spectra at rows.
+def _z_power(rows: np.ndarray, row_spectra: np.ndarray, n_rows: int, n: int, out=None) -> np.ndarray:
+    """idct_z(dct_z(S)^n) as an (n_rows, ncol) complex array, written into
+    out or a new array, where S is zero but for row_spectra at rows.
 
     S holds the z >= 0 rows of a spectrum that is even in z, row 0 at z = 0
     and row n_rows - 1 at the Nyquist row.  Along z the full FFT of an even
@@ -368,7 +371,7 @@ def _z_power(rows: np.ndarray, row_spectra: np.ndarray, n_rows: int, n: int) -> 
     from scipy.fft import dct, idct
 
     ncol = row_spectra.shape[1]
-    spectrum = np.empty((n_rows, ncol), dtype=complex)
+    spectrum = np.empty((n_rows, ncol), dtype=complex) if out is None else out
     width = max(1, _BLOCK_BYTES // (16 * n_rows))
     for c0 in range(0, ncol, width):
         c1 = min(c0 + width, ncol)
@@ -421,10 +424,11 @@ def convolution_power(g: GridDensity, N: int) -> GridDensity:
     and `irfftn` on the whole even lattice.  One build holds one
     half-grid-sized buffer at a time: the raster until the mass rows are
     transformed, then the (nz/2 + 1, nu/2 + 1) complex half spectrum, whose
-    memory becomes the result.  Negative FFT ringing is clamped to zero; if
-    the clamped mass exceeds 1e-9, or noticeable mass reaches the window
-    boundary (wrap-around), the window is considered misconfigured and a
-    coverage error is raised.  Both masses count each row by its fold
+    memory becomes the result.  On a pool worker that buffer is the
+    worker's grid buffer (`_worker_buffer`) while no live array uses it.
+    Negative FFT ringing is clamped to zero; if the clamped mass exceeds
+    1e-9, or noticeable mass reaches the window boundary (wrap-around), the
+    window is considered misconfigured and a coverage error is raised.  Both masses count each row by its fold
     weight, so they are the masses of the full lattice.
     """
     if N < 1:
@@ -436,9 +440,13 @@ def convolution_power(g: GridDensity, N: int) -> GridDensity:
     rows, row_spectra = _mass_row_spectra(g.values, cell)
     # g is not modified.  LiftedGrid passes its raster as a temporary, which
     # CPython 3.11 hands to this frame, so dropping g frees the raster before
-    # the power.
+    # the power.  The raster must be dead before the spectrum is written: on
+    # a pool worker the spectrum takes the buffer the raster was in, and a
+    # raster that a caller still holds leaves the spectrum new memory.
     del g
-    spectrum = _z_power(rows, row_spectra, n_rows, N)
+    buf = _worker_buffer(n_rows * 2 * row_spectra.shape[1])
+    spectrum = _z_power(rows, row_spectra, n_rows, N,
+                        None if buf is None else buf.view(complex).reshape(n_rows, -1))
     del row_spectra
     out, neg_mass = _inverse_rows(spectrum, nu, cell)
     if neg_mass > _NEG_MASS_TOL:
@@ -504,11 +512,51 @@ class LiftedGrid:
 # Grid builds run on at most two threads.  numpy's FFTs and ufuncs release
 # the GIL, so two builds for different N overlap almost fully (1.9x on two
 # cores), while splitting one build's FFTs gains little (1.16x).  The cap is
-# set by memory: two concurrent builds of the uniform box at the default
-# shape (19 to 21 MB each at their peak, 17 MB of it the half spectrum that
-# becomes the grid) stay well under the peak of the earlier one-at-a-time
-# full-grid pipeline.
+# set by memory: each worker holds one grid buffer, 17 MB at the default
+# shape, and 2 to 4 MB of temporaries at the peak of a build.
 _GRID_WORKERS = min(2, len(os.sched_getaffinity(0)))
+
+# A pool worker's grid buffer (.buffer, None before its first build) and
+# the buffer's reference count when no array uses it (.free_refs).  Off the
+# pool there is no .buffer.
+_WORKER = threading.local()
+
+
+def _worker_buffer(n: int):
+    """The calling pool worker's grid buffer of n floats, or None.
+
+    None off the pool, and while a raster, spectrum or grid in the buffer
+    is alive: each is a view whose base is the buffer, so the buffer's
+    reference count shows it.  A free buffer of another size is replaced.
+    The buffer is anonymous pages, not malloc memory: glibc's dynamic mmap
+    threshold rises to a grid's size at the first freed grid, after which
+    grid blocks come from per-thread malloc arenas that keep them, so peak
+    RSS depended on how those arenas happened to fill.
+    """
+    try:
+        buf = _WORKER.buffer
+    except AttributeError:
+        return None
+    if buf is not None:
+        if sys.getrefcount(buf) > _WORKER.free_refs:
+            return None
+        if buf.size == n:
+            return buf
+    pages = mmap.mmap(-1, 8 * n, flags=mmap.MAP_PRIVATE)
+    try:
+        # as numpy advises its own arrays of 4 MB and more: filling a buffer
+        # of the default shape took 4,106 page faults without it and 528
+        # with it
+        pages.madvise(mmap.MADV_HUGEPAGE)
+    except OSError:  # a kernel without transparent huge pages
+        pass
+    buf = _WORKER.buffer = np.frombuffer(pages)
+    _WORKER.free_refs = sys.getrefcount(buf)
+    return buf
+
+
+def _start_worker():
+    _WORKER.buffer = None
 
 
 def _map_grid_builds(fn, items) -> list:
@@ -516,22 +564,29 @@ def _map_grid_builds(fn, items) -> list:
 
     For work that builds one grid or lattice per item and keeps only a small
     result (a curve, a partition value, a sup gap), so at most
-    _GRID_WORKERS grids are alive at once.  The same code runs at one worker and at two.  An exception
-    raised by fn reaches the caller unchanged, as it would from a loop.
+    _GRID_WORKERS grids are alive at once.  Each worker builds its grids in
+    one grid buffer (`_worker_buffer`), made at its first build; the
+    buffers are unmapped when the pool's threads exit, before this returns.
+    The same code runs at one worker and at two.  An exception raised by fn
+    reaches the caller unchanged, as it would from a loop.
     """
     items = list(items)
     if not items:
         return []
     from concurrent.futures.thread import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=min(_GRID_WORKERS, len(items))) as pool:
+    workers = min(_GRID_WORKERS, len(items))
+    with ThreadPoolExecutor(max_workers=workers, initializer=_start_worker) as pool:
         return list(pool.map(fn, items))
 
 
 def lifted_grid(f: BaseDensity, N: int, shape: tuple = DEFAULT_SHAPE, window: tuple = None) -> LiftedGrid:
     """A new N-fold lifted grid of f; 17 MB at the default shape: its values,
     the (1025, 2048) rows for z >= 0, are the front of the (1025, 1025)
-    complex spectrum buffer they were computed in.
+    complex spectrum buffer they were computed in.  On a pool worker that
+    buffer is the worker's grid buffer, which the worker's next build
+    reuses only once no array of this grid is alive, so a grid or values
+    array that a caller keeps is never overwritten.
 
     Every grid of the package is built here and held only by its caller, so
     none outlives the call that asked for it.  The one memo of the exact

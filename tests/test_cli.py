@@ -169,6 +169,23 @@ class TestConfigHandling:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("command", [
+        "uniform-marginal", "l1-gap", "zprime", "berry-esseen", "w1-rate", "entropy-rate", "dsmc",
+    ])
+    def test_empty_n_list_is_config_error(self, tmp_path, capsys, command, source):
+        # an empty list would check no N, or fail on its first N with a traceback
+        out = tmp_path / "out"
+        if source == "flag":
+            argv = ["--n-list", ""]
+        else:
+            cfgfile = tmp_path / "empty.cfg"
+            cfgfile.write_text("n_list =\n")
+            argv = ["--config", str(cfgfile)]
+        assert run_cli([command] + argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {command} needs at least one N; n_list is empty\n"
+        assert not out.exists()
+
     def test_one_particle_dsmc_is_a_runtime_error(self, tmp_path, capsys):
         # N = 1 is a valid size for the config; the simulation needs a pair
         assert run_cli(["dsmc", "--n-list", "1", "--out", str(tmp_path)]) == cli.EXIT_RUNTIME
