@@ -3,6 +3,9 @@
 Every subcommand runs a declared experiment with pinned tolerances, writes a
 CSV (one comment header naming units and the config hash) plus a JSON report
 into the output directory, and exits 0 only when all tolerances are met.
+Each experiment is one row of `EXPERIMENTS`: the function that computes its
+checks and rows, its default overrides and its rules on d and N.
+`run_experiment` drives one row, and `report` drives every row.
 
 Exit codes:
     0  all declared tolerances met
@@ -18,14 +21,15 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import __version__
 from .conditioned import entropy_rate_experiment, w1_rate_experiment
 from .densities import gaussian_density, get_density, registry_names
-from .dsmc import CollisionKernel, ConditionedInitial, equilibrium_crosscheck, run as dsmc_run
+from .dsmc import CollisionKernel, ConditionedInitial, _advance, equilibrium_crosscheck, run as dsmc_run
 from .errors import BoltzsphereError, ConfigError, ParameterError
 from .geometry import (
     ScalarField,
@@ -60,9 +64,6 @@ EXIT_TOLERANCE = 4
 EXIT_RUNTIME = 5
 
 _DEFAULT_SEED = 20240901
-# the grid pipeline and the Berry-Esseen lattice are built for d = 1
-_D1_EXPERIMENTS = ("zprime", "berry-esseen", "w1-rate", "entropy-rate", "uniform-marginal")
-_RATE_EXPERIMENTS = ("l1-gap", "berry-esseen", "w1-rate", "entropy-rate")  # plot a rate in N
 _TOLERANCE_PROFILES = ("strict", "default")
 _DRIFT_EVENTS = 1_000_000
 # a pointwise-cancelling ipp-check integrand may be this many units of
@@ -104,6 +105,32 @@ class ExperimentConfig:
 
     def hash(self) -> str:
         return config_hash(self.as_dict())
+
+
+@dataclass
+class Outcome:
+    """What one experiment computed, in the form the driver prints and writes."""
+
+    checks: list  # (label, passed)
+    columns: tuple
+    rows: list
+    units: str
+    extras: dict = field(default_factory=dict)  # JSON keys beside "passed"
+    # a rate in N: (rows with N and the value first, title, RateReport or
+    # None); the driver plots it and writes the fit into the JSON
+    rate_plot: Optional[tuple] = None
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One subcommand: how it runs and which configurations it accepts."""
+
+    run: Callable[[ExperimentConfig], Outcome]
+    defaults: dict = field(default_factory=dict)
+    d1_only: bool = False  # its grid, lattice or marginal is built for d = 1
+    rate: bool = False  # plots a rate in N, so it needs two values of N
+    n_min: Optional[Callable[[int], tuple]] = None  # d -> (smallest N, why)
+    rules: Optional[Callable[[ExperimentConfig], None]] = None  # more ConfigError checks
 
 
 def _parse_kv_file(path: str) -> dict:
@@ -150,9 +177,12 @@ def _apply_overrides(cfg: ExperimentConfig, overrides: dict) -> ExperimentConfig
     return cfg
 
 
-def _load_config(args, experiment: str, defaults: dict) -> ExperimentConfig:
+def _load_config(args, experiment: str) -> ExperimentConfig:
+    """The experiment's defaults, then the config file, then the flags; every
+    rule is checked here, before any output directory is made."""
+    row = EXPERIMENTS[experiment]
     cfg = ExperimentConfig(experiment=experiment)
-    cfg = _apply_overrides(cfg, defaults)
+    cfg = _apply_overrides(cfg, row.defaults)
     if args.config:
         cfg = _apply_overrides(cfg, _parse_kv_file(args.config))
     flags = {key: val for key, val in vars(args).items() if key not in ("command", "config")}
@@ -163,7 +193,7 @@ def _load_config(args, experiment: str, defaults: dict) -> ExperimentConfig:
         )
     if cfg.density not in registry_names():
         raise ConfigError(f"unknown density {cfg.density!r}; registry: {registry_names()}")
-    if "n_list" in defaults and not cfg.n_list:
+    if "n_list" in row.defaults and not cfg.n_list:
         raise ConfigError(f"{experiment} needs at least one N; n_list is empty")
     if cfg.n_list and any(b <= a for a, b in zip(cfg.n_list, cfg.n_list[1:])):
         raise ConfigError("n_list must be strictly increasing")
@@ -172,23 +202,16 @@ def _load_config(args, experiment: str, defaults: dict) -> ExperimentConfig:
     for key in ("d", "samples", "replicas", "be_cells", "n_times", "jobs"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)}")
-    if cfg.experiment in _D1_EXPERIMENTS and cfg.d != 1:
-        raise ConfigError(f"{cfg.experiment} runs at d = 1 only, got d = {cfg.d}")
-    if cfg.experiment in _RATE_EXPERIMENTS and len(cfg.n_list) < 2:
-        raise ConfigError(f"{cfg.experiment} needs at least two values of N to plot a rate")
-    if cfg.experiment == "dsmc":
-        if len(cfg.n_list) != 1:
-            raise ConfigError(f"dsmc runs one N; n_list has {len(cfg.n_list)} values")
-        if cfg.replicas < 2:
-            raise ConfigError(f"dsmc needs at least two replicas for error bars, got {cfg.replicas}")
-        if cfg.d < 2:
-            raise ConfigError(f"dsmc collides pairs in d >= 2, got d = {cfg.d}")
-        if cfg.n_list[0] == 2:
-            # N = 1 has no pair and fails at once; N = 2 would fail only
-            # after the drift check, at the conditioned start
-            raise ConfigError("dsmc starts from a conditioned chain, which needs N >= 3, got N = 2")
-    if cfg.experiment == "zprime" and cfg.n_list[0] < 2:
-        raise ConfigError(f"zprime needs N >= 2 (Z'_1 is a point mass), got N = {cfg.n_list[0]}")
+    if row.d1_only and cfg.d != 1:
+        raise ConfigError(f"{experiment} runs at d = 1 only, got d = {cfg.d}")
+    if row.rate and len(cfg.n_list) < 2:
+        raise ConfigError(f"{experiment} needs at least two values of N to plot a rate")
+    if row.rules is not None:
+        row.rules(cfg)
+    if row.n_min is not None:
+        n_min, why = row.n_min(cfg.d)
+        if cfg.n_list[0] < n_min:
+            raise ConfigError(f"{experiment} needs N >= {n_min}{why}, got N = {cfg.n_list[0]}")
     if not (cfg.t_end > 0.0 and math.isfinite(cfg.t_end)):
         raise ConfigError(f"t_end must be positive and finite, got {cfg.t_end}")
     if min(cfg.grid_shape) <= 0:
@@ -197,33 +220,44 @@ def _load_config(args, experiment: str, defaults: dict) -> ExperimentConfig:
         raise ConfigError(f"grid_shape nz must be even (origin on the lattice), got {cfg.grid_shape}")
     if cfg.be_cells % 2:
         raise ConfigError(f"be_cells must be even (origin on the lattice), got {cfg.be_cells}")
-    os.makedirs(cfg.out, exist_ok=True)
     return cfg
 
 
-def _emit(cfg: ExperimentConfig, name: str, columns, rows, units: str, report: dict) -> None:
-    header = f"boltzsphere {name} v{__version__} config_hash={cfg.hash()} units={units}"
-    write_csv(os.path.join(cfg.out, f"{name}.csv"), columns, rows, header)
-    report = dict(report)
-    report["config"] = cfg.as_dict()
-    report["config_hash"] = cfg.hash()
-    write_json(os.path.join(cfg.out, f"{name}.json"), report)
+def run_experiment(name: str, args) -> int:
+    """Load, check and run one experiment, print its checks and write its CSV,
+    JSON and (for a rate in N) SVG; the one place every JSON report gains its
+    keys.  A config or runtime error prints one line and returns 3 or 5."""
+    try:
+        cfg = _load_config(args, name)
+        os.makedirs(cfg.out, exist_ok=True)
+        res = EXPERIMENTS[name].run(cfg)
+        for label, ok in res.checks:
+            print(f"{'PASS' if ok else 'FAIL'}  {label}")
+        code = EXIT_OK if all(ok for _, ok in res.checks) else EXIT_TOLERANCE
+        path = os.path.join(cfg.out, name)
+        header = f"boltzsphere {name} v{__version__} config_hash={cfg.hash()} units={res.units}"
+        write_csv(f"{path}.csv", res.columns, res.rows, header)
+        report = {"passed": code == EXIT_OK, **res.extras, "config": cfg.as_dict(),
+                  "config_hash": cfg.hash()}
+        if res.rate_plot is not None:
+            points, title, fit = res.rate_plot
+            report["fit"] = None if fit is None else fit.to_dict()
+            svg_line_plot(f"{path}.svg", [p[0] for p in points], [p[1] for p in points], title,
+                          fit=None if fit is None else (fit.slope, fit.intercept))
+        write_json(f"{path}.json", report)
+        return code
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except BoltzsphereError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
-def _print_checks(checks) -> int:
-    worst = EXIT_OK
-    for label, ok in checks:
-        print(f"{'PASS' if ok else 'FAIL'}  {label}")
-        if not ok:
-            worst = EXIT_TOLERANCE
-    return worst
+# ---------------------------------------------------------------- experiments
 
 
-# ---------------------------------------------------------------- subcommands
-
-
-def cmd_geometry_selftest(args) -> int:
-    cfg = _load_config(args, "geometry-selftest", {})
+def _geometry_selftest(cfg: ExperimentConfig) -> Outcome:
     gen = stream(cfg.seed, "geom")
     checks = []
     errs = {"roundtrip": 0.0, "isometry": 0.0}
@@ -247,20 +281,13 @@ def cmd_geometry_selftest(args) -> int:
     e0 = np.eye(spec.dim_ambient)[0]
     F = ScalarField(value=lambda V: V[:, 0], grad=lambda V: np.broadcast_to(e0, V.shape))
     g = tangent_gradient(F, V1[None, :], spec)[0]
-    orth = max(
-        abs(float(g @ V1)),
-        float(np.max(np.abs(g.reshape(spec.N, spec.d).sum(axis=0)))),
-    )
+    orth = max(abs(float(g @ V1)), float(np.max(np.abs(g.reshape(spec.N, spec.d).sum(axis=0)))))
     checks.append((f"tangent gradient orthogonality {orth:.2e} <= 1e-10", orth <= 1e-10))
-    code = _print_checks(checks)
     rows = [(label, int(ok)) for label, ok in checks]
-    _emit(cfg, "geometry-selftest", ("check", "passed"), rows, "dimensionless",
-          {"passed": code == EXIT_OK})
-    return code
+    return Outcome(checks, ("check", "passed"), rows, "dimensionless")
 
 
-def cmd_uniform_marginal(args) -> int:
-    cfg = _load_config(args, "uniform-marginal", {"n_list": (4, 10, 50)})
+def _uniform_marginal(cfg: ExperimentConfig) -> Outcome:
     from scipy import integrate
 
     checks = []
@@ -275,14 +302,10 @@ def cmd_uniform_marginal(args) -> int:
     grid = np.linspace(-math.sqrt(3) + 1e-9, math.sqrt(3) - 1e-9, 201)
     dev = float(np.max(np.abs(marginal_density(m4, grid[:, None]) - 1.0 / (2.0 * math.sqrt(3)))))
     checks.append((f"gamma^4_1 constant 1/(2 sqrt 3), dev {dev:.2e} <= 1e-12", dev <= 1e-12))
-    code = _print_checks(checks)
-    _emit(cfg, "uniform-marginal", ("N", "integral", "abs_error"), rows,
-          "probability mass", {"passed": code == EXIT_OK})
-    return code
+    return Outcome(checks, ("N", "integral", "abs_error"), rows, "probability mass")
 
 
-def cmd_l1_gap(args) -> int:
-    cfg = _load_config(args, "l1-gap", {"n_list": (10, 20, 50, 100)})
+def _l1_gap(cfg: ExperimentConfig) -> Outcome:
     rows = []
     checks = []
     for N in cfg.n_list:
@@ -291,19 +314,12 @@ def cmd_l1_gap(args) -> int:
         checks.append((f"N={N}: gap {gap:.5f} <= bound {bound:.5f}", gap <= bound))
     rep = fit_loglog([(n, g, s) for n, g, s, _ in rows])
     checks.append((f"decay slope {rep.slope:.3f} <= -0.8", rep.slope <= -0.8))
-    code = _print_checks(checks)
-    _emit(cfg, "l1-gap", ("N", "l1_gap", "stderr", "bound"), rows, "L1 distance",
-          {"passed": code == EXIT_OK, "fit": rep.to_dict()})
-    svg_line_plot(os.path.join(cfg.out, "l1-gap.svg"),
-                  [r[0] for r in rows], [r[1] for r in rows],
-                  "L1 gap to the Gaussian tensor power", fit=(rep.slope, rep.intercept))
-    return code
+    return Outcome(checks, ("N", "l1_gap", "stderr", "bound"), rows, "L1 distance",
+                   rate_plot=(rows, "L1 gap to the Gaussian tensor power", rep))
 
 
-def cmd_zprime(args) -> int:
-    cfg = _load_config(args, "zprime", {"density": "gaussian", "n_list": (8, 16, 32, 64, 128)})
+def _zprime(cfg: ExperimentConfig) -> Outcome:
     f = get_density(cfg.density, 1)
-    rows = []
     checks = []
     limit = z_prime_asymptotic(f, max(cfg.n_list))
     # the lattices get their own map, after the grids, so no worker holds a
@@ -315,8 +331,7 @@ def cmd_zprime(args) -> int:
         cfg.n_list,
     )
     sups = _map_grid_builds(lambda N: berry_esseen_sup(f, N, n_cells=cfg.be_cells), cfg.n_list)
-    for N, value, sup in zip(cfg.n_list, exact, sups):
-        rows.append((N, value, z_prime_asymptotic(f, N), sup))
+    rows = [(N, value, z_prime_asymptotic(f, N), sup) for N, value, sup in zip(cfg.n_list, exact, sups)]
     if cfg.density == "gaussian":
         tol = 0.02 * cfg.rel_scale()
         worst = max(abs(r[1] - 1.0) for r in rows)
@@ -329,15 +344,11 @@ def cmd_zprime(args) -> int:
             (f"Z'_{last[0]}({cfg.density}) = {last[1]:.4f} within {tol:.3f} of limit {limit:.4f}",
              rel <= tol)
         )
-    code = _print_checks(checks)
-    _emit(cfg, "zprime", ("N", "zprime_exact", "zprime_asymptotic", "sup_norm_gap"), rows,
-          "dimensionless partition ratio / sup-norm density gap",
-          {"passed": code == EXIT_OK, "limit": limit})
-    return code
+    return Outcome(checks, ("N", "zprime_exact", "zprime_asymptotic", "sup_norm_gap"), rows,
+                   "dimensionless partition ratio / sup-norm density gap", {"limit": limit})
 
 
-def cmd_berry_esseen(args) -> int:
-    cfg = _load_config(args, "berry-esseen", {"n_list": (2, 4, 8, 16, 32, 64, 128, 256)})
+def _berry_esseen(cfg: ExperimentConfig) -> Outcome:
     g = get_density(cfg.density, 1)
     sups = _map_grid_builds(lambda N: berry_esseen_sup(g, N, n_cells=cfg.be_cells), cfg.n_list)
     rows = [(N, sup, 0.0) for N, sup in zip(cfg.n_list, sups)]
@@ -357,17 +368,11 @@ def cmd_berry_esseen(args) -> int:
             checks.append((f"sup gap under C/sqrt(N), C calibrated at N=2 (worst slack {worst:.2e})",
                            worst <= 0.0))
         checks.append((f"fitted slope {rep.slope:.3f} <= -0.45", rep.slope <= -0.45))
-    code = _print_checks(checks)
-    _emit(cfg, "berry-esseen", ("N", "sup_gap", "stderr"), rows, "sup-norm density gap",
-          {"passed": code == EXIT_OK, "fit": None if rep is None else rep.to_dict()})
-    svg_line_plot(os.path.join(cfg.out, "berry-esseen.svg"),
-                  [r[0] for r in rows], [r[1] for r in rows],
-                  "Local CLT sup-norm gap", fit=None if rep is None else (rep.slope, rep.intercept))
-    return code
+    return Outcome(checks, ("N", "sup_gap", "stderr"), rows, "sup-norm density gap",
+                   rate_plot=(rows, "Local CLT sup-norm gap", rep))
 
 
-def cmd_w1_rate(args) -> int:
-    cfg = _load_config(args, "w1-rate", {"n_list": (8, 16, 32, 64, 128, 256, 512)})
+def _w1_rate(cfg: ExperimentConfig) -> Outcome:
     f = get_density(cfg.density, 1)
     rep = w1_rate_experiment(f, cfg.n_list, grid_shape=cfg.grid_shape)
     # the paper's bound W1 <= C/sqrt(N), C calibrated at the first N; a
@@ -384,19 +389,12 @@ def cmd_w1_rate(args) -> int:
          ratio <= 1.0),
         (f"slope {rep.slope:.3f} <= -0.35", bool(rep.passed)),
     ]
-    code = _print_checks(checks)
-    csv_rows = [(n, "w1_marginal_vs_base", v, s_) for n, v, s_ in rep.rows]
-    _emit(cfg, "w1-rate", ("N", "metric_name", "value", "stderr"), csv_rows,
-          "transport distance", {"passed": code == EXIT_OK, "fit": rep.to_dict()})
-    svg_line_plot(os.path.join(cfg.out, "w1-rate.svg"),
-                  [r[0] for r in rep.rows], [r[1] for r in rep.rows],
-                  "W1 distance of the one-particle marginal to f",
-                  fit=(rep.slope, rep.intercept))
-    return code
+    rows = [(n, "w1_marginal_vs_base", v, s_) for n, v, s_ in rep.rows]
+    return Outcome(checks, ("N", "metric_name", "value", "stderr"), rows, "transport distance",
+                   rate_plot=(rep.rows, "W1 distance of the one-particle marginal to f", rep))
 
 
-def cmd_entropy_rate(args) -> int:
-    cfg = _load_config(args, "entropy-rate", {"n_list": (16, 32, 64, 128, 256)})
+def _entropy_rate(cfg: ExperimentConfig) -> Outcome:
     f = get_density(cfg.density, 1)
     limit = f.relative_entropy_vs_gamma()
     rows = [
@@ -417,17 +415,10 @@ def cmd_entropy_rate(args) -> int:
             (f"|H/N - limit| at N={rows[-1][0]} is {final_gap:.4f} <= 0.02", final_gap <= 0.02),
             (f"entropy gap slope {rep.slope:.3f} <= -0.35", rep.slope <= -0.35),
         ]
-    code = _print_checks(checks)
     csv_rows = [(n, "entropy_gap_per_particle", gap, s_) for n, gap, s_, _ in rows]
     csv_rows += [(n, "entropy_per_particle", h, s_) for n, _, s_, h in rows]
-    _emit(cfg, "entropy-rate", ("N", "metric_name", "value", "stderr"), csv_rows,
-          "nats per particle", {"passed": code == EXIT_OK, "limit": limit,
-                                "fit": None if rep is None else rep.to_dict()})
-    svg_line_plot(os.path.join(cfg.out, "entropy-rate.svg"),
-                  [r[0] for r in rows], [r[1] for r in rows],
-                  "Entropy-per-particle gap to H(f|gamma)",
-                  fit=None if rep is None else (rep.slope, rep.intercept))
-    return code
+    return Outcome(checks, ("N", "metric_name", "value", "stderr"), csv_rows, "nats per particle",
+                   {"limit": limit}, rate_plot=(rows, "Entropy-per-particle gap to H(f|gamma)", rep))
 
 
 def _uniform_m4(d: int, N: int) -> float:
@@ -437,15 +428,12 @@ def _uniform_m4(d: int, N: int) -> float:
     return d * (d + 2) * M / (M + 2)
 
 
-def cmd_dsmc(args) -> int:
-    cfg = _load_config(args, "dsmc", {"density": "mixture", "d": 3, "n_list": (256,)})
+def _dsmc(cfg: ExperimentConfig) -> Outcome:
     (N,) = cfg.n_list
     kernel = CollisionKernel.uniform(cfg.d)
     checks = []
 
     # raw conservation drift over many collisions, no re-projection
-    from .dsmc import _advance
-
     gen = stream(cfg.seed, "dsmc-drift")
     v = sample_uniform(SphereSpec.boltzmann(cfg.d, N), gen)
     p0 = v.sum(axis=0).copy()
@@ -483,13 +471,22 @@ def cmd_dsmc(args) -> int:
     stat, pval, ok = equilibrium_crosscheck(N, cfg.d, np.concatenate(pool))
     checks.append((f"KS equilibrium crosscheck stat={stat:.4f} p={pval:.3f} (alpha=0.01)", ok))
 
-    code = _print_checks(checks)
-    rows = res.rows()
-    _emit(cfg, "dsmc", ("t_mft", "observable", "mean", "stderr", "n_replicas"), rows,
-          "mean free times / moments", {"passed": code == EXIT_OK,
-                                        "drift": {"momentum": drift_p, "energy": drift_e},
-                                        "ks": {"stat": stat, "pvalue": pval}})
-    return code
+    return Outcome(checks, ("t_mft", "observable", "mean", "stderr", "n_replicas"), res.rows(),
+                   "mean free times / moments", {"drift": {"momentum": drift_p, "energy": drift_e},
+                                                 "ks": {"stat": stat, "pvalue": pval}})
+
+
+def _dsmc_rules(cfg: ExperimentConfig) -> None:
+    if len(cfg.n_list) != 1:
+        raise ConfigError(f"dsmc runs one N; n_list has {len(cfg.n_list)} values")
+    if cfg.replicas < 2:
+        raise ConfigError(f"dsmc needs at least two replicas for error bars, got {cfg.replicas}")
+    if cfg.d < 2:
+        raise ConfigError(f"dsmc collides pairs in d >= 2, got d = {cfg.d}")
+    if cfg.n_list[0] == 2:
+        # N = 1 has no pair and fails at once; N = 2 would fail only
+        # after the drift check, at the conditioned start
+        raise ConfigError("dsmc starts from a conditioned chain, which needs N >= 3, got N = 2")
 
 
 def _ipp_fields(d: int, N: int):
@@ -540,8 +537,7 @@ def _ipp_fields(d: int, N: int):
     return [(f1, phi1, False), (f2, phi2, True), (f3, phi3, False)]
 
 
-def cmd_ipp_check(args) -> int:
-    cfg = _load_config(args, "ipp-check", {})
+def _ipp_check(cfg: ExperimentConfig) -> Outcome:
     if cfg.samples < 2:  # the z-tests need a standard error
         raise ParameterError(f"not enough samples: ipp-check needs at least 2, got {cfg.samples}")
     rows = []
@@ -562,14 +558,11 @@ def cmd_ipp_check(args) -> int:
                 label = f"(d={d}, N={N}) pair {k}: residual {mean:+.2e} +- {se:.2e}"
             rows.append((d, N, k, mean, se))
             checks.append((label, ok))
-    code = _print_checks(checks)
-    _emit(cfg, "ipp-check", ("d", "N", "field_pair", "mc_mean", "stderr"), rows,
-          "integration-by-parts residual", {"passed": code == EXIT_OK})
-    return code
+    return Outcome(checks, ("d", "N", "field_pair", "mc_mean", "stderr"), rows,
+                   "integration-by-parts residual")
 
 
-def cmd_metrics_selftest(args) -> int:
-    cfg = _load_config(args, "metrics-selftest", {})
+def _metrics_selftest(cfg: ExperimentConfig) -> Outcome:
     gen = stream(cfg.seed, "metrics")
     checks = []
 
@@ -611,40 +604,51 @@ def cmd_metrics_selftest(args) -> int:
             n_pairs_ok += 1
     checks.append((f"interpolation inequality on 100 random pairs ({n_pairs_ok} passed)",
                    n_pairs_ok == 100))
-    code = _print_checks(checks)
     rows = [(label, int(ok)) for label, ok in checks]
-    _emit(cfg, "metrics-selftest", ("check", "passed"), rows, "dimensionless",
-          {"passed": code == EXIT_OK})
-    return code
+    return Outcome(checks, ("check", "passed"), rows, "dimensionless")
 
 
-_SUBCOMMANDS = {
-    "geometry-selftest": cmd_geometry_selftest,
-    "uniform-marginal": cmd_uniform_marginal,
-    "l1-gap": cmd_l1_gap,
-    "zprime": cmd_zprime,
-    "berry-esseen": cmd_berry_esseen,
-    "w1-rate": cmd_w1_rate,
-    "entropy-rate": cmd_entropy_rate,
-    "dsmc": cmd_dsmc,
-    "ipp-check": cmd_ipp_check,
-    "metrics-selftest": cmd_metrics_selftest,
+# The subcommands, in the order `report` runs them.  The grid pipeline, the
+# Berry-Esseen lattice and the uniform marginal are built for d = 1.
+_CONDITIONED_N = (4, " (the d = 1 conditioned law)")
+EXPERIMENTS = {
+    "geometry-selftest": Experiment(_geometry_selftest),
+    "uniform-marginal": Experiment(_uniform_marginal, {"n_list": (4, 10, 50)}, d1_only=True,
+                                   n_min=lambda d: (3, " (at N = 2 the sphere is two points)")),
+    "l1-gap": Experiment(_l1_gap, {"n_list": (10, 20, 50, 100)}, rate=True,
+                         n_min=lambda d: (3 + math.ceil(3 / d),
+                                          f" at d = {d} (the chaos regime d <= d(N - 2) - 3)")),
+    "zprime": Experiment(_zprime, {"density": "gaussian", "n_list": (8, 16, 32, 64, 128)},
+                         d1_only=True, n_min=lambda d: (2, " (Z'_1 is a point mass)")),
+    "berry-esseen": Experiment(_berry_esseen, {"n_list": (2, 4, 8, 16, 32, 64, 128, 256)},
+                               d1_only=True, rate=True),
+    "w1-rate": Experiment(_w1_rate, {"n_list": (8, 16, 32, 64, 128, 256, 512)}, d1_only=True,
+                          rate=True, n_min=lambda d: _CONDITIONED_N),
+    "entropy-rate": Experiment(_entropy_rate, {"n_list": (16, 32, 64, 128, 256)}, d1_only=True,
+                               rate=True, n_min=lambda d: _CONDITIONED_N),
+    "dsmc": Experiment(_dsmc, {"density": "mixture", "d": 3, "n_list": (256,)}, rules=_dsmc_rules),
+    "ipp-check": Experiment(_ipp_check),
+    "metrics-selftest": Experiment(_metrics_selftest),
 }
 
 
-def cmd_report(args) -> int:
-    """Run every experiment with its defaults and bundle one report."""
-    summary = {}
-    worst = EXIT_OK
-    base_out = args.out or "out"
-    for name, fn in _SUBCOMMANDS.items():
+def _report(args) -> int:
+    """Run every experiment with its defaults and bundle one report.
+
+    An experiment that fails, or raises, is recorded with its exit code and
+    the rest still run; the report exits with the largest code.
+    """
+    codes = {}
+    for name in EXPERIMENTS:
         print(f"== {name}")
-        code = fn(args)
-        summary[name] = {"exit_code": code, "passed": code == EXIT_OK}
-        worst = max(worst, code)
+        codes[name] = run_experiment(name, args)
+    worst = max(codes.values())
+    base_out = args.out or ExperimentConfig.out
+    os.makedirs(base_out, exist_ok=True)
+    summary = {name: {"exit_code": code, "passed": code == EXIT_OK} for name, code in codes.items()}
     write_json(os.path.join(base_out, "report.json"),
                {"experiments": summary, "passed": worst == EXIT_OK})
-    rows = [(name, info["exit_code"], int(info["passed"])) for name, info in sorted(summary.items())]
+    rows = [(name, codes[name], int(codes[name] == EXIT_OK)) for name in sorted(codes)]
     write_csv(os.path.join(base_out, "report.csv"), ("experiment", "exit_code", "passed"), rows,
               f"boltzsphere report v{__version__} units=exit codes")
     print(f"{'PASS' if worst == EXIT_OK else 'FAIL'}  report bundle")
@@ -658,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in list(_SUBCOMMANDS) + ["report"]:
+    for name in list(EXPERIMENTS) + ["report"]:
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="flat key = value configuration file")
         sp.add_argument("--seed", type=int, help="master seed (never wall-clock)")
@@ -680,15 +684,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    fn = cmd_report if args.command == "report" else _SUBCOMMANDS[args.command]
-    try:
-        return fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except BoltzsphereError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    if args.command == "report":
+        return _report(args)
+    return run_experiment(args.command, args)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,6 @@
+import argparse
 import json
+import pathlib
 
 import pytest
 
@@ -160,6 +162,35 @@ class TestConfigHandling:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["uniform-marginal", "--n-list", "2,4"],
+         "uniform-marginal needs N >= 3 (at N = 2 the sphere is two points), got N = 2"),
+        (["l1-gap", "--n-list", "4,10"],
+         "l1-gap needs N >= 6 at d = 1 (the chaos regime d <= d(N - 2) - 3), got N = 4"),
+        (["l1-gap", "--d", "2", "--n-list", "4,10"],
+         "l1-gap needs N >= 5 at d = 2 (the chaos regime d <= d(N - 2) - 3), got N = 4"),
+        (["l1-gap", "--d", "3", "--n-list", "3,10"],
+         "l1-gap needs N >= 4 at d = 3 (the chaos regime d <= d(N - 2) - 3), got N = 3"),
+        (["w1-rate", "--n-list", "2,8"], "w1-rate needs N >= 4 (the d = 1 conditioned law), got N = 2"),
+        (["entropy-rate", "--n-list", "3,8"],
+         "entropy-rate needs N >= 4 (the d = 1 conditioned law), got N = 3"),
+    ])
+    def test_n_below_the_experiment_minimum_is_config_error(self, tmp_path, capsys, argv, message):
+        # each would fail in its first computation, after the output
+        # directory is made, with a message about the library call
+        out = tmp_path / "out"
+        assert run_cli(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["l1-gap", "--n-list", "6,10"],
+        ["l1-gap", "--d", "2", "--n-list", "5,10"],
+        ["l1-gap", "--d", "3", "--n-list", "4,10"],
+    ])
+    def test_l1_gap_runs_at_its_smallest_n(self, tmp_path, argv):
+        assert run_cli(argv + ["--out", str(tmp_path)]) == cli.EXIT_OK
+
     def test_zprime_rejects_one_particle_before_running(self, tmp_path, capsys):
         # the N = 1 worker would fail only after the other worker's grid
         out = tmp_path / "out"
@@ -203,23 +234,12 @@ class TestConfigHandling:
         ("ipp-check", "870e3efbb759"),
         ("metrics-selftest", "97d7762122e4"),
     ])
-    def test_default_config_hash_is_pinned(self, monkeypatch, tmp_path, command, want):
+    def test_default_config_hash_is_pinned(self, tmp_path, command, want):
         # the hash heads every CSV; a schema change that moves it moves a
-        # byte of every report.  The experiment is stopped once its config
-        # is loaded.
-        class Loaded(Exception):
-            pass
-
-        load = cli._load_config
-
-        def stop_after_load(*args):
-            raise Loaded(load(*args))
-
-        monkeypatch.setattr(cli, "_load_config", stop_after_load)
+        # byte of every report.  The config is loaded from the experiment's
+        # row of the table and not run.
         args = cli.build_parser().parse_args([command, "--out", str(tmp_path)])
-        with pytest.raises(Loaded) as info:
-            cli._SUBCOMMANDS[command](args)
-        assert info.value.args[0].hash() == want
+        assert cli._load_config(args, command).hash() == want
 
     @pytest.mark.parametrize("flag, value", [
         ("--density", "gaussian"), ("--n-list", "8"), ("--d", "2"), ("--samples", "100"),
@@ -231,6 +251,42 @@ class TestConfigHandling:
         with pytest.raises(SystemExit) as exc:
             cli.build_parser().parse_args(["report", flag, value])
         assert exc.value.code == 2
+
+
+class TestReport:
+    def test_report_records_every_experiment_past_errors(self, tmp_path, capsys):
+        # at a 128 x 128 grid w1-rate's Z'_64 is off (runtime error, exit 5),
+        # and dsmc runs one N (config error, exit 3); the rest still run
+        cfgfile = tmp_path / "report.cfg"
+        cfgfile.write_text("grid_shape = 128x128\nn_list = 8,64\nbe_cells = 4096\nsamples = 200\n")
+        out = tmp_path / "out"
+        assert run_cli(["report", "--config", str(cfgfile), "--out", str(out)]) == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err.splitlines()
+        assert "config error: dsmc runs one N; n_list has 2 values" in err
+        assert any(line.startswith("error: log Z'_64") for line in err)
+        summary = json.loads(read(out / "report.json"))
+        codes = {name: info["exit_code"] for name, info in summary["experiments"].items()}
+        assert sorted(codes) == sorted(cli.EXPERIMENTS)
+        assert codes["w1-rate"] == cli.EXIT_RUNTIME and codes["dsmc"] == cli.EXIT_CONFIG
+        assert codes["metrics-selftest"] == cli.EXIT_OK and summary["passed"] is False
+        rows = read(out / "report.csv").decode().splitlines()[2:]
+        assert rows == [f"{name},{codes[name]},{int(codes[name] == 0)}" for name in sorted(codes)]
+        assert (out / "metrics-selftest.csv").exists() and not (out / "w1-rate.csv").exists()
+
+    def test_one_list_of_experiments(self, monkeypatch, tmp_path):
+        # the table, the parser, README's command block and the experiments
+        # that report runs name the same ten subcommands, in one order
+        table = list(cli.EXPERIMENTS)
+        assert len(table) == 10
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == table + ["report"]
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+        assert [line.split()[1] for line in block.splitlines() if line.strip()] == table + ["report"]
+        ran = []
+        monkeypatch.setattr(cli, "run_experiment", lambda name, args: ran.append(name) or cli.EXIT_OK)
+        assert run_cli(["report", "--out", str(tmp_path)]) == cli.EXIT_OK
+        assert ran == table
 
 
 class TestOutputs:
