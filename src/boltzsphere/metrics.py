@@ -94,10 +94,19 @@ def _quantile_cost_1d(a: EmpiricalMeasure, b: EmpiricalMeasure, p: int) -> float
     # exact coupling of sorted quantile functions
     ia = np.argsort(a.points[:, 0], kind="stable")
     ib = np.argsort(b.points[:, 0], kind="stable")
-    xa, wa = a.points[ia, 0], a.weights[ia]
-    xb, wb = b.points[ib, 0], b.weights[ib]
-    ca = np.cumsum(wa)
-    cb = np.cumsum(wb)
+    xa, xb = a.points[ia, 0], b.points[ib, 0]
+    if a.uniform and b.uniform:
+        # the breakpoints k/n and j/m in integer units of 1/lcm(n, m): each
+        # segment is then one exact count, rounded once when divided
+        unit = math.lcm(xa.size, xb.size)
+        ca = np.arange(1, xa.size + 1, dtype=np.int64) * (unit // xa.size)
+        cb = np.arange(1, xb.size + 1, dtype=np.int64) * (unit // xb.size)
+        qs = np.union1d(ca, cb)
+        seg = np.diff(qs, prepend=0) / unit
+        diffs = np.abs(xa[np.searchsorted(ca, qs)] - xb[np.searchsorted(cb, qs)])
+        return float(np.sum(seg * diffs**p))
+    ca = np.cumsum(a.weights[ia])
+    cb = np.cumsum(b.weights[ib])
     qs = np.union1d(ca, cb)
     # a cumulative sum can end a little above 1; cutting below the
     # smaller end would drop the last segment

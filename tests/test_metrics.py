@@ -95,8 +95,7 @@ class TestQuantileCoupling:
 
     def test_last_segment_is_kept_when_merging(self):
         # b lists each point twice: the same measure on 2n points, whose
-        # cumulative sum also ends above 1 + 1e-15.  The merged sums round
-        # differently, so the segment is exact to about 1e-8 only.
+        # cumulative sum also ends above 1 + 1e-15
         n = 12_345
         assert np.cumsum(np.full(2 * n, 0.5 / n))[-1] > 1.0 + 1e-15
         a = np.arange(n, dtype=float)
@@ -104,6 +103,19 @@ class TestQuantileCoupling:
         b[-1] = 100.0 * n
         gap = b[-1] - a[-1]
         assert w1(em(a), em(np.repeat(b, 2))) == pytest.approx(gap / n, rel=1e-7)
+
+    @pytest.mark.parametrize("n", [12_345, 1_000_000])
+    def test_uniform_measures_of_different_sizes_are_exact(self, n):
+        # breakpoints k/n and j/2n kept as integers: a cumulative sum of 2n
+        # weights 1/2n is off by up to about n eps, which the one moved point
+        # turned into a relative error of 5e-10 (n = 12,345) and 1.2e-6 (10^6)
+        a = np.arange(n, dtype=float)
+        b = a.copy()
+        b[-1] = 1e7
+        gap = b[-1] - a[-1]
+        twice = em(np.concatenate([b, b]))
+        assert abs(w1(em(a), twice) - gap / n) <= 1e-12 * (gap / n)
+        assert abs(w2(em(a), twice) - gap / math.sqrt(n)) <= 1e-12 * (gap / math.sqrt(n))
 
 
 class TestMetricAxioms:
