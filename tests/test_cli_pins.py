@@ -3,8 +3,11 @@
 Each of the ten subcommands runs in-process at one seed: the four spectral
 commands and `dsmc` at the small sizes of the benchmark's `tiny` pass, the
 two Monte Carlo self-tests at small sample counts, and the other three at
-their defaults.  A change to how the command line loads, runs or reports an
-experiment must leave every one of these bytes as it is.  The chains and
+their defaults.  The four spectral CSVs are pinned once more as the
+benchmark's `full` pass makes them: in one process, in that pass's order,
+at their default N lists and the default 2048x2048 grid.  A change to how
+the command line loads, runs or reports an experiment, or to how a grid is
+built, must leave every one of these bytes as it is.  The chains and
 grids evaluate `math.exp`, `math.log` and FFTs, whose last bits can differ
 between C libraries, so another platform may need its own pins.
 """
@@ -90,3 +93,21 @@ def test_subcommand_outputs_are_pinned(tmp_path, argv, code, want):
     got = {path.name: _sha(path.read_bytes()) for path in tmp_path.iterdir()}
     got["stdout"] = _sha(buf.getvalue().encode())
     assert got == want
+
+
+# the spectral subcommands of the benchmark's full pass (perfbench/workloads.py)
+DEFAULT_SPECTRAL = [
+    (["w1-rate"], "f6afeb5829223f43b1d81796d2b7ac735bdad3b6bc30d6e177c61db2049bf885"),
+    (["entropy-rate"], "4040090cb88b4c321eab112ad6fb8b6ce5f5e949fa6305fb4ae82e1220785be2"),
+    (["zprime", "--density", "uniform"], "f89edac8f26b78d959e3a2c20f1297cb234df0933ac9e44037dd7894b988b9e7"),
+    (["berry-esseen"], "7c73cd8b4e9d16459bd89f7881144c6c5bc558a4e83b815da0ca3c7317e82e9b"),
+]
+
+
+def test_default_shape_spectral_csvs_are_pinned(tmp_path):
+    got = {}
+    for argv, _ in DEFAULT_SPECTRAL:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv + ["--seed", str(SEED), "--out", str(tmp_path), "--jobs", "1"]) == 0
+        got[argv[0]] = _sha((tmp_path / f"{argv[0]}.csv").read_bytes())
+    assert got == {argv[0]: want for argv, want in DEFAULT_SPECTRAL}
