@@ -18,6 +18,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -322,10 +323,11 @@ def _zprime(cfg: ExperimentConfig) -> Outcome:
     f = get_density(cfg.density, 1)
     checks = []
     limit = z_prime_asymptotic(f, max(cfg.n_list))
-    # the lattices get their own map, after the grids, so no worker holds a
-    # lattice beside its grid buffer: taking each N's lattice in its grid's
-    # worker raised the peak RSS of a fresh `zprime --density uniform` from
-    # 142 to 151-160 MB (5 runs each, 2-core VM)
+    # the lattices get their own map, after the grids, so that no lattice
+    # runs beside a grid: one map taking each N's grid and then its lattice
+    # let one worker's lattice run beside the other's grid, and raised the
+    # peak RSS of a fresh `zprime --density uniform` from 142.1-142.6 to
+    # 142.3-145.2 MB (7 runs each, 2-core VM)
     exact = _map_grid_builds(
         lambda N: math.exp(lifted_grid(f, N, shape=cfg.grid_shape).log_z_prime(math.sqrt(N), 0.0)),
         cfg.n_list,
@@ -682,8 +684,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # one per process: its ten subparsers take about 3 ms to build, and a
+    # process may call `main` once per subcommand
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "report":
         return _report(args)
     return run_experiment(args.command, args)

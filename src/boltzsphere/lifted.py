@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 import mmap
 import os
-import sys
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +61,28 @@ def _fold_weights(n_rows: int) -> np.ndarray:
     w = np.full(n_rows, 2.0)
     w[0] = w[-1] = 1.0
     return w
+
+
+def _zeros(n: int) -> np.ndarray:
+    """n zeroed floats on a new private anonymous mapping, unmapped when
+    the last array that views it dies.
+
+    Every raster and half spectrum is made here.  Not malloc memory: glibc's
+    dynamic mmap threshold rises to a grid's size at the first freed grid,
+    after which grids would come from per-thread malloc arenas that keep
+    them, and peak RSS would depend on how those arenas happened to fill.
+    The kernel zero-fills the pages, and only those written become resident.
+    """
+    pages = mmap.mmap(-1, 8 * n, flags=mmap.MAP_PRIVATE)
+    # as numpy advises its own arrays of 4 MB and more: filling a spectrum
+    # of the default shape took 4,106 page faults without it and 528 with it
+    advice = getattr(mmap, "MADV_HUGEPAGE", None)  # Linux only
+    if advice is not None:
+        try:
+            pages.madvise(advice)
+        except OSError:  # a kernel without transparent huge pages
+            pass
+    return np.frombuffer(pages)
 
 
 @dataclass
@@ -206,7 +226,9 @@ def rasterize_lifted(f: BaseDensity, window: tuple = None, shape: tuple = DEFAUL
     (p(z) + p(-z)) / 2, which makes the law exactly even: the deposit is
     even only to rounding, as the subinterval midpoints are.  No
     full-lattice raster is allocated.  Mass is conserved up to the window
-    truncation, which must stay below 1e-6.
+    truncation, which must stay below 1e-6.  The stored rows are a new
+    mapping (`_zeros`), of which only the pages under the rows that hold
+    mass are written.
     """
     if f.d != 1:
         raise ParameterError("the grid pipeline is built for d = 1")
@@ -219,17 +241,7 @@ def rasterize_lifted(f: BaseDensity, window: tuple = None, shape: tuple = DEFAUL
     if nz < 2 or nz % 2:
         raise ParameterError("nz must be even (origin on the lattice)")
     h = nz // 2
-    # The raster sits at the front of a zeroed buffer the size of its
-    # (h + 1, nu // 2 + 1) complex half spectrum: on a pool worker, the
-    # worker's grid buffer, which `convolution_power` writes that spectrum
-    # over once the raster is dead.
-    n = (h + 1) * 2 * (nu // 2 + 1)
-    buf = _worker_buffer(n)
-    if buf is None:
-        buf = np.zeros(n)
-    else:
-        buf[: (h + 1) * nu] = 0.0
-    grid = GridDensity(z_hi=z_half, u_hi=u_hi, values=buf[: (h + 1) * nu].reshape(h + 1, nu))
+    grid = GridDensity(z_hi=z_half, u_hi=u_hi, values=_zeros((h + 1) * nu).reshape(h + 1, nu))
     dz, du = grid.dz, grid.du
 
     vmax = min(z_half, math.sqrt(u_hi))
@@ -355,9 +367,9 @@ def _mass_row_spectra(values: np.ndarray, cell: float) -> tuple:
 _BLOCK_BYTES = 1 << 20
 
 
-def _z_power(rows: np.ndarray, row_spectra: np.ndarray, n_rows: int, n: int, out=None) -> np.ndarray:
-    """idct_z(dct_z(S)^n) as an (n_rows, ncol) complex array, written into
-    out or a new array, where S is zero but for row_spectra at rows.
+def _z_power(rows: np.ndarray, row_spectra: np.ndarray, n_rows: int, n: int) -> np.ndarray:
+    """idct_z(dct_z(S)^n) as a new (n_rows, ncol) complex array (`_zeros`),
+    where S is zero but for row_spectra at rows.
 
     S holds the z >= 0 rows of a spectrum that is even in z, row 0 at z = 0
     and row n_rows - 1 at the Nyquist row.  Along z the full FFT of an even
@@ -371,7 +383,7 @@ def _z_power(rows: np.ndarray, row_spectra: np.ndarray, n_rows: int, n: int, out
     from scipy.fft import dct, idct
 
     ncol = row_spectra.shape[1]
-    spectrum = np.empty((n_rows, ncol), dtype=complex) if out is None else out
+    spectrum = _zeros(n_rows * 2 * ncol).view(complex).reshape(n_rows, ncol)
     width = max(1, _BLOCK_BYTES // (16 * n_rows))
     for c0 in range(0, ncol, width):
         c1 = min(c0 + width, ncol)
@@ -422,14 +434,13 @@ def convolution_power(g: GridDensity, N: int) -> GridDensity:
     and clamps over the front of the spectrum's own buffer.  Before the
     clamp the result equals, to rounding, the z >= 0 half of `np.fft.rfftn`
     and `irfftn` on the whole even lattice.  One build holds one
-    half-grid-sized buffer at a time: the raster until the mass rows are
-    transformed, then the (nz/2 + 1, nu/2 + 1) complex half spectrum, whose
-    memory becomes the result.  On a pool worker that buffer is the
-    worker's grid buffer (`_worker_buffer`) while no live array uses it.
-    Negative FFT ringing is clamped to zero; if the clamped mass exceeds
-    1e-9, or noticeable mass reaches the window boundary (wrap-around), the
-    window is considered misconfigured and a coverage error is raised.  Both masses count each row by its fold
-    weight, so they are the masses of the full lattice.
+    half-grid-sized mapping at a time (`_zeros`): the raster until the mass
+    rows are transformed, then the (nz/2 + 1, nu/2 + 1) complex half
+    spectrum, whose memory becomes the result.  Negative FFT ringing is
+    clamped to zero; if the clamped mass exceeds 1e-9, or noticeable mass
+    reaches the window boundary (wrap-around), the window is considered
+    misconfigured and a coverage error is raised.  Both masses count each
+    row by its fold weight, so they are the masses of the full lattice.
     """
     if N < 1:
         raise ParameterError("need N >= 1")
@@ -439,14 +450,10 @@ def convolution_power(g: GridDensity, N: int) -> GridDensity:
     z_hi, u_hi, cell = g.z_hi, g.u_hi, g.cell_volume
     rows, row_spectra = _mass_row_spectra(g.values, cell)
     # g is not modified.  LiftedGrid passes its raster as a temporary, which
-    # CPython 3.11 hands to this frame, so dropping g frees the raster before
-    # the power.  The raster must be dead before the spectrum is written: on
-    # a pool worker the spectrum takes the buffer the raster was in, and a
-    # raster that a caller still holds leaves the spectrum new memory.
+    # CPython 3.11 hands to this frame, so dropping g unmaps the raster
+    # before the spectrum is mapped.
     del g
-    buf = _worker_buffer(n_rows * 2 * row_spectra.shape[1])
-    spectrum = _z_power(rows, row_spectra, n_rows, N,
-                        None if buf is None else buf.view(complex).reshape(n_rows, -1))
+    spectrum = _z_power(rows, row_spectra, n_rows, N)
     del row_spectra
     out, neg_mass = _inverse_rows(spectrum, nu, cell)
     if neg_mass > _NEG_MASS_TOL:
@@ -509,54 +516,19 @@ class LiftedGrid:
         return float(out) if out.ndim == 0 else out
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return os.cpu_count() or 1
+
+
 # Grid builds run on at most two threads.  numpy's FFTs and ufuncs release
 # the GIL, so two builds for different N overlap almost fully (1.9x on two
 # cores), while splitting one build's FFTs gains little (1.16x).  The cap is
-# set by memory: each worker holds one grid buffer, 17 MB at the default
-# shape, and 2 to 4 MB of temporaries at the peak of a build.
-_GRID_WORKERS = min(2, len(os.sched_getaffinity(0)))
-
-# A pool worker's grid buffer (.buffer, None before its first build) and
-# the buffer's reference count when no array uses it (.free_refs).  Off the
-# pool there is no .buffer.
-_WORKER = threading.local()
-
-
-def _worker_buffer(n: int):
-    """The calling pool worker's grid buffer of n floats, or None.
-
-    None off the pool, and while a raster, spectrum or grid in the buffer
-    is alive: each is a view whose base is the buffer, so the buffer's
-    reference count shows it.  A free buffer of another size is replaced.
-    The buffer is anonymous pages, not malloc memory: glibc's dynamic mmap
-    threshold rises to a grid's size at the first freed grid, after which
-    grid blocks come from per-thread malloc arenas that keep them, so peak
-    RSS depended on how those arenas happened to fill.
-    """
-    try:
-        buf = _WORKER.buffer
-    except AttributeError:
-        return None
-    if buf is not None:
-        if sys.getrefcount(buf) > _WORKER.free_refs:
-            return None
-        if buf.size == n:
-            return buf
-    pages = mmap.mmap(-1, 8 * n, flags=mmap.MAP_PRIVATE)
-    try:
-        # as numpy advises its own arrays of 4 MB and more: filling a buffer
-        # of the default shape took 4,106 page faults without it and 528
-        # with it
-        pages.madvise(mmap.MADV_HUGEPAGE)
-    except OSError:  # a kernel without transparent huge pages
-        pass
-    buf = _WORKER.buffer = np.frombuffer(pages)
-    _WORKER.free_refs = sys.getrefcount(buf)
-    return buf
-
-
-def _start_worker():
-    _WORKER.buffer = None
+# set by memory: each build holds one half-grid mapping, 17 MB at the
+# default shape, and 2 to 4 MB of temporaries at its peak.
+_GRID_WORKERS = min(2, _usable_cpus())
 
 
 def _map_grid_builds(fn, items) -> list:
@@ -564,11 +536,9 @@ def _map_grid_builds(fn, items) -> list:
 
     For work that builds one grid or lattice per item and keeps only a small
     result (a curve, a partition value, a sup gap), so at most
-    _GRID_WORKERS grids are alive at once.  Each worker builds its grids in
-    one grid buffer (`_worker_buffer`), made at its first build; the
-    buffers are unmapped when the pool's threads exit, before this returns.
-    The same code runs at one worker and at two.  An exception raised by fn
-    reaches the caller unchanged, as it would from a loop.
+    _GRID_WORKERS grids are alive at once.  The same code runs at one
+    worker and at two.  An exception raised by fn reaches the caller
+    unchanged, as it would from a loop.
     """
     items = list(items)
     if not items:
@@ -576,17 +546,14 @@ def _map_grid_builds(fn, items) -> list:
     from concurrent.futures.thread import ThreadPoolExecutor
 
     workers = min(_GRID_WORKERS, len(items))
-    with ThreadPoolExecutor(max_workers=workers, initializer=_start_worker) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
 def lifted_grid(f: BaseDensity, N: int, shape: tuple = DEFAULT_SHAPE, window: tuple = None) -> LiftedGrid:
     """A new N-fold lifted grid of f; 17 MB at the default shape: its values,
     the (1025, 2048) rows for z >= 0, are the front of the (1025, 1025)
-    complex spectrum buffer they were computed in.  On a pool worker that
-    buffer is the worker's grid buffer, which the worker's next build
-    reuses only once no array of this grid is alive, so a grid or values
-    array that a caller keeps is never overwritten.
+    complex spectrum mapping they were computed in, which they keep mapped.
 
     Every grid of the package is built here and held only by its caller, so
     none outlives the call that asked for it.  The one memo of the exact

@@ -11,8 +11,10 @@ import inspect
 import pathlib
 import types
 
+import numpy as np
 import pytest
 
+import boltzsphere as bs
 from boltzsphere import _kernels, lifted
 
 TRACER_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -84,3 +86,23 @@ def test_argument_positions_read_by_the_hooks(layer, name, positions):
 def test_every_hooked_function_is_checked(tracer):
     checked = {f"{tracer._label(layer)}.{name}" for layer, name, _ in _READ_BY_POSITION}
     assert set(tracer.HOOKS) == checked
+
+
+def test_traced_builds_take_their_spectra_from_the_one_allocator(tracer, mappings):
+    # the tracer's wrapper of convolution_power holds the raster while the
+    # power runs; a traced build still maps its raster and its spectrum with
+    # lifted._zeros, as an untraced one does, and its values are that spectrum
+    f = bs.get_density("uniform", 1)
+    untraced = lifted.lifted_grid(f, 16, shape=(256, 256)).power.values
+    run = tracer.Tracer()
+    run.install()
+    try:
+        traced = lifted.lifted_grid(f, 16, shape=(256, 256)).power.values
+    finally:
+        run.restore()
+    assert run.name.count("lifted.convolution_power") == 1
+    raster, spectrum = 129 * 256, 129 * 2 * 129
+    assert [n for n, _, _ in mappings] == [raster, spectrum, raster, spectrum]
+    assert np.shares_memory(untraced, np.frombuffer(mappings[1][1]()))
+    assert np.shares_memory(traced, np.frombuffer(mappings[3][1]()))
+    assert traced.tobytes() == untraced.tobytes()

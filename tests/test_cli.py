@@ -252,6 +252,26 @@ class TestConfigHandling:
             cli.build_parser().parse_args(["report", flag, value])
         assert exc.value.code == 2
 
+    def test_consecutive_mains_see_only_their_own_flags(self, monkeypatch):
+        # the parser is built once per process and parses every call afresh
+        built, seen = [], []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        monkeypatch.setattr(cli, "run_experiment", lambda name, args: seen.append(vars(args)) or 0)
+        cli._parser.cache_clear()
+        try:
+            assert cli.main(["zprime", "--density", "uniform", "--n-list", "8,16", "--seed", "3"]) == 0
+            assert cli.main(["dsmc", "--replicas", "4", "--t-end", "2.5", "--out", "o"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+        unset = dict.fromkeys(["config", "seed", "out", "jobs", "tolerance_profile", "density",
+                               "n_list", "d", "samples", "replicas", "grid_shape", "t_end"])
+        assert seen == [
+            {**unset, "command": "zprime", "density": "uniform", "n_list": "8,16", "seed": 3},
+            {**unset, "command": "dsmc", "replicas": 4, "t_end": 2.5, "out": "o"},
+        ]
+
 
 class TestReport:
     def test_report_records_every_experiment_past_errors(self, tmp_path, capsys):

@@ -4,16 +4,17 @@ The exact d = 1 pipeline builds its grids on `lifted._map_grid_builds`
 (up to `lifted._GRID_WORKERS` threads).  It keeps two memos,
 `conditioned._CURVES` (one-particle curves) and `lifted._GAPS`
 (Berry-Esseen gaps), neither of which holds a grid: no grid outlives the
-call that built it.  Each pool worker builds its grids in one grid buffer
-of anonymous pages (`lifted._worker_buffer`).  These tests hold the results
+call that built it.  Every raster and spectrum, on the pool or off it, is
+a new anonymous mapping (`lifted._zeros`).  These tests hold the results
 at one worker equal to those at two, with both memos emptied before each
 run, check that the memo keeps what it should and that no grid stays alive,
-that a worker reuses its buffer but never under an array a caller kept,
-that no buffer outlives its map, and that typed errors raised on a pool
-thread reach the CLI unchanged.
+that an array a caller kept is never overwritten, that no mapping outlives
+its map, and that typed errors raised on a pool thread reach the CLI
+unchanged.
 """
 
 import mmap
+import os
 import sys
 import threading
 import weakref
@@ -200,42 +201,9 @@ def test_map_grid_builds_keeps_order_and_raises_first_error(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-
-@pytest.fixture
-def buffers(monkeypatch):
-    """Weak references to the mapping of each grid buffer a worker hands out."""
-    made = []
-    worker_buffer = lifted._worker_buffer
-
-    def recording(n):
-        buf = worker_buffer(n)
-        if buf is not None:
-            made.append(weakref.ref(buf.base.obj))
-        return buf
-
-    monkeypatch.setattr(lifted, "_worker_buffer", recording)
-    return made
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_builds_on_a_worker_share_its_buffer(monkeypatch, workers):
-    monkeypatch.setattr(lifted, "_GRID_WORKERS", workers)
-
-    previous = {}  # thread -> weak reference to the mapping of its last grid
-
-    def build(N):
-        values = lifted.lifted_grid(UNIF, N, shape=SHAPE).power.values
-        pages = values.base.base.obj
-        last = previous.get(threading.get_ident(), lambda: pages)()
-        previous[threading.get_ident()] = weakref.ref(pages)
-        return threading.get_ident(), values.ctypes.data, isinstance(pages, mmap.mmap) and last is pages
-
-    seen = lifted._map_grid_builds(build, [8, 16, 32, 64, 8, 16])
-    assert all(same_pages for _, _, same_pages in seen)
-    addresses = {}
-    for ident, address, _ in seen:
-        addresses.setdefault(ident, set()).add(address)
-    assert all(len(a) == 1 for a in addresses.values())
+def _mapped(mappings):
+    """How many of the recorded mappings (conftest.py) are still mapped."""
+    return sum(ref() is not None for _, ref, _ in mappings)
 
 
 def _kept_values(N):
@@ -244,7 +212,7 @@ def _kept_values(N):
 
 def _held_raster(N):
     # as the benchmark's tracer does: the raster stays referenced while its
-    # power is built, so the spectrum may not take its buffer
+    # power is built
     raster = lifted.rasterize_lifted(UNIF, window=lifted.default_window(UNIF, N), shape=SHAPE)
     before = raster.values.copy()
     values = lifted.convolution_power(raster, N).values
@@ -254,45 +222,65 @@ def _held_raster(N):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("fn", [_kept_values, _held_raster])
-def test_kept_arrays_are_never_overwritten(monkeypatch, buffers, workers, fn):
+def test_kept_arrays_are_never_overwritten(monkeypatch, mappings, workers, fn):
     monkeypatch.setattr(lifted, "_GRID_WORKERS", workers)
     Ns = [8, 16, 32, 64]
     outside = [_kept_values(N) for N in Ns]
-    assert buffers == []
+    assert len(mappings) == 2 * len(Ns)  # a raster and a spectrum per build
     inside = lifted._map_grid_builds(fn, Ns)
-    assert buffers
+    assert len(mappings) == 4 * len(Ns)
+    # each kept values array keeps its own spectrum's mapping, and no other
+    assert _mapped(mappings) == 2 * len(Ns)
     assert [v.tobytes() for v in inside] == [v.tobytes() for v in outside]
 
 
-def test_no_buffer_outlives_its_map(monkeypatch, buffers, tmp_path, capsys):
+def test_no_buffer_outlives_its_map(monkeypatch, mappings, tmp_path, capsys):
     monkeypatch.setattr(lifted, "_GRID_WORKERS", 2)
     _empty_memos(monkeypatch)
     lifted._map_grid_builds(lambda N: lifted.lifted_grid(UNIF, N, shape=SHAPE).log_density(0.0, N), [8, 16, 32])
-    assert len(buffers) == 6  # a raster and a spectrum per build
-    assert all(ref() is None for ref in buffers)
+    assert len(mappings) == 6  # a raster and a spectrum per build
+    assert _mapped(mappings) == 0
     code = cli.main(["w1-rate", "--n-list", "8,16,32", "--grid-shape", "256x256", "--out", str(tmp_path)])
     assert code in (cli.EXIT_OK, cli.EXIT_TOLERANCE)
-    assert len(buffers) == 12
-    assert all(ref() is None for ref in buffers)
+    assert len(mappings) == 12
+    assert _mapped(mappings) == 0
 
 
-def test_lattices_run_beside_no_buffer(monkeypatch, buffers, tmp_path, capsys):
+def test_lattices_run_beside_no_buffer(monkeypatch, mappings, tmp_path, capsys):
     lattice_gap = lifted._lattice_gap
     buffer_alive = []
 
     def recording(*args):
-        buffer_alive.append(any(ref() is not None for ref in buffers))
+        buffer_alive.append(_mapped(mappings) > 0)
         return lattice_gap(*args)
 
     monkeypatch.setattr(lifted, "_lattice_gap", recording)
     _empty_memos(monkeypatch)
     code = cli.main(["berry-esseen", "--n-list", "2,4,8", "--out", str(tmp_path)])
     assert code in (cli.EXIT_OK, cli.EXIT_TOLERANCE)
-    assert len(buffer_alive) == 3 and buffers == []
-    # zprime maps its lattices after its grids, once every buffer is unmapped
+    assert len(buffer_alive) == 3 and mappings == []
+    # zprime maps its lattices after its grids, once every grid is unmapped
     buffer_alive.clear()
     _empty_memos(monkeypatch)
     code = cli.main(["zprime", "--density", "uniform", "--n-list", "8,16,32",
                      "--grid-shape", "256x256", "--out", str(tmp_path)])
     assert code in (cli.EXIT_OK, cli.EXIT_TOLERANCE)
-    assert buffers and buffer_alive == [False, False, False]
+    assert mappings and buffer_alive == [False, False, False]
+
+
+def test_worker_count_without_sched_getaffinity(monkeypatch):
+    # os.sched_getaffinity is Linux only; elsewhere the pool is sized from
+    # os.cpu_count()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert lifted._usable_cpus() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undetermined
+    assert lifted._usable_cpus() == 1
+
+
+def test_grid_without_huge_page_advice(monkeypatch):
+    # mmap.MADV_HUGEPAGE is Linux only; without it the mappings go unadvised
+    # and the grid keeps its bytes
+    want = lifted.lifted_grid(UNIF, 16, shape=SHAPE).power.values.tobytes()
+    monkeypatch.delattr(mmap, "MADV_HUGEPAGE")
+    assert lifted.lifted_grid(UNIF, 16, shape=SHAPE).power.values.tobytes() == want

@@ -325,7 +325,18 @@ def test_berry_esseen_lattice_matches_the_full_fft(N):
     assert_same_bytes(lifted._lattice_power(pmf.copy(), N), want)
 
 
-def test_default_build_holds_at_most_two_grids():
+def _one_raster_then_one_spectrum(mappings, shape=(2048, 2048)):
+    # `tracemalloc` sees malloc only, not the mappings (conftest.py): the
+    # folded raster, then the complex half spectrum, with the raster's
+    # mapping gone before the spectrum's is made, since LiftedGrid passes
+    # the raster as a temporary
+    nz, nu = shape
+    assert [(n, alive) for n, _, alive in mappings] == [
+        ((nz // 2 + 1) * nu, 0), ((nz // 2 + 1) * 2 * (nu // 2 + 1), 0)
+    ]
+
+
+def test_default_build_holds_at_most_two_grids(mappings):
     # the folded raster and the half spectrum are each half a (2048, 2048)
     # grid and the raster is freed before the power, so a build stays
     # under one full grid
@@ -338,6 +349,7 @@ def test_default_build_holds_at_most_two_grids():
     finally:
         tracemalloc.stop()
     assert peak < 1.0 * grid_bytes
+    _one_raster_then_one_spectrum(mappings)
 
 
 @pytest.mark.parametrize("shape", [(256, 2), (512, 6), (64, 1), (2048, 3)])
@@ -414,7 +426,7 @@ def test_edge_mass_check_counts_the_full_lattice(monkeypatch, name):
 
 
 @pytest.mark.parametrize("N", [7, 255, 511])
-def test_default_build_holds_one_grid_sized_buffer_at_a_time(N):
+def test_default_build_holds_one_grid_sized_buffer_at_a_time(mappings, N):
     # the raster is deposited into the rows that hold mass and folded into
     # half a grid, freed before the power; the inverse reuses the half
     # spectrum's buffer, and no step copies half of it
@@ -422,11 +434,13 @@ def test_default_build_holds_one_grid_sized_buffer_at_a_time(N):
     grid_bytes = 2048 * 2048 * 8
     tracemalloc.start()
     try:
-        LiftedGrid(f, N)
+        values = LiftedGrid(f, N).power.values
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1.0 * grid_bytes
+    _one_raster_then_one_spectrum(mappings)
+    assert np.shares_memory(values, np.frombuffer(mappings[1][1]()))
 
 
 def test_mass_row_spectra_transform_in_blocks_into_one_array():

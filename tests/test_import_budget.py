@@ -109,3 +109,15 @@ def test_event_loop_compiles_on_first_use_and_once():
     assert before == []
     assert keys == [["dsmc_collide", None, 3]]
     assert reused
+
+
+def test_package_imports_without_linux_only_names():
+    # macOS has neither os.sched_getaffinity nor mmap.MADV_HUGEPAGE
+    workers = run_fresh(
+        "import mmap, os\n"
+        "del os.sched_getaffinity, mmap.MADV_HUGEPAGE\n"
+        "import json, boltzsphere.cli\n"
+        "from boltzsphere import lifted\n"
+        "print(json.dumps(lifted._GRID_WORKERS))\n"
+    )
+    assert workers == min(2, os.cpu_count())
