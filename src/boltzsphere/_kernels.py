@@ -25,13 +25,14 @@ events for one kernel call.  That also bounds the draws a chain that stops
 early leaves unused to less than one block.
 
 What is left of a step's cost is interpreter overhead, so each loop is
-generated for its (move, density code, d) and compiled on first use
+generated for its (move, base density, d) and compiled on first use
 (`_generated`), the way `dataclasses` builds `__init__`.  A template holds
 one move and its bookkeeping: the pair move for d >= 2, unrolled over the d
-axes, and the triple rotation for d = 1.  Each density code is one list of
-source lines (`_logf_lines`), inlined for every new particle of a proposal,
-and the chains and `_log_density` are both built from those lines, so each
-density's arithmetic is written once; its constants are computed from
+axes, and the triple rotation for d = 1.  Each base declares its
+log-density as source lines (`BaseDensity.kernel_setup` and
+`kernel_logf`), inlined for every new particle of a proposal, and the
+chains and `_log_density` are both built from those lines, so each base's
+arithmetic is written once, in its builder; its constants are computed from
 `params` once per call, at entry.  The emission schedule is one counter
 compared with the step of the next state, not a modulo per step.  Nothing is
 compiled at import or by `default_kernels()`.
@@ -42,17 +43,10 @@ of the waiting times and applies the events it reaches in one generated loop
 both, with the per-event reference arithmetic in the same order, so the
 velocities are bit-identical.
 
-Density evaluation inside kernels is restricted to the registry families,
-identified by an integer code:
-
-    0  isotropic Gaussian, params = (sigma2,)
-    1  centered uniform box, params = (half_width,)
-    2  symmetric two-component Gaussian mixture, params = (m, 1 - m^2)
-
-The uniform box is handled with a large finite out-of-support penalty
-(1e4 per coordinate outside the box) so that chains started from the uniform
-sphere law descend into the support during burn-in and never leave it
-afterwards.
+A compact base, the uniform box, is handled with a large finite
+out-of-support penalty (`_PENALTY` per coordinate outside the box) so that
+chains started off its support descend into it during burn-in and never
+leave it afterwards.
 """
 
 from __future__ import annotations
@@ -62,40 +56,25 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .errors import ParameterError
+
 # No loop is compiled to machine code; perfbench/child.py records this flag and the
 # namespace's `jitted` in its run metadata.
 HAVE_NUMBA = False
 
-CODE_GAUSSIAN = 0
-CODE_UNIFORM = 1
-CODE_MIXTURE = 2
 _PENALTY = 1.0e4
 _BLOCK = 4096  # the most draws one kernel call is given
 
 
-def density_code(density) -> tuple:
-    """(code, params) for a registry density; ParameterError otherwise."""
-    from .errors import ParameterError
-
-    if density.name == "gaussian":
-        return CODE_GAUSSIAN, np.array([density.params[0]], dtype=float)
-    if density.name == "uniform":
-        return CODE_UNIFORM, np.array([math.sqrt(3.0)], dtype=float)
-    if density.name == "mixture":
-        m = density.params[0]
-        return CODE_MIXTURE, np.array([m, 1.0 - m * m], dtype=float)
-    raise ParameterError(f"no kernel code for density {density.name!r}")
-
-
 # The chain kernels, the per-particle log density and the collision event
 # loop are generated source, compiled on first use and kept in _GENERATED by
-# (kind, code, d).  A template holds the move and the bookkeeping.  The
+# (kind, base name, d).  A template holds the move and the bookkeeping.  The
 # fields {x}, {y}, {a}, {b}, {g} and {X} take the names x0, x1, ... of the
 # d axes with that letter, "@setup" the density's constants, "@move" the
 # unrolled pair move, "@collide" the same move on the per-axis lists X0,
 # X1, ..., "@axes line" the line once per axis with {a} its number (written
 # {{a}}, since the template is formatted first), and "@logf out names" the
-# lines of the density of the named coordinates, each at the line's
+# base's lines for the density of the named coordinates, each at the line's
 # indentation.
 # `emit` is the next step that emits a state: the first after step0 that is
 # past burn_in by a multiple of thin.
@@ -219,55 +198,6 @@ def log_density(params):
 """
 
 
-def _setup_lines(code, d):
-    """Lines that compute a code's constants from `params` at entry."""
-    if code == CODE_GAUSSIAN:
-        return ["s2 = float(params[0])", f"norm = 0.5 * {d} * log(2.0 * pi * s2)"]
-    if code == CODE_UNIFORM:
-        # lbox[n] is the value with n coordinates outside the box
-        return [
-            "half = float(params[0])",
-            f"norm = {d} * log(2.0 * half)",
-            f"lbox = tuple(-float(n) * _PENALTY - norm for n in range({d + 1}))",
-        ]
-    return [
-        "m = float(params[0])",
-        "c1 = float(params[1])",
-        f"norm = -0.5 * (log(2.0 * pi * c1) + {d - 1} * log(2.0 * pi))",
-    ]
-
-
-def _logf_lines(code, xs, out):
-    """Lines that set `out` to the per-particle log density, up to the
-    support penalty, of the coordinates named xs.  Additive constants cancel
-    in Metropolis ratios but are kept for clarity.
-
-    A sum of squares starts at its first square: 0.0 + x * x is x * x for
-    every double, since x * x is never -0.0.  For the mixture, with hi the
-    larger of la and lb, exp(la - hi) + exp(lb - hi) is 1.0 plus the other
-    exponential (exp(0.0) is exactly 1.0, and addition commutes; la and lb
-    are at most 0, so la - la is 0.0 unless both are -inf, which is nan
-    either way).
-    """
-    squares = [f"{x} * {x}" for x in xs]
-    if code == CODE_GAUSSIAN:
-        return [f"{out} = -0.5 * ({' + '.join(squares)}) / s2 - norm"]
-    if code == CODE_UNIFORM:
-        outside = " + ".join(f"(abs({x}) > half)" for x in xs)
-        return [f"{out} = lbox[{outside}]"]
-    return [
-        f"u = {xs[0]} - m",
-        f"w = {xs[0]} + m",
-        f"rest = {' + '.join(squares[1:]) or '0.0'}",
-        "la = -0.5 * (u * u / c1 + rest)",
-        "lb = -0.5 * (w * w / c1 + rest)",
-        "if la > lb:",
-        f"    {out} = norm + la + log(0.5 * (1.0 + exp(lb - la)))",
-        "else:",
-        f"    {out} = norm + lb + log(0.5 * (1.0 + exp(la - lb)))",
-    ]
-
-
 def _pair_move_lines(d, new_i, new_j):
     """Lines that set new_i and new_j, patterns in the axis {a}, to the
     post-collisional velocities of a and b along the unit vector g."""
@@ -292,7 +222,7 @@ _TEMPLATES = {
 }
 
 
-def _source(kind, code, d):
+def _source(kind, f, d):
     def names(pattern):
         return ", ".join(pattern.format(a=a) for a in range(d)) + ","
 
@@ -304,7 +234,7 @@ def _source(kind, code, d):
     for line in _TEMPLATES[kind].format(**fields).splitlines():
         body = line.lstrip()
         if body == "@setup":
-            block = _setup_lines(code, d)
+            block = f.kernel_setup
         elif body == "@move":
             block = _pair_move_lines(d, "x{a}", "y{a}")
         elif body == "@collide":
@@ -313,7 +243,7 @@ def _source(kind, code, d):
             block = [body[len("@axes "):].format(a=a) for a in range(d)]
         elif body.startswith("@logf "):
             out, *xs = body[len("@logf "):].replace(",", " ").split()
-            block = _logf_lines(code, xs, out)
+            block = f.kernel_logf(out, xs)
         else:
             block = [body]
         pad = line[: len(line) - len(body)]
@@ -321,38 +251,41 @@ def _source(kind, code, d):
     return "\n".join(lines) + "\n"
 
 
-_GENERATED = {}  # (kind, code, d) -> compiled function
+_GENERATED = {}  # (kind, base name, d) -> compiled function
 _NAMESPACE = {
     "_PENALTY": _PENALTY, "pi": math.pi,
     "sqrt": math.sqrt, "log": math.log, "exp": math.exp, "cos": math.cos, "sin": math.sin,
 }
 
 
-def _generated(kind, code, d):
+def _generated(kind, f, d):
     """The function `kind` ("pair_chain", "triple_chain", "log_density" or
-    "dsmc_collide") for density code `code` (None for "dsmc_collide") in
+    "dsmc_collide") for base density f (None for "dsmc_collide") in
     dimension d, compiled on its first request."""
-    key = (kind, code, d)
+    key = (kind, None if f is None else f.name, d)
     fn = _GENERATED.get(key)
     if fn is None:
-        label = f"<{kind} d={d}>" if code is None else f"<{kind} code={code} d={d}>"
+        if f is not None and f.kernel_logf is None:
+            raise ParameterError(f"density {f.name!r} declares no kernel lines")
+        label = f"<{kind} d={d}>" if f is None else f"<{kind} {f.name} d={d}>"
         namespace = dict(_NAMESPACE)
-        exec(compile(_source(kind, code, d), label, "exec"), namespace)
+        exec(compile(_source(kind, f, d), label, "exec"), namespace)
         fn = _GENERATED[key] = namespace[kind]
     return fn
 
 
-def _log_density(code, params, d):
-    """Per-particle log density of a registry code up to the support
-    penalty, as a function of one row of d numbers; the chain kernels inline
-    the same lines."""
-    return _generated("log_density", code, d)(params)
+def _log_density(f):
+    """Per-particle log density of base f up to the support penalty, as a
+    function of one row of f.d numbers; the chain kernels inline the same
+    lines."""
+    return _generated("log_density", f, f.d)(f.params)
 
 
 def pair_chain(
-    v, code, params, ii, jj, sigmas, log_us, step0, burn_in, thin, out, out_count0
+    v, f, params, ii, jj, sigmas, log_us, step0, burn_in, thin, out, out_count0
 ):
-    """Metropolis chain with binary-collision proposals, d >= 2.
+    """Metropolis chain with binary-collision proposals, d >= 2, targeting
+    the tensor power of base f; its kernel lines read `params`.
 
     Consumes the pre-drawn arrays in order; emits a state every `thin`
     proposals once `burn_in` proposals have elapsed, and stops as soon as
@@ -361,20 +294,20 @@ def pair_chain(
     """
     if out_count0 >= out.shape[0]:
         return out_count0, 0, 0
-    return _generated("pair_chain", code, v.shape[1])(
+    return _generated("pair_chain", f, v.shape[1])(
         v, params, ii, jj, sigmas, log_us, step0, burn_in, thin, out, out_count0
     )
 
 
 def triple_chain(
-    v, code, params, ii, jj, kk, angles, log_us, step0, burn_in, thin, out, out_count0
+    v, f, params, ii, jj, kk, angles, log_us, step0, burn_in, thin, out, out_count0
 ):
     """Metropolis chain for d = 1: uniform rotations on the circle of a
     particle triple that conserve its momentum and energy.  Stops and
     returns like `pair_chain`."""
     if out_count0 >= out.shape[0]:
         return out_count0, 0, 0
-    return _generated("triple_chain", code, 1)(
+    return _generated("triple_chain", f, 1)(
         v, params, ii, jj, kk, angles, log_us, step0, burn_in, thin, out, out_count0
     )
 

@@ -334,7 +334,7 @@ def _zprime(cfg: ExperimentConfig) -> Outcome:
     )
     sups = _map_grid_builds(lambda N: berry_esseen_sup(f, N, n_cells=cfg.be_cells), cfg.n_list)
     rows = [(N, value, z_prime_asymptotic(f, N), sup) for N, value, sup in zip(cfg.n_list, exact, sups)]
-    if cfg.density == "gaussian":
+    if f.is_gaussian:
         tol = 0.02 * cfg.rel_scale()
         worst = max(abs(r[1] - 1.0) for r in rows)
         checks.append((f"Z'_N(gaussian) = 1 within {tol:.3f} (worst {worst:.4f})", worst <= tol))
@@ -355,7 +355,7 @@ def _berry_esseen(cfg: ExperimentConfig) -> Outcome:
     sups = _map_grid_builds(lambda N: berry_esseen_sup(g, N, n_cells=cfg.be_cells), cfg.n_list)
     rows = [(N, sup, 0.0) for N, sup in zip(cfg.n_list, sups)]
     checks = []
-    if cfg.density == "gaussian":
+    if g.is_gaussian:
         # the Gaussian's N-fold power is Gaussian: the gap is lattice error
         # only, with no C/sqrt(N) decay to check or fit
         rep = None
@@ -403,7 +403,7 @@ def _entropy_rate(cfg: ExperimentConfig) -> Outcome:
         (N, abs(h - limit), 0.0, h)
         for N, h in entropy_rate_experiment(f, cfg.n_list, grid_shape=cfg.grid_shape)
     ]
-    if cfg.density == "gaussian":
+    if f.is_gaussian:
         # the Gaussian conditioned to the sphere is the uniform law, so its
         # entropy per particle is 0 at every N, which is its limit: there is
         # no decay to check or fit

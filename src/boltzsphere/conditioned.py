@@ -30,7 +30,6 @@ from . import rng as rngmod
 from ._kernels import (
     _BLOCK,
     default_kernels,
-    density_code,
     draw_pair_indices,
     draw_triple_indices,
     draw_unit_vectors,
@@ -79,10 +78,6 @@ class ConditionedLaw:
         if d >= 2 and N < 3:
             raise ParameterError("d >= 2 chains need N >= 3")
 
-    @property
-    def is_gaussian(self) -> bool:
-        return self.f.name == "gaussian"
-
     def log_zprime(self, n: int, r: float, z_mom: float = 0.0) -> float:
         """log Z'_n(f; r, z) for the d = 1 pipeline (exactly 0 for Gaussian f)."""
         grid = _exact_grid(self, n)
@@ -115,7 +110,6 @@ class _Chain:
         self.thin = spec.N if thin is None else int(thin)
         if self.thin < 1 or self.burn_in < 0:
             raise ParameterError("need thin >= 1 and burn_in >= 0")
-        self.code, self.params = density_code(law.f)
         if isinstance(rng_seed, (int, np.integer)):
             self.gen = rngmod.stream(rng_seed, "conditioned")
         elif isinstance(rng_seed, np.random.Generator):
@@ -126,8 +120,8 @@ class _Chain:
             )
         self.law = law
         self.v = sample_uniform(spec, self.gen)
-        if law.f.name == "uniform":
-            # deterministic start inside the box support; the Metropolis
+        if law.f.support_radius is not None:
+            # deterministic start inside a compact support; the Metropolis
             # penalty rule would otherwise have to walk into it first
             self.v = _lattice_like(spec, self.gen)
         self.step = 0
@@ -158,7 +152,7 @@ class _Chain:
             if self._draws is None or len(self._draws[-1]) == 0:
                 self._draws = self._draw_chunk()
             done, acc, used = kernel(
-                self.v, self.code, self.params, *self._draws,
+                self.v, self.law.f, self.law.f.params, *self._draws,
                 self.step, self.burn_in, self.thin, out, done,
             )
             self._draws = tuple(a[used:] for a in self._draws)
@@ -198,7 +192,7 @@ def _exact_grid(law: ConditionedLaw, n: int) -> Optional[LiftedGrid]:
     """A new grid for n, which the exact ratio form reads and the caller
     drops; None for the Gaussian base, whose (f/gamma)^{x n} is identically
     1 on every sphere, so Z' = 1.  Only the curves in `_CURVES` are kept."""
-    if law.is_gaussian:
+    if law.f.is_gaussian:
         return None
     if law.spec.d != 1:
         raise ParameterError("exact partition values need the d = 1 pipeline")
@@ -258,7 +252,7 @@ def _compute_curve(law: ConditionedLaw, n_points: int) -> tuple:
     dens = np.exp(_log_marginal_times_zn(law, 1, pts[:, None], grid))
     mass = float(np.trapezoid(dens, pts))
     log_zn = math.log(mass) if mass > 0.0 else -math.inf
-    if law.is_gaussian:
+    if law.f.is_gaussian:
         if not 0.9 < mass < 1.1:
             raise SupportError(f"marginal mass {mass:.4f} far from 1; grid misconfigured")
     else:
@@ -340,7 +334,7 @@ def entropy_per_particle(law: ConditionedLaw, n_points: int = 4001) -> float:
     spec = law.spec
     if spec.d != 1:
         raise ParameterError("the exact pipeline is d = 1")
-    if law.is_gaussian:
+    if law.f.is_gaussian:
         return 0.0
     grid, dens, log_zn = _marginal_curve(law, n_points)
     logf = law.f.log_density(grid[:, None])
@@ -359,5 +353,5 @@ def entropy_rate_experiment(
     """[(N, entropy_per_particle)] across N, with the curves of all N
     computed together (two at a time) before the quadratures."""
     laws = [ConditionedLaw(f=f, spec=SphereSpec.boltzmann(1, N), grid_shape=grid_shape) for N in Ns]
-    _marginal_curves([law for law in laws if not law.is_gaussian], n_points)
+    _marginal_curves([law for law in laws if not law.f.is_gaussian], n_points)
     return [(law.spec.N, entropy_per_particle(law, n_points)) for law in laws]

@@ -5,13 +5,18 @@ Every registry entry is normalized to mean zero and second moment
 which matches the sphere normalization ``sum |v_i|^2 = dN``.  Each entry
 carries an evaluable log-density, the score (gradient of the log-density),
 a direct sampler and closed-form radial moments up to order six.
+
+Each builder also declares, next to its numpy log-density, the same
+log-density as source lines for the generated chain kernels (`_kernels`).
+So a base is known in one place: to add one, write its builder and add one
+``_REGISTRY`` line.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import gammaln, ndtr
@@ -37,6 +42,18 @@ class BaseDensity:
     Point arrays have shape (n, d); scalar-valued callables return shape (n,).
     ``moment(k)`` is the radial moment E|v|^k, analytic for even k <= 6.
     ``cdf`` is only defined for d = 1 (used by the grid rasterizer).
+
+    ``is_gaussian`` marks the Gaussian fixed point, whose tensor power
+    conditioned to the sphere is the uniform law.
+
+    The kernel lines: ``kernel_setup`` computes the constants from
+    ``params`` at a kernel's entry, and ``kernel_logf(out, xs)`` gives the
+    lines that set ``out`` to the log-density of the coordinates named
+    ``xs``, up to the support penalty; additive constants cancel in
+    Metropolis ratios but are kept for clarity.  The lines may use ``pi``,
+    ``sqrt``, ``log``, ``exp`` and ``_PENALTY``, the kernels' finite
+    log-density penalty per coordinate outside a compact support.  Kernels
+    are compiled once per (name, d), so one name has one set of lines.
     """
 
     name: str
@@ -48,6 +65,9 @@ class BaseDensity:
     E: float
     sigma2: float
     params: tuple = ()
+    kernel_setup: tuple = ()
+    kernel_logf: Optional[Callable[[str, Sequence[str]], list]] = None
+    is_gaussian: bool = False
     cdf: Optional[Callable[[np.ndarray], np.ndarray]] = None
     support_radius: Optional[float] = None
     _h_rel_gaussian: Optional[float] = field(default=None, repr=False)
@@ -113,6 +133,13 @@ class BaseDensity:
         return val
 
 
+def _sum_of_squares(xs) -> str:
+    """Source for the sum of the squares of the coordinates named xs.  It
+    starts at its first square: 0.0 + x * x is x * x for every double, since
+    x * x is never -0.0."""
+    return " + ".join(f"{x} * {x}" for x in xs)
+
+
 def _gaussian_radial_moment(d: int, sigma2: float, k: int) -> float:
     # E|v|^k for v ~ N(0, sigma2 I_d): 2^{k/2} Gamma((d+k)/2)/Gamma(d/2) sigma^k
     return math.exp(
@@ -128,6 +155,9 @@ def gaussian_density(d: int = 1, sigma2: float = 1.0) -> BaseDensity:
 
     def log_density(v):
         return lognorm - 0.5 * np.sum(v * v, axis=-1) / sigma2
+
+    def kernel_logf(out, xs):
+        return [f"{out} = -0.5 * ({_sum_of_squares(xs)}) / s2 - norm"]
 
     def score(v):
         return -v / sigma2
@@ -155,6 +185,9 @@ def gaussian_density(d: int = 1, sigma2: float = 1.0) -> BaseDensity:
         E=d * sigma2,
         sigma2=2.0 * d * sigma2 * sigma2,
         params=(sigma2,),
+        kernel_setup=("s2 = float(params[0])", f"norm = 0.5 * {d} * log(2.0 * pi * s2)"),
+        kernel_logf=kernel_logf,
+        is_gaussian=True,
         cdf=cdf,
         support_radius=None,
         _h_rel_gaussian=h_rel,
@@ -172,6 +205,11 @@ def uniform_box_density(d: int = 1) -> BaseDensity:
     def log_density(v):
         inside = np.all(np.abs(v) <= a, axis=-1)
         return np.where(inside, logval, -np.inf)
+
+    def kernel_logf(out, xs):
+        # lbox[n] is the value with n coordinates outside the box
+        outside = " + ".join(f"(abs({x}) > half)" for x in xs)
+        return [f"{out} = lbox[{outside}]"]
 
     def score(v):
         out = np.zeros_like(v)
@@ -208,6 +246,13 @@ def uniform_box_density(d: int = 1) -> BaseDensity:
         moment=moment,
         E=float(d),
         sigma2=d * (m[4] - 1.0),
+        params=(a,),
+        kernel_setup=(
+            "half = float(params[0])",
+            f"norm = {d} * log(2.0 * half)",
+            f"lbox = tuple(-float(n) * _PENALTY - norm for n in range({d + 1}))",
+        ),
+        kernel_logf=kernel_logf,
         cdf=cdf,
         support_radius=a,
         _h_rel_gaussian=h_rel,
@@ -248,6 +293,23 @@ def gaussian_mixture_density(d: int = 1, separation: float = 0.8) -> BaseDensity
         a = log_norm - 0.5 * _comp_quad(v, +1.0)
         b = log_norm - 0.5 * _comp_quad(v, -1.0)
         return np.logaddexp(a, b) + math.log(0.5)
+
+    def kernel_logf(out, xs):
+        # with hi the larger of la and lb, exp(la - hi) + exp(lb - hi) is
+        # 1.0 plus the other exponential (exp(0.0) is exactly 1.0, and
+        # addition commutes; la and lb are at most 0, so la - la is 0.0
+        # unless both are -inf, which is nan either way)
+        return [
+            f"u = {xs[0]} - m",
+            f"w = {xs[0]} + m",
+            f"rest = {_sum_of_squares(xs[1:]) or '0.0'}",
+            "la = -0.5 * (u * u / c1 + rest)",
+            "lb = -0.5 * (w * w / c1 + rest)",
+            "if la > lb:",
+            f"    {out} = norm + la + log(0.5 * (1.0 + exp(lb - la)))",
+            "else:",
+            f"    {out} = norm + lb + log(0.5 * (1.0 + exp(la - lb)))",
+        ]
 
     def score(v):
         a = -0.5 * _comp_quad(v, +1.0)
@@ -299,7 +361,13 @@ def gaussian_mixture_density(d: int = 1, separation: float = 0.8) -> BaseDensity
         moment=moment,
         E=float(d),
         sigma2=sigma2,
-        params=(m,),
+        params=(m, c1),
+        kernel_setup=(
+            "m = float(params[0])",
+            "c1 = float(params[1])",
+            f"norm = -0.5 * (log(2.0 * pi * c1) + {d - 1} * log(2.0 * pi))",
+        ),
+        kernel_logf=kernel_logf,
         cdf=cdf,
         support_radius=None,
     )

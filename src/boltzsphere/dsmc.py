@@ -26,7 +26,6 @@ from . import rng as rngmod
 from ._kernels import _BLOCK, default_kernels, draw_pair_indices, draw_unit_vectors
 from .errors import CapacityError, ParameterError
 from .geometry import SphereSpec
-from .metrics import EmpiricalMeasure, relative_entropy_vs_gaussian
 from .uniform import coordinate_marginal
 
 __all__ = [
@@ -125,7 +124,6 @@ def _particle_moment(v: np.ndarray, k: int) -> float:
 
 def _resolve_observables(observables):
     scalar_obs = {}
-    pooled_entropy = False
     for ob in observables:
         if callable(ob):
             scalar_obs[getattr(ob, "__name__", f"obs{len(scalar_obs)}")] = ob
@@ -133,32 +131,27 @@ def _resolve_observables(observables):
             scalar_obs["m2"] = lambda v: _particle_moment(v, 2)
         elif ob == "m4":
             scalar_obs["m4"] = lambda v: _particle_moment(v, 4)
-        elif ob == "rel_entropy_v1":
-            pooled_entropy = True
         else:
             raise ParameterError(f"unknown observable {ob!r}")
-    return scalar_obs, pooled_entropy
+    return scalar_obs
 
 
 def _replica_series(args):
     """One replica's observable series; module level so pools can pickle it."""
-    initial_sampler, kernel, times, seed, rep, scalar_names, keep_snapshots = args
+    initial_sampler, kernel, times, seed, rep, observables = args
     gen = rngmod.stream(seed, "dsmc", rep)
     v = np.array(initial_sampler(gen), dtype=float)
     if v.ndim != 2 or v.shape[1] != kernel.d:
         raise ParameterError("initial sampler must return an (N, d) array")
     mft = kernel.mean_free_time(v.shape[0])
-    scalar_obs, _ = _resolve_observables(scalar_names)
+    scalar_obs = _resolve_observables(observables)
     series = {name: np.empty(len(times)) for name in scalar_obs}
-    snaps = [] if keep_snapshots else None
     t_master = 0.0
     for it, t_mft in enumerate(times):
         t_master = _advance(v, t_master, t_mft * mft, kernel, gen)
         for name, fn in scalar_obs.items():
             series[name][it] = fn(v)
-        if keep_snapshots:
-            snaps.append(v.copy())
-    return series, snaps
+    return series
 
 
 def run(
@@ -169,30 +162,22 @@ def run(
     observables=("m2", "m4"),
     seed: int = 0,
     n_times: int = 11,
-    entropy_subsample: int = 20000,
     jobs: int = 1,
 ) -> RunResult:
     """Evolve independent replicas and record observables on a time grid.
 
     `initial_sampler` maps a replica's generator to an (N, d) velocity array.
     Times are in mean free times.  Scalar observables (callables or the
-    built-ins "m2"/"m4") are averaged across replicas with a standard error;
-    "rel_entropy_v1" pools all particles of all replicas at each time and
-    reports the k-NN relative entropy against the Gaussian, exploiting
-    exchangeability of the particle index.
+    built-ins "m2"/"m4") are averaged across replicas with a standard error.
 
     Replicas own independent streams keyed by (seed, replica), so results are
     identical for any `jobs` (the pool needs a picklable initial sampler).
     """
     if n_replicas < 2:
         raise ParameterError("need at least two replicas for error bars")
-    scalar_obs, pooled_entropy = _resolve_observables(observables)
-    scalar_names = [ob for ob in observables if ob != "rel_entropy_v1"]
+    scalar_obs = _resolve_observables(observables)
     times = np.linspace(0.0, t_end, n_times)
-    tasks = [
-        (initial_sampler, kernel, times, seed, rep, scalar_names, pooled_entropy)
-        for rep in range(n_replicas)
-    ]
+    tasks = [(initial_sampler, kernel, times, seed, rep, observables) for rep in range(n_replicas)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -203,22 +188,10 @@ def run(
 
     result = {}
     for name in scalar_obs:
-        vals = np.stack([replica_out[rep][0][name] for rep in range(n_replicas)], axis=1)
+        vals = np.stack([replica_out[rep][name] for rep in range(n_replicas)], axis=1)
         mean = vals.mean(axis=1)
         err = vals.std(axis=1, ddof=1) / math.sqrt(n_replicas)
         result[name] = (mean, err)
-    if pooled_entropy:
-        mean = np.empty(n_times)
-        err = np.empty(n_times)
-        sub_gen = rngmod.stream(seed, "dsmc-entropy")
-        for it in range(n_times):
-            pooled = np.concatenate([replica_out[rep][1][it] for rep in range(n_replicas)])
-            if pooled.shape[0] > entropy_subsample:
-                idx = sub_gen.choice(pooled.shape[0], size=entropy_subsample, replace=False)
-                pooled = pooled[idx]
-            est = relative_entropy_vs_gaussian(EmpiricalMeasure(pooled))
-            mean[it], err[it] = est.value, est.stderr
-        result["rel_entropy_v1"] = (mean, err)
     return RunResult(
         times=times,
         observables=result,

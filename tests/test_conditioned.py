@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -113,6 +114,15 @@ class TestSampler:
         a = sample_conditioned_batch(lw, 9, 50)
         b = sample_conditioned_batch(lw, 9, 50)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name, d", [("uniform", 1), ("mixture", 1), ("mixture", 3),
+                                         ("gaussian", 2)])
+    def test_a_renamed_base_samples_the_same_states(self, name, d):
+        # the chains read the base's declaration, not its name
+        f = bs.get_density(name, d)
+        copy = dataclasses.replace(f, name=name + "-copy")
+        a = sample_conditioned_batch(law(f, d, 8), 9, 20)
+        assert np.array_equal(sample_conditioned_batch(law(copy, d, 8), 9, 20), a)
 
     def test_numpy_integer_seed_is_the_int_seed(self):
         lw = law(UNIF, 1, 8)

@@ -116,3 +116,15 @@ def test_unknown_registry_name():
 def test_mixture_separation_validation():
     with pytest.raises(bs.ParameterError):
         gaussian_mixture_density(1, separation=1.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_declared_fields_of_the_registry(d):
+    # the Gaussian fixed point and a compact support are declared by the
+    # builder, and the kernel parameters are the constants the lines read
+    f = {name: bs.get_density(name, d) for name in bs.registry_names()}
+    assert [n for n, g in f.items() if g.is_gaussian] == ["gaussian"]
+    assert [n for n, g in f.items() if g.support_radius is not None] == ["uniform"]
+    assert f["gaussian"].params == (1.0,)
+    assert f["uniform"].params == (math.sqrt(3.0),)
+    assert f["mixture"].params == (0.8, 1.0 - 0.8 * 0.8)

@@ -98,15 +98,6 @@ class TestRun:
         m4b, e4b = res_b.observables["m4"]
         assert abs(m4a[-1] - m4b[-1]) <= 3.0 * math.hypot(e4a[-1], e4b[-1])
 
-    def test_entropy_observable_decreases_from_chaotic_start(self):
-        res = run(ConditionedInitial(density="mixture", d=2, N=64),
-                  CollisionKernel.uniform(2), t_end=8.0, n_replicas=24,
-                  observables=("m4", "rel_entropy_v1"), seed=8, n_times=3)
-        h, herr = res.observables["rel_entropy_v1"]
-        # non-increasing up to estimator noise between consecutive grid points
-        for a, b, ea, eb in zip(h, h[1:], herr, herr[1:]):
-            assert b <= a + 3.0 * math.hypot(ea, eb)
-
     def test_custom_observable_and_rows(self):
         def coord_mean(v):
             return float(v[:, 0].mean())

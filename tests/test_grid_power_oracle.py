@@ -1,20 +1,3 @@
-"""The spectral grid power against the plain full-grid FFT as the reference.
-
-`ref_power` is the straightforward path: scale the whole raster to a pmf,
-roll the lattice origin to row 0, `np.fft.rfftn`, raise the spectrum to the
-n-th power by repeated squaring from a buffer of ones, `np.fft.irfftn` and
-roll back.  `convolution_power` transforms only the rows that hold mass,
-runs the z-transforms and the power on column blocks, which put the origin
-back, and inverts along u in one forward sweep over row blocks that
-rescales and clamps each block and writes it over the front of the
-spectrum's own buffer.  Its values must equal the reference divided by the
-cell volume and clamped at zero byte for byte, and the negative mass it
-reports must equal the reference's to rounding.  Output row i ends
-(i + 1)(2 ncol - nu) floats, 1 or 2 a row, before spectrum row i + 1
-starts, so the sweep overwrites only rows it has read; the in-place tests
-below run it on tall grids with few energy cells.
-"""
-
 """The spectral grid power against two references: a plain DCT-I route on
 the folded raster, byte for byte, and the full-grid FFT, to a stated
 tolerance.

@@ -77,12 +77,14 @@ def test_chain_kernels_compile_on_first_use_and_once():
         "sample_conditioned_batch(law, 1, 2)\n"
         "first = dict(_kernels._GENERATED)\n"
         "sample_conditioned_batch(law, 2, 2)\n"
+        "again = ConditionedLaw(bs.get_density('mixture', 3), bs.SphereSpec.boltzmann(3, 8))\n"
+        "sample_conditioned_batch(again, 3, 2)\n"
         "reused = _kernels._GENERATED == first and all(\n"
         "    _kernels._GENERATED[k] is fn for k, fn in first.items())\n"
         "print(json.dumps([before, sorted(first), reused]))\n"
     )
     assert before == []
-    assert keys == [["pair_chain", _kernels.CODE_MIXTURE, 3]]
+    assert keys == [["pair_chain", "mixture", 3]]
     assert reused
 
 

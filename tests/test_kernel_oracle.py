@@ -22,16 +22,17 @@ _PENALTY = _kernels._PENALTY
 BLOCK = _kernels._BLOCK
 
 
-def _ref_logf_particle(code, params, w):
-    # per-particle log density up to the support penalty; additive
-    # constants cancel in Metropolis ratios but are kept for clarity
-    if code == 0:
+def _ref_logf_particle(name, params, w):
+    # per-particle log density of the registry base `name` up to the support
+    # penalty; additive constants cancel in Metropolis ratios but are kept
+    # for clarity
+    if name == "gaussian":
         s2 = params[0]
         q = 0.0
         for a in range(w.shape[0]):
             q += w[a] * w[a]
         return -0.5 * q / s2 - 0.5 * w.shape[0] * math.log(2.0 * math.pi * s2)
-    if code == 1:
+    if name == "uniform":
         half = params[0]
         viol = 0.0
         for a in range(w.shape[0]):
@@ -53,7 +54,7 @@ def _ref_logf_particle(code, params, w):
 
 
 def ref_pair_chain(
-    v, code, params, ii, jj, sigmas, log_us, step0, burn_in, thin, out, out_count0
+    v, f, params, ii, jj, sigmas, log_us, step0, burn_in, thin, out, out_count0
 ):
     """Metropolis chain with binary-collision proposals, d >= 2.
 
@@ -62,6 +63,7 @@ def ref_pair_chain(
     of emitted states and accepted proposals.
     """
     d = v.shape[1]
+    name = f.name
     out_count = out_count0
     accepted = 0
     vi_new = np.empty(d)
@@ -69,7 +71,7 @@ def ref_pair_chain(
     for t in range(ii.shape[0]):
         i = ii[t]
         j = jj[t]
-        lf_old = _ref_logf_particle(code, params, v[i]) + _ref_logf_particle(code, params, v[j])
+        lf_old = _ref_logf_particle(name, params, v[i]) + _ref_logf_particle(name, params, v[j])
         # post-collisional velocities on the pair's collision sphere
         rr = 0.0
         for a in range(d):
@@ -80,7 +82,7 @@ def ref_pair_chain(
             c = 0.5 * (v[i, a] + v[j, a])
             vi_new[a] = c + r * sigmas[t, a]
             vj_new[a] = c - r * sigmas[t, a]
-        lf_new = _ref_logf_particle(code, params, vi_new) + _ref_logf_particle(code, params, vj_new)
+        lf_new = _ref_logf_particle(name, params, vi_new) + _ref_logf_particle(name, params, vj_new)
         if log_us[t] < lf_new - lf_old:
             for a in range(d):
                 v[i, a] = vi_new[a]
@@ -96,10 +98,11 @@ def ref_pair_chain(
 
 
 def ref_triple_chain(
-    v, code, params, ii, jj, kk, angles, log_us, step0, burn_in, thin, out, out_count0
+    v, f, params, ii, jj, kk, angles, log_us, step0, burn_in, thin, out, out_count0
 ):
     """Metropolis chain for d = 1: uniform rotations on the circle of a
     particle triple that conserve its momentum and energy."""
+    name = f.name
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     inv_sqrt6 = 1.0 / math.sqrt(6.0)
     out_count = out_count0
@@ -127,16 +130,16 @@ def ref_triple_chain(
         lf_new = 0.0
         w_old[0] = v[i, 0]
         w_new[0] = n1
-        lf_old += _ref_logf_particle(code, params, w_old)
-        lf_new += _ref_logf_particle(code, params, w_new)
+        lf_old += _ref_logf_particle(name, params, w_old)
+        lf_new += _ref_logf_particle(name, params, w_new)
         w_old[0] = v[j, 0]
         w_new[0] = n2
-        lf_old += _ref_logf_particle(code, params, w_old)
-        lf_new += _ref_logf_particle(code, params, w_new)
+        lf_old += _ref_logf_particle(name, params, w_old)
+        lf_new += _ref_logf_particle(name, params, w_new)
         w_old[0] = v[k, 0]
         w_new[0] = n3
-        lf_old += _ref_logf_particle(code, params, w_old)
-        lf_new += _ref_logf_particle(code, params, w_new)
+        lf_old += _ref_logf_particle(name, params, w_old)
+        lf_new += _ref_logf_particle(name, params, w_new)
         if log_us[t] < lf_new - lf_old:
             v[i, 0] = n1
             v[j, 0] = n2
@@ -206,13 +209,12 @@ def _chain_matches_reference(kernel, ref, v0, density, draws, step0, burn_in, th
     """Run `kernel` and, over the proposals it consumed, `ref`; both must
     leave the same v and out and count the same states and acceptances, and
     the kernel must leave the rows of `out` it did not emit as they were."""
-    code, params = _kernels.density_code(density)
     v, v_ref = v0.copy(), v0.copy()
     out, out_ref = np.full((n_out,) + v0.shape, -7.0), np.full((n_out,) + v0.shape, -7.0)
-    got = kernel(v, code, params, *draws, step0, burn_in, thin, out, out_count0)
+    got = kernel(v, density, density.params, *draws, step0, burn_in, thin, out, out_count0)
     used = got[2]
-    want = ref(v_ref, code, params, *(a[:used] for a in draws), step0, burn_in, thin,
-               out_ref, out_count0)
+    want = ref(v_ref, density, density.params, *(a[:used] for a in draws), step0, burn_in,
+               thin, out_ref, out_count0)
     assert got[:2] == want
     assert np.array_equal(v, v_ref) and np.array_equal(out, out_ref)
     assert np.all(out[:out_count0] == -7.0) and np.all(out[got[0]:] == -7.0)
@@ -274,9 +276,9 @@ def test_chain_stops_when_out_is_full(moves, n_out):
 def test_chain_with_full_out_consumes_nothing():
     N = 10
     v = _start(3, N, 3)
-    code, params = _kernels.density_code(bs.get_density("mixture", 3))
+    f = bs.get_density("mixture", 3)
     out = np.zeros((2, N, 3))
-    got = _kernels.pair_chain(v.copy(), code, params, *_pair_draws(14, 100, N, 3), 0, 0, 1, out, 2)
+    got = _kernels.pair_chain(v.copy(), f, f.params, *_pair_draws(14, 100, N, 3), 0, 0, 1, out, 2)
     assert got == (2, 0, 0)
 
 
@@ -344,8 +346,8 @@ def test_dsmc_advance_matches_reference_on_random_cases(N, n, stop, seed, where,
 @pytest.mark.parametrize("density", ["gaussian", "uniform", "mixture"])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_log_density_matches_reference(d, density):
-    code, params = _kernels.density_code(bs.get_density(density, d))
-    logf = _kernels._log_density(code, params, d)
+    f = bs.get_density(density, d)
+    logf = _kernels._log_density(f)
     rows = np.random.default_rng(16).uniform(-2.5, 2.5, size=(50, d))
     # rows on each branch boundary: w[0] = 0 puts the mixture's two
     # components level (la == lb), and |x| == half puts a coordinate on the
@@ -355,4 +357,5 @@ def test_log_density_matches_reference(d, density):
     rows[3:6] = half
     rows[6:9] = -half
     rows[9, 0] = half
-    assert [logf(w) for w in rows.tolist()] == [_ref_logf_particle(code, params, w) for w in rows]
+    want = [_ref_logf_particle(density, f.params, w) for w in rows]
+    assert [logf(w) for w in rows.tolist()] == want

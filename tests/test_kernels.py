@@ -1,5 +1,6 @@
-"""The loop kernels: density codes, draws and exact per-event conservation."""
+"""The loop kernels: the bases' kernel lines, draws and exact per-event conservation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,10 +15,9 @@ def test_logf_codes_match_density():
     rng = np.random.default_rng(6)
     for name, d in (("gaussian", 3), ("mixture", 2), ("uniform", 1)):
         f = bs.get_density(name, d)
-        code, params = _kernels.density_code(f)
         pts = rng.uniform(-1.5, 1.5, size=(20, d))
         want = f.log_density(pts)
-        logf = _kernels._log_density(code, params, d)
+        logf = _kernels._log_density(f)
         got = np.array([logf(p) for p in pts])
         assert np.allclose(got, want, atol=1e-12)
         # the kernels pass rows as lists of Python floats
@@ -25,12 +25,16 @@ def test_logf_codes_match_density():
 
 
 def test_uniform_code_penalizes_outside():
-    f = bs.get_density("uniform", 1)
-    code, params = _kernels.density_code(f)
-    logf = _kernels._log_density(code, params, 1)
+    logf = _kernels._log_density(bs.get_density("uniform", 1))
     inside = logf([0.5])
     outside = logf([2.5])
     assert outside < inside - 1e3
+
+
+def test_a_base_without_kernel_lines_is_a_parameter_error():
+    f = dataclasses.replace(bs.get_density("gaussian", 1), name="no-lines", kernel_logf=None)
+    with pytest.raises(bs.ParameterError, match="kernel lines"):
+        _kernels._log_density(f)
 
 
 def test_triple_indices_distinct():
