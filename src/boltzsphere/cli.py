@@ -56,7 +56,14 @@ from .metrics import (
 )
 from .reporting import config_hash, fit_loglog, svg_line_plot, write_csv, write_json
 from .rng import stream
-from .uniform import UniformMarginal, l1_chaos_gap, marginal_density, sample_uniform, sample_uniform_batch
+from .uniform import (
+    UniformMarginal,
+    l1_chaos_gap,
+    marginal_density,
+    marginal_moment,
+    sample_uniform,
+    sample_uniform_batch,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -423,13 +430,6 @@ def _entropy_rate(cfg: ExperimentConfig) -> Outcome:
                    {"limit": limit}, rate_plot=(rows, "Entropy-per-particle gap to H(f|gamma)", rep))
 
 
-def _uniform_m4(d: int, N: int) -> float:
-    """E|v1|^4 under the uniform law on the N-particle sphere: d(d+2) M/(M+2)
-    with M = d(N-1), since |v1|^2 / (d(N-1)) is Beta(d/2, (M-d)/2)."""
-    M = d * (N - 1)
-    return d * (d + 2) * M / (M + 2)
-
-
 def _dsmc(cfg: ExperimentConfig) -> Outcome:
     (N,) = cfg.n_list
     kernel = CollisionKernel.uniform(cfg.d)
@@ -453,7 +453,7 @@ def _dsmc(cfg: ExperimentConfig) -> Outcome:
         observables=("m2", "m4"), seed=cfg.seed, n_times=cfg.n_times, jobs=cfg.jobs,
     )
     m4, e4 = res.observables["m4"]
-    target_m4 = _uniform_m4(cfg.d, N)
+    target_m4 = marginal_moment(UniformMarginal(SphereSpec.boltzmann(cfg.d, N), 1), 4)
     zgap = abs(m4[-1] - target_m4) / max(e4[-1], 1e-12)
     checks.append(
         (f"E|v1|^4 -> {target_m4:.3f} by t={cfg.t_end} mft: {m4[-1]:.3f} +- {e4[-1]:.3f} "

@@ -110,14 +110,7 @@ class _Chain:
         self.thin = spec.N if thin is None else int(thin)
         if self.thin < 1 or self.burn_in < 0:
             raise ParameterError("need thin >= 1 and burn_in >= 0")
-        if isinstance(rng_seed, (int, np.integer)):
-            self.gen = rngmod.stream(rng_seed, "conditioned")
-        elif isinstance(rng_seed, np.random.Generator):
-            self.gen = rng_seed
-        else:
-            raise ParameterError(
-                f"rng_seed must be an integer seed or a numpy Generator, got {type(rng_seed).__name__}"
-            )
+        self.gen = rngmod.generator(rng_seed, "conditioned")
         self.law = law
         self.v = sample_uniform(spec, self.gen)
         if law.f.support_radius is not None:

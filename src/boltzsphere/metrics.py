@@ -320,16 +320,11 @@ def relative_fisher(density: BaseDensity, samples: EmpiricalMeasure) -> Estimate
 
 @dataclass(frozen=True)
 class InterpolationResult:
-    """Both sides of the W2 <= 2^{3/2} M_k^{1/(2(k-1))} W1^{(k-2)/(2(k-1))} check.
-
-    `bound_alt` evaluates the same right-hand side with the constant 2^{2/3}
-    that appears in some later uses; the check itself uses 2^{3/2}.
-    """
+    """Both sides of the W2 <= 2^{3/2} M_k^{1/(2(k-1))} W1^{(k-2)/(2(k-1))} check."""
 
     passed: bool
     w2: float
     bound: float
-    bound_alt: float
     w1: float
     m_k: float
 
@@ -347,12 +342,10 @@ def interpolation_check(a: EmpiricalMeasure, b: EmpiricalMeasure, k: int) -> Int
     expo_m = 1.0 / (2.0 * (k - 1.0))
     expo_w = (k - 2.0) / (2.0 * (k - 1.0))
     bound = 2.0**1.5 * mk**expo_m * d1**expo_w
-    bound_alt = 2.0 ** (2.0 / 3.0) * mk**expo_m * d1**expo_w
     return InterpolationResult(
         passed=bool(d2 <= bound + 1e-12),
         w2=d2,
         bound=bound,
-        bound_alt=bound_alt,
         w1=d1,
         m_k=mk,
     )

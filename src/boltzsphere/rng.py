@@ -11,7 +11,9 @@ import zlib
 
 import numpy as np
 
-__all__ = ["stream"]
+from .errors import ParameterError
+
+__all__ = ["stream", "generator"]
 
 
 def _key_part(part) -> int:
@@ -26,3 +28,15 @@ def stream(seed: int, *parts) -> np.random.Generator:
     """Return a Generator for the stream identified by (seed, *parts)."""
     entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [_key_part(p) for p in parts]
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+
+
+def generator(rng_seed, *parts) -> np.random.Generator:
+    """An integer seed becomes the stream (rng_seed, *parts); a Generator is
+    used as given, so a caller can thread one stream through several draws."""
+    if isinstance(rng_seed, (int, np.integer)):
+        return stream(rng_seed, *parts)
+    if isinstance(rng_seed, np.random.Generator):
+        return rng_seed
+    raise ParameterError(
+        f"rng_seed must be an integer seed or a numpy Generator, got {type(rng_seed).__name__}"
+    )

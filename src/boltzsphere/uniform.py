@@ -8,9 +8,9 @@ closed form
                    / (dN)^{(d(N-1)-2)/2},
 
 with Vbar_ell the sum of the first ell particles.  The module provides the
-density, radial moments, an exact sampler (isotropic Gaussian + projection),
-the quantitative L1 gap to the Gaussian tensor power, and the 1D law of a
-single velocity coordinate.
+density, closed-form radial moments, an exact sampler (isotropic Gaussian +
+projection), the quantitative L1 gap to the Gaussian tensor power, and the
+1D law of a single velocity coordinate.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, chdtrc, gammaln
+from scipy.special import betainc, chdtrc, gammaln, hyp2f1, poch
 
 from . import rng as rngmod
 from .densities import gaussian_density
@@ -110,73 +110,26 @@ def sample_uniform_batch(spec: SphereSpec, n: int, rng_seed) -> np.ndarray:
     An isotropic Gaussian in R^{dN} is rotation invariant inside the momentum
     hyperplane, so projecting it to the sphere gives the uniform law.
     """
-    gen = rngmod.stream(rng_seed, "uniform") if isinstance(rng_seed, int) else rng_seed
-    w = gen.normal(size=(n, spec.dim_ambient))
+    w = rngmod.generator(rng_seed, "uniform").normal(size=(n, spec.dim_ambient))
     return project_rows(w, spec)
 
 
-def _radial_marginal_moment_l1(m: UniformMarginal, k: int) -> float:
-    # ell = 1: density depends on |v| only; one radial quadrature in any d
-    from scipy import integrate
+def marginal_moment(m: UniformMarginal, k: float) -> float:
+    """Radial moment E |V_ell|^k of the marginal, in closed form for real k >= 0.
 
-    d, N = m.spec.d, m.spec.N
-    scale = 1.0 + 1.0 / (N - 1)
-    vmax = math.sqrt(d * N / scale)
-    logc = m.log_prefactor + log_sphere_surface(d)
+    On the momentum hyperplane |V_ell|^2 is a quadratic form with eigenvalue
+    1 on d(ell-1) directions, 1 - ell/N on d directions and 0 elsewhere, so
+    |V_ell|^2 / (dN) = S (1 - (ell/N) X) with independent S ~ Beta(a, b - a)
+    and X ~ Beta(d/2, a - d/2), a = d ell/2, b = d(N-1)/2.  Taking the
+    binomial series of (1 - (ell/N) X)^{k/2} term by term gives
 
-    def integrand(rho):
-        gap = d * N - scale * rho * rho
-        if gap <= 0.0:
-            return 0.0
-        return math.exp(logc + m.exponent * math.log(gap) + (k + d - 1) * math.log(rho))
-
-    val, _ = integrate.quad(integrand, 0.0, vmax, limit=400)
-    return val
-
-
-def marginal_moment(m: UniformMarginal, k: int, n_mc: int = 200_000, seed: int = 0) -> float:
-    """Radial moment E |V_ell|^k of the marginal.
-
-    Quadrature when d*ell <= 3 (radial reduction for ell = 1, transformed
-    2D quadrature for d = 1, ell in {2, 3}), Monte Carlo otherwise.
+        E |V_ell|^k = (dN)^{k/2} (a)_{k/2} / (b)_{k/2} 2F1(-k/2, d/2; a; ell/N).
     """
     if k < 0:
         raise ParameterError("moment order must be >= 0")
-    if k == 0:
-        return 1.0
     d, N, ell = m.spec.d, m.spec.N, m.ell
-    if ell == 1:
-        return _radial_marginal_moment_l1(m, k)
-    if d == 1 and ell in (2, 3):
-        from scipy import integrate
-
-        # orthogonal change of variables inside the prefix block: the density
-        # depends on rho = |U_{ell-1}| and x = u_ell, weight rho^{d(ell-1)-1}
-        logc = m.log_prefactor + log_sphere_surface(d * (ell - 1)) + log_sphere_surface(d)
-        scale = N / (N - ell)
-
-        def inner(rho):
-            gapmax = d * N - rho * rho
-            if gapmax <= 0.0:
-                return 0.0
-            xmax = math.sqrt(gapmax / scale)
-
-            def f(x):
-                gap = gapmax - scale * x * x
-                if gap <= 0.0:
-                    return 0.0
-                return math.exp(
-                    m.exponent * math.log(gap) + 0.5 * k * math.log(rho * rho + x * x)
-                )
-
-            val, _ = integrate.quad(f, 0.0, xmax, limit=200)
-            return val * rho ** (d * (ell - 1) - 1)
-
-        outer, _ = integrate.quad(inner, 0.0, math.sqrt(d * N), limit=200)
-        return math.exp(logc) * outer
-    samples = sample_uniform_batch(m.spec, n_mc, rngmod.stream(seed, "marginal-moment"))
-    lead = samples[:, : ell * d]
-    return float(np.mean(np.sum(lead * lead, axis=1) ** (0.5 * k)))
+    a, b, h = 0.5 * d * ell, 0.5 * d * (N - 1), 0.5 * k
+    return float((d * N) ** h * poch(a, h) / poch(b, h) * hyp2f1(-h, 0.5 * d, a, ell / N))
 
 
 def moment_bound(d: int, k: int, ell: int) -> float:
@@ -245,7 +198,7 @@ def l1_chaos_gap(d: int, ell: int, N: int, n_mc: int = 400_000, seed: int = 0) -
 
     Returns (gap, bound) with bound = 2 (d(ell+2)+2) / (dN - d(ell+2) - 2),
     valid in the regime d*ell <= d(N-2) - 3.  The gap is quadrature for
-    d*ell <= 2 and importance-sampled Monte Carlo otherwise, using the
+    ell = 1 with d <= 2 and importance-sampled Monte Carlo otherwise, using the
     identity |p - q|_1 = 2 E_q (p/q - 1)_+ for variance reduction.
     """
     if d * ell > d * (N - 2) - 3:

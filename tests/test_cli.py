@@ -338,9 +338,10 @@ class TestOutputs:
 
 @pytest.mark.parametrize("d, N", [(3, 256), (3, 32), (2, 12), (2, 64)])
 def test_dsmc_m4_target_is_the_uniform_marginal_moment(d, N):
-    spec = SphereSpec.boltzmann(d, N)
-    exact = marginal_moment(UniformMarginal(spec, 1), 4)
-    assert cli._uniform_m4(d, N) == pytest.approx(exact, rel=1e-12)
+    # |v1|^2 / M is Beta(d/2, (M-d)/2) with M = d(N-1), so E|v1|^4 = d(d+2) M/(M+2)
+    M = d * (N - 1)
+    got = marginal_moment(UniformMarginal(SphereSpec.boltzmann(d, N), 1), 4)
+    assert got == pytest.approx(d * (d + 2) * M / (M + 2), rel=1e-12)
 
 
 class TestSmallExperiments:

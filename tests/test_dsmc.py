@@ -5,7 +5,6 @@ import pytest
 
 import boltzsphere as bs
 from boltzsphere import _kernels, dsmc
-from boltzsphere.cli import _uniform_m4
 from boltzsphere.dsmc import (
     CollisionKernel,
     ConditionedInitial,
@@ -13,7 +12,7 @@ from boltzsphere.dsmc import (
     equilibrium_crosscheck,
     run,
 )
-from boltzsphere.uniform import sample_uniform, sample_uniform_batch
+from boltzsphere.uniform import UniformMarginal, marginal_moment, sample_uniform, sample_uniform_batch
 
 
 class TestKernel:
@@ -293,7 +292,8 @@ class TestMomentOracle:
     def test_fixed_point_is_the_uniform_m4(self, N):
         G = _degree4_generator(3, N)
         A, _ = np.linalg.solve(G[:, :2], -G[:, 2])
-        assert A / N == pytest.approx(_uniform_m4(3, N), rel=1e-15)
+        m4 = marginal_moment(UniformMarginal(bs.SphereSpec.boltzmann(3, N), 1), 4)
+        assert A / N == pytest.approx(m4, rel=1e-15)
 
     @pytest.fixture(scope="class")
     def curves(self):

@@ -330,7 +330,6 @@ class TestInterpolation:
         assert res.passed
         assert res.w2 == pytest.approx(1.0)
         assert res.bound == pytest.approx(2.0**1.5)
-        assert res.bound_alt == pytest.approx(2.0 ** (2.0 / 3.0))
 
     def test_hundred_random_pairs(self):
         rng = np.random.default_rng(7)

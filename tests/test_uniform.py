@@ -110,6 +110,16 @@ class TestSampler:
         b = sample_uniform_batch(spec, 10, 42)
         assert np.array_equal(a, b)
 
+    def test_numpy_integer_seed_is_the_int_seed(self):
+        spec = bs.SphereSpec.boltzmann(2, 6)
+        a = sample_uniform_batch(spec, 3, np.int64(42))
+        assert np.array_equal(a, sample_uniform_batch(spec, 3, 42))
+
+    @pytest.mark.parametrize("seed", ["abc", 42.0, None])
+    def test_rejects_a_seed_that_is_neither_integer_nor_generator(self, seed):
+        with pytest.raises(bs.ParameterError, match="rng_seed"):
+            bs.sample_uniform(bs.SphereSpec.boltzmann(2, 6), seed)
+
 
 class TestMoments:
     def test_second_moment_is_d(self):
@@ -135,6 +145,48 @@ class TestMoments:
         mc = float(np.mean(np.sum(batch[:, :2] ** 2, axis=1)))
         assert got == pytest.approx(mc, rel=0.01)
         assert got == pytest.approx(2.0, rel=1e-7)  # exchangeability: ell * d
+
+    @pytest.mark.parametrize("d, N, ell", [
+        (1, 4, 2), (1, 9, 7), (2, 5, 3), (3, 16, 3), (2, 20, 5),
+        (1, 4096, 4094), (2, 4096, 64), (3, 4096, 1),
+    ])
+    def test_second_moment_is_ell_d_and_zeroth_is_one(self, d, N, ell):
+        m = marginal(d, N, ell)
+        assert marginal_moment(m, 0) == 1.0
+        assert marginal_moment(m, 2) == pytest.approx(ell * d, rel=1e-13)
+
+    @pytest.mark.parametrize("d, N", [(1, 5), (2, 7), (3, 32), (2, 4096)])
+    @pytest.mark.parametrize("k", [1, 3, 5, 0.5, 2.7])
+    def test_one_particle_moment_is_the_beta_moment(self, d, N, k):
+        # |v1|^2 / M is Beta(d/2, (M-d)/2) with M = d(N-1)
+        M = d * (N - 1)
+        log_ratio = (math.lgamma(0.5 * (d + k)) + math.lgamma(0.5 * M)
+                     - math.lgamma(0.5 * d) - math.lgamma(0.5 * (M + k)))
+        want = M ** (0.5 * k) * math.exp(log_ratio)
+        # lgamma near M/2 ~ 4e3 carries ~1e-12 absolute error, so rel 1e-10
+        assert marginal_moment(marginal(d, N), k) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("N, ell, k, want", [
+        (6, 2, 1, 1.313828456770918), (6, 2, 3, 3.3176252829192183),
+        (12, 2, 1, 1.2814214333253877), (12, 2, 3, 3.5311991763691712),
+        (40, 2, 1, 1.2613212827431997), (40, 2, 3, 3.689971218805248),
+        (8, 3, 1, 1.6500395789337614), (8, 3, 3, 5.823582790586675),
+        (24, 3, 1, 1.612894473910247), (24, 3, 3, 6.187469106050763),
+        (100, 3, 1, 1.599787494357814), (100, 3, 3, 6.335417410630871),
+    ])
+    def test_line_moments_match_nested_quadrature(self, N, ell, k, want):
+        # d = 1, ell in {2, 3}: values of a nested quadrature over the radius
+        # of the first ell - 1 Helmert coordinates and the last one
+        assert marginal_moment(marginal(1, N, ell), k) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("d, N, ell", [(3, 16, 3), (2, 20, 5)])
+    def test_block_moments_match_sampler(self, d, N, ell):
+        lead = sample_uniform_batch(bs.SphereSpec.boltzmann(d, N), 100_000, 8)[:, : ell * d]
+        sq = np.sum(lead * lead, axis=1)
+        for k in (1, 3, 4):
+            vals = sq ** (0.5 * k)
+            stderr = vals.std(ddof=1) / math.sqrt(vals.size)
+            assert abs(marginal_moment(marginal(d, N, ell), k) - vals.mean()) <= 4.0 * stderr
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
     def test_uniform_in_n_bound(self, k):
