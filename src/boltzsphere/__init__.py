@@ -18,6 +18,7 @@ from .errors import (
     DegenerateVarianceError,
     ParameterError,
     SupportError,
+    WorkerError,
 )
 from .geometry import (
     ScalarField,

@@ -12,7 +12,7 @@ Exit codes:
     2  usage error (unknown subcommand, bad flags; argparse default)
     3  malformed configuration
     4  tolerance failure
-    5  runtime failure (coverage, capacity, support, parameter errors)
+    5  runtime failure (coverage, capacity, support, parameter and worker errors)
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ import numpy as np
 from . import __version__
 from .conditioned import entropy_rate_experiment, w1_rate_experiment
 from .densities import gaussian_density, get_density, registry_names
-from .dsmc import CollisionKernel, ConditionedInitial, _advance, equilibrium_crosscheck, run as dsmc_run
+from .dsmc import CollisionKernel, ConditionedInitial, _advance, _beside, _conservation_drift
+from .dsmc import equilibrium_crosscheck, run as dsmc_run
 from .errors import BoltzsphereError, ConfigError, ParameterError
 from .geometry import (
     ScalarField,
@@ -61,7 +62,6 @@ from .uniform import (
     l1_chaos_gap,
     marginal_density,
     marginal_moment,
-    sample_uniform,
     sample_uniform_batch,
 )
 
@@ -433,46 +433,40 @@ def _entropy_rate(cfg: ExperimentConfig) -> Outcome:
 def _dsmc(cfg: ExperimentConfig) -> Outcome:
     (N,) = cfg.n_list
     kernel = CollisionKernel.uniform(cfg.d)
-    checks = []
 
-    # raw conservation drift over many collisions, no re-projection
-    gen = stream(cfg.seed, "dsmc-drift")
-    v = sample_uniform(SphereSpec.boltzmann(cfg.d, N), gen)
-    p0 = v.sum(axis=0).copy()
-    e0 = float(np.sum(v * v))
-    _advance(v, 0.0, _DRIFT_EVENTS / kernel.rate(N), kernel, gen)
-    drift_p = float(np.max(np.abs(v.sum(axis=0) - p0))) / math.sqrt(e0)
-    drift_e = abs(float(np.sum(v * v)) - e0) / e0
-    checks.append((f"momentum drift {drift_p:.2e} <= 1e-9 over ~{_DRIFT_EVENTS} collisions", drift_p <= 1e-9))
-    checks.append((f"energy drift {drift_e:.2e} <= 1e-9", drift_e <= 1e-9))
+    # raw conservation drift over many collisions, no re-projection; it
+    # shares no state with the rest, so it runs beside it
+    with _beside(_conservation_drift, cfg.seed, N, kernel, _DRIFT_EVENTS) as drift:
+        # equilibration from a conditioned far-from-Gaussian start
+        init = ConditionedInitial(density=cfg.density, d=cfg.d, N=N)
+        res = dsmc_run(
+            init, kernel, t_end=cfg.t_end, n_replicas=cfg.replicas,
+            observables=("m2", "m4"), seed=cfg.seed, n_times=cfg.n_times, jobs=cfg.jobs,
+        )
 
-    # equilibration from a conditioned far-from-Gaussian start
-    init = ConditionedInitial(density=cfg.density, d=cfg.d, N=N)
-    res = dsmc_run(
-        init, kernel, t_end=cfg.t_end, n_replicas=cfg.replicas,
-        observables=("m2", "m4"), seed=cfg.seed, n_times=cfg.n_times, jobs=cfg.jobs,
-    )
+        # long-run coordinate law against the uniform-law marginal
+        gen2 = stream(cfg.seed, "dsmc-eq")
+        v2 = np.array(init(gen2), dtype=float)
+        _advance(v2, 0.0, cfg.t_end * kernel.mean_free_time(N) * 2, kernel, gen2)
+        pool = [v2[:, 0].copy()]
+        needed = max(12_000, cfg.samples // 10)
+        spacing = 8.0 * kernel.mean_free_time(N)
+        while sum(p.size for p in pool) < needed:
+            _advance(v2, 0.0, spacing, kernel, gen2)
+            pool.append(v2[:, 0].copy())
+        stat, pval, ok = equilibrium_crosscheck(N, cfg.d, np.concatenate(pool))
+        drift_p, drift_e = drift()
+
     m4, e4 = res.observables["m4"]
     target_m4 = marginal_moment(UniformMarginal(SphereSpec.boltzmann(cfg.d, N), 1), 4)
     zgap = abs(m4[-1] - target_m4) / max(e4[-1], 1e-12)
-    checks.append(
+    checks = [
+        (f"momentum drift {drift_p:.2e} <= 1e-9 over ~{_DRIFT_EVENTS} collisions", drift_p <= 1e-9),
+        (f"energy drift {drift_e:.2e} <= 1e-9", drift_e <= 1e-9),
         (f"E|v1|^4 -> {target_m4:.3f} by t={cfg.t_end} mft: {m4[-1]:.3f} +- {e4[-1]:.3f} "
-         f"({zgap:.2f} stderr)", zgap <= cfg.stderr_mult())
-    )
-
-    # long-run coordinate law against the uniform-law marginal
-    gen2 = stream(cfg.seed, "dsmc-eq")
-    v2 = np.array(init(gen2), dtype=float)
-    _advance(v2, 0.0, cfg.t_end * kernel.mean_free_time(N) * 2, kernel, gen2)
-    pool = [v2[:, 0].copy()]
-    needed = max(12_000, cfg.samples // 10)
-    spacing = 8.0 * kernel.mean_free_time(N)
-    while sum(p.size for p in pool) < needed:
-        _advance(v2, 0.0, spacing, kernel, gen2)
-        pool.append(v2[:, 0].copy())
-    stat, pval, ok = equilibrium_crosscheck(N, cfg.d, np.concatenate(pool))
-    checks.append((f"KS equilibrium crosscheck stat={stat:.4f} p={pval:.3f} (alpha=0.01)", ok))
-
+         f"({zgap:.2f} stderr)", zgap <= cfg.stderr_mult()),
+        (f"KS equilibrium crosscheck stat={stat:.4f} p={pval:.3f} (alpha=0.01)", ok),
+    ]
     return Outcome(checks, ("t_mft", "observable", "mean", "stderr", "n_replicas"), res.rows(),
                    "mean free times / moments", {"drift": {"momentum": drift_p, "energy": drift_e},
                                                  "ks": {"stat": stat, "pvalue": pval}})

@@ -16,7 +16,9 @@ average); one mean free time is N / ((N-1) beta) master-equation time.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
@@ -24,9 +26,9 @@ import numpy as np
 
 from . import rng as rngmod
 from ._kernels import _BLOCK, default_kernels, draw_pair_indices, draw_unit_vectors
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, ParameterError, WorkerError
 from .geometry import SphereSpec
-from .uniform import coordinate_marginal
+from .uniform import coordinate_marginal, sample_uniform
 
 __all__ = [
     "CollisionKernel",
@@ -99,6 +101,89 @@ def _advance(v, t, t_target, kernel: CollisionKernel, gen):
         events = _draw_events(gen, kernel, n, N)
         t, _, _ = default_kernels().dsmc_advance(v, t, t_target, rate, *events)
     return t
+
+
+def _conservation_drift(seed: int, N: int, kernel: CollisionKernel, n_events: int) -> tuple:
+    """Raw drift of total momentum and energy over about n_events collisions
+    from a uniform-law start on the "dsmc-drift" stream, with no
+    re-projection: (max |P - P0| / sqrt(E0), |E - E0| / E0)."""
+    gen = rngmod.stream(seed, "dsmc-drift")
+    v = sample_uniform(SphereSpec.boltzmann(kernel.d, N), gen)
+    p0 = v.sum(axis=0).copy()
+    e0 = float(np.sum(v * v))
+    _advance(v, 0.0, n_events / kernel.rate(N), kernel, gen)
+    drift_p = float(np.max(np.abs(v.sum(axis=0) - p0))) / math.sqrt(e0)
+    drift_e = abs(float(np.sum(v * v)) - e0) / e0
+    return drift_p, drift_e
+
+
+@contextlib.contextmanager
+def _beside(fn, *args):
+    """Run fn(*args) in one forked child while the body of the with block
+    runs in this process; yields a function that waits for the child and
+    returns fn's value or raises its exception.  The child is reaped on
+    every path, and killed first if the block leaves before the result.
+
+    fn runs inline, at once, when os.fork is missing, when fewer than two
+    CPUs are usable (a child would only take turns with this process), or
+    when another Python thread is alive (a child forked then can deadlock on
+    a lock that thread held).  fn's value is the same on either path.
+    """
+    import pickle
+    import signal
+    import threading
+
+    from . import lifted
+
+    if not hasattr(os, "fork") or lifted._usable_cpus() < 2 or threading.active_count() > 1:
+        value = fn(*args)
+        yield lambda: value
+        return
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        # the child sends (ok, value or exception) and leaves with os._exit,
+        # so it never flushes the stdio buffers or runs the exit handlers it
+        # inherited; an outcome that does not pickle leaves code 1
+        code = 1
+        try:
+            os.close(r)
+            try:
+                outcome = pickle.dumps((True, fn(*args)))
+            except Exception as exc:
+                outcome = pickle.dumps((False, exc))
+            with open(w, "wb") as pipe:
+                pipe.write(outcome)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    reaped = False
+
+    def result():
+        nonlocal reaped
+        data = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        reaped = True
+        if code != 0:  # a negative code is the signal that ended it
+            raise WorkerError(f"worker process ended with code {code} and no result")
+        ok, value = pickle.loads(data)
+        if ok:
+            return value
+        raise value
+
+    with open(r, "rb") as pipe:
+        try:
+            yield result
+        finally:
+            if not reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 @dataclass
@@ -228,9 +313,6 @@ class UniformInitial:
     N: int
 
     def __call__(self, gen: np.random.Generator) -> np.ndarray:
-        from .geometry import SphereSpec
-        from .uniform import sample_uniform
-
         return sample_uniform(SphereSpec.boltzmann(self.d, self.N), gen)
 
 

@@ -9,6 +9,7 @@ __all__ = [
     "CapacityError",
     "DegenerateVarianceError",
     "ConfigError",
+    "WorkerError",
 ]
 
 
@@ -42,3 +43,7 @@ class DegenerateVarianceError(BoltzsphereError):
 
 class ConfigError(BoltzsphereError):
     """Malformed experiment configuration."""
+
+
+class WorkerError(BoltzsphereError, RuntimeError):
+    """A worker process ended without returning its result."""

@@ -32,8 +32,9 @@ def stream(seed: int, *parts) -> np.random.Generator:
 
 def generator(rng_seed, *parts) -> np.random.Generator:
     """An integer seed becomes the stream (rng_seed, *parts); a Generator is
-    used as given, so a caller can thread one stream through several draws."""
-    if isinstance(rng_seed, (int, np.integer)):
+    used as given, so a caller can thread one stream through several draws.
+    A bool is not a seed, though Python counts it as an integer."""
+    if isinstance(rng_seed, (int, np.integer)) and not isinstance(rng_seed, bool):
         return stream(rng_seed, *parts)
     if isinstance(rng_seed, np.random.Generator):
         return rng_seed

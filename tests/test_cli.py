@@ -1,10 +1,16 @@
 import argparse
 import json
+import os
 import pathlib
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
 from boltzsphere import cli, geometry, lifted
+from boltzsphere.errors import ParameterError
 from boltzsphere.geometry import SphereSpec
 from boltzsphere.uniform import UniformMarginal, marginal_moment
 
@@ -401,14 +407,139 @@ class TestSmallExperiments:
         code = run_cli(["ipp-check", "--samples", "4000", "--out", str(tmp_path)])
         assert code == 0
 
-    def test_dsmc_small_jobs_deterministic(self, tmp_path):
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
+    def test_dsmc_small_jobs_deterministic(self, tmp_path, monkeypatch, capsys):
+        # the drift check runs inline on one usable CPU and in a forked child
+        # on two; both paths give the same bytes at either --jobs
         base = ["dsmc", "--n-list", "32", "--replicas", "8", "--t-end", "4",
                 "--samples", "100000", "--seed", "3"]
-        code_a = run_cli(base + ["--out", str(out_a), "--jobs", "1"])
-        code_b = run_cli(base + ["--out", str(out_b), "--jobs", "2"])
-        assert read(out_a / "dsmc.csv") == read(out_b / "dsmc.csv")
-        assert code_a == code_b
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(lifted, "_usable_cpus", lambda n=cpus: n)
+            for jobs in ("1", "2"):
+                out = tmp_path / f"cpus{cpus}-jobs{jobs}"
+                code = run_cli(base + ["--out", str(out), "--jobs", jobs])
+                runs.append((code, capsys.readouterr().out, read(out / "dsmc.csv"), read(out / "dsmc.json")))
+        assert len(runs[0][1].splitlines()) == 4
+        assert all(run == runs[0] for run in runs[1:])
+
+
+TINY_DSMC = ["dsmc", "--n-list", "16", "--replicas", "2", "--t-end", "2", "--samples", "1000"]
+
+
+@pytest.fixture
+def drift_child(monkeypatch):
+    """Two usable CPUs, so that dsmc's drift check runs in a forked child;
+    the list of the pids forked.  A child a test leaves running is killed."""
+    monkeypatch.setattr(lifted, "_usable_cpus", lambda: 2)
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    yield pids
+    for pid in pids:
+        try:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):
+            pass
+
+
+def assert_one_child_reaped(pids):
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)
+
+
+def slow_drift(*args):
+    time.sleep(60)
+    return 0.0, 0.0
+
+
+class TestDsmcDriftChild:
+    def test_a_pass_reaps_the_child(self, drift_child, tmp_path, capsys):
+        assert run_cli(TINY_DSMC + ["--out", str(tmp_path)]) == cli.EXIT_OK
+        assert_one_child_reaped(drift_child)
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in lines] == ["momentum", "energy", "E|v1|^4", "KS"]
+
+    def test_a_failed_check_reaps_the_child_and_keeps_the_line_order(
+            self, drift_child, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(cli, "_conservation_drift", lambda *args: (1.0, 2.0))
+        assert run_cli(TINY_DSMC + ["--out", str(tmp_path)]) == cli.EXIT_TOLERANCE
+        assert_one_child_reaped(drift_child)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "FAIL  momentum drift 1.00e+00 <= 1e-9 over ~1000000 collisions"
+        assert lines[1] == "FAIL  energy drift 2.00e+00 <= 1e-9"
+        assert lines[2].startswith("PASS  E|v1|^4") and lines[3].startswith("PASS  KS")
+        drift = json.loads((tmp_path / "dsmc.json").read_text())["drift"]
+        assert drift == {"momentum": 1.0, "energy": 2.0}
+
+    def test_a_package_error_in_the_child_is_exit_5(self, drift_child, monkeypatch, tmp_path, capsys):
+        def broken(*args):
+            raise ParameterError("no drift at this size")
+
+        monkeypatch.setattr(cli, "_conservation_drift", broken)
+        assert run_cli(TINY_DSMC + ["--out", str(tmp_path)]) == cli.EXIT_RUNTIME
+        assert capsys.readouterr().err == "error: no drift at this size\n"
+        assert_one_child_reaped(drift_child)
+
+    def test_another_error_in_the_child_keeps_its_type_and_message(self, drift_child, monkeypatch, tmp_path):
+        def broken(*args):
+            raise KeyError("velocities")
+
+        monkeypatch.setattr(cli, "_conservation_drift", broken)
+        with pytest.raises(KeyError, match="velocities"):
+            run_cli(TINY_DSMC + ["--out", str(tmp_path)])
+        assert_one_child_reaped(drift_child)
+
+    def test_a_child_that_dies_without_a_result_is_exit_5(self, drift_child, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(cli, "_conservation_drift", lambda *args: os._exit(3))
+        assert run_cli(TINY_DSMC + ["--out", str(tmp_path)]) == cli.EXIT_RUNTIME
+        assert capsys.readouterr().err == "error: worker process ended with code 3 and no result\n"
+        assert_one_child_reaped(drift_child)
+
+    @pytest.mark.parametrize("error, code", [(ParameterError("replicas"), cli.EXIT_RUNTIME),
+                                             (RuntimeError("replicas"), None)],
+                             ids=["package-error", "other-error"])
+    def test_an_error_in_the_parent_kills_and_reaps_the_child(
+            self, drift_child, monkeypatch, tmp_path, error, code):
+        def broken(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "_conservation_drift", slow_drift)
+        monkeypatch.setattr(cli, "dsmc_run", broken)
+        t0 = time.perf_counter()
+        if code is None:
+            with pytest.raises(type(error), match="replicas"):
+                run_cli(TINY_DSMC + ["--out", str(tmp_path)])
+        else:
+            assert run_cli(TINY_DSMC + ["--out", str(tmp_path)]) == code
+        assert time.perf_counter() - t0 < 30.0  # killed, not waited for
+        assert_one_child_reaped(drift_child)
+
+    def test_a_line_printed_before_dsmc_appears_once_on_a_pipe(self, tmp_path):
+        argv = TINY_DSMC + ["--out", str(tmp_path)]
+        code = (
+            "from boltzsphere import cli, lifted\n"
+            "lifted._usable_cpus = lambda: 2\n"
+            "print('before dsmc')\n"
+            f"raise SystemExit(cli.main({argv!r}))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONUNBUFFERED", None)  # so the line waits in the pipe's buffer
+        proc = subprocess.run([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+                              text=True, timeout=300)
+        assert proc.returncode == cli.EXIT_OK
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "before dsmc" and len(lines) == 5
+        assert proc.stdout.count("before dsmc") == 1
 
 
 class TestIppPointwise:

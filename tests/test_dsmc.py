@@ -1,10 +1,12 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
 import boltzsphere as bs
-from boltzsphere import _kernels, dsmc
+from boltzsphere import _kernels, dsmc, lifted
 from boltzsphere.dsmc import (
     CollisionKernel,
     ConditionedInitial,
@@ -161,6 +163,46 @@ class TestConservationDrift:
         _advance(v, 0.0, target, kernel, gen)
         assert np.max(np.abs(v.sum(axis=0) - p0)) / math.sqrt(e0) <= 1e-9
         assert abs(float(np.sum(v * v)) - e0) / e0 <= 1e-9
+
+
+class TestBeside:
+    """`_beside` runs a function in a forked child, or inline when forking
+    cannot pay or is unsafe; os.getpid tells the two paths apart."""
+
+    def test_forks_one_child_on_two_cpus(self, monkeypatch):
+        monkeypatch.setattr(lifted, "_usable_cpus", lambda: 2)
+        with dsmc._beside(os.getpid) as result:
+            assert result() != os.getpid()
+
+    def test_runs_inline_on_one_cpu(self, monkeypatch):
+        monkeypatch.setattr(lifted, "_usable_cpus", lambda: 1)
+        with dsmc._beside(os.getpid) as result:
+            assert result() == os.getpid()
+
+    def test_runs_inline_without_fork(self, monkeypatch):
+        monkeypatch.setattr(lifted, "_usable_cpus", lambda: 2)
+        monkeypatch.delattr(os, "fork")
+        with dsmc._beside(os.getpid) as result:
+            assert result() == os.getpid()
+
+    def test_runs_inline_beside_another_thread(self, monkeypatch):
+        monkeypatch.setattr(lifted, "_usable_cpus", lambda: 2)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            with dsmc._beside(os.getpid) as result:
+                assert result() == os.getpid()
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+
+    def test_child_without_a_result_is_a_worker_error(self, monkeypatch):
+        monkeypatch.setattr(lifted, "_usable_cpus", lambda: 2)
+        with dsmc._beside(os._exit, 3) as result:
+            with pytest.raises(bs.WorkerError, match="ended with code 3 and no result"):
+                result()
 
 
 def _advance_drawing_in_full(v, t, t_target, kernel, gen):

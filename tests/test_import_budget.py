@@ -52,6 +52,18 @@ def test_package_import_loads_only_scipy_special():
     assert not loaded.intersection(HEAVY)
 
 
+def test_cli_import_loads_no_process_machinery():
+    # dsmc's replica pool and its drift child import what they need when
+    # they start
+    loaded = run_fresh(
+        "import json, sys\n"
+        "import boltzsphere.cli\n"
+        "print(json.dumps([m for m in ('multiprocessing', 'concurrent.futures.process')\n"
+        "                  if m in sys.modules]))\n"
+    )
+    assert loaded == []
+
+
 def test_w1_rate_leaves_scipy_integrate_unloaded(tmp_path):
     argv = ["w1-rate", "--n-list", "8,16", "--grid-shape", "256x256", "--out", str(tmp_path)]
     loaded = loaded_scipy_modules(
