@@ -317,7 +317,7 @@ def _l1_gap(cfg: ExperimentConfig) -> Outcome:
     rows = []
     checks = []
     for N in cfg.n_list:
-        gap, bound = l1_chaos_gap(cfg.d, 1, N)
+        gap, bound = l1_chaos_gap(cfg.d, N)
         rows.append((N, gap, 0.0, bound))
         checks.append((f"N={N}: gap {gap:.5f} <= bound {bound:.5f}", gap <= bound))
     rep = fit_loglog([(n, g, s) for n, g, s, _ in rows])
@@ -479,10 +479,6 @@ def _dsmc_rules(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"dsmc needs at least two replicas for error bars, got {cfg.replicas}")
     if cfg.d < 2:
         raise ConfigError(f"dsmc collides pairs in d >= 2, got d = {cfg.d}")
-    if cfg.n_list[0] == 2:
-        # N = 1 has no pair and fails at once; N = 2 would fail only
-        # after the drift check, at the conditioned start
-        raise ConfigError("dsmc starts from a conditioned chain, which needs N >= 3, got N = 2")
 
 
 def _ipp_fields(d: int, N: int):
@@ -622,7 +618,8 @@ EXPERIMENTS = {
                           rate=True, n_min=lambda d: _CONDITIONED_N),
     "entropy-rate": Experiment(_entropy_rate, {"n_list": (16, 32, 64, 128, 256)}, d1_only=True,
                                rate=True, n_min=lambda d: _CONDITIONED_N),
-    "dsmc": Experiment(_dsmc, {"density": "mixture", "d": 3, "n_list": (256,)}, rules=_dsmc_rules),
+    "dsmc": Experiment(_dsmc, {"density": "mixture", "d": 3, "n_list": (256,)}, rules=_dsmc_rules,
+                       n_min=lambda d: (3, " (the d >= 2 conditioned chain of its start)")),
     "ipp-check": Experiment(_ipp_check),
     "metrics-selftest": Experiment(_metrics_selftest),
 }
@@ -632,14 +629,25 @@ def _report(args) -> int:
     """Run every experiment with its defaults and bundle one report.
 
     An experiment that fails, or raises, is recorded with its exit code and
-    the rest still run; the report exits with the largest code.
+    the rest still run; the report exits with the largest code.  The config
+    file may set only what report takes as a flag, checked before any
+    experiment runs, and the bundle goes where the experiments wrote theirs.
     """
+    try:
+        values = _parse_kv_file(args.config) if args.config else {}
+        allowed = set(vars(args)) - {"command", "config"}
+        if refused := sorted(set(values) - allowed):
+            raise ConfigError(f"report runs every experiment at its defaults; its config may set only "
+                              f"{', '.join(sorted(allowed))}, got {', '.join(refused)}")
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     codes = {}
     for name in EXPERIMENTS:
         print(f"== {name}")
         codes[name] = run_experiment(name, args)
     worst = max(codes.values())
-    base_out = args.out or ExperimentConfig.out
+    base_out = args.out or values.get("out") or ExperimentConfig.out
     os.makedirs(base_out, exist_ok=True)
     summary = {name: {"exit_code": code, "passed": code == EXIT_OK} for name, code in codes.items()}
     write_json(os.path.join(base_out, "report.json"),

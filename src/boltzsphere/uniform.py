@@ -9,8 +9,8 @@ closed form
 
 with Vbar_ell the sum of the first ell particles.  The module provides the
 density, closed-form radial moments, an exact sampler (isotropic Gaussian +
-projection), the quantitative L1 gap to the Gaussian tensor power, and the
-1D law of a single velocity coordinate.
+projection), the one-particle L1 gap to the Gaussian in closed form, and
+the 1D law of a single velocity coordinate.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, chdtrc, gammaln, hyp2f1, poch
+from scipy.special import betainc, gammainc, gammaln, hyp2f1, poch
 
 from . import rng as rngmod
-from .densities import gaussian_density
 from .errors import ParameterError
 from .geometry import SphereSpec, log_sphere_surface, project_rows
 
@@ -154,70 +153,52 @@ def moment_bound(d: int, k: int, ell: int) -> float:
     return 2.0**terms * (prod_a + prod_b)
 
 
-def _l1_gap_quadrature_1d(m: UniformMarginal) -> float:
-    from scipy import integrate
+def l1_chaos_gap(d: int, N: int) -> tuple:
+    """L1 distance between the one-particle marginal g_1 and the Gaussian gamma.
 
-    d, N = m.spec.d, m.spec.N
-    gauss = gaussian_density(d=1)
-    vmax = math.sqrt(d * N * (N - 1) / N)
+    Returns (gap, bound) with bound = 2 (3d + 2) / (dN - 3d - 2), valid in the
+    regime d <= d(N-2) - 3.  With R^2 = d(N-1), a = d/2, b = d(N-2)/2 and
+    x = |v|^2, x/R^2 ~ Beta(a, b) under g_1 and x ~ chi^2_d under gamma, so
 
-    def integrand(v):
-        p = float(np.exp(marginal_log_density(m, np.array([[v]])))[0])
-        q = float(gauss.pdf(v)[0])
-        return abs(p - q)
+        log(g_1/gamma)(v) = h(x) = c + (b-1) log(1 - x/R^2) + x/2,
+        c = lgamma(a+b) - lgamma(b) - a log(R^2/2).
 
-    val, _ = integrate.quad(integrand, -vmax, vmax, limit=400, epsabs=1e-9)
-    # Gaussian mass outside the marginal support
-    tail = 2.0 * float(1.0 - gauss.cdf(vmax))
-    return val + tail
-
-
-def _l1_gap_radial(m: UniformMarginal) -> float:
-    from scipy import integrate
-
-    d, N = m.spec.d, m.spec.N
-    scale = 1.0 + 1.0 / (N - 1)
-    vmax = math.sqrt(d * N / scale)
-    log_gauss_norm = -0.5 * d * math.log(2.0 * math.pi)
-    logc = m.log_prefactor
-
-    def integrand(rho):
-        gap = d * N - scale * rho * rho
-        p = math.exp(logc + m.exponent * math.log(gap)) if gap > 0 else 0.0
-        q = math.exp(log_gauss_norm - 0.5 * rho * rho)
-        return abs(p - q) * math.exp(log_sphere_surface(d) + (d - 1) * math.log(rho))
-
-    val, _ = integrate.quad(integrand, 1e-12, vmax, limit=400, epsabs=1e-9)
-    # chi-square survival function; chi2.sf(x, df=d) evaluates this same call
-    tail = float(chdtrc(d, vmax * vmax))
-    return val + tail
-
-
-def l1_chaos_gap(d: int, ell: int, N: int, n_mc: int = 400_000, seed: int = 0) -> tuple:
-    """L1 distance between the ell-marginal and the Gaussian tensor power.
-
-    Returns (gap, bound) with bound = 2 (d(ell+2)+2) / (dN - d(ell+2) - 2),
-    valid in the regime d*ell <= d(N-2) - 3.  The gap is quadrature for
-    ell = 1 with d <= 2 and importance-sampled Monte Carlo otherwise, using the
-    identity |p - q|_1 = 2 E_q (p/q - 1)_+ for variance reduction.
+    h is concave with its maximum at x* = R^2 - 2(b-1) = d + 2 (b - 1 >= 1 in
+    the regime), so {g_1 > gamma} is the shell x1 < x < x2 between the roots
+    of h (x1 = 0 when h(0) > 0), and the gap is 2 [P_g(shell) - P_gamma(shell)]
+    in regularized incomplete beta and gamma functions.  Bisection finds each
+    root to the last bit, and the gap's derivative in either root is zero.
+    Against a 50-digit evaluation the relative error is below 1e-12 up to
+    N = 1000, 2e-11 up to 10^4, 1e-9 up to 10^5 and 1e-5 up to 10^6
+    (d = 1, 2, 3); beyond, the difference of the two masses loses digits
+    (1e-2 at d = 3, N = 10^7).
     """
-    if d * ell > d * (N - 2) - 3:
-        raise ParameterError(f"outside the chaos regime: need d*ell <= d(N-2)-3 (d={d}, ell={ell}, N={N})")
-    spec = SphereSpec.boltzmann(d, N)
-    m = UniformMarginal(spec, ell)
-    bound = 2.0 * (d * (ell + 2) + 2) / (d * N - d * (ell + 2) - 2)
-    if d == 1 and ell == 1:
-        return _l1_gap_quadrature_1d(m), bound
-    if ell == 1 and d == 2:
-        return _l1_gap_radial(m), bound
-    gen = rngmod.stream(seed, "l1-gap", d, ell, N)
-    pts = gen.normal(size=(n_mc, ell * d))
-    logp = marginal_log_density(m, pts)
-    logq = -0.5 * np.sum(pts * pts, axis=1) - 0.5 * ell * d * math.log(2.0 * math.pi)
-    ratio = np.exp(np.clip(logp - logq, -745.0, 60.0))
-    vals = 2.0 * np.maximum(ratio - 1.0, 0.0)
-    gap = float(vals.mean())
-    return gap, bound
+    if d < 1 or d > d * (N - 2) - 3:
+        raise ParameterError(f"outside the chaos regime: need d <= d(N-2)-3 (d={d}, N={N})")
+    bound = 2.0 * (3 * d + 2) / (d * N - 3 * d - 2)
+    r2 = d * (N - 1)
+    a, b = 0.5 * d, 0.5 * d * (N - 2)
+    c = math.lgamma(a + b) - math.lgamma(b) - a * math.log(0.5 * r2)
+
+    def h(x):
+        return c + (b - 1.0) * math.log1p(-x / r2) + 0.5 * x
+
+    def root(lo, hi):
+        # the one sign change of h on [lo, hi); hi may be R^2, where h is -inf
+        rising = h(lo) <= 0.0
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            if (h(mid) > 0.0) == rising:
+                hi = mid
+            else:
+                lo = mid
+        return mid
+
+    x_peak = d + 2.0
+    x1 = 0.0 if h(0.0) > 0.0 else root(0.0, x_peak)
+    x2 = root(x_peak, r2)
+    p = betainc(a, b, x2 / r2) - betainc(a, b, x1 / r2)
+    q = gammainc(a, 0.5 * x2) - gammainc(a, 0.5 * x1)
+    return float(2.0 * (p - q)), bound
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import pathlib
@@ -158,7 +159,8 @@ class TestConfigHandling:
     @pytest.mark.parametrize("argv, message", [
         (["--replicas", "1"], "dsmc needs at least two replicas for error bars, got 1"),
         (["--d", "1"], "dsmc collides pairs in d >= 2, got d = 1"),
-        (["--n-list", "2"], "dsmc starts from a conditioned chain, which needs N >= 3, got N = 2"),
+        (["--n-list", "2"], "dsmc needs N >= 3 (the d >= 2 conditioned chain of its start), got N = 2"),
+        (["--n-list", "1"], "dsmc needs N >= 3 (the d >= 2 conditioned chain of its start), got N = 1"),
     ])
     def test_dsmc_rejects_impossible_settings_before_running(self, tmp_path, capsys, argv, message):
         # rejected before the drift check runs and before the output
@@ -223,11 +225,6 @@ class TestConfigHandling:
         assert capsys.readouterr().err == f"config error: {command} needs at least one N; n_list is empty\n"
         assert not out.exists()
 
-    def test_one_particle_dsmc_is_a_runtime_error(self, tmp_path, capsys):
-        # N = 1 is a valid size for the config; the simulation needs a pair
-        assert run_cli(["dsmc", "--n-list", "1", "--out", str(tmp_path)]) == cli.EXIT_RUNTIME
-        assert "particle count must be >= 2" in capsys.readouterr().err
-
     @pytest.mark.parametrize("command, want", [
         ("geometry-selftest", "b39b3f6dd412"),
         ("uniform-marginal", "0db5c4c013d8"),
@@ -280,13 +277,16 @@ class TestConfigHandling:
 
 
 class TestReport:
-    def test_report_records_every_experiment_past_errors(self, tmp_path, capsys):
-        # at a 128 x 128 grid w1-rate's Z'_64 is off (runtime error, exit 5),
-        # and dsmc runs one N (config error, exit 3); the rest still run
-        cfgfile = tmp_path / "report.cfg"
-        cfgfile.write_text("grid_shape = 128x128\nn_list = 8,64\nbe_cells = 4096\nsamples = 200\n")
+    def test_report_records_every_experiment_past_errors(self, monkeypatch, tmp_path, capsys):
+        # every row shrunk as below: at a 128 x 128 grid w1-rate's Z'_64 is
+        # off (runtime error, exit 5), and dsmc runs one N (config error,
+        # exit 3); the rest still run
+        small = {"grid_shape": "128x128", "n_list": "8,64", "be_cells": "4096", "samples": "200"}
+        for name, row in list(cli.EXPERIMENTS.items()):
+            shrunk = dataclasses.replace(row, defaults={**row.defaults, **small})
+            monkeypatch.setitem(cli.EXPERIMENTS, name, shrunk)
         out = tmp_path / "out"
-        assert run_cli(["report", "--config", str(cfgfile), "--out", str(out)]) == cli.EXIT_RUNTIME
+        assert run_cli(["report", "--out", str(out)]) == cli.EXIT_RUNTIME
         err = capsys.readouterr().err.splitlines()
         assert "config error: dsmc runs one N; n_list has 2 values" in err
         assert any(line.startswith("error: log Z'_64") for line in err)
@@ -298,6 +298,41 @@ class TestReport:
         rows = read(out / "report.csv").decode().splitlines()[2:]
         assert rows == [f"{name},{codes[name]},{int(codes[name] == 0)}" for name in sorted(codes)]
         assert (out / "metrics-selftest.csv").exists() and not (out / "w1-rate.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("density", "gaussian"), ("n_list", "8,64"), ("d", "2"), ("samples", "100"),
+        ("replicas", "2"), ("grid_shape", "64x64"), ("t_end", "1"), ("be_cells", "4096"),
+        ("n_times", "3"), ("experiment", "dsmc"), ("banana", "1"),
+    ])
+    def test_report_config_refuses_what_its_flags_refuse(self, monkeypatch, tmp_path, capsys, key, value):
+        # the file would apply the key to all ten experiments; it is refused
+        # once, before any experiment runs or any directory is made
+        ran = []
+        monkeypatch.setattr(cli, "run_experiment", lambda name, args: ran.append(name) or cli.EXIT_OK)
+        cfgfile = tmp_path / "report.cfg"
+        cfgfile.write_text(f"seed = 5\n{key} = {value}\n")
+        out = tmp_path / "out"
+        assert run_cli(["report", "--config", str(cfgfile), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: report runs every experiment at its defaults; its config may set only "
+            f"jobs, out, seed, tolerance_profile, got {key}\n"
+        )
+        assert ran == [] and not out.exists()
+
+    def test_report_config_reaches_every_experiment_and_the_bundle(self, monkeypatch, tmp_path):
+        # the file's out sends the experiments and report.json to one place;
+        # a flag still beats the file
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda name, args: seen.append(cli._load_config(args, name)) or cli.EXIT_OK)
+        out = tmp_path / "elsewhere"
+        cfgfile = tmp_path / "report.cfg"
+        cfgfile.write_text(f"out = {out}\nseed = 5\njobs = 2\n")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["report", "--config", str(cfgfile), "--jobs", "1"]) == cli.EXIT_OK
+        assert [(c.out, c.seed, c.jobs) for c in seen] == [(str(out), 5, 1)] * len(cli.EXPERIMENTS)
+        assert sorted(p.name for p in out.iterdir()) == ["report.csv", "report.json"]
+        assert not (tmp_path / "out").exists()
 
     def test_one_list_of_experiments(self, monkeypatch, tmp_path):
         # the table, the parser, README's command block and the experiments

@@ -3,9 +3,10 @@
 Each of the ten subcommands runs in-process at one seed: the four spectral
 commands and `dsmc` at the small sizes of the benchmark's `tiny` pass, the
 two Monte Carlo self-tests at small sample counts, and the other three at
-their defaults.  The four spectral CSVs are pinned once more as the
-benchmark's `full` pass makes them: in one process, in that pass's order,
-at their default N lists and the default 2048x2048 grid.  A change to how
+their defaults; `l1-gap` runs once more at `--d 3`.  The four spectral CSVs
+are pinned once more as the benchmark's `full` pass makes them: in one
+process, in that pass's order, at their default N lists and the default
+2048x2048 grid.  A change to how
 the command line loads, runs or reports an experiment, or to how a grid is
 built, must leave every one of these bytes as it is.  The chains and
 grids evaluate `math.exp`, `math.log` and FFTs, whose last bits can differ
@@ -15,6 +16,7 @@ between C libraries, so another platform may need its own pins.
 import contextlib
 import hashlib
 import io
+import re
 
 import pytest
 
@@ -35,8 +37,8 @@ RUNS = [
         "stdout": "9c9b5160cfe40ad1bc16e12ae4413427c0cb733f1fb04803c035165f74803ee3",
     }),
     (["l1-gap"], 0, {
-        "l1-gap.csv": "41bb1b18250ae32eaaca51d6ccf8e676e5cba35e369d49ef1fb01d69236dfd33",
-        "l1-gap.json": "72720c3946ffef1f30dd19f604a34fa644cb6e12a7ebebf1667ca1f845c69c23",
+        "l1-gap.csv": "ddeaca9b204f1fe2377d98cb964739b42374bee8b02b8b0ebc09b5679f811949",
+        "l1-gap.json": "7cba8c806bb9383dc46e6df8aea9b2bfd9e682c7f04663831ceecfceba0e1937",
         "l1-gap.svg": "703b6465e3e910bbaf048a5a4b6526db2998add164741e87410907a541c7f0b1",
         "stdout": "4e8123115bcbbed9028e71dd275a7714c08c5d1ca186d2739715ce49fa65c98e",
     }),
@@ -85,14 +87,38 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("argv, code, want", RUNS, ids=[run[0][0] for run in RUNS])
-def test_subcommand_outputs_are_pinned(tmp_path, argv, code, want):
+def _run(tmp_path, argv, code, seed=SEED) -> dict:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        assert cli.main(argv + ["--seed", str(SEED), "--out", str(tmp_path)]) == code
+        assert cli.main(argv + ["--seed", str(seed), "--out", str(tmp_path)]) == code
     got = {path.name: _sha(path.read_bytes()) for path in tmp_path.iterdir()}
     got["stdout"] = _sha(buf.getvalue().encode())
-    assert got == want
+    return got
+
+
+@pytest.mark.parametrize("argv, code, want", RUNS, ids=[run[0][0] for run in RUNS])
+def test_subcommand_outputs_are_pinned(tmp_path, argv, code, want):
+    assert _run(tmp_path, argv, code) == want
+
+
+def test_l1_gap_at_d3_is_pinned(tmp_path):
+    assert _run(tmp_path, ["l1-gap", "--d", "3"], 0) == {
+        "l1-gap.csv": "e2561eda7e7e992011a5a5b7b074510da3ee85b8cd265e4289e22532f1ac31fc",
+        "l1-gap.json": "da602297442a45a276fe4f0993db66dae7455fd1a9e2213ed260dbf871863426",
+        "l1-gap.svg": "3ca5063f61266d1c8a9452eebb72a3e845af9d8f943f891606147d187fa938e1",
+        "stdout": "bc3b4db3f4350720f6e015aa0f7c0bb1c6eaec947e57120b837940b9b4087774",
+    }
+
+
+def test_l1_gap_values_do_not_depend_on_the_seed(tmp_path):
+    # the gap is a closed form: only the header's config hash moves
+    csv = {}
+    for seed in (1, 2):
+        _run(tmp_path / str(seed), ["l1-gap", "--d", "3"], 0, seed=seed)
+        csv[seed] = (tmp_path / str(seed) / "l1-gap.csv").read_text().splitlines()
+    assert csv[1][1:] == csv[2][1:]
+    assert csv[1][0] != csv[2][0]
+    assert re.sub("config_hash=[0-9a-f]+", "", csv[1][0]) == re.sub("config_hash=[0-9a-f]+", "", csv[2][0])
 
 
 # the spectral subcommands of the benchmark's full pass (perfbench/workloads.py)

@@ -14,6 +14,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import boltzsphere
 from boltzsphere import _kernels, cli
 
@@ -75,6 +77,21 @@ def test_w1_rate_leaves_scipy_integrate_unloaded(tmp_path):
     )
     assert (tmp_path / "w1-rate.csv").exists()
     assert "scipy.integrate" not in loaded
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_l1_gap_leaves_quadrature_and_root_finding_unloaded(tmp_path, d):
+    # the gap is a closed form in scipy.special's incomplete beta and gamma
+    argv = ["l1-gap", "--d", str(d), "--out", str(tmp_path)]
+    loaded = loaded_scipy_modules(
+        "import sys\n"
+        "from boltzsphere import cli\n"
+        f"code = cli.main({argv!r})\n"
+        f"if code != {cli.EXIT_OK}:\n"
+        "    sys.exit(code)\n"
+    )
+    assert (tmp_path / "l1-gap.csv").exists()
+    assert not loaded.intersection({"scipy.integrate", "scipy.optimize"})
 
 
 def test_chain_kernels_compile_on_first_use_and_once():

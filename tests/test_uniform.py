@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, special, stats
+from scipy import integrate, optimize, stats
 
 import boltzsphere as bs
 from boltzsphere.uniform import (
@@ -10,6 +10,7 @@ from boltzsphere.uniform import (
     coordinate_marginal,
     l1_chaos_gap,
     marginal_density,
+    marginal_log_density,
     marginal_moment,
     moment_bound,
     sample_uniform_batch,
@@ -209,16 +210,73 @@ class TestMoments:
         assert moment_bound(2, 2, 2) == pytest.approx(2.0 * (2.0 + 2.0))
 
 
+def kinks(log_ratio, lo, hi):
+    """The zeros of log(g_1/gamma) on (lo, hi): sign changes on a grid, each
+    refined by brentq.  |g_1 - gamma| has a kink at each, and quad, left to
+    find them, reports an abserr below its error: the radial quad at d = 3,
+    N = 20 was 1.2e-8 from a 50-digit value with abserr 7.8e-10."""
+    grid = np.linspace(lo, hi, 2001)[1:-1]
+    vals = [log_ratio(x) for x in grid]
+    return [optimize.brentq(log_ratio, a, b, xtol=1e-15)
+            for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]) if fa * fb < 0.0]
+
+
+def quad_gap_1d(N):
+    """The former d = 1 path of the L1 gap: a Cartesian quad of |g_1 - gamma|
+    over the support plus the Gaussian mass beyond it; (gap, quad's abserr)."""
+    m = marginal(1, N)
+    vmax = math.sqrt(N - 1)
+
+    def log_ratio(v):
+        return float(marginal_log_density(m, np.array([[v]]))[0]) - stats.norm.logpdf(v)
+
+    def integrand(v):
+        p = float(np.exp(marginal_log_density(m, np.array([[v]])))[0])
+        return abs(p - stats.norm.pdf(v))
+
+    val, err = integrate.quad(integrand, -vmax, vmax, limit=400, epsabs=1e-9,
+                              points=kinks(log_ratio, -vmax, vmax))
+    return val + 2.0 * stats.norm.sf(vmax), err
+
+
+def quad_gap_radial(d, N):
+    """The former d = 2 path of the L1 gap, for any d: a quad of |g_1 - gamma|
+    over the radius of the support ball, times the sphere's surface, plus the
+    chi^2_d mass beyond it; (gap, quad's abserr)."""
+    m = marginal(d, N)
+    scale = 1.0 + 1.0 / (N - 1)
+    vmax = math.sqrt(d * N / scale)
+    surface = 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
+
+    def log_ratio(rho):
+        log_p = m.log_prefactor + m.exponent * math.log(d * N - scale * rho * rho)
+        return log_p + 0.5 * d * math.log(2.0 * math.pi) + 0.5 * rho * rho
+
+    def integrand(rho):
+        gap = d * N - scale * rho * rho
+        p = math.exp(m.log_prefactor + m.exponent * math.log(gap)) if gap > 0 else 0.0
+        q = (2.0 * math.pi) ** (-0.5 * d) * math.exp(-0.5 * rho * rho)
+        return abs(p - q) * surface * rho ** (d - 1)
+
+    val, err = integrate.quad(integrand, 1e-12, vmax, limit=400, epsabs=1e-9,
+                              points=kinks(log_ratio, 1e-12, vmax))
+    return val + stats.chi2.sf(vmax * vmax, d), err
+
+
+# every default N of `l1-gap`, each d's smallest N in the chaos regime, and N = 1000
+ORACLE_CASES = [(d, N) for d, n_min in ((1, 6), (2, 5), (3, 4)) for N in (n_min, 10, 20, 50, 100, 1000)]
+
+
 class TestChaosGap:
     def test_bound_value_n20(self):
-        gap, bound = l1_chaos_gap(1, 1, 20)
+        gap, bound = l1_chaos_gap(1, 20)
         assert bound == pytest.approx(2.0 * 5.0 / 15.0)
         assert 0.0 < gap < bound
 
     def test_gap_decreasing_like_one_over_n(self):
         rows = []
         for N in (10, 20, 50, 100):
-            gap, bound = l1_chaos_gap(1, 1, N)
+            gap, bound = l1_chaos_gap(1, N)
             assert gap <= bound
             rows.append((N, gap, 0.0))
         assert all(a[1] > b[1] for a, b in zip(rows, rows[1:]))
@@ -227,21 +285,35 @@ class TestChaosGap:
 
     def test_regime_validation(self):
         with pytest.raises(bs.ParameterError):
-            l1_chaos_gap(1, 1, 5)  # d*ell > d(N-2)-3
+            l1_chaos_gap(1, 5)  # d > d(N-2)-3
+        with pytest.raises(bs.ParameterError):
+            l1_chaos_gap(0, 10)
 
-    def test_radial_gap_tail_is_chi2_sf(self):
-        # the radial gap takes the Gaussian tail mass from special.chdtrc,
-        # the function stats.chi2.sf evaluates; scipy.stats stays the reference
-        x = np.concatenate([[0.0], np.logspace(-12, 0, 200), np.linspace(1.0, 400.0, 4000)])
-        for d in (1, 2, 3):
-            assert np.array_equal(special.chdtrc(d, x), stats.chi2.sf(x, df=d))
+    @pytest.mark.parametrize("d, N", ORACLE_CASES)
+    def test_closed_form_within_quadrature_error(self, d, N):
+        gap, bound = l1_chaos_gap(d, N)
+        want, err = quad_gap_1d(N) if d == 1 else quad_gap_radial(d, N)
+        assert abs(gap - want) <= err + 1e-12
+        assert gap <= bound
 
-    def test_radial_and_mc_paths_agree(self):
-        gap_quad, bound = l1_chaos_gap(2, 1, 24)
-        gap_mc, _ = l1_chaos_gap(3, 1, 24, n_mc=300_000)
-        assert gap_quad <= bound
-        # d=3 bound with the same N
-        assert gap_mc <= 2.0 * (3 * 3 + 2) / (3 * 24 - 3 * 3 - 2)
+    def test_d3_closed_form_against_importance_sampling(self):
+        # |g_1 - gamma|_1 = 2 E_gamma (g_1/gamma - 1)_+ over Gaussian draws
+        d, N, n = 3, 24, 400_000
+        m = marginal(d, N)
+        pts = np.random.default_rng(2024).normal(size=(n, d))
+        logq = -0.5 * np.sum(pts * pts, axis=1) - 0.5 * d * math.log(2.0 * math.pi)
+        vals = 2.0 * np.maximum(np.exp(marginal_log_density(m, pts) - logq) - 1.0, 0.0)
+        gap, _ = l1_chaos_gap(d, N)
+        assert abs(vals.mean() - gap) <= 3.0 * vals.std(ddof=1) / math.sqrt(n)
+
+    def test_no_random_draws(self, monkeypatch):
+        # one deterministic path: drawing from any stream would raise here
+        def refuse(*args, **kwargs):
+            raise AssertionError("l1_chaos_gap drew random numbers")
+
+        monkeypatch.setattr(bs.rng, "stream", refuse)
+        monkeypatch.setattr(bs.rng, "generator", refuse)
+        assert l1_chaos_gap(3, 10) == l1_chaos_gap(3, 10)
 
 
 class TestCoordinateMarginal:
