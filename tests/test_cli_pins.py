@@ -16,6 +16,7 @@ between C libraries, so another platform may need its own pins.
 import contextlib
 import hashlib
 import io
+import json
 import re
 
 import pytest
@@ -137,3 +138,94 @@ def test_default_shape_spectral_csvs_are_pinned(tmp_path):
             assert cli.main(argv + ["--seed", str(SEED), "--out", str(tmp_path), "--jobs", "1"]) == 0
         got[argv[0]] = _sha((tmp_path / f"{argv[0]}.csv").read_bytes())
     assert got == {argv[0]: want for argv, want in DEFAULT_SPECTRAL}
+
+
+def _values_by_n(csv_text: str) -> dict:
+    """{N: [repr of each value]} of a rate CSV, in row and then column order.
+
+    N, stderr and metric_name columns are not values, so a CSV that keeps
+    each value's bits and its order within one N reads the same whether it
+    writes one value per row or one N per row.
+    """
+    header, *lines = csv_text.splitlines()[1:]
+    columns = header.split(",")
+    out = {}
+    for line in lines:
+        cells = dict(zip(columns, line.split(",")))
+        n = int(cells.pop("N"))
+        out.setdefault(n, []).extend(
+            repr(float(v)) for k, v in cells.items() if k not in ("stderr", "metric_name")
+        )
+    return out
+
+
+def _fit_bits(fit):
+    if fit is None:
+        return None
+    return [float.hex(x) for x in (fit["slope"], fit["intercept"], *fit["ci95"])]
+
+
+# (argv before --seed and --out, float.hex of the fit's slope, intercept and
+# ci95 bounds or None for a Gaussian fixed point, {N: value reprs})
+RATE_VALUES = [
+    (["l1-gap"],
+     ["-0x1.184ed6b494e5fp+0", "0x1.3fd619486dcc0p-4",
+      "-0x1.23ca38dc58246p+0", "-0x1.0cd3748cd1a78p+0"],
+     {
+         10: ["0.08961908933132778", "2.0"],
+         20: ["0.03923984462144503", "0.6666666666666666"],
+         50: ["0.014629562094838677", "0.2222222222222222"],
+         100: ["0.007154356508441095", "0.10526315789473684"],
+     }),
+    (["l1-gap", "--d", "3"],
+     ["-0x1.12c06a6cc950bp+0", "-0x1.9e32c3d20e220p-3",
+      "-0x1.1b5571f648f05p+0", "-0x1.0a2b62e349b11p+0"],
+     {
+         10: ["0.07062152441145209", "1.1578947368421053"],
+         20: ["0.03193472949021636", "0.4489795918367347"],
+         50: ["0.01208756977102765", "0.15827338129496402"],
+         100: ["0.005937908246990364", "0.07612456747404844"],
+     }),
+    (["berry-esseen", "--n-list", "2,4,8"],
+     ["-0x1.04fd34666fee2p+0", "-0x1.65d749df0a610p+1",
+      "-0x1.289116de50d4dp+0", "-0x1.c2d2a3dd1e0eep-1"],
+     {
+         2: ["0.030995521672931126"],
+         4: ["0.014042100990208028"],
+         8: ["0.007542332156291354"],
+     }),
+    (["w1-rate", "--n-list", "8,16", "--grid-shape", "512x512"],
+     ["-0x1.129d048b0080fp+0", "-0x1.fe412613dc2d0p+0",
+      "-0x1.129d048b00817p+0", "-0x1.129d048b00807p+0"],
+     {
+         8: ["0.014642661341593918"],
+         16: ["0.006961496559549793"],
+     }),
+    (["entropy-rate", "--n-list", "16,32", "--grid-shape", "512x512"],
+     ["-0x1.08bbde8e96839p+0", "-0x1.4bb8672a4c504p-1",
+      "-0x1.08bbde8e96839p+0", "-0x1.08bbde8e96839p+0"],
+     {
+         16: ["0.029745677717919083", "0.1467395305927534"],
+         32: ["0.01452525397708293", "0.16195995433358956"],
+     }),
+    (["berry-esseen", "--n-list", "2,4", "--density", "gaussian"],
+     None,
+     {
+         2: ["2.7865793006398576e-10"],
+         4: ["5.573160266614252e-10"],
+     }),
+    (["entropy-rate", "--n-list", "16,32", "--density", "gaussian"],
+     None,
+     {
+         16: ["0.0", "0.0"],
+         32: ["0.0", "0.0"],
+     }),
+]
+
+
+@pytest.mark.parametrize("argv, fit, values", RATE_VALUES, ids=[" ".join(r[0]) for r in RATE_VALUES])
+def test_rate_fits_and_values_are_pinned(tmp_path, argv, fit, values):
+    _run(tmp_path, argv, 0)
+    report = json.loads((tmp_path / f"{argv[0]}.json").read_text())
+    assert _fit_bits(report["fit"]) == fit
+    assert _values_by_n((tmp_path / f"{argv[0]}.csv").read_text()) == values
