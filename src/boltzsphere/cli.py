@@ -326,6 +326,12 @@ def _l1_gap(cfg: ExperimentConfig) -> Outcome:
                    rate_plot=(rows, "L1 gap to the Gaussian tensor power", rep))
 
 
+def _l1_gap_rules(cfg: ExperimentConfig) -> None:
+    if cfg.n_list[-1] > 10**6:
+        raise ConfigError(f"l1-gap needs N <= 10^6, where its closed form is within 1e-5 (it loses "
+                          f"digits beyond: 1e-2 at N = 10^7), got N = {cfg.n_list[-1]}")
+
+
 def _zprime(cfg: ExperimentConfig) -> Outcome:
     f = get_density(cfg.density, 1)
     checks = []
@@ -607,7 +613,7 @@ EXPERIMENTS = {
     "geometry-selftest": Experiment(_geometry_selftest),
     "uniform-marginal": Experiment(_uniform_marginal, {"n_list": (4, 10, 50)}, d1_only=True,
                                    n_min=lambda d: (3, " (at N = 2 the sphere is two points)")),
-    "l1-gap": Experiment(_l1_gap, {"n_list": (10, 20, 50, 100)}, rate=True,
+    "l1-gap": Experiment(_l1_gap, {"n_list": (10, 20, 50, 100)}, rate=True, rules=_l1_gap_rules,
                          n_min=lambda d: (3 + math.ceil(3 / d),
                                           f" at d = {d} (the chaos regime d <= d(N - 2) - 3)")),
     "zprime": Experiment(_zprime, {"density": "gaussian", "n_list": (8, 16, 32, 64, 128)},

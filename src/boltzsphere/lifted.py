@@ -566,22 +566,15 @@ def log_z_prime_asymptotic(f: BaseDensity, N: int) -> float:
     """Leading-order log Z'_N(f) on the Boltzmann sphere of radius
     r = sqrt(dN), for any d (remainder not added).
 
-        Z'_N = sqrt(2d)/(Sigma eps^{d/2})
-               * [dN/r^2]^{(d(N-1)-2)/2} * e^{(r^2-dN)/2}
-               * exp(-(r^2 - N E)^2 / (2 Sigma^2 N)).
+        Z'_N = sqrt(2d)/(Sigma eps^{d/2}) * exp(-(dN - N E)^2 / (2 Sigma^2 N)).
 
-    r^2 is the square of the rounded radius sqrt(dN), not dN itself: the
-    zprime outputs hold the bits of that evaluation.
+    For the Gaussian (E = d, Sigma^2 = 2d, eps = 1) it is exactly 1.
     """
     if f.sigma2 <= 0.0:
         raise DegenerateVarianceError("energy fluctuation Sigma is zero (|v|^2 deterministic)")
     d = f.d
-    r = math.sqrt(d * N)
-    r2 = r * r
     val = 0.5 * math.log(2.0 * d) - 0.5 * math.log(f.sigma2) - 0.5 * d * math.log(f.eps)
-    val += 0.5 * (d * (N - 1) - 2) * (math.log(d * N) - math.log(r2))
-    val += 0.5 * (r2 - d * N)
-    val += -((r2 - N * f.E) ** 2) / (2.0 * f.sigma2 * N)
+    val += -((d * N - N * f.E) ** 2) / (2.0 * f.sigma2 * N)
     return val
 
 

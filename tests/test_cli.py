@@ -199,6 +199,19 @@ class TestConfigHandling:
     def test_l1_gap_runs_at_its_smallest_n(self, tmp_path, argv):
         assert run_cli(argv + ["--out", str(tmp_path)]) == cli.EXIT_OK
 
+    def test_l1_gap_rejects_n_past_its_closed_form_range(self, tmp_path, capsys):
+        # at N = 10^7 the difference of the two shell masses is 1% off
+        out = tmp_path / "out"
+        assert run_cli(["l1-gap", "--n-list", "10,10000000", "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: l1-gap needs N <= 10^6, where its closed form is within 1e-5 "
+            "(it loses digits beyond: 1e-2 at N = 10^7), got N = 10000000\n"
+        )
+        assert not out.exists()
+
+    def test_l1_gap_runs_at_its_largest_n(self, tmp_path):
+        assert run_cli(["l1-gap", "--n-list", "10,1000000", "--out", str(tmp_path)]) == cli.EXIT_OK
+
     def test_zprime_rejects_one_particle_before_running(self, tmp_path, capsys):
         # the N = 1 worker would fail only after the other worker's grid
         out = tmp_path / "out"

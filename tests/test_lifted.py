@@ -118,6 +118,16 @@ class TestZPrime:
             assert z_prime_asymptotic(g, 50) == pytest.approx(1.0, rel=1e-12)
         assert z_prime_asymptotic(UNIF, 128) == pytest.approx(math.sqrt(10.0) / 2.0, rel=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_asymptotic_values_do_not_move_with_n(self, d):
+        # the squared radius is dN itself, so the Gaussian's value is 1 and
+        # a base with E = d has one value at every N
+        Ns = (2, 8, 128, 1000)
+        assert [z_prime_asymptotic(bs.get_density("gaussian", d), N) for N in Ns] == [1.0] * 4
+        for name in ("uniform", "mixture"):
+            f = bs.get_density(name, d)
+            assert len({z_prime_asymptotic(f, N).hex() for N in Ns}) == 1, name
+
     def test_asymptotic_degenerate_variance(self):
         frozen = bs.BaseDensity(
             name="shell", d=1, log_density=GAUSS.log_density, score=GAUSS.score,
