@@ -44,7 +44,7 @@ RUNS = [
         "stdout": "4e8123115bcbbed9028e71dd275a7714c08c5d1ca186d2739715ce49fa65c98e",
     }),
     (["zprime", "--density", "uniform", "--n-list", "8,16", "--grid-shape", "512x512"], 0, {
-        "zprime.csv": "d4309ada8531c5aa93c90f143b241833f2498b98a00336ec35ea7e6b9abc20a5",
+        "zprime.csv": "d32057e4b43ab2f1aa62aa9fc43954380dced2dd6b5b10e8602d8917a35e62fc",
         "zprime.json": "de178dc46ca4bc8b15d5a1f59ade02cc0b5153834d79c6ed589c0c2e1ecbc93b",
         "stdout": "f406d289ca0d0b89c9733ed5c0ae1b804e61b59243066761c5a5905a6144cc77",
     }),
@@ -126,7 +126,7 @@ def test_l1_gap_values_do_not_depend_on_the_seed(tmp_path):
 DEFAULT_SPECTRAL = [
     (["w1-rate"], "f6afeb5829223f43b1d81796d2b7ac735bdad3b6bc30d6e177c61db2049bf885"),
     (["entropy-rate"], "4040090cb88b4c321eab112ad6fb8b6ce5f5e949fa6305fb4ae82e1220785be2"),
-    (["zprime", "--density", "uniform"], "f89edac8f26b78d959e3a2c20f1297cb234df0933ac9e44037dd7894b988b9e7"),
+    (["zprime", "--density", "uniform"], "50f5a92989ae1bf2ac06b4420ba2e7aa996ba560e5ada15bb60e2a826e7649c3"),
     (["berry-esseen"], "7c73cd8b4e9d16459bd89f7881144c6c5bc558a4e83b815da0ca3c7317e82e9b"),
 ]
 
