@@ -4,8 +4,9 @@ Every subcommand runs a declared experiment with pinned tolerances, writes a
 CSV (one comment header naming units and the config hash) plus a JSON report
 into the output directory, and exits 0 only when all tolerances are met.
 Each experiment is one row of `EXPERIMENTS`: the function that computes its
-checks and rows, its default overrides and its rules on d and N.
-`run_experiment` drives one row, and `report` drives every row.
+checks and rows, its default overrides, its rules on d and N and, for a
+rate in N, the plot title and slope bound of its fit.  `run_experiment`
+drives one row, and `report` drives every row.
 
 Exit codes:
     0  all declared tolerances met
@@ -124,9 +125,18 @@ class Outcome:
     rows: list
     units: str
     extras: dict = field(default_factory=dict)  # JSON keys beside "passed"
-    # a rate in N: (rows with N and the value first, title, RateReport or
-    # None); the driver plots it and writes the fit into the JSON
-    rate_plot: Optional[tuple] = None
+    # a rate whose value does not decay in N: plotted, but not fitted
+    fixed_point: bool = False
+
+
+@dataclass(frozen=True)
+class Rate:
+    """A value that decays in N: rows (N, value, ...) whose log-log slope must
+    be at most `hi`.  The check prints as "{label} {slope:.3f} <= {hi}"."""
+
+    title: str  # of the plot
+    label: str
+    hi: float
 
 
 @dataclass(frozen=True)
@@ -136,7 +146,7 @@ class Experiment:
     run: Callable[[ExperimentConfig], Outcome]
     defaults: dict = field(default_factory=dict)
     d1_only: bool = False  # its grid, lattice or marginal is built for d = 1
-    rate: bool = False  # plots a rate in N, so it needs two values of N
+    rate: Optional[Rate] = None  # fits a rate in N, so it needs two values of N
     n_min: Optional[Callable[[int], tuple]] = None  # d -> (smallest N, why)
     rules: Optional[Callable[[ExperimentConfig], None]] = None  # more ConfigError checks
 
@@ -212,7 +222,7 @@ def _load_config(args, experiment: str) -> ExperimentConfig:
             raise ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)}")
     if row.d1_only and cfg.d != 1:
         raise ConfigError(f"{experiment} runs at d = 1 only, got d = {cfg.d}")
-    if row.rate and len(cfg.n_list) < 2:
+    if row.rate is not None and len(cfg.n_list) < 2:
         raise ConfigError(f"{experiment} needs at least two values of N to plot a rate")
     if row.rules is not None:
         row.rules(cfg)
@@ -234,11 +244,18 @@ def _load_config(args, experiment: str) -> ExperimentConfig:
 def run_experiment(name: str, args) -> int:
     """Load, check and run one experiment, print its checks and write its CSV,
     JSON and (for a rate in N) SVG; the one place every JSON report gains its
-    keys.  A config or runtime error prints one line and returns 3 or 5."""
+    keys and every rate is fitted, its slope check last.  A config or runtime
+    error prints one line and returns 3 or 5."""
     try:
         cfg = _load_config(args, name)
         os.makedirs(cfg.out, exist_ok=True)
-        res = EXPERIMENTS[name].run(cfg)
+        row = EXPERIMENTS[name]
+        rate = row.rate
+        res = row.run(cfg)
+        fit = None
+        if rate is not None and not res.fixed_point:
+            fit = fit_loglog([r[:2] for r in res.rows]).check(None, rate.hi)
+            res.checks.append((f"{rate.label} {fit.slope:.3f} <= {rate.hi}", fit.passed))
         for label, ok in res.checks:
             print(f"{'PASS' if ok else 'FAIL'}  {label}")
         code = EXIT_OK if all(ok for _, ok in res.checks) else EXIT_TOLERANCE
@@ -247,11 +264,10 @@ def run_experiment(name: str, args) -> int:
         write_csv(f"{path}.csv", res.columns, res.rows, header)
         report = {"passed": code == EXIT_OK, **res.extras, "config": cfg.as_dict(),
                   "config_hash": cfg.hash()}
-        if res.rate_plot is not None:
-            points, title, fit = res.rate_plot
+        if rate is not None:
             report["fit"] = None if fit is None else fit.to_dict()
-            svg_line_plot(f"{path}.svg", [p[0] for p in points], [p[1] for p in points], title,
-                          fit=None if fit is None else (fit.slope, fit.intercept))
+            svg_line_plot(f"{path}.svg", [r[0] for r in res.rows], [r[1] for r in res.rows],
+                          rate.title, fit=None if fit is None else (fit.slope, fit.intercept))
         write_json(f"{path}.json", report)
         return code
     except ConfigError as exc:
@@ -318,12 +334,9 @@ def _l1_gap(cfg: ExperimentConfig) -> Outcome:
     checks = []
     for N in cfg.n_list:
         gap, bound = l1_chaos_gap(cfg.d, N)
-        rows.append((N, gap, 0.0, bound))
+        rows.append((N, gap, bound))
         checks.append((f"N={N}: gap {gap:.5f} <= bound {bound:.5f}", gap <= bound))
-    rep = fit_loglog([(n, g, s) for n, g, s, _ in rows])
-    checks.append((f"decay slope {rep.slope:.3f} <= -0.8", rep.slope <= -0.8))
-    return Outcome(checks, ("N", "l1_gap", "stderr", "bound"), rows, "L1 distance",
-                   rate_plot=(rows, "L1 gap to the Gaussian tensor power", rep))
+    return Outcome(checks, ("N", "l1_gap", "bound"), rows, "L1 distance")
 
 
 def _l1_gap_rules(cfg: ExperimentConfig) -> None:
@@ -366,74 +379,58 @@ def _zprime(cfg: ExperimentConfig) -> Outcome:
 def _berry_esseen(cfg: ExperimentConfig) -> Outcome:
     g = get_density(cfg.density, 1)
     sups = _map_grid_builds(lambda N: berry_esseen_sup(g, N, n_cells=cfg.be_cells), cfg.n_list)
-    rows = [(N, sup, 0.0) for N, sup in zip(cfg.n_list, sups)]
+    rows = list(zip(cfg.n_list, sups))
     checks = []
+    base = [v for n, v in rows if n == 2]
     if g.is_gaussian:
         # the Gaussian's N-fold power is Gaussian: the gap is lattice error
         # only, with no C/sqrt(N) decay to check or fit
-        rep = None
         worst = max(sups)
         checks.append((f"sup gap {worst:.2e} <= 1e-6 (Gaussian fixed point)", worst <= 1e-6))
-    else:
-        rep = fit_loglog(rows)
-        base = [v for n, v, _ in rows if n == 2]
-        if base:
-            c = base[0] * math.sqrt(2.0)
-            worst = max(v - c / math.sqrt(n) for n, v, _ in rows)
-            checks.append((f"sup gap under C/sqrt(N), C calibrated at N=2 (worst slack {worst:.2e})",
-                           worst <= 0.0))
-        checks.append((f"fitted slope {rep.slope:.3f} <= -0.45", rep.slope <= -0.45))
-    return Outcome(checks, ("N", "sup_gap", "stderr"), rows, "sup-norm density gap",
-                   rate_plot=(rows, "Local CLT sup-norm gap", rep))
+    elif base:
+        c = base[0] * math.sqrt(2.0)
+        worst = max(v - c / math.sqrt(n) for n, v in rows)
+        checks.append((f"sup gap under C/sqrt(N), C calibrated at N=2 (worst slack {worst:.2e})",
+                       worst <= 0.0))
+    return Outcome(checks, ("N", "sup_gap"), rows, "sup-norm density gap",
+                   fixed_point=g.is_gaussian)
 
 
 def _w1_rate(cfg: ExperimentConfig) -> Outcome:
     f = get_density(cfg.density, 1)
-    rep = w1_rate_experiment(f, cfg.n_list, grid_shape=cfg.grid_shape)
-    # the paper's bound W1 <= C/sqrt(N), C calibrated at the first N; a
-    # faster decay meets it too, so the slope window is open below
-    n0, v0, _ = rep.rows[0]
+    rows = w1_rate_experiment(f, cfg.n_list, grid_shape=cfg.grid_shape)
+    # the paper's bound W1 <= C/sqrt(N), C calibrated at the first N
+    n0, v0 = rows[0]
     c = v0 * math.sqrt(n0)
-    ratio = max(v * math.sqrt(n) for n, v, _ in rep.rows) / c
-    rep.check(None, -0.35)
-    rep.meta["bound"] = {"rule": "W1 <= C/sqrt(N)", "C": c, "calibrated_at_N": n0}
+    ratio = max(v * math.sqrt(n) for n, v in rows) / c
     checks = [
-        ("W1 values all positive", all(v > 0 for _, v, _ in rep.rows)),
-        ("W1 decreasing in N", all(a[1] > b[1] for a, b in zip(rep.rows, rep.rows[1:]))),
+        ("W1 values all positive", all(v > 0 for _, v in rows)),
+        ("W1 decreasing in N", all(a[1] > b[1] for a, b in zip(rows, rows[1:]))),
         (f"W1 under C/sqrt(N), C calibrated at N={n0} (max sqrt(N) W1 / C = {ratio:.4f})",
          ratio <= 1.0),
-        (f"slope {rep.slope:.3f} <= -0.35", bool(rep.passed)),
     ]
-    rows = [(n, "w1_marginal_vs_base", v, s_) for n, v, s_ in rep.rows]
-    return Outcome(checks, ("N", "metric_name", "value", "stderr"), rows, "transport distance",
-                   rate_plot=(rep.rows, "W1 distance of the one-particle marginal to f", rep))
+    return Outcome(checks, ("N", "w1"), rows, "transport distance",
+                   {"bound": {"rule": "W1 <= C/sqrt(N)", "C": c, "calibrated_at_N": n0}})
 
 
 def _entropy_rate(cfg: ExperimentConfig) -> Outcome:
     f = get_density(cfg.density, 1)
     limit = f.relative_entropy_vs_gamma()
     rows = [
-        (N, abs(h - limit), 0.0, h)
+        (N, abs(h - limit), h)
         for N, h in entropy_rate_experiment(f, cfg.n_list, grid_shape=cfg.grid_shape)
     ]
     if f.is_gaussian:
         # the Gaussian conditioned to the sphere is the uniform law, so its
         # entropy per particle is 0 at every N, which is its limit: there is
         # no decay to check or fit
-        rep = None
         worst = max(r[1] for r in rows)
         checks = [(f"entropy gap {worst:.2e} <= 1e-12 (Gaussian fixed point)", worst <= 1e-12)]
     else:
-        rep = fit_loglog([(n, gap, s) for n, gap, s, _ in rows])
         final_gap = rows[-1][1]
-        checks = [
-            (f"|H/N - limit| at N={rows[-1][0]} is {final_gap:.4f} <= 0.02", final_gap <= 0.02),
-            (f"entropy gap slope {rep.slope:.3f} <= -0.35", rep.slope <= -0.35),
-        ]
-    csv_rows = [(n, "entropy_gap_per_particle", gap, s_) for n, gap, s_, _ in rows]
-    csv_rows += [(n, "entropy_per_particle", h, s_) for n, _, s_, h in rows]
-    return Outcome(checks, ("N", "metric_name", "value", "stderr"), csv_rows, "nats per particle",
-                   {"limit": limit}, rate_plot=(rows, "Entropy-per-particle gap to H(f|gamma)", rep))
+        checks = [(f"|H/N - limit| at N={rows[-1][0]} is {final_gap:.4f} <= 0.02", final_gap <= 0.02)]
+    return Outcome(checks, ("N", "entropy_gap_per_particle", "entropy_per_particle"), rows,
+                   "nats per particle", {"limit": limit}, fixed_point=f.is_gaussian)
 
 
 def _dsmc(cfg: ExperimentConfig) -> Outcome:
@@ -613,17 +610,23 @@ EXPERIMENTS = {
     "geometry-selftest": Experiment(_geometry_selftest),
     "uniform-marginal": Experiment(_uniform_marginal, {"n_list": (4, 10, 50)}, d1_only=True,
                                    n_min=lambda d: (3, " (at N = 2 the sphere is two points)")),
-    "l1-gap": Experiment(_l1_gap, {"n_list": (10, 20, 50, 100)}, rate=True, rules=_l1_gap_rules,
+    "l1-gap": Experiment(_l1_gap, {"n_list": (10, 20, 50, 100)}, rules=_l1_gap_rules,
+                         rate=Rate("L1 gap to the Gaussian tensor power", "decay slope", -0.8),
                          n_min=lambda d: (3 + math.ceil(3 / d),
                                           f" at d = {d} (the chaos regime d <= d(N - 2) - 3)")),
     "zprime": Experiment(_zprime, {"density": "gaussian", "n_list": (8, 16, 32, 64, 128)},
                          d1_only=True, n_min=lambda d: (2, " (Z'_1 is a point mass)")),
     "berry-esseen": Experiment(_berry_esseen, {"n_list": (2, 4, 8, 16, 32, 64, 128, 256)},
-                               d1_only=True, rate=True),
+                               d1_only=True, rate=Rate("Local CLT sup-norm gap", "fitted slope", -0.45)),
+    # a faster decay than the paper's C/sqrt(N) meets its bound too, so every
+    # slope window is open below
     "w1-rate": Experiment(_w1_rate, {"n_list": (8, 16, 32, 64, 128, 256, 512)}, d1_only=True,
-                          rate=True, n_min=lambda d: _CONDITIONED_N),
+                          rate=Rate("W1 distance of the one-particle marginal to f", "slope", -0.35),
+                          n_min=lambda d: _CONDITIONED_N),
     "entropy-rate": Experiment(_entropy_rate, {"n_list": (16, 32, 64, 128, 256)}, d1_only=True,
-                               rate=True, n_min=lambda d: _CONDITIONED_N),
+                               rate=Rate("Entropy-per-particle gap to H(f|gamma)", "entropy gap slope",
+                                         -0.35),
+                               n_min=lambda d: _CONDITIONED_N),
     "dsmc": Experiment(_dsmc, {"density": "mixture", "d": 3, "n_list": (256,)}, rules=_dsmc_rules,
                        n_min=lambda d: (3, " (the d >= 2 conditioned chain of its start)")),
     "ipp-check": Experiment(_ipp_check),

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,12 +24,11 @@ __all__ = [
 
 @dataclass
 class RateReport:
-    """Measured (N, value, stderr) rows with a fitted log-log slope.
+    """Measured (N, value) rows with a fitted log-log slope.
 
-    The fit is weighted least squares on log N vs log value over rows with
-    positive value; weights are (value/stderr)^2 by the delta method, or
-    uniform when no standard errors are available.  The 95% interval uses
-    the normal quantile on the WLS slope variance.
+    The fit is least squares on log N vs log value over the rows with a
+    positive value.  The 95% interval uses the normal quantile on the
+    slope's standard error.
     """
 
     rows: list
@@ -38,7 +37,6 @@ class RateReport:
     ci95: tuple
     tolerance: Optional[tuple] = None  # (lo, hi) allowed slope window
     passed: Optional[bool] = None
-    meta: dict = field(default_factory=dict)
 
     def check(self, lo: Optional[float], hi: float) -> "RateReport":
         """Record the allowed slope window; lo=None leaves it open below."""
@@ -48,41 +46,31 @@ class RateReport:
 
     def to_dict(self) -> dict:
         return {
-            "rows": [
-                {"N": int(n), "value": v, "stderr": s} for (n, v, s) in self.rows
-            ],
+            "rows": [{"N": n, "value": v} for (n, v) in self.rows],
             "slope": self.slope,
             "intercept": self.intercept,
             "ci95": list(self.ci95),
             "tolerance": list(self.tolerance) if self.tolerance else None,
             "passed": self.passed,
-            "meta": self.meta,
         }
 
 
 def fit_loglog(rows: Sequence[tuple]) -> RateReport:
-    """Fit log(value) = slope * log(N) + intercept over rows (N, value, stderr)."""
-    rows = [(int(n), float(v), float(s)) for (n, v, s) in rows]
-    usable = [(n, v, s) for (n, v, s) in rows if v > 0.0 and math.isfinite(v)]
+    """Fit log(value) = slope * log(N) + intercept over rows (N, value)."""
+    rows = [(int(n), float(v)) for (n, v) in rows]
+    usable = [(n, v) for (n, v) in rows if v > 0.0 and math.isfinite(v)]
     if len(usable) < 2:
         raise ParameterError("need at least two positive values to fit a slope")
-    x = np.log([n for n, _, _ in usable])
-    y = np.log([v for _, v, _ in usable])
-    se = np.array([s / v if s > 0.0 else 0.0 for _, v, s in usable])
-    w = 1.0 / np.where(se > 0.0, se, np.nan) ** 2
-    if np.all(np.isnan(w)):
-        w = np.ones_like(x)
-    else:
-        w = np.where(np.isnan(w), np.nanmax(w), w)
-    W = np.sum(w)
-    xbar = np.sum(w * x) / W
-    ybar = np.sum(w * y) / W
-    sxx = np.sum(w * (x - xbar) ** 2)
-    slope = float(np.sum(w * (x - xbar) * (y - ybar)) / sxx)
+    x = np.log([n for n, _ in usable])
+    y = np.log([v for _, v in usable])
+    xbar = np.sum(x) / len(usable)
+    ybar = np.sum(y) / len(usable)
+    sxx = np.sum((x - xbar) ** 2)
+    slope = float(np.sum((x - xbar) * (y - ybar)) / sxx)
     intercept = float(ybar - slope * xbar)
     resid = y - slope * x - intercept
     dof = max(len(usable) - 2, 1)
-    s2 = float(np.sum(w * resid**2) / dof)
+    s2 = float(np.sum(resid**2) / dof)
     slope_sd = math.sqrt(s2 / sxx)
     ci = (slope - 1.96 * slope_sd, slope + 1.96 * slope_sd)
     return RateReport(rows=rows, slope=slope, intercept=intercept, ci95=ci)

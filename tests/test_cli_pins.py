@@ -11,6 +11,15 @@ the command line loads, runs or reports an experiment, or to how a grid is
 built, must leave every one of these bytes as it is.  The chains and
 grids evaluate `math.exp`, `math.log` and FFTs, whose last bits can differ
 between C libraries, so another platform may need its own pins.
+
+The `.csv` and `.json` digests of `l1-gap` (both runs), `berry-esseen`,
+`w1-rate` and `entropy-rate`, and the four default-shape CSVs, were
+re-pinned when the rate CSVs lost their all-zero `stderr` columns (and
+`w1-rate` its `metric_name` column, `entropy-rate` its two rows per N) and
+every rate JSON gained its slope window; `zprime`'s, when its leading-order
+Z'_N took r^2 = dN itself.  Their stdout and `.svg` digests did not move,
+and `test_rate_fits_and_values_are_pinned` holds the fit bits and every
+value of the rate runs as they were before.
 """
 
 import contextlib
@@ -38,8 +47,8 @@ RUNS = [
         "stdout": "9c9b5160cfe40ad1bc16e12ae4413427c0cb733f1fb04803c035165f74803ee3",
     }),
     (["l1-gap"], 0, {
-        "l1-gap.csv": "ddeaca9b204f1fe2377d98cb964739b42374bee8b02b8b0ebc09b5679f811949",
-        "l1-gap.json": "7cba8c806bb9383dc46e6df8aea9b2bfd9e682c7f04663831ceecfceba0e1937",
+        "l1-gap.csv": "330218633fbf8f5da4e1b05fcc09b659b5a605999ca880a4b1e1abd0522c88f8",
+        "l1-gap.json": "79cf621ac715300d1a44e20e31f1f60a9525029e185ed26d7a1c941d251223ec",
         "l1-gap.svg": "703b6465e3e910bbaf048a5a4b6526db2998add164741e87410907a541c7f0b1",
         "stdout": "4e8123115bcbbed9028e71dd275a7714c08c5d1ca186d2739715ce49fa65c98e",
     }),
@@ -49,20 +58,20 @@ RUNS = [
         "stdout": "f406d289ca0d0b89c9733ed5c0ae1b804e61b59243066761c5a5905a6144cc77",
     }),
     (["berry-esseen", "--n-list", "2,4,8"], 0, {
-        "berry-esseen.csv": "33e99c77b23f81a93244dd293c67922c8060338e19c2b2f27c992a8611723a60",
-        "berry-esseen.json": "ebacbe374d8841aac2f2ffaa705620673cd08cedaba75d38c2910e1bb9f72be7",
+        "berry-esseen.csv": "3e410893285c0b80b557c63d59f081beaf37fbb2bc01ba2c3e566fcc6e1b00f3",
+        "berry-esseen.json": "257dd3e7c8cddffad872442b0d45cc272b10a2beb217b1e695fd50b433434de0",
         "berry-esseen.svg": "40150494aa3ae90db272a56857a2578a9a5dd0c98a2d7dfc29c3297329ef6ff1",
         "stdout": "422166d9dfde05a60e574b501094897e4af28b39471c14a9d4f441a9c82fd4b3",
     }),
     (["w1-rate", "--n-list", "8,16", "--grid-shape", "512x512"], 0, {
-        "w1-rate.csv": "d13ab237b45a08c7dfe25da662d9e6100e15493d9adaee4028998a92610ff296",
-        "w1-rate.json": "bd552e97f1faa6114ea06fac5d4c90b684cb5b273b3d19e740760a1d40cc982e",
+        "w1-rate.csv": "4796677d3820778a9ead93e0af5fc08a32fb01287529759755739771a8afbca8",
+        "w1-rate.json": "377a370f244641cb47dfd3506d9e0060aa4371954821d5cafe507f7d694e9fc4",
         "w1-rate.svg": "d0bffdfc1d09478100c0b75eb7b5a6978920036afb5c67810bf46b4684fc5969",
         "stdout": "d65d84941dd467b2599ebe705e724d44b393ce8a3b04d88c06da4aed943671ec",
     }),
     (["entropy-rate", "--n-list", "16,32", "--grid-shape", "512x512"], 0, {
-        "entropy-rate.csv": "ca3db9242c987a97dba4b268a03e405b8587b1ff6bf503d8082e5763375ffc5b",
-        "entropy-rate.json": "18d591b0dcc909f378019afcc1217fa4f8cfad9d49e6464f81f7ebeaccba20be",
+        "entropy-rate.csv": "65a56cc5e9fe74ffe9f8489f17bb7f6610f423c0eb65f8578f36bdce96ba5f18",
+        "entropy-rate.json": "0d07b1e41cf521c4f9417225a18893e3cb963c84c93431b018704917da87c499",
         "entropy-rate.svg": "f0a61eabe193a0054313161ab5cf19f8f44787a2a550482c5a216bf785827dc7",
         "stdout": "c4a09b1be244344e2b7b977875ce5efe5b738e8b6547b03d133b6a7dbce89581",
     }),
@@ -104,8 +113,8 @@ def test_subcommand_outputs_are_pinned(tmp_path, argv, code, want):
 
 def test_l1_gap_at_d3_is_pinned(tmp_path):
     assert _run(tmp_path, ["l1-gap", "--d", "3"], 0) == {
-        "l1-gap.csv": "e2561eda7e7e992011a5a5b7b074510da3ee85b8cd265e4289e22532f1ac31fc",
-        "l1-gap.json": "da602297442a45a276fe4f0993db66dae7455fd1a9e2213ed260dbf871863426",
+        "l1-gap.csv": "e2f3853b1ac0416171d0e2f97f228994471c45a37a85ae387905a495064f1b8c",
+        "l1-gap.json": "51f1fe6966d1a46486a9a707803912f584c87154c24778c0711e4f626efd0052",
         "l1-gap.svg": "3ca5063f61266d1c8a9452eebb72a3e845af9d8f943f891606147d187fa938e1",
         "stdout": "bc3b4db3f4350720f6e015aa0f7c0bb1c6eaec947e57120b837940b9b4087774",
     }
@@ -124,10 +133,10 @@ def test_l1_gap_values_do_not_depend_on_the_seed(tmp_path):
 
 # the spectral subcommands of the benchmark's full pass (perfbench/workloads.py)
 DEFAULT_SPECTRAL = [
-    (["w1-rate"], "f6afeb5829223f43b1d81796d2b7ac735bdad3b6bc30d6e177c61db2049bf885"),
-    (["entropy-rate"], "4040090cb88b4c321eab112ad6fb8b6ce5f5e949fa6305fb4ae82e1220785be2"),
+    (["w1-rate"], "b328399c664c45bb64f57d9e64992cf7fb573ac549ac0cb91504afc259d8fbf8"),
+    (["entropy-rate"], "ab1e6d6b83d9cbcfa5ceb4f6bd08ae8abf02439f9444dfacf9bf90a112f7a809"),
     (["zprime", "--density", "uniform"], "50f5a92989ae1bf2ac06b4420ba2e7aa996ba560e5ada15bb60e2a826e7649c3"),
-    (["berry-esseen"], "7c73cd8b4e9d16459bd89f7881144c6c5bc558a4e83b815da0ca3c7317e82e9b"),
+    (["berry-esseen"], "d403db5dd37677583ffa4e4f5180e0b56d377cc1a56042ebe45b5333bec7d5bc"),
 ]
 
 
@@ -229,3 +238,16 @@ def test_rate_fits_and_values_are_pinned(tmp_path, argv, fit, values):
     report = json.loads((tmp_path / f"{argv[0]}.json").read_text())
     assert _fit_bits(report["fit"]) == fit
     assert _values_by_n((tmp_path / f"{argv[0]}.csv").read_text()) == values
+
+
+@pytest.mark.parametrize("name", [name for name, row in cli.EXPERIMENTS.items() if row.rate is not None])
+def test_rate_json_fits_the_csv_first_two_columns(tmp_path, name):
+    argv = next(argv for argv, _, _ in RUNS if argv[0] == name)
+    _run(tmp_path, argv, 0)
+    header, *lines = (tmp_path / f"{name}.csv").read_text().splitlines()[1:]
+    assert "stderr" not in header.split(",")
+    fit = json.loads((tmp_path / f"{name}.json").read_text())["fit"]
+    assert [(r["N"], r["value"]) for r in fit["rows"]] == [
+        (int(n), float(v)) for n, v, *_ in (line.split(",") for line in lines)
+    ]
+    assert fit["tolerance"] == [None, cli.EXPERIMENTS[name].rate.hi] and fit["passed"] is True

@@ -262,38 +262,33 @@ class TestMarginalDensity:
 
 class TestRates:
     def test_w1_positive_and_decreasing(self):
-        rep = w1_rate_experiment(UNIF, [8, 16, 32])
-        vals = [v for _, v, _ in rep.rows]
+        vals = [v for _, v in w1_rate_experiment(UNIF, [8, 16, 32])]
         assert all(v > 0 for v in vals)
         assert vals[0] > vals[1] > vals[2]
 
     def test_w1_gaussian_base_decreasing(self):
         # for the Gaussian base the marginal is the uniform-law marginal and
         # the distance to the Gaussian itself shrinks like 1/N
-        rep = w1_rate_experiment(GAUSS, [8, 16, 32, 64])
-        vals = [v for _, v, _ in rep.rows]
+        rows = w1_rate_experiment(GAUSS, [8, 16, 32, 64])
+        vals = [v for _, v in rows]
         assert all(a > b for a, b in zip(vals, vals[1:]))
-        assert rep.slope <= -0.8
+        assert bs.fit_loglog(rows).slope <= -0.8
 
     def test_w1_observed_rate_is_one_over_n(self):
         # the partition-value ratio evaluates the local CLT at a displacement
         # of order 1/sqrt(N), where the order-1/sqrt(N) odd Edgeworth term
         # contributes only 1/N, so the actual decay is O(1/N) and the
         # classical C/sqrt(N) upper bound is not saturated
-        rep = w1_rate_experiment(UNIF, [16, 32, 64, 128])
+        rep = bs.fit_loglog(w1_rate_experiment(UNIF, [16, 32, 64, 128]))
         assert -1.2 <= rep.slope <= -0.8
-
-    def test_needs_two_points(self):
-        with pytest.raises(bs.ParameterError):
-            w1_rate_experiment(UNIF, [8])
 
     def test_w1_cdf_is_scipy_cumulative_trapezoid(self):
         # the marginal's CDF is scipy's cumulative trapezoid written in numpy;
         # scipy stays the reference, and the W1 values agree bit for bit
         Ns = [8, 16, 32]
-        rep = w1_rate_experiment(UNIF, Ns)
+        rows = w1_rate_experiment(UNIF, Ns)
         curves = conditioned._marginal_curves([law(UNIF, 1, N) for N in Ns], 4001)
-        for (N, val, _), (grid, dens, _) in zip(rep.rows, curves):
+        for (N, val), (grid, dens, _) in zip(rows, curves):
             cdf = integrate.cumulative_trapezoid(dens, grid, initial=0.0)
             assert val == float(np.trapezoid(np.abs(cdf - UNIF.cdf(grid)), grid))
 

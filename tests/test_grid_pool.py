@@ -79,7 +79,7 @@ def _law(N):
 def _results(monkeypatch, workers, out):
     monkeypatch.setattr(lifted, "_GRID_WORKERS", workers)
     _empty_memos(monkeypatch)
-    w1_rows = np.array(w1_rate_experiment(UNIF, [8, 16, 32], grid_shape=SHAPE).rows)
+    w1_rows = np.array(w1_rate_experiment(UNIF, [8, 16, 32], grid_shape=SHAPE))
     _empty_memos(monkeypatch)
     entropy = np.array([entropy_per_particle(_law(N)) for N in (16, 32)])
     _empty_memos(monkeypatch)

@@ -140,7 +140,7 @@ class TestZPrime:
         rows = []
         for N in (16, 32, 64):
             gap = abs(_z_prime(UNIF, N) - z_prime_asymptotic(UNIF, N))
-            rows.append((N, gap, 0.0))
+            rows.append((N, gap))
         rep = bs.fit_loglog(rows)
         assert rep.slope <= -0.35
 
@@ -159,7 +159,7 @@ class TestBerryEsseen:
         c = vals[2] * math.sqrt(2.0)
         for N, v in vals.items():
             assert v <= c / math.sqrt(N) * 1.5
-        rep = bs.fit_loglog([(N, v, 0.0) for N, v in vals.items()])
+        rep = bs.fit_loglog(vals.items())
         assert rep.slope <= -0.45
 
     def test_rejects_unstandardized(self):

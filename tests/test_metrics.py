@@ -166,7 +166,7 @@ class TestEntropyEstimator:
             for seed in range(5):
                 s = em(g.sample(np.random.default_rng(seed), n))
                 errs.append(abs(relative_entropy_vs_gaussian(s).value - target))
-            rows.append((n, float(np.mean(errs)), 0.0))
+            rows.append((n, float(np.mean(errs))))
         rep = bs.fit_loglog(rows)
         assert rep.slope <= -0.3
 

@@ -10,34 +10,29 @@ from boltzsphere.reporting import config_hash, fit_loglog, svg_line_plot, write_
 
 class TestFit:
     def test_exact_power_law(self):
-        rows = [(n, 3.0 / n**0.5, 0.0) for n in (8, 16, 32, 64)]
+        rows = [(n, 3.0 / n**0.5) for n in (8, 16, 32, 64)]
         rep = fit_loglog(rows)
         assert rep.slope == pytest.approx(-0.5, abs=1e-12)
         assert math.exp(rep.intercept) == pytest.approx(3.0, rel=1e-12)
         assert rep.ci95[0] <= rep.slope <= rep.ci95[1]
 
-    def test_weighted_fit_downweights_noisy_rows(self):
-        rows = [(8, 1.0, 0.001), (16, 0.5, 0.001), (32, 0.25, 0.001), (64, 10.0, 100.0)]
-        rep = fit_loglog(rows)
-        assert rep.slope == pytest.approx(-1.0, abs=0.02)
-
     def test_nonpositive_rows_dropped(self):
-        rep = fit_loglog([(8, 1.0, 0.0), (16, 0.5, 0.0), (32, 0.0, 0.0)])
+        rep = fit_loglog([(8, 1.0), (16, 0.5), (32, 0.0)])
         assert len(rep.rows) == 3
         assert rep.slope == pytest.approx(-1.0, abs=1e-12)
 
     def test_too_few_points(self):
         with pytest.raises(bs.ParameterError):
-            fit_loglog([(8, 1.0, 0.0)])
+            fit_loglog([(8, 1.0)])
 
     def test_check_sets_tolerance(self):
-        rep = fit_loglog([(8, 1.0, 0.0), (64, 0.125, 0.0)]).check(-1.1, -0.9)
+        rep = fit_loglog([(8, 1.0), (64, 0.125)]).check(-1.1, -0.9)
         assert rep.passed
         assert rep.to_dict()["tolerance"] == [-1.1, -0.9]
         assert not rep.check(-0.9, -0.5).passed
 
     def test_check_open_below(self):
-        rep = fit_loglog([(8, 1.0, 0.0), (64, 0.125, 0.0)])
+        rep = fit_loglog([(8, 1.0), (64, 0.125)])
         assert rep.check(None, -0.35).passed
         assert rep.to_dict()["tolerance"] == [None, -0.35]
         assert not rep.check(None, -1.1).passed

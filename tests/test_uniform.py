@@ -278,7 +278,7 @@ class TestChaosGap:
         for N in (10, 20, 50, 100):
             gap, bound = l1_chaos_gap(1, N)
             assert gap <= bound
-            rows.append((N, gap, 0.0))
+            rows.append((N, gap))
         assert all(a[1] > b[1] for a, b in zip(rows, rows[1:]))
         rep = bs.fit_loglog(rows)
         assert rep.slope <= -0.8
