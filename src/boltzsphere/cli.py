@@ -132,7 +132,8 @@ class Outcome:
 @dataclass(frozen=True)
 class Rate:
     """A value that decays in N: rows (N, value, ...) whose log-log slope must
-    be at most `hi`.  The check prints as "{label} {slope:.3f} <= {hi}"."""
+    be at most `hi`; a faster decay meets a bound too, so the window is open
+    below.  The check prints as "{label} {slope:.3f} <= {hi}"."""
 
     title: str  # of the plot
     label: str
@@ -618,8 +619,6 @@ EXPERIMENTS = {
                          d1_only=True, n_min=lambda d: (2, " (Z'_1 is a point mass)")),
     "berry-esseen": Experiment(_berry_esseen, {"n_list": (2, 4, 8, 16, 32, 64, 128, 256)},
                                d1_only=True, rate=Rate("Local CLT sup-norm gap", "fitted slope", -0.45)),
-    # a faster decay than the paper's C/sqrt(N) meets its bound too, so every
-    # slope window is open below
     "w1-rate": Experiment(_w1_rate, {"n_list": (8, 16, 32, 64, 128, 256, 512)}, d1_only=True,
                           rate=Rate("W1 distance of the one-particle marginal to f", "slope", -0.35),
                           n_min=lambda d: _CONDITIONED_N),
