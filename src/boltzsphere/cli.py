@@ -5,7 +5,7 @@ CSV (one comment header naming units and the config hash) plus a JSON report
 into the output directory, and exits 0 only when all tolerances are met.
 Each experiment is one row of `EXPERIMENTS`: the function that computes its
 checks and rows, its default overrides, its rules on d and N and, for a
-rate in N, the plot title and slope bound of its fit.  `run_experiment`
+rate in N, the `Rate` that declares its fit and bounds.  `run_experiment`
 drives one row, and `report` drives every row.
 
 Exit codes:
@@ -125,8 +125,6 @@ class Outcome:
     rows: list
     units: str
     extras: dict = field(default_factory=dict)  # JSON keys beside "passed"
-    # a rate whose value does not decay in N: plotted, but not fitted
-    fixed_point: bool = False
 
 
 @dataclass(frozen=True)
@@ -138,6 +136,11 @@ class Rate:
     title: str  # of the plot
     label: str
     hi: float
+    name: str = ""  # of the value, in the two checks below
+    calibrated: bool = False  # value <= C/sqrt(N), C calibrated at the first N
+    # a Gaussian base is a fixed point: its values are checked against this
+    # alone, in place of every other check, and not fitted
+    gaussian_tol: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -242,21 +245,37 @@ def _load_config(args, experiment: str) -> ExperimentConfig:
     return cfg
 
 
+def _check_rate(rate: Rate, cfg: ExperimentConfig, res: Outcome):
+    """Append the rate's checks to `res`, the slope check last, and return
+    its fit; for a Gaussian fixed point, replace them and return None."""
+    if rate.gaussian_tol is not None and get_density(cfg.density).is_gaussian:
+        worst = max(r[1] for r in res.rows)
+        res.checks = [(f"{rate.name} {worst:.2e} <= {rate.gaussian_tol} (Gaussian fixed point)",
+                       worst <= rate.gaussian_tol)]
+        return None
+    if rate.calibrated:
+        n0, v0 = res.rows[0][:2]
+        c = v0 * math.sqrt(n0)
+        ratio = max(r[1] * math.sqrt(r[0]) for r in res.rows) / c
+        res.checks.append((f"{rate.name} under C/sqrt(N), C calibrated at N={n0} "
+                           f"(max sqrt(N) {rate.name} / C = {ratio:.4f})", ratio <= 1.0))
+        res.extras["bound"] = {"rule": f"{rate.name} <= C/sqrt(N)", "C": c, "calibrated_at_N": n0}
+    fit = fit_loglog([r[:2] for r in res.rows]).check(rate.hi)
+    res.checks.append((f"{rate.label} {fit.slope:.3f} <= {rate.hi}", fit.passed))
+    return fit
+
+
 def run_experiment(name: str, args) -> int:
     """Load, check and run one experiment, print its checks and write its CSV,
     JSON and (for a rate in N) SVG; the one place every JSON report gains its
-    keys and every rate is fitted, its slope check last.  A config or runtime
-    error prints one line and returns 3 or 5."""
+    keys and every rate is checked and fitted.  A config or runtime error
+    prints one line and returns 3 or 5."""
     try:
         cfg = _load_config(args, name)
         os.makedirs(cfg.out, exist_ok=True)
-        row = EXPERIMENTS[name]
-        rate = row.rate
-        res = row.run(cfg)
-        fit = None
-        if rate is not None and not res.fixed_point:
-            fit = fit_loglog([r[:2] for r in res.rows]).check(None, rate.hi)
-            res.checks.append((f"{rate.label} {fit.slope:.3f} <= {rate.hi}", fit.passed))
+        rate = EXPERIMENTS[name].rate
+        res = EXPERIMENTS[name].run(cfg)
+        fit = None if rate is None else _check_rate(rate, cfg, res)
         for label, ok in res.checks:
             print(f"{'PASS' if ok else 'FAIL'}  {label}")
         code = EXIT_OK if all(ok for _, ok in res.checks) else EXIT_TOLERANCE
@@ -380,38 +399,17 @@ def _zprime(cfg: ExperimentConfig) -> Outcome:
 def _berry_esseen(cfg: ExperimentConfig) -> Outcome:
     g = get_density(cfg.density, 1)
     sups = _map_grid_builds(lambda N: berry_esseen_sup(g, N, n_cells=cfg.be_cells), cfg.n_list)
-    rows = list(zip(cfg.n_list, sups))
-    checks = []
-    base = [v for n, v in rows if n == 2]
-    if g.is_gaussian:
-        # the Gaussian's N-fold power is Gaussian: the gap is lattice error
-        # only, with no C/sqrt(N) decay to check or fit
-        worst = max(sups)
-        checks.append((f"sup gap {worst:.2e} <= 1e-6 (Gaussian fixed point)", worst <= 1e-6))
-    elif base:
-        c = base[0] * math.sqrt(2.0)
-        worst = max(v - c / math.sqrt(n) for n, v in rows)
-        checks.append((f"sup gap under C/sqrt(N), C calibrated at N=2 (worst slack {worst:.2e})",
-                       worst <= 0.0))
-    return Outcome(checks, ("N", "sup_gap"), rows, "sup-norm density gap",
-                   fixed_point=g.is_gaussian)
+    return Outcome([], ("N", "sup_gap"), list(zip(cfg.n_list, sups)), "sup-norm density gap")
 
 
 def _w1_rate(cfg: ExperimentConfig) -> Outcome:
     f = get_density(cfg.density, 1)
     rows = w1_rate_experiment(f, cfg.n_list, grid_shape=cfg.grid_shape)
-    # the paper's bound W1 <= C/sqrt(N), C calibrated at the first N
-    n0, v0 = rows[0]
-    c = v0 * math.sqrt(n0)
-    ratio = max(v * math.sqrt(n) for n, v in rows) / c
     checks = [
         ("W1 values all positive", all(v > 0 for _, v in rows)),
         ("W1 decreasing in N", all(a[1] > b[1] for a, b in zip(rows, rows[1:]))),
-        (f"W1 under C/sqrt(N), C calibrated at N={n0} (max sqrt(N) W1 / C = {ratio:.4f})",
-         ratio <= 1.0),
     ]
-    return Outcome(checks, ("N", "w1"), rows, "transport distance",
-                   {"bound": {"rule": "W1 <= C/sqrt(N)", "C": c, "calibrated_at_N": n0}})
+    return Outcome(checks, ("N", "w1"), rows, "transport distance")
 
 
 def _entropy_rate(cfg: ExperimentConfig) -> Outcome:
@@ -421,17 +419,10 @@ def _entropy_rate(cfg: ExperimentConfig) -> Outcome:
         (N, abs(h - limit), h)
         for N, h in entropy_rate_experiment(f, cfg.n_list, grid_shape=cfg.grid_shape)
     ]
-    if f.is_gaussian:
-        # the Gaussian conditioned to the sphere is the uniform law, so its
-        # entropy per particle is 0 at every N, which is its limit: there is
-        # no decay to check or fit
-        worst = max(r[1] for r in rows)
-        checks = [(f"entropy gap {worst:.2e} <= 1e-12 (Gaussian fixed point)", worst <= 1e-12)]
-    else:
-        final_gap = rows[-1][1]
-        checks = [(f"|H/N - limit| at N={rows[-1][0]} is {final_gap:.4f} <= 0.02", final_gap <= 0.02)]
+    final_gap = rows[-1][1]
+    checks = [(f"|H/N - limit| at N={rows[-1][0]} is {final_gap:.4f} <= 0.02", final_gap <= 0.02)]
     return Outcome(checks, ("N", "entropy_gap_per_particle", "entropy_per_particle"), rows,
-                   "nats per particle", {"limit": limit}, fixed_point=f.is_gaussian)
+                   "nats per particle", {"limit": limit})
 
 
 def _dsmc(cfg: ExperimentConfig) -> Outcome:
@@ -605,7 +596,9 @@ def _metrics_selftest(cfg: ExperimentConfig) -> Outcome:
 
 
 # The subcommands, in the order `report` runs them.  The grid pipeline, the
-# Berry-Esseen lattice and the uniform marginal are built for d = 1.
+# Berry-Esseen lattice and the uniform marginal are built for d = 1.  A
+# Gaussian base is a fixed point of `berry-esseen` (its N-fold power is
+# Gaussian) and of `entropy-rate` (conditioned, it is the uniform law).
 _CONDITIONED_N = (4, " (the d = 1 conditioned law)")
 EXPERIMENTS = {
     "geometry-selftest": Experiment(_geometry_selftest),
@@ -618,13 +611,15 @@ EXPERIMENTS = {
     "zprime": Experiment(_zprime, {"density": "gaussian", "n_list": (8, 16, 32, 64, 128)},
                          d1_only=True, n_min=lambda d: (2, " (Z'_1 is a point mass)")),
     "berry-esseen": Experiment(_berry_esseen, {"n_list": (2, 4, 8, 16, 32, 64, 128, 256)},
-                               d1_only=True, rate=Rate("Local CLT sup-norm gap", "fitted slope", -0.45)),
+                               d1_only=True, rate=Rate("Local CLT sup-norm gap", "fitted slope", -0.45,
+                                                       "sup gap", calibrated=True, gaussian_tol=1e-6)),
     "w1-rate": Experiment(_w1_rate, {"n_list": (8, 16, 32, 64, 128, 256, 512)}, d1_only=True,
-                          rate=Rate("W1 distance of the one-particle marginal to f", "slope", -0.35),
+                          rate=Rate("W1 distance of the one-particle marginal to f", "slope", -0.35,
+                                    "W1", calibrated=True),
                           n_min=lambda d: _CONDITIONED_N),
     "entropy-rate": Experiment(_entropy_rate, {"n_list": (16, 32, 64, 128, 256)}, d1_only=True,
                                rate=Rate("Entropy-per-particle gap to H(f|gamma)", "entropy gap slope",
-                                         -0.35),
+                                         -0.35, "entropy gap", gaussian_tol=1e-12),
                                n_min=lambda d: _CONDITIONED_N),
     "dsmc": Experiment(_dsmc, {"density": "mixture", "d": 3, "n_list": (256,)}, rules=_dsmc_rules,
                        n_min=lambda d: (3, " (the d >= 2 conditioned chain of its start)")),

@@ -300,6 +300,8 @@ def w1_rate_experiment(
     """[(N, W1)] between the one-particle marginal and f across N, by the
     one-dimensional Kantorovich identity (no Monte Carlo), with the curves
     of all N computed together (two at a time) before the quadratures.
+    Past a curve that ends inside f's tail radius R, the marginal's CDF is
+    0 or 1, and f's two tails add 2 int_{vmax}^R F_f(-x) dx, f symmetric.
     """
     if f.d != 1:
         raise ParameterError("exact densities need d = 1")
@@ -309,8 +311,11 @@ def w1_rate_experiment(
     for N, (grid, dens, _) in zip(Ns, _marginal_curves(laws, n_points)):
         # cumulative trapezoid, in scipy.integrate.cumulative_trapezoid's own order
         cdf_marginal = np.concatenate(([0.0], np.cumsum(np.diff(grid) * (dens[1:] + dens[:-1]) / 2.0)))
-        cdf_f = f.cdf(grid)
-        rows.append((N, float(np.trapezoid(np.abs(cdf_marginal - cdf_f), grid))))
+        w = float(np.trapezoid(np.abs(cdf_marginal - f.cdf(grid)), grid))
+        if grid[-1] < f.tail_radius():
+            tail = np.linspace(grid[-1], f.tail_radius(), n_points)
+            w += 2.0 * float(np.trapezoid(f.cdf(-tail), tail))
+        rows.append((N, w))
     return rows
 
 

@@ -35,13 +35,13 @@ class RateReport:
     slope: float
     intercept: float
     ci95: tuple
-    tolerance: Optional[tuple] = None  # (lo, hi) allowed slope window
+    tolerance: Optional[tuple] = None  # (None, hi): the slope window, open below
     passed: Optional[bool] = None
 
-    def check(self, lo: Optional[float], hi: float) -> "RateReport":
-        """Record the allowed slope window; lo=None leaves it open below."""
-        self.tolerance = (lo, hi)
-        self.passed = bool((lo is None or lo <= self.slope) and self.slope <= hi)
+    def check(self, hi: float) -> "RateReport":
+        """Record the slope bound hi; a faster decay meets it too."""
+        self.tolerance = (None, hi)
+        self.passed = bool(self.slope <= hi)
         return self
 
     def to_dict(self) -> dict:

@@ -415,6 +415,17 @@ class TestSmallExperiments:
         code = run_cli(["berry-esseen", "--config", str(cfgfile), "--out", str(tmp_path)])
         assert code == 0
 
+    def test_berry_esseen_calibrates_its_bound_at_the_first_n(self, tmp_path, capsys):
+        # the bound is checked whether or not N = 2 is in the list
+        assert run_cli(["berry-esseen", "--n-list", "4,8,16", "--out", str(tmp_path)]) == 0
+        assert "C calibrated at N=4" in capsys.readouterr().out
+        bound = json.loads(read(tmp_path / "berry-esseen.json"))["bound"]
+        assert bound["rule"] == "sup gap <= C/sqrt(N)" and bound["calibrated_at_N"] == 4
+
+    def test_berry_esseen_from_n1_calibrates_at_the_base_density(self, tmp_path):
+        # N = 1, the base density itself, sets C rather than being held to C/1
+        assert run_cli(["berry-esseen", "--n-list", "1,2,4", "--out", str(tmp_path)]) == 0
+
     def test_berry_esseen_reuses_the_zprime_gaps(self, monkeypatch, tmp_path):
         # zprime --density uniform takes the gaps at N = 8 ... 128, five of
         # berry-esseen's eight; the grid shape does not enter a gap

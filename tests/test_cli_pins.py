@@ -19,7 +19,10 @@ re-pinned when the rate CSVs lost their all-zero `stderr` columns (and
 every rate JSON gained its slope window; `zprime`'s, when its leading-order
 Z'_N took r^2 = dN itself.  Their stdout and `.svg` digests did not move,
 and `test_rate_fits_and_values_are_pinned` holds the fit bits and every
-value of the rate runs as they were before.
+value of the rate runs as they were before.  `berry-esseen`'s stdout and
+`.json` were re-pinned when its C/sqrt(N) bound took `w1-rate`'s form,
+calibrated at the first N and checked as max sqrt(N) value / C <= 1, and
+its JSON gained that bound's `bound` key.
 """
 
 import contextlib
@@ -59,9 +62,9 @@ RUNS = [
     }),
     (["berry-esseen", "--n-list", "2,4,8"], 0, {
         "berry-esseen.csv": "3e410893285c0b80b557c63d59f081beaf37fbb2bc01ba2c3e566fcc6e1b00f3",
-        "berry-esseen.json": "257dd3e7c8cddffad872442b0d45cc272b10a2beb217b1e695fd50b433434de0",
+        "berry-esseen.json": "8490028bc1f659336d3945c6c8792e60f0cc7762f2f70e0a60df03872bf10ef7",
         "berry-esseen.svg": "40150494aa3ae90db272a56857a2578a9a5dd0c98a2d7dfc29c3297329ef6ff1",
-        "stdout": "422166d9dfde05a60e574b501094897e4af28b39471c14a9d4f441a9c82fd4b3",
+        "stdout": "9683a8df3a9cde7687bc7623e416c91b0f3d97965329f1eb30b600c019e8f93e",
     }),
     (["w1-rate", "--n-list", "8,16", "--grid-shape", "512x512"], 0, {
         "w1-rate.csv": "4796677d3820778a9ead93e0af5fc08a32fb01287529759755739771a8afbca8",

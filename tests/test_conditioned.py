@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.special import ndtr
 
 import boltzsphere as bs
-from boltzsphere import conditioned, lifted
+from boltzsphere import cli, conditioned, lifted
 from boltzsphere._kernels import _BLOCK
 from boltzsphere.conditioned import (
     ConditionedLaw,
@@ -17,7 +18,7 @@ from boltzsphere.conditioned import (
     sample_conditioned_batch,
     w1_rate_experiment,
 )
-from boltzsphere.uniform import UniformMarginal, marginal_density
+from boltzsphere.uniform import UniformMarginal, coordinate_marginal, marginal_density
 
 GAUSS = bs.get_density("gaussian", 1)
 UNIF = bs.get_density("uniform", 1)
@@ -269,10 +270,20 @@ class TestRates:
     def test_w1_gaussian_base_decreasing(self):
         # for the Gaussian base the marginal is the uniform-law marginal and
         # the distance to the Gaussian itself shrinks like 1/N
-        rows = w1_rate_experiment(GAUSS, [8, 16, 32, 64])
+        rows = w1_rate_experiment(GAUSS, cli.EXPERIMENTS["w1-rate"].defaults["n_list"])
         vals = [v for _, v in rows]
         assert all(a > b for a, b in zip(vals, vals[1:]))
-        assert bs.fit_loglog(rows).slope <= -0.8
+        assert [n for n, _ in rows[:4]] == [8, 16, 32, 64]
+        assert bs.fit_loglog(rows[:4]).slope <= -0.8
+        # against the closed-form coordinate marginal, whose support ends at
+        # sqrt(N - 1): past it W1 is the Gaussian's tail mass, which the
+        # 4001-point curve does not reach for N < 82
+        for N, val in rows:
+            cm = coordinate_marginal(bs.SphereSpec.boltzmann(1, N))
+            inner, _ = integrate.quad(lambda x: abs(float(cm.cdf(x)) - float(ndtr(x))), 0.0, cm.radius,
+                                      limit=400, epsabs=1e-13, epsrel=1e-12)
+            tail, _ = integrate.quad(lambda x: float(ndtr(-x)), cm.radius, np.inf)
+            assert abs(val - 2.0 * (inner + tail)) <= 1e-6, N
 
     def test_w1_observed_rate_is_one_over_n(self):
         # the partition-value ratio evaluates the local CLT at a displacement

@@ -26,16 +26,16 @@ class TestFit:
             fit_loglog([(8, 1.0)])
 
     def test_check_sets_tolerance(self):
-        rep = fit_loglog([(8, 1.0), (64, 0.125)]).check(-1.1, -0.9)
+        rep = fit_loglog([(8, 1.0), (64, 0.125)]).check(-0.9)
         assert rep.passed
-        assert rep.to_dict()["tolerance"] == [-1.1, -0.9]
-        assert not rep.check(-0.9, -0.5).passed
+        assert rep.to_dict()["tolerance"] == [None, -0.9]
+        assert not rep.check(-1.1).passed
 
     def test_check_open_below(self):
         rep = fit_loglog([(8, 1.0), (64, 0.125)])
-        assert rep.check(None, -0.35).passed
+        assert rep.check(-0.35).passed
         assert rep.to_dict()["tolerance"] == [None, -0.35]
-        assert not rep.check(None, -1.1).passed
+        assert not rep.check(-1.1).passed
 
 
 class TestEmission:
