@@ -549,46 +549,62 @@ def _ipp_check(cfg: ExperimentConfig) -> Outcome:
                    "integration-by-parts residual")
 
 
-def _metrics_selftest(cfg: ExperimentConfig) -> Outcome:
-    gen = stream(cfg.seed, "metrics")
-    checks = []
+def _pairs_passing(pairs) -> int:
+    """How many (a, b) pairs meet the W1-W2 interpolation inequality at k = 4."""
+    return sum(interpolation_check(a, b, 4).passed for a, b in pairs)
 
-    # metric axioms on random triples
-    worst_tri = -np.inf
-    worst_sym = 0.0
-    idty_ok = True
+
+def _metrics_selftest(cfg: ExperimentConfig) -> Outcome:
+    # every random problem is drawn first, in the order the checks use them,
+    # so how the pairs are split moves no draw
+    gen = stream(cfg.seed, "metrics")
+    triples = []
     for _ in range(25):
         dim = int(gen.integers(1, 4))
-        a = EmpiricalMeasure(gen.normal(size=(40, dim)))
-        b = EmpiricalMeasure(gen.normal(0.3, 1.2, size=(40, dim)))
-        c = EmpiricalMeasure(gen.normal(-0.4, 0.8, size=(40, dim)))
-        for dist in (w1, w2):
-            d_ab = dist(a, b)
-            worst_sym = max(worst_sym, abs(d_ab - dist(b, a)))
-            worst_tri = max(worst_tri, dist(a, c) - d_ab - dist(b, c))
-        idty_ok = idty_ok and w1(a, a) == 0.0 and w2(a, a) == 0.0
-    checks.append((f"symmetry violation {worst_sym:.2e} <= 1e-9", worst_sym <= 1e-9))
-    checks.append((f"triangle violation {worst_tri:.2e} <= 1e-9", worst_tri <= 1e-9))
-    checks.append(("identity of indiscernibles", idty_ok))
-
-    g4 = gaussian_density(1, 4.0)
-    s = EmpiricalMeasure(g4.sample(stream(cfg.seed, "metrics", "ent"), cfg.samples))
-    est = relative_entropy_vs_gaussian(s)
-    z = abs(est.value - 0.8068528194400547) / est.stderr
-    checks.append((f"relative entropy N(0,4): {est.value:.5f} ({z:.2f} stderr from 0.80685)",
-                   z <= cfg.stderr_mult()))
-    fish = relative_fisher(g4, s)
-    zf = abs(fish.value - 2.25) / fish.stderr
-    checks.append((f"relative Fisher N(0,4): {fish.value:.5f} ({zf:.2f} stderr from 2.25)",
-                   zf <= cfg.stderr_mult()))
-
-    n_pairs_ok = 0
+        triples.append((EmpiricalMeasure(gen.normal(size=(40, dim))),
+                        EmpiricalMeasure(gen.normal(0.3, 1.2, size=(40, dim))),
+                        EmpiricalMeasure(gen.normal(-0.4, 0.8, size=(40, dim)))))
+    pairs = []
     for _ in range(100):
         dim = int(gen.integers(1, 3))
         a = EmpiricalMeasure(gen.normal(gen.normal(), abs(gen.normal()) + 0.2, size=(120, dim)))
         b = EmpiricalMeasure(gen.normal(gen.normal(), abs(gen.normal()) + 0.2, size=(120, dim)))
-        if interpolation_check(a, b, 4).passed:
-            n_pairs_ok += 1
+        pairs.append((a, b))
+
+    # a forked worker checks pairs[k:]; k evens out the two processes' work,
+    # counted in cost-matrix entries: n m for each d >= 2 W1 or W2 solve, and
+    # on this side also the triples' ten solves each and 4 per sample for the
+    # entropy estimate (about its time per sample in 120-point solve entries)
+    cost = np.cumsum([2 * a.n * b.n * (a.dim > 1) for a, b in pairs])
+    own = sum(10 * a.n * b.n for a, b, _ in triples if a.dim > 1) + 4 * cfg.samples
+    k = int(np.searchsorted(cost, (cost[-1] - own) / 2, side="right"))
+    checks = []
+    with _beside(_pairs_passing, pairs[k:]) as rest:
+        # metric axioms on random triples
+        worst_tri = -np.inf
+        worst_sym = 0.0
+        idty_ok = True
+        for a, b, c in triples:
+            for dist in (w1, w2):
+                d_ab = dist(a, b)
+                worst_sym = max(worst_sym, abs(d_ab - dist(b, a)))
+                worst_tri = max(worst_tri, dist(a, c) - d_ab - dist(b, c))
+            idty_ok = idty_ok and w1(a, a) == 0.0 and w2(a, a) == 0.0
+        checks.append((f"symmetry violation {worst_sym:.2e} <= 1e-9", worst_sym <= 1e-9))
+        checks.append((f"triangle violation {worst_tri:.2e} <= 1e-9", worst_tri <= 1e-9))
+        checks.append(("identity of indiscernibles", idty_ok))
+
+        g4 = gaussian_density(1, 4.0)
+        s = EmpiricalMeasure(g4.sample(stream(cfg.seed, "metrics", "ent"), cfg.samples))
+        est = relative_entropy_vs_gaussian(s)
+        z = abs(est.value - 0.8068528194400547) / est.stderr
+        checks.append((f"relative entropy N(0,4): {est.value:.5f} ({z:.2f} stderr from 0.80685)",
+                       z <= cfg.stderr_mult()))
+        fish = relative_fisher(g4, s)
+        zf = abs(fish.value - 2.25) / fish.stderr
+        checks.append((f"relative Fisher N(0,4): {fish.value:.5f} ({zf:.2f} stderr from 2.25)",
+                       zf <= cfg.stderr_mult()))
+        n_pairs_ok = _pairs_passing(pairs[:k]) + rest()
     checks.append((f"interpolation inequality on 100 random pairs ({n_pairs_ok} passed)",
                    n_pairs_ok == 100))
     rows = [(label, int(ok)) for label, ok in checks]

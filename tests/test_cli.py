@@ -469,26 +469,41 @@ class TestSmallExperiments:
     def test_dsmc_small_jobs_deterministic(self, tmp_path, monkeypatch, capsys):
         # the drift check runs inline on one usable CPU and in a forked child
         # on two; both paths give the same bytes at either --jobs
-        base = ["dsmc", "--n-list", "32", "--replicas", "8", "--t-end", "4",
+        argv = ["dsmc", "--n-list", "32", "--replicas", "8", "--t-end", "4",
                 "--samples", "100000", "--seed", "3"]
-        runs = []
-        for cpus in (1, 2):
-            monkeypatch.setattr(lifted, "_usable_cpus", lambda n=cpus: n)
-            for jobs in ("1", "2"):
-                out = tmp_path / f"cpus{cpus}-jobs{jobs}"
-                code = run_cli(base + ["--out", str(out), "--jobs", jobs])
-                runs.append((code, capsys.readouterr().out, read(out / "dsmc.csv"), read(out / "dsmc.json")))
-        assert len(runs[0][1].splitlines()) == 4
-        assert all(run == runs[0] for run in runs[1:])
+        assert_same_bytes_inline_and_forked(argv, 4, tmp_path, monkeypatch, capsys)
+
+    def test_metrics_selftest_small_deterministic(self, tmp_path, monkeypatch, capsys):
+        # part of the interpolation pairs goes to a forked worker on two
+        # usable CPUs, whatever --jobs is
+        argv = ["metrics-selftest", "--samples", "4000"]
+        assert_same_bytes_inline_and_forked(argv, 6, tmp_path, monkeypatch, capsys)
+
+
+def assert_same_bytes_inline_and_forked(argv, n_checks, tmp_path, monkeypatch, capsys):
+    """argv gives the same stdout, CSV and JSON on one and two usable CPUs
+    (inline and forked), at --jobs 1 and 2, and prints n_checks lines."""
+    name = argv[0]
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(lifted, "_usable_cpus", lambda n=cpus: n)
+        for jobs in ("1", "2"):
+            out = tmp_path / f"cpus{cpus}-jobs{jobs}"
+            code = run_cli(argv + ["--out", str(out), "--jobs", jobs])
+            runs.append((code, capsys.readouterr().out, read(out / f"{name}.csv"),
+                         read(out / f"{name}.json")))
+    assert runs[0][0] == cli.EXIT_OK and len(runs[0][1].splitlines()) == n_checks
+    assert all(run == runs[0] for run in runs[1:])
 
 
 TINY_DSMC = ["dsmc", "--n-list", "16", "--replicas", "2", "--t-end", "2", "--samples", "1000"]
 
 
 @pytest.fixture
-def drift_child(monkeypatch):
-    """Two usable CPUs, so that dsmc's drift check runs in a forked child;
-    the list of the pids forked.  A child a test leaves running is killed."""
+def forked_children(monkeypatch):
+    """Two usable CPUs, so that work handed to `_beside` (dsmc's drift
+    check, metrics-selftest's share of pairs) runs in a forked child; the
+    list of the pids forked.  A child a test leaves running is killed."""
     monkeypatch.setattr(lifted, "_usable_cpus", lambda: 2)
     pids = []
     fork = os.fork
@@ -515,23 +530,23 @@ def assert_one_child_reaped(pids):
         os.waitpid(pids[0], os.WNOHANG)
 
 
-def slow_drift(*args):
+def slow_child(*args):
     time.sleep(60)
     return 0.0, 0.0
 
 
 class TestDsmcDriftChild:
-    def test_a_pass_reaps_the_child(self, drift_child, tmp_path, capsys):
+    def test_a_pass_reaps_the_child(self, forked_children, tmp_path, capsys):
         assert run_cli(TINY_DSMC + ["--out", str(tmp_path)]) == cli.EXIT_OK
-        assert_one_child_reaped(drift_child)
+        assert_one_child_reaped(forked_children)
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[1] for line in lines] == ["momentum", "energy", "E|v1|^4", "KS"]
 
     def test_a_failed_check_reaps_the_child_and_keeps_the_line_order(
-            self, drift_child, monkeypatch, tmp_path, capsys):
+            self, forked_children, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(cli, "_conservation_drift", lambda *args: (1.0, 2.0))
         assert run_cli(TINY_DSMC + ["--out", str(tmp_path)]) == cli.EXIT_TOLERANCE
-        assert_one_child_reaped(drift_child)
+        assert_one_child_reaped(forked_children)
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "FAIL  momentum drift 1.00e+00 <= 1e-9 over ~1000000 collisions"
         assert lines[1] == "FAIL  energy drift 2.00e+00 <= 1e-9"
@@ -539,39 +554,39 @@ class TestDsmcDriftChild:
         drift = json.loads((tmp_path / "dsmc.json").read_text())["drift"]
         assert drift == {"momentum": 1.0, "energy": 2.0}
 
-    def test_a_package_error_in_the_child_is_exit_5(self, drift_child, monkeypatch, tmp_path, capsys):
+    def test_a_package_error_in_the_child_is_exit_5(self, forked_children, monkeypatch, tmp_path, capsys):
         def broken(*args):
             raise ParameterError("no drift at this size")
 
         monkeypatch.setattr(cli, "_conservation_drift", broken)
         assert run_cli(TINY_DSMC + ["--out", str(tmp_path)]) == cli.EXIT_RUNTIME
         assert capsys.readouterr().err == "error: no drift at this size\n"
-        assert_one_child_reaped(drift_child)
+        assert_one_child_reaped(forked_children)
 
-    def test_another_error_in_the_child_keeps_its_type_and_message(self, drift_child, monkeypatch, tmp_path):
+    def test_another_error_in_the_child_keeps_its_type_and_message(self, forked_children, monkeypatch, tmp_path):
         def broken(*args):
             raise KeyError("velocities")
 
         monkeypatch.setattr(cli, "_conservation_drift", broken)
         with pytest.raises(KeyError, match="velocities"):
             run_cli(TINY_DSMC + ["--out", str(tmp_path)])
-        assert_one_child_reaped(drift_child)
+        assert_one_child_reaped(forked_children)
 
-    def test_a_child_that_dies_without_a_result_is_exit_5(self, drift_child, monkeypatch, tmp_path, capsys):
+    def test_a_child_that_dies_without_a_result_is_exit_5(self, forked_children, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(cli, "_conservation_drift", lambda *args: os._exit(3))
         assert run_cli(TINY_DSMC + ["--out", str(tmp_path)]) == cli.EXIT_RUNTIME
         assert capsys.readouterr().err == "error: worker process ended with code 3 and no result\n"
-        assert_one_child_reaped(drift_child)
+        assert_one_child_reaped(forked_children)
 
     @pytest.mark.parametrize("error, code", [(ParameterError("replicas"), cli.EXIT_RUNTIME),
                                              (RuntimeError("replicas"), None)],
                              ids=["package-error", "other-error"])
     def test_an_error_in_the_parent_kills_and_reaps_the_child(
-            self, drift_child, monkeypatch, tmp_path, error, code):
+            self, forked_children, monkeypatch, tmp_path, error, code):
         def broken(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(cli, "_conservation_drift", slow_drift)
+        monkeypatch.setattr(cli, "_conservation_drift", slow_child)
         monkeypatch.setattr(cli, "dsmc_run", broken)
         t0 = time.perf_counter()
         if code is None:
@@ -580,25 +595,50 @@ class TestDsmcDriftChild:
         else:
             assert run_cli(TINY_DSMC + ["--out", str(tmp_path)]) == code
         assert time.perf_counter() - t0 < 30.0  # killed, not waited for
-        assert_one_child_reaped(drift_child)
+        assert_one_child_reaped(forked_children)
 
-    def test_a_line_printed_before_dsmc_appears_once_on_a_pipe(self, tmp_path):
-        argv = TINY_DSMC + ["--out", str(tmp_path)]
-        code = (
-            "from boltzsphere import cli, lifted\n"
-            "lifted._usable_cpus = lambda: 2\n"
-            "print('before dsmc')\n"
-            f"raise SystemExit(cli.main({argv!r}))\n"
-        )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        env.pop("PYTHONUNBUFFERED", None)  # so the line waits in the pipe's buffer
-        proc = subprocess.run([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
-                              text=True, timeout=300)
-        assert proc.returncode == cli.EXIT_OK
-        lines = proc.stdout.splitlines()
-        assert lines[0] == "before dsmc" and len(lines) == 5
-        assert proc.stdout.count("before dsmc") == 1
+
+class TestMetricsSelftestWorker:
+    def test_a_pass_reaps_the_worker(self, forked_children, tmp_path, capsys):
+        argv = ["metrics-selftest", "--samples", "4000", "--out", str(tmp_path)]
+        assert run_cli(argv) == cli.EXIT_OK
+        assert_one_child_reaped(forked_children)
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "PASS  interpolation inequality on 100 random pairs (100 passed)")
+
+    def test_an_error_in_the_parent_kills_and_reaps_the_worker(
+            self, forked_children, monkeypatch, tmp_path, capsys):
+        # the entropy estimate refuses 5 samples while the worker still runs
+        monkeypatch.setattr(cli, "_pairs_passing", slow_child)
+        t0 = time.perf_counter()
+        argv = ["metrics-selftest", "--samples", "5", "--out", str(tmp_path)]
+        assert run_cli(argv) == cli.EXIT_RUNTIME
+        assert time.perf_counter() - t0 < 30.0  # killed, not waited for
+        assert capsys.readouterr().err == "error: not enough samples\n"
+        assert_one_child_reaped(forked_children)
+
+
+@pytest.mark.parametrize("argv, n_checks", [
+    (TINY_DSMC, 4),
+    (["metrics-selftest", "--samples", "4000"], 6),
+], ids=["dsmc", "metrics-selftest"])
+def test_a_line_printed_before_a_fork_appears_once_on_a_pipe(tmp_path, argv, n_checks):
+    argv = argv + ["--out", str(tmp_path)]
+    code = (
+        "from boltzsphere import cli, lifted\n"
+        "lifted._usable_cpus = lambda: 2\n"
+        "print('before the fork')\n"
+        f"raise SystemExit(cli.main({argv!r}))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)  # so the line waits in the pipe's buffer
+    proc = subprocess.run([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+                          text=True, timeout=300)
+    assert proc.returncode == cli.EXIT_OK
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "before the fork" and len(lines) == 1 + n_checks
+    assert proc.stdout.count("before the fork") == 1
 
 
 class TestIppPointwise:
