@@ -35,6 +35,7 @@ from ._kernels import (
     draw_unit_vectors,
 )
 from .densities import BaseDensity
+from .dsmc import _beside
 from .errors import ParameterError, SupportError
 from .geometry import SphereSpec
 from .lifted import (
@@ -136,11 +137,14 @@ class _Chain:
         one, and the next call resumes from the proposals it left."""
         if n_states < 0:
             raise ParameterError(f"need n_states >= 0 (got {n_states})")
-        out = np.empty((n_states, self.N, self.d))
+        return self.fill(np.empty((n_states, self.N, self.d)))
+
+    def fill(self, out: np.ndarray) -> np.ndarray:
+        """`states(len(out))`, written into out, an (n, N, d) array."""
         kernels = default_kernels()
         kernel = kernels.triple_chain if self.d == 1 else kernels.pair_chain
         done = 0
-        while done < n_states:
+        while done < len(out):
             if self._draws is None or len(self._draws[-1]) == 0:
                 self._draws = self._draw_chunk()
             done, acc, used = kernel(
@@ -162,9 +166,25 @@ def sample_conditioned_batch(
 ) -> np.ndarray:
     """n_states post-burn-in chain states as an (n_states, N, d) array.
 
-    Defaults: burn_in = 50 N proposals, thin = N proposals between states.
-    """
-    return _Chain(law, rng_seed, burn_in, thin).states(n_states)
+    Defaults, per chain: burn_in = 50 N proposals, thin = N proposals
+    between states.  From two states on, whatever the CPU count, the batch
+    is two independent chains: the first ceil(n_states / 2) states are the
+    `_Chain` on the (rng_seed, "conditioned") stream, the rest a chain on a
+    stream spawned from it, run beside this process by `dsmc._beside`."""
+    if n_states < 2:
+        return _Chain(law, rng_seed, burn_in, thin).states(n_states)
+    gen = rngmod.generator(rng_seed, "conditioned")
+    try:
+        spawned = gen.spawn(1)[0]
+    except TypeError as exc:  # a Generator whose seed sequence cannot spawn
+        raise ParameterError(f"rng_seed gives no second chain's stream: {exc}") from None
+    first, second = _Chain(law, gen, burn_in, thin), _Chain(law, spawned, burn_in, thin)
+    half = n_states - n_states // 2
+    out = np.empty((n_states, first.N, first.d))
+    with _beside(second.states, n_states // 2) as rest:
+        first.fill(out[:half])
+        out[half:] = rest()
+    return out
 
 
 def _point_terms(law: ConditionedLaw, ell: int, flat: np.ndarray) -> tuple:

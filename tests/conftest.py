@@ -1,5 +1,7 @@
-"""Fixtures shared by the grid tests."""
+"""Fixtures shared by the grid tests and the forked-worker tests."""
 
+import os
+import signal
 import weakref
 
 import pytest
@@ -23,3 +25,29 @@ def mappings(monkeypatch):
 
     monkeypatch.setattr(lifted, "_zeros", recording)
     return made
+
+
+@pytest.fixture
+def forked_children(monkeypatch):
+    """Two usable CPUs, so that work handed to `_beside` (dsmc's drift
+    check, metrics-selftest's share of pairs, a batch's second chain) runs
+    in a forked child; the list of the pids forked.  A child a test leaves
+    running is killed."""
+    monkeypatch.setattr(lifted, "_usable_cpus", lambda: 2)
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    yield pids
+    for pid in pids:
+        try:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):
+            pass

@@ -16,7 +16,7 @@ import pytest
 
 import boltzsphere as bs
 from boltzsphere import cli, dsmc
-from boltzsphere.conditioned import ConditionedLaw, sample_conditioned_batch
+from boltzsphere.conditioned import ConditionedLaw, _Chain, sample_conditioned_batch
 from boltzsphere.dsmc import CollisionKernel, ConditionedInitial
 
 SEED = 20240901
@@ -40,13 +40,37 @@ CHAINS = [
 ]
 
 
-@pytest.mark.parametrize("k", range(len(CHAINS)), ids=[f"{c[0]}-d{c[1]}" for c in CHAINS])
+# the same cases as two-chain batches of 200 states: the first 100 are the
+# chain above, the other 100 a chain on a stream spawned from its stream
+BATCHES = [
+    "1509c15cf1b109b69263b7edb91f5c2e6de59695162060b23e4d1310c9ad8a82",
+    "081b9d20836001dae041df48021abaae35d41461469353fe087adc73f63595fc",
+    "c6433129cabd78b3ff44b065f1c027bc437fe39f658be37c40cc8a07899fc4e8",
+    "411e2620b9feafc313d199b8b0513707b7bafabd41898af06c10cfecffc5eb4a",
+]
+CASE_IDS = [f"{c[0]}-d{c[1]}" for c in CHAINS]
+
+
+def chain_law(k):
+    density, d, N, _ = CHAINS[k]
+    return ConditionedLaw(f=bs.get_density(density, d), spec=bs.SphereSpec.boltzmann(d, N))
+
+
+@pytest.mark.parametrize("k", range(len(CHAINS)), ids=CASE_IDS)
 def test_chain_states_are_pinned(k):
-    density, d, N, want = CHAINS[k]
-    law = ConditionedLaw(f=bs.get_density(density, d), spec=bs.SphereSpec.boltzmann(d, N))
-    states = sample_conditioned_batch(law, SEED + k, 200)
+    _, d, N, want = CHAINS[k]
+    states = _Chain(chain_law(k), SEED + k, None, None).states(200)
     assert states.shape == (200, N, d)
     assert hashlib.sha256(states.tobytes()).hexdigest() == want
+
+
+@pytest.mark.parametrize("k", range(len(CHAINS)), ids=CASE_IDS)
+def test_batch_states_are_pinned(k):
+    _, d, N, _ = CHAINS[k]
+    states = sample_conditioned_batch(chain_law(k), SEED + k, 200)
+    assert states.shape == (200, N, d)
+    assert hashlib.sha256(states.tobytes()).hexdigest() == BATCHES[k]
+    assert np.array_equal(states[:100], _Chain(chain_law(k), SEED + k, None, None).states(100))
 
 
 def test_collision_run_is_pinned():

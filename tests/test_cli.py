@@ -3,7 +3,6 @@ import dataclasses
 import json
 import os
 import pathlib
-import signal
 import subprocess
 import sys
 import time
@@ -499,31 +498,6 @@ def assert_same_bytes_inline_and_forked(argv, n_checks, tmp_path, monkeypatch, c
 TINY_DSMC = ["dsmc", "--n-list", "16", "--replicas", "2", "--t-end", "2", "--samples", "1000"]
 
 
-@pytest.fixture
-def forked_children(monkeypatch):
-    """Two usable CPUs, so that work handed to `_beside` (dsmc's drift
-    check, metrics-selftest's share of pairs) runs in a forked child; the
-    list of the pids forked.  A child a test leaves running is killed."""
-    monkeypatch.setattr(lifted, "_usable_cpus", lambda: 2)
-    pids = []
-    fork = os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    yield pids
-    for pid in pids:
-        try:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        except (ProcessLookupError, ChildProcessError):
-            pass
-
-
 def assert_one_child_reaped(pids):
     assert len(pids) == 1
     with pytest.raises(ChildProcessError):
@@ -618,17 +592,27 @@ class TestMetricsSelftestWorker:
         assert_one_child_reaped(forked_children)
 
 
-@pytest.mark.parametrize("argv, n_checks", [
+# a two-chain batch, whose second chain runs in a forked worker
+SAMPLER_CALL = (
+    "import boltzsphere as bs\n"
+    "law = bs.ConditionedLaw(bs.get_density('mixture', 3), bs.SphereSpec.boltzmann(3, 8))\n"
+    "print(bs.sample_conditioned_batch(law, 1, 8).shape)\n"
+)
+
+
+@pytest.mark.parametrize("call, n_lines", [
     (TINY_DSMC, 4),
     (["metrics-selftest", "--samples", "4000"], 6),
-], ids=["dsmc", "metrics-selftest"])
-def test_a_line_printed_before_a_fork_appears_once_on_a_pipe(tmp_path, argv, n_checks):
-    argv = argv + ["--out", str(tmp_path)]
+    (SAMPLER_CALL, 1),
+], ids=["dsmc", "metrics-selftest", "sampler"])
+def test_a_line_printed_before_a_fork_appears_once_on_a_pipe(tmp_path, call, n_lines):
+    if isinstance(call, list):  # a subcommand's argv
+        call = f"raise SystemExit(cli.main({call + ['--out', str(tmp_path)]!r}))\n"
     code = (
         "from boltzsphere import cli, lifted\n"
         "lifted._usable_cpus = lambda: 2\n"
         "print('before the fork')\n"
-        f"raise SystemExit(cli.main({argv!r}))\n"
+        + call
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -637,7 +621,7 @@ def test_a_line_printed_before_a_fork_appears_once_on_a_pipe(tmp_path, argv, n_c
                           text=True, timeout=300)
     assert proc.returncode == cli.EXIT_OK
     lines = proc.stdout.splitlines()
-    assert lines[0] == "before the fork" and len(lines) == 1 + n_checks
+    assert lines[0] == "before the fork" and len(lines) == 1 + n_lines
     assert proc.stdout.count("before the fork") == 1
 
 

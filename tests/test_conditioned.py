@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -73,7 +75,8 @@ class TestSampler:
 
     def test_stream_resumes_where_the_last_chunk_stopped(self):
         # the chain keeps the proposals it drew but did not run, so states
-        # served in chunks are the one thinned chain of a batch
+        # served in chunks are the one thinned chain of a single call, and
+        # a batch's first half is that chain
         lw = law(bs.get_density("mixture", 2), 2, 8)
         chain = _Chain(lw, 12, None, None)
         chunks = []
@@ -82,7 +85,8 @@ class TestSampler:
             assert chain.step % _BLOCK  # stopped inside a block of draws
         streamed = np.concatenate(chunks)
         assert chain.step > 5 * _BLOCK
-        assert np.array_equal(streamed, sample_conditioned_batch(lw, 12, 3000))
+        assert np.array_equal(streamed, _Chain(lw, 12, None, None).states(3000))
+        assert np.array_equal(streamed[:1500], sample_conditioned_batch(lw, 12, 3000)[:1500])
         assert all(bs.on_sphere(s, lw.spec) for s in streamed)
 
     def test_chain_runs_only_the_proposals_it_needs(self):
@@ -141,8 +145,9 @@ class TestSampler:
 
     def test_no_constraint_drift_over_a_million_proposals(self):
         lw = law(bs.get_density("mixture", 2), 2, 16)
-        states = sample_conditioned_batch(lw, 10, 62_500, burn_in=0, thin=16)
-        # 62500 states x thin 16 = 1e6 proposals; residuals must not grow
+        # one chain, not a batch's two: 62500 states x thin 16 = 1e6
+        # proposals; residuals must not grow
+        states = _Chain(lw, 10, 0, 16).states(62_500)
         last = states[-100:]
         mom = np.abs(last.sum(axis=1)).max()
         en = np.abs((last**2).sum(axis=(1, 2)) - 32.0).max()
@@ -157,6 +162,63 @@ class TestSampler:
         cdf = integrate.cumulative_trapezoid(dens, grid, initial=0.0)
         res = stats.kstest(v1, lambda x: np.interp(x, grid, cdf))
         assert res.pvalue > 0.01
+
+
+class TestTwoChains:
+    """From two states on, a batch is two chains: `_Chain` on the seed's
+    stream gives the first ceil(n / 2) states, a chain on a stream spawned
+    from it the rest, in a forked worker on two usable CPUs."""
+
+    @pytest.mark.parametrize("n", [7, 200])
+    def test_the_bytes_do_not_depend_on_the_cpu_count(self, monkeypatch, forked_children, n):
+        lw = law(bs.get_density("mixture", 3), 3, 16)
+        monkeypatch.setattr(lifted, "_usable_cpus", lambda: 1)
+        inline = sample_conditioned_batch(lw, 14, n)
+        assert forked_children == []
+        monkeypatch.setattr(lifted, "_usable_cpus", lambda: 2)
+        forked = sample_conditioned_batch(lw, 14, n)
+        assert len(forked_children) == 1
+        assert forked.shape == (n, 16, 3) and forked.tobytes() == inline.tobytes()
+        half = (n + 1) // 2
+        assert np.array_equal(forked[:half], _Chain(lw, 14, None, None).states(half))
+        assert not np.array_equal(forked[half:], _Chain(lw, 14, None, None).states(half)[:n - half])
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_states_fork_nothing(self, forked_children, n):
+        lw = law(UNIF, 1, 8)
+        states = sample_conditioned_batch(lw, 14, n)
+        assert forked_children == []
+        assert np.array_equal(states, _Chain(lw, 14, None, None).states(n))
+
+    def test_a_generator_seed_gives_the_same_batch(self, forked_children):
+        lw = law(UNIF, 1, 8)
+        a = sample_conditioned_batch(lw, bs.stream(3, "caller"), 9)
+        b = sample_conditioned_batch(lw, bs.stream(3, "caller"), 9)
+        assert np.array_equal(a, b)
+        assert np.array_equal(a[:5], _Chain(lw, bs.stream(3, "caller"), None, None).states(5))
+
+    def test_a_seed_that_cannot_spawn_a_stream_is_a_parameter_error(self):
+        legacy = np.random.MT19937()
+        legacy._legacy_seeding(3)  # as RandomState seeds it: no seed sequence
+        with pytest.raises(bs.ParameterError, match="rng_seed"):
+            sample_conditioned_batch(law(UNIF, 1, 8), np.random.Generator(legacy), 2)
+
+    def test_a_killed_worker_is_a_worker_error_and_is_reaped(self, monkeypatch, forked_children):
+        # the parent's chain fills its half in place; only the worker's
+        # chain calls states()
+        parent = os.getpid()
+
+        def killed(chain, n):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise AssertionError("the second chain ran in the calling process")
+
+        monkeypatch.setattr(_Chain, "states", killed)
+        with pytest.raises(bs.WorkerError, match="code -9"):
+            sample_conditioned_batch(law(UNIF, 1, 8), 14, 4)
+        assert len(forked_children) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forked_children[0], os.WNOHANG)
 
 
 class TestMarginalDensity:

@@ -274,6 +274,8 @@ def test_no_draw_or_kernel_call_exceeds_one_block(monkeypatch):
         t_end=1240.0, n_replicas=2, observables=("m2",), seed=4, n_times=3)
     lw = bs.conditioned.ConditionedLaw(
         f=bs.get_density("mixture", 2), spec=bs.SphereSpec.boltzmann(2, 16))
+    # inline, so that the batch's second chain is recorded too
+    monkeypatch.setattr(lifted, "_usable_cpus", lambda: 1)
     bs.conditioned.sample_conditioned_batch(lw, 5, 1000)
     assert max(draws) == max(calls) == _kernels._BLOCK
     assert len(calls) >= len(draws) > 10
