@@ -38,13 +38,7 @@ from .densities import BaseDensity
 from .dsmc import _beside
 from .errors import ParameterError, SupportError
 from .geometry import SphereSpec
-from .lifted import (
-    DEFAULT_SHAPE,
-    LiftedGrid,
-    _map_grid_builds,
-    lifted_grid,
-    log_z_prime_asymptotic,
-)
+from .lifted import DEFAULT_SHAPE, _map_grid_builds, lifted_grid, log_z_prime_asymptotic
 from .uniform import UniformMarginal, marginal_log_density, sample_uniform
 
 __all__ = [
@@ -78,14 +72,21 @@ class ConditionedLaw:
         if d >= 2 and N < 3:
             raise ParameterError("d >= 2 chains need N >= 3")
 
-    def log_zprime(self, n: int, r: float, z_mom: float = 0.0) -> float:
-        """log Z'_n(f; r, z) for the d = 1 pipeline (exactly 0 for Gaussian f)."""
-        grid = _exact_grid(self, n)
-        if grid is not None:
-            return grid.log_z_prime(r, z_mom)
-        if r * r - z_mom * z_mom / n <= 0.0:
+    def log_zprime(self, n: int, r, z_mom=0.0):
+        """log Z'_n(f; r, z), elementwise over broadcast arrays; scalars in,
+        float out.  SupportError if any of the spheres is empty.
+
+        The one reader of Z'_n in this module.  For the Gaussian base it is
+        exactly 0, since (f/gamma)^{x n} is identically 1 on every sphere;
+        otherwise it is read from a d = 1 lifted grid for n, built for the
+        call and dropped on return (only the curves in `_CURVES` are kept).
+        """
+        if not self.f.is_gaussian:
+            return lifted_grid(self.f, n, shape=self.grid_shape).log_z_prime(r, z_mom)
+        r, z_mom = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(z_mom, dtype=float))
+        if np.any(r * r - z_mom * z_mom / n <= 0.0):
             raise SupportError("empty sphere")
-        return 0.0
+        return 0.0 if r.ndim == 0 else np.zeros(r.shape)
 
 
 def _lattice_like(spec: SphereSpec, gen: np.random.Generator) -> np.ndarray:
@@ -200,23 +201,9 @@ def _point_terms(law: ConditionedLaw, ell: int, flat: np.ndarray) -> tuple:
     return sq, bar, inside, logf
 
 
-def _exact_grid(law: ConditionedLaw, n: int) -> Optional[LiftedGrid]:
-    """A new grid for n, which the exact ratio form reads and the caller
-    drops; None for the Gaussian base, whose (f/gamma)^{x n} is identically
-    1 on every sphere, so Z' = 1.  Only the curves in `_CURVES` are kept."""
-    if law.f.is_gaussian:
-        return None
-    if law.spec.d != 1:
-        raise ParameterError("exact partition values need the d = 1 pipeline")
-    return lifted_grid(law.f, n, shape=law.grid_shape)
-
-
-def _log_marginal_times_zn(
-    law: ConditionedLaw, ell: int, flat: np.ndarray, grid: Optional[LiftedGrid]
-) -> np.ndarray:
+def _log_marginal_times_zn(law: ConditionedLaw, ell: int, flat: np.ndarray) -> np.ndarray:
     """log(F_ell Z'_N): the exact marginal's log before the division by Z'_N,
-    -inf outside the support.  Rows are validated (n, ell d) points; `grid`
-    is `_exact_grid(law, N - ell)`."""
+    -inf outside the support.  Rows are validated (n, ell d) points."""
     spec = law.spec
     d, N = spec.d, spec.N
     sq, bar, inside, logf = _point_terms(law, ell, flat)
@@ -224,8 +211,7 @@ def _log_marginal_times_zn(
     log_unif = marginal_log_density(UniformMarginal(spec, ell), flat)
     vals = np.full(flat.shape[0], -np.inf)
     vals[inside] = logf[inside] - log_gauss[inside]
-    if grid is not None:
-        vals[inside] += grid.log_z_prime(np.sqrt(d * N - sq[inside]), -bar[inside, 0])
+    vals[inside] += law.log_zprime(N - ell, np.sqrt(d * N - sq[inside]), -bar[inside, 0])
     vals[inside] += log_unif[inside]
     return vals
 
@@ -243,8 +229,7 @@ def conditioned_marginal_density(law: ConditionedLaw, ell: int, V_ell) -> np.nda
         raise ParameterError(f"points must have {ell * d} coordinates")
     single = pts.ndim == 1
 
-    grid = _exact_grid(law, N - ell)
-    out = np.exp(_log_marginal_times_zn(law, ell, flat, grid) - law.log_zprime(N, spec.r, 0.0))
+    out = np.exp(_log_marginal_times_zn(law, ell, flat) - law.log_zprime(N, spec.r, 0.0))
     return float(out[0]) if single else out
 
 
@@ -253,27 +238,22 @@ def _compute_curve(law: ConditionedLaw, n_points: int) -> tuple:
 
     The marginal integrates to one, so Z'_N is the quadrature mass of
     F_1 Z'_N, and the curve needs the grid for N - 1 only, which is dropped
-    on return.  A mass far from the leading-order Z'_N (or, for the Gaussian
-    base, from 1) means the grid is misconfigured.
+    on return.  A mass far from the leading-order Z'_N (exactly 1 for the
+    Gaussian base) means the grid is misconfigured.
     """
     spec = law.spec
     N = spec.N
     vmax = min(law.f.tail_radius(), math.sqrt(spec.d * N * (N - 1) / N))
     pts = np.linspace(-vmax, vmax, n_points)
-    grid = _exact_grid(law, N - 1)
-    dens = np.exp(_log_marginal_times_zn(law, 1, pts[:, None], grid))
+    dens = np.exp(_log_marginal_times_zn(law, 1, pts[:, None]))
     mass = float(np.trapezoid(dens, pts))
     log_zn = math.log(mass) if mass > 0.0 else -math.inf
-    if law.f.is_gaussian:
-        if not 0.9 < mass < 1.1:
-            raise SupportError(f"marginal mass {mass:.4f} far from 1; grid misconfigured")
-    else:
-        ref = log_z_prime_asymptotic(law.f, N)
-        if not abs(log_zn - ref) < math.log(1.1):
-            raise SupportError(
-                f"log Z'_{N} = {log_zn:.4f} by quadrature, {ref:.4f} to leading order; "
-                "grid misconfigured"
-            )
+    ref = log_z_prime_asymptotic(law.f, N)
+    if not abs(log_zn - ref) < math.log(1.1):
+        raise SupportError(
+            f"log Z'_{N} = {log_zn:.4f} by quadrature, {ref:.4f} to leading order; "
+            "grid misconfigured"
+        )
     dens /= mass
     pts.flags.writeable = False
     dens.flags.writeable = False
@@ -323,8 +303,6 @@ def w1_rate_experiment(
     Past a curve that ends inside f's tail radius R, the marginal's CDF is
     0 or 1, and f's two tails add 2 int_{vmax}^R F_f(-x) dx, f symmetric.
     """
-    if f.d != 1:
-        raise ParameterError("exact densities need d = 1")
     Ns = list(Ns)
     laws = [ConditionedLaw(f=f, spec=SphereSpec.boltzmann(1, N), grid_shape=grid_shape) for N in Ns]
     rows = []

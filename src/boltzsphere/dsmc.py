@@ -166,13 +166,20 @@ def _beside(fn, *args):
     reaped = False
 
     def result():
+        # the pickle is loaded as it is read from the pipe, so the value is
+        # held once; a child that ended with a non-zero code is a
+        # WorkerError, whatever its truncated pickle made the load raise
         nonlocal reaped
-        data = pipe.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        reaped = True
-        if code != 0:  # a negative code is the signal that ended it
-            raise WorkerError(f"worker process ended with code {code} and no result")
-        ok, value = pickle.loads(data)
+        try:
+            ok, value = pickle.load(pipe)
+        except Exception:
+            pipe.read()  # the rest of the pickle, or a child still writing never ends
+            raise
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped = True
+            if code != 0:  # a negative code is the signal that ended it
+                raise WorkerError(f"worker process ended with code {code} and no result")
         if ok:
             return value
         raise value

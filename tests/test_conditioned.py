@@ -221,6 +221,42 @@ class TestTwoChains:
             os.waitpid(forked_children[0], os.WNOHANG)
 
 
+class TestLogZprime:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_gaussian_base_is_exactly_zero_and_builds_no_grid(self, monkeypatch, d):
+        built = []
+        init = lifted.LiftedGrid.__init__
+
+        def counting_init(self, f, N, *args, **kwargs):
+            built.append(N)
+            init(self, f, N, *args, **kwargs)
+
+        monkeypatch.setattr(lifted.LiftedGrid, "__init__", counting_init)
+        lw = law(bs.get_density("gaussian", d), d, 8)
+        value = lw.log_zprime(7, 2.0, 0.5)
+        assert type(value) is float and value == 0.0
+        values = lw.log_zprime(7, np.array([[2.0], [3.0]]), np.array([0.0, 0.5, -1.0]))
+        assert values.shape == (2, 3) and np.all(values == 0.0)
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "r, z_mom", [(1.0, 3.0), (np.array([2.0, 1.0]), np.array([0.0, 3.0]))], ids=["scalar", "array"]
+    )
+    def test_gaussian_base_on_an_empty_sphere_is_a_support_error(self, r, z_mom):
+        with pytest.raises(bs.SupportError, match="empty sphere"):
+            law(GAUSS, 1, 8).log_zprime(7, r, z_mom)
+
+    def test_the_exact_pipeline_refuses_a_d3_base(self):
+        mix3 = bs.get_density("mixture", 3)
+        with pytest.raises(bs.ParameterError):
+            w1_rate_experiment(mix3, [8])
+        lw = law(mix3, 3, 8)
+        with pytest.raises(bs.ParameterError):
+            conditioned_marginal_density(lw, 1, np.zeros((1, 3)))
+        with pytest.raises(bs.ParameterError):
+            lw.log_zprime(8, lw.spec.r, 0.0)
+
+
 class TestMarginalDensity:
     def test_gaussian_collapses_to_uniform_marginal(self):
         lw = law(GAUSS, 1, 16)

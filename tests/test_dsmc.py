@@ -1,6 +1,8 @@
 import math
 import os
+import signal
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +167,19 @@ class TestConservationDrift:
         assert abs(float(np.sum(v * v)) - e0) / e0 <= 1e-9
 
 
+def _unloadable():
+    raise ValueError("cannot be loaded")
+
+
+class _Unloadable:
+    def __reduce__(self):
+        return _unloadable, ()
+
+
+def _unloadable_then_bulk():
+    return _Unloadable(), np.ones(1 << 17)  # 1 MiB, more than a pipe holds
+
+
 class TestBeside:
     """`_beside` runs a function in a forked child, or inline when forking
     cannot pay or is unsafe; os.getpid tells the two paths apart."""
@@ -203,6 +218,38 @@ class TestBeside:
         with dsmc._beside(os._exit, 3) as result:
             with pytest.raises(bs.WorkerError, match="ended with code 3 and no result"):
                 result()
+
+    def test_the_result_is_held_once_while_it_loads(self, forked_children):
+        # the worker's pickle is loaded as it is read from the pipe; read
+        # whole and then loaded, a 1.5 MB array peaked at 3.0 MB traced
+        tracemalloc.start()
+        try:
+            with dsmc._beside(np.ones, 1_500_000 // 8) as result:
+                value = result()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(forked_children) == 1
+        assert value.nbytes == 1_500_000 and np.all(value == 1.0)
+        assert peak < 1.5 * value.nbytes
+
+    def test_a_result_that_fails_to_load_raises_the_load_error(self, forked_children):
+        # the load fails at the first item with 1 MiB of the pickle unread,
+        # so the child, blocked on the full pipe, exits 0 only if the rest
+        # is read; the alarm turns a wait on it into a failure, not a hang
+        def hung(signum, frame):
+            raise AssertionError("result() waited on a child blocked on the pipe")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            with dsmc._beside(_unloadable_then_bulk) as result:
+                with pytest.raises(ValueError, match="cannot be loaded"):
+                    result()
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(forked_children) == 1
 
 
 def _advance_drawing_in_full(v, t, t_target, kernel, gen):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import boltzsphere as bs
 from boltzsphere.lifted import (
@@ -143,6 +144,43 @@ class TestZPrime:
             rows.append((N, gap))
         rep = bs.fit_loglog(rows)
         assert rep.slope <= -0.35
+
+
+# Relative L1 of f s_n for the default grid against the closed form, as
+# measured, rounded up at the second significant digit; n = N - 1 over
+# w1-rate's default N list.  From n = 15 on, each doubling of n multiplies
+# the error by 2.5 to 2.7.
+GAUSS_LINE_BOUNDS = {7: 3.8e-5, 15: 7.5e-5, 31: 2.0e-4, 63: 5.0e-4, 127: 1.3e-3,
+                     255: 3.2e-3, 511: 8.4e-3}
+
+
+class TestGaussianLiftedDensity:
+    """The default grid's s_n for the Gaussian base against the closed form
+    s_n(z, u) = phi(z; 0, n) chi2_{n-1}(u - z^2/n): the sum of n standard
+    normals and their scatter about the mean are independent (Cochran).
+    The exact pipeline never builds this grid, since the Gaussian's Z' is
+    1; here it is read where the one-particle marginal at N = n + 1 reads
+    it, on the line (z, u) = (-v, N - v^2) of the 4001-point curve."""
+
+    @pytest.mark.parametrize("n", sorted(GAUSS_LINE_BOUNDS))
+    def test_grid_on_the_marginal_line_matches_the_closed_form(self, n):
+        N = n + 1
+        vmax = min(GAUSS.tail_radius(), math.sqrt(N - 1))
+        v = np.linspace(-vmax, vmax, 4001)
+        z, u = -v, N - v * v
+        weight = np.exp(GAUSS.log_density(v[:, None]))
+        grid = np.exp(lifted_grid(GAUSS, n).log_density(z, u))
+
+        def rel_l1(m):
+            log_exact = stats.norm.logpdf(z, scale=math.sqrt(m)) + stats.chi2.logpdf(u - z * z / m, m - 1)
+            exact = np.exp(log_exact)
+            return np.trapezoid(weight * np.abs(grid - exact), v) / np.trapezoid(weight * exact, v)
+
+        assert rel_l1(n) <= GAUSS_LINE_BOUNDS[n]
+        if n <= 127:
+            # mutation check: the closed form one particle off is far out;
+            # from n = 255 on the grid's own error is as large as that step
+            assert rel_l1(n + 1) > GAUSS_LINE_BOUNDS[n]
 
 
 class TestBerryEsseen:
