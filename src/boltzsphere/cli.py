@@ -32,7 +32,7 @@ from . import __version__
 from .conditioned import entropy_rate_experiment, w1_rate_experiment
 from .densities import gaussian_density, get_density, registry_names
 from .dsmc import CollisionKernel, ConditionedInitial, _advance, _beside, _conservation_drift
-from .dsmc import equilibrium_crosscheck, run as dsmc_run
+from .dsmc import RunResult, equilibrium_crosscheck, replica_series
 from .errors import BoltzsphereError, ConfigError, ParameterError
 from .geometry import (
     ScalarField,
@@ -425,19 +425,32 @@ def _entropy_rate(cfg: ExperimentConfig) -> Outcome:
                    "nats per particle", {"limit": limit})
 
 
+def _dsmc_split(cfg: ExperimentConfig) -> int:
+    """How many replicas the calling process runs, beside a worker that runs
+    the drift walk and the rest: the split evens out their collision events,
+    the walk's _DRIFT_EVENTS against a replica's t_end N / 2 plus 3 for each
+    of its start's 50 N chain proposals."""
+    (N,) = cfg.n_list
+    replica = 3 * 50 * N + cfg.t_end * N / 2
+    return min(cfg.replicas, round((cfg.replicas * replica + _DRIFT_EVENTS) / (2 * replica)))
+
+
 def _dsmc(cfg: ExperimentConfig) -> Outcome:
     (N,) = cfg.n_list
     kernel = CollisionKernel.uniform(cfg.d)
+    # equilibration from a conditioned far-from-Gaussian start
+    init = ConditionedInitial(density=cfg.density, d=cfg.d, N=N)
+    times = np.linspace(0.0, cfg.t_end, cfg.n_times)
+    k = _dsmc_split(cfg)
 
-    # raw conservation drift over many collisions, no re-projection; it
-    # shares no state with the rest, so it runs beside it
-    with _beside(_conservation_drift, cfg.seed, N, kernel, _DRIFT_EVENTS) as drift:
-        # equilibration from a conditioned far-from-Gaussian start
-        init = ConditionedInitial(density=cfg.density, d=cfg.d, N=N)
-        res = dsmc_run(
-            init, kernel, t_end=cfg.t_end, n_replicas=cfg.replicas,
-            observables=("m2", "m4"), seed=cfg.seed, n_times=cfg.n_times, jobs=cfg.jobs,
-        )
+    def worker():
+        # raw conservation drift over many collisions, no re-projection, and
+        # the last replicas, each on its own stream, so the split moves no draw
+        drift = _conservation_drift(cfg.seed, N, kernel, _DRIFT_EVENTS)
+        return drift, replica_series(init, kernel, times, range(k, cfg.replicas), seed=cfg.seed)
+
+    with _beside(worker) as rest:
+        own = replica_series(init, kernel, times, range(k), seed=cfg.seed)
 
         # long-run coordinate law against the uniform-law marginal
         gen2 = stream(cfg.seed, "dsmc-eq")
@@ -450,7 +463,8 @@ def _dsmc(cfg: ExperimentConfig) -> Outcome:
             _advance(v2, 0.0, spacing, kernel, gen2)
             pool.append(v2[:, 0].copy())
         stat, pval, ok = equilibrium_crosscheck(N, cfg.d, np.concatenate(pool))
-        drift_p, drift_e = drift()
+        (drift_p, drift_e), theirs = rest()
+    res = RunResult.over_replicas(times, own, theirs)
 
     m4, e4 = res.observables["m4"]
     target_m4 = marginal_moment(UniformMarginal(SphereSpec.boltzmann(cfg.d, N), 1), 4)
@@ -690,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="flat key = value configuration file")
         sp.add_argument("--seed", type=int, help="master seed (never wall-clock)")
         sp.add_argument("--out", help="output directory")
-        sp.add_argument("--jobs", type=int, help="worker pool size for replicas")
+        sp.add_argument("--jobs", type=int, help="accepted (at least 1); selects nothing")
         sp.add_argument("--tolerance-profile", choices=_TOLERANCE_PROFILES,
                         dest="tolerance_profile")
         if name == "report":  # runs every experiment at its defaults

@@ -27,11 +27,12 @@ import numpy as np
 from . import rng as rngmod
 from ._kernels import _BLOCK, default_kernels, draw_pair_indices, draw_unit_vectors
 from .errors import CapacityError, ParameterError, WorkerError
-from .geometry import SphereSpec
+from .geometry import SphereSpec, log_sphere_surface
 from .uniform import coordinate_marginal, sample_uniform
 
 __all__ = [
     "CollisionKernel",
+    "replica_series",
     "run",
     "RunResult",
     "equilibrium_crosscheck",
@@ -39,8 +40,6 @@ __all__ = [
 
 
 def _sphere_area(d: int) -> float:
-    from .geometry import log_sphere_surface
-
     return math.exp(log_sphere_surface(d))
 
 
@@ -202,6 +201,17 @@ class RunResult:
     n_replicas: int
     meta: dict = field(default_factory=dict)
 
+    @classmethod
+    def over_replicas(cls, times, *parts, meta=None) -> "RunResult":
+        """Mean and standard error across replicas of `replica_series`
+        results, whose replicas are stacked in the order of `parts`."""
+        observables = {}
+        for name in parts[0]:
+            vals = np.concatenate([part[name] for part in parts], axis=1)
+            n_replicas = vals.shape[1]
+            observables[name] = (vals.mean(axis=1), vals.std(axis=1, ddof=1) / math.sqrt(n_replicas))
+        return cls(times, observables, n_replicas, meta or {})
+
     def rows(self):
         out = []
         for name, (mean, err) in sorted(self.observables.items()):
@@ -225,24 +235,33 @@ def _resolve_observables(observables):
             scalar_obs["m4"] = lambda v: _particle_moment(v, 4)
         else:
             raise ParameterError(f"unknown observable {ob!r}")
+    if not scalar_obs:
+        raise ParameterError("need at least one observable")
     return scalar_obs
 
 
-def _replica_series(args):
-    """One replica's observable series; module level so pools can pickle it."""
-    initial_sampler, kernel, times, seed, rep, observables = args
-    gen = rngmod.stream(seed, "dsmc", rep)
-    v = np.array(initial_sampler(gen), dtype=float)
-    if v.ndim != 2 or v.shape[1] != kernel.d:
-        raise ParameterError("initial sampler must return an (N, d) array")
-    mft = kernel.mean_free_time(v.shape[0])
+def replica_series(initial_sampler, kernel: CollisionKernel, times, reps,
+                   observables=("m2", "m4"), seed: int = 0) -> Dict[str, np.ndarray]:
+    """The observables of replicas `reps` at `times` (mean free times), as
+    name -> (len(times), len(reps)) arrays.
+
+    Replica rep starts from `initial_sampler` and runs on its own
+    (seed, "dsmc", rep) stream, so its column is the same whichever
+    replicas share the call.
+    """
     scalar_obs = _resolve_observables(observables)
-    series = {name: np.empty(len(times)) for name in scalar_obs}
-    t_master = 0.0
-    for it, t_mft in enumerate(times):
-        t_master = _advance(v, t_master, t_mft * mft, kernel, gen)
-        for name, fn in scalar_obs.items():
-            series[name][it] = fn(v)
+    series = {name: np.empty((len(times), len(reps))) for name in scalar_obs}
+    for col, rep in enumerate(reps):
+        gen = rngmod.stream(seed, "dsmc", rep)
+        v = np.array(initial_sampler(gen), dtype=float)
+        if v.ndim != 2 or v.shape[1] != kernel.d:
+            raise ParameterError("initial sampler must return an (N, d) array")
+        mft = kernel.mean_free_time(v.shape[0])
+        t_master = 0.0
+        for it, t_mft in enumerate(times):
+            t_master = _advance(v, t_master, t_mft * mft, kernel, gen)
+            for name, fn in scalar_obs.items():
+                series[name][it, col] = fn(v)
     return series
 
 
@@ -254,47 +273,23 @@ def run(
     observables=("m2", "m4"),
     seed: int = 0,
     n_times: int = 11,
-    jobs: int = 1,
 ) -> RunResult:
     """Evolve independent replicas and record observables on a time grid.
 
     `initial_sampler` maps a replica's generator to an (N, d) velocity array.
     Times are in mean free times.  Scalar observables (callables or the
     built-ins "m2"/"m4") are averaged across replicas with a standard error.
-
-    Replicas own independent streams keyed by (seed, replica), so results are
-    identical for any `jobs` (the pool needs a picklable initial sampler).
     """
     if n_replicas < 2:
         raise ParameterError("need at least two replicas for error bars")
-    scalar_obs = _resolve_observables(observables)
     times = np.linspace(0.0, t_end, n_times)
-    tasks = [(initial_sampler, kernel, times, seed, rep, observables) for rep in range(n_replicas)]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            replica_out = list(pool.map(_replica_series, tasks))
-    else:
-        replica_out = [_replica_series(t) for t in tasks]
-
-    result = {}
-    for name in scalar_obs:
-        vals = np.stack([replica_out[rep][name] for rep in range(n_replicas)], axis=1)
-        mean = vals.mean(axis=1)
-        err = vals.std(axis=1, ddof=1) / math.sqrt(n_replicas)
-        result[name] = (mean, err)
-    return RunResult(
-        times=times,
-        observables=result,
-        n_replicas=n_replicas,
-        meta={"seed": seed, "beta": kernel.beta},
-    )
+    series = replica_series(initial_sampler, kernel, times, range(n_replicas), observables, seed)
+    return RunResult.over_replicas(times, series, meta={"seed": seed, "beta": kernel.beta})
 
 
 @dataclass(frozen=True)
 class ConditionedInitial:
-    """Picklable initial sampler: a conditioned-law chain state per replica."""
+    """Initial sampler: one conditioned-law chain state per replica."""
 
     density: str
     d: int
@@ -304,23 +299,11 @@ class ConditionedInitial:
     def __call__(self, gen: np.random.Generator) -> np.ndarray:
         from .conditioned import ConditionedLaw, sample_conditioned_batch
         from .densities import get_density
-        from .geometry import SphereSpec
 
         law = ConditionedLaw(
             f=get_density(self.density, self.d), spec=SphereSpec.boltzmann(self.d, self.N)
         )
         return sample_conditioned_batch(law, gen, 1, burn_in=self.burn_in)[0]
-
-
-@dataclass(frozen=True)
-class UniformInitial:
-    """Picklable initial sampler from the uniform sphere law."""
-
-    d: int
-    N: int
-
-    def __call__(self, gen: np.random.Generator) -> np.ndarray:
-        return sample_uniform(SphereSpec.boltzmann(self.d, self.N), gen)
 
 
 def equilibrium_crosscheck(N: int, d: int, samples: np.ndarray, alpha: float = 0.01) -> tuple:

@@ -466,11 +466,18 @@ class TestSmallExperiments:
         assert code == 0
 
     def test_dsmc_small_jobs_deterministic(self, tmp_path, monkeypatch, capsys):
-        # the drift check runs inline on one usable CPU and in a forked child
-        # on two; both paths give the same bytes at either --jobs
-        argv = ["dsmc", "--n-list", "32", "--replicas", "8", "--t-end", "4",
-                "--samples", "100000", "--seed", "3"]
-        assert_same_bytes_inline_and_forked(argv, 4, tmp_path, monkeypatch, capsys)
+        # the worker (the drift check and the last replicas) runs inline on
+        # one usable CPU and in a forked child on two; both paths give the
+        # same bytes at either --jobs.  The first config gives the worker no
+        # replica (k = R), the second 4 of 60 (k = 56), and that split gives
+        # the same bytes as all 60 replicas run in the calling process
+        for size, k in ((["--n-list", "32", "--replicas", "8"], 8),
+                        (["--n-list", "128", "--replicas", "60"], 56)):
+            argv = ["dsmc", *size, "--t-end", "4", "--samples", "100000", "--seed", "3"]
+            assert dsmc_split(argv) == k
+            split = assert_same_bytes_inline_and_forked(argv, 4, tmp_path / str(k), monkeypatch, capsys)
+        monkeypatch.setattr(cli, "_dsmc_split", lambda cfg: cfg.replicas)
+        assert cli_bytes(argv, tmp_path / "unsplit", capsys) == split
 
     def test_metrics_selftest_small_deterministic(self, tmp_path, monkeypatch, capsys):
         # part of the interpolation pairs goes to a forked worker on two
@@ -479,23 +486,40 @@ class TestSmallExperiments:
         assert_same_bytes_inline_and_forked(argv, 6, tmp_path, monkeypatch, capsys)
 
 
+def cli_bytes(argv, out, capsys):
+    """(exit code, stdout, CSV, JSON) of argv run into the directory out."""
+    code = run_cli(argv + ["--out", str(out)])
+    return code, capsys.readouterr().out, read(out / f"{argv[0]}.csv"), read(out / f"{argv[0]}.json")
+
+
 def assert_same_bytes_inline_and_forked(argv, n_checks, tmp_path, monkeypatch, capsys):
     """argv gives the same stdout, CSV and JSON on one and two usable CPUs
-    (inline and forked), at --jobs 1 and 2, and prints n_checks lines."""
-    name = argv[0]
+    (inline and forked), at --jobs 1 and 2, and prints n_checks lines;
+    returns what the runs give."""
     runs = []
     for cpus in (1, 2):
         monkeypatch.setattr(lifted, "_usable_cpus", lambda n=cpus: n)
         for jobs in ("1", "2"):
-            out = tmp_path / f"cpus{cpus}-jobs{jobs}"
-            code = run_cli(argv + ["--out", str(out), "--jobs", jobs])
-            runs.append((code, capsys.readouterr().out, read(out / f"{name}.csv"),
-                         read(out / f"{name}.json")))
+            runs.append(cli_bytes(argv + ["--jobs", jobs], tmp_path / f"cpus{cpus}-jobs{jobs}", capsys))
     assert runs[0][0] == cli.EXIT_OK and len(runs[0][1].splitlines()) == n_checks
     assert all(run == runs[0] for run in runs[1:])
+    return runs[0]
 
 
 TINY_DSMC = ["dsmc", "--n-list", "16", "--replicas", "2", "--t-end", "2", "--samples", "1000"]
+
+
+def dsmc_split(argv):
+    """How many of the replicas the calling process of `argv` runs."""
+    return cli._dsmc_split(cli._load_config(cli._parser().parse_args(argv), "dsmc"))
+
+
+def test_the_collision_workload_gives_the_worker_no_replica():
+    # perfbench's collision pass: the default physics (N = 256, d = 3,
+    # t_end = 20) with 8 replicas.  A replica there is 40,960 events, so the
+    # 10^6-event drift walk alone outweighs all 8, and the worker runs none
+    assert dsmc_split(["dsmc", "--replicas", "8"]) == 8
+    assert dsmc_split(["dsmc"]) == 44  # of the default 64
 
 
 def assert_one_child_reaped(pids):
@@ -515,6 +539,16 @@ class TestDsmcDriftChild:
         assert_one_child_reaped(forked_children)
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[1] for line in lines] == ["momentum", "energy", "E|v1|^4", "KS"]
+
+    def test_one_child_whatever_jobs_is(self, forked_children, tmp_path, capsys):
+        # --jobs is accepted and checked but selects nothing: one forked
+        # worker, reaped, and the same bytes at every value
+        runs = []
+        for jobs in ("1", "2", "4"):
+            runs.append(cli_bytes(TINY_DSMC + ["--jobs", jobs], tmp_path / jobs, capsys))
+            assert_one_child_reaped(forked_children)
+            forked_children.clear()
+        assert runs[0][0] == cli.EXIT_OK and runs[1] == runs[0] and runs[2] == runs[0]
 
     def test_a_failed_check_reaps_the_child_and_keeps_the_line_order(
             self, forked_children, monkeypatch, tmp_path, capsys):
@@ -561,7 +595,7 @@ class TestDsmcDriftChild:
             raise error
 
         monkeypatch.setattr(cli, "_conservation_drift", slow_child)
-        monkeypatch.setattr(cli, "dsmc_run", broken)
+        monkeypatch.setattr(cli, "replica_series", broken)
         t0 = time.perf_counter()
         if code is None:
             with pytest.raises(type(error), match="replicas"):

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import signal
@@ -12,8 +13,9 @@ from boltzsphere import _kernels, dsmc, lifted
 from boltzsphere.dsmc import (
     CollisionKernel,
     ConditionedInitial,
-    UniformInitial,
+    RunResult,
     equilibrium_crosscheck,
+    replica_series,
     run,
 )
 from boltzsphere.uniform import UniformMarginal, marginal_moment, sample_uniform, sample_uniform_batch
@@ -34,6 +36,11 @@ class TestKernel:
         assert k.rate(N) == pytest.approx(0.5 * 9 * 4.0 * math.pi)
         # one collision per particle per mean free time: rate * mft = N/2
         assert k.rate(N) * k.mean_free_time(N) == pytest.approx(N / 2.0)
+
+
+def uniform_start(d, N):
+    """An initial sampler: a uniform-law state per replica."""
+    return functools.partial(sample_uniform, bs.SphereSpec.boltzmann(d, N))
 
 
 def _uniform_state(d, N, seed):
@@ -72,14 +79,14 @@ class TestStep:
 
 class TestRun:
     def test_uniform_law_is_stationary(self):
-        res = run(UniformInitial(d=2, N=32), CollisionKernel.uniform(2),
+        res = run(uniform_start(2, 32), CollisionKernel.uniform(2),
                   t_end=5.0, n_replicas=32, observables=("m4",), seed=5, n_times=3)
         m4, e4 = res.observables["m4"]
         # observable statistically stationary between first and last grid point
         assert abs(m4[-1] - m4[0]) <= 3.0 * math.hypot(e4[0], e4[-1])
 
     def test_m2_pinned_by_constraint(self):
-        res = run(UniformInitial(d=3, N=16), CollisionKernel.uniform(3),
+        res = run(uniform_start(3, 16), CollisionKernel.uniform(3),
                   t_end=2.0, n_replicas=4, observables=("m2",), seed=6, n_times=3)
         m2, e2 = res.observables["m2"]
         assert np.allclose(m2, 3.0, atol=1e-12)
@@ -105,7 +112,7 @@ class TestRun:
         def coord_mean(v):
             return float(v[:, 0].mean())
 
-        res = run(UniformInitial(d=2, N=8), CollisionKernel.uniform(2),
+        res = run(uniform_start(2, 8), CollisionKernel.uniform(2),
                   t_end=1.0, n_replicas=3, observables=(coord_mean,), seed=9, n_times=2)
         rows = res.rows()
         assert len(rows) == 2
@@ -113,22 +120,38 @@ class TestRun:
 
     def test_replica_minimum(self):
         with pytest.raises(bs.ParameterError):
-            run(UniformInitial(d=2, N=8), CollisionKernel.uniform(2),
+            run(uniform_start(2, 8), CollisionKernel.uniform(2),
                 t_end=1.0, n_replicas=1, seed=0)
 
-    def test_long_run_is_bit_identical_across_jobs(self):
+    def test_no_observable_is_refused(self):
+        with pytest.raises(bs.ParameterError, match="at least one observable"):
+            run(uniform_start(2, 8), CollisionKernel.uniform(2),
+                t_end=1.0, n_replicas=2, observables=(), seed=0)
+
+    def test_long_run_is_bit_identical_across_splits(self, monkeypatch):
         # 2000 mft at N = 64 is about 64,000 collisions per replica, so each
-        # replica runs over several event chunks and many draw blocks
-        args = (UniformInitial(d=3, N=64), CollisionKernel.uniform(3))
-        kw = dict(t_end=2000.0, n_replicas=3, observables=("m2", "m4"), seed=14, n_times=5)
-        assert run(*args, jobs=1, **kw).rows() == run(*args, jobs=2, **kw).rows()
+        # replica runs over several event chunks and many draw blocks; the
+        # replicas [k, R) run in a `_beside` worker, as the dsmc subcommand
+        # splits them, forked on two usable CPUs and inline on one
+        init, kernel = uniform_start(3, 64), CollisionKernel.uniform(3)
+        R, obs, seed = 3, ("m2", "m4"), 14
+        times = np.linspace(0.0, 2000.0, 5)
+        want = run(init, kernel, t_end=2000.0, n_replicas=R, observables=obs, seed=seed,
+                   n_times=5).rows()
+        for cpus in (1, 2):
+            monkeypatch.setattr(lifted, "_usable_cpus", lambda n=cpus: n)
+            for k in (0, 1, R):
+                with dsmc._beside(replica_series, init, kernel, times, range(k, R), obs, seed) as rest:
+                    own = replica_series(init, kernel, times, range(k), obs, seed)
+                    got = RunResult.over_replicas(times, own, rest())
+                assert got.rows() == want
 
     def test_no_collision_past_the_observation_time(self):
         # at t_end = 1e-6 mft a collision is improbable (~6e-6 per replica),
         # so the observable must not move; a collision crossing the
         # observation time must not be applied before the observation
         kernel = CollisionKernel.uniform(3)
-        res = run(UniformInitial(d=3, N=12), kernel, t_end=1e-6, n_replicas=3,
+        res = run(uniform_start(3, 12), kernel, t_end=1e-6, n_replicas=3,
                   observables=("m4",), seed=0, n_times=2)
         m4, _ = res.observables["m4"]
         assert m4[1] == m4[0]
@@ -329,7 +352,7 @@ def test_no_draw_or_kernel_call_exceeds_one_block(monkeypatch):
 
 
 class AnisotropicStart:
-    """Picklable fixed start on the Boltzmann sphere, stretched along the
+    """A fixed start on the Boltzmann sphere, stretched along the
     first axis: zero momentum and energy dN exactly, whatever the stream."""
 
     def __init__(self, d, N):

@@ -54,15 +54,35 @@ def test_package_import_loads_only_scipy_special():
     assert not loaded.intersection(HEAVY)
 
 
-def test_cli_import_loads_no_process_machinery():
-    # dsmc's replica pool and its drift child import what they need when
-    # they start
-    loaded = run_fresh(
-        "import json, sys\n"
-        "import boltzsphere.cli\n"
-        "print(json.dumps([m for m in ('multiprocessing', 'concurrent.futures.process')\n"
-        "                  if m in sys.modules]))\n"
+PROCESS_MACHINERY = ("multiprocessing", "concurrent.futures.process")
+
+
+def loaded_process_machinery(code: str) -> list:
+    """Which of PROCESS_MACHINERY are in sys.modules after running `code` in
+    a fresh interpreter."""
+    return run_fresh(
+        code + "\nimport json, sys\n"
+        f"print(json.dumps([m for m in {PROCESS_MACHINERY!r} if m in sys.modules]))\n"
     )
+
+
+def test_cli_import_loads_no_process_machinery():
+    # the `_beside` worker imports what it needs when it forks
+    assert loaded_process_machinery("import boltzsphere.cli") == []
+
+
+def test_dsmc_at_two_jobs_loads_no_process_machinery(tmp_path):
+    # --jobs selects nothing: the worker is one forked child, with no pool
+    argv = ["dsmc", "--n-list", "16", "--replicas", "2", "--t-end", "2", "--samples", "1000",
+            "--jobs", "2", "--out", str(tmp_path)]
+    loaded = loaded_process_machinery(
+        "import sys\n"
+        "from boltzsphere import cli\n"
+        f"code = cli.main({argv!r})\n"
+        f"if code != {cli.EXIT_OK}:\n"
+        "    sys.exit(code)\n"
+    )
+    assert (tmp_path / "dsmc.csv").exists()
     assert loaded == []
 
 
