@@ -29,9 +29,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
+from ._workers import _beside, _map_grid_builds
 from .conditioned import entropy_rate_experiment, w1_rate_experiment
 from .densities import gaussian_density, get_density, registry_names
-from .dsmc import CollisionKernel, ConditionedInitial, _advance, _beside, _conservation_drift
+from .dsmc import CollisionKernel, ConditionedInitial, _advance, _conservation_drift
 from .dsmc import RunResult, equilibrium_crosscheck, replica_series
 from .errors import BoltzsphereError, ConfigError, ParameterError
 from .geometry import (
@@ -47,7 +48,7 @@ from .geometry import (
     project_to_sphere,
     tangent_gradient,
 )
-from .lifted import _map_grid_builds, berry_esseen_sup, lifted_grid, z_prime_asymptotic
+from .lifted import berry_esseen_sup, lifted_grid, z_prime_asymptotic
 from .metrics import (
     EmpiricalMeasure,
     interpolation_check,

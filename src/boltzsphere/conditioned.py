@@ -34,11 +34,11 @@ from ._kernels import (
     draw_triple_indices,
     draw_unit_vectors,
 )
+from ._workers import _beside, _map_grid_builds
 from .densities import BaseDensity
-from .dsmc import _beside
 from .errors import ParameterError, SupportError
 from .geometry import SphereSpec
-from .lifted import DEFAULT_SHAPE, _map_grid_builds, lifted_grid, log_z_prime_asymptotic
+from .lifted import DEFAULT_SHAPE, lifted_grid, log_z_prime_asymptotic
 from .uniform import UniformMarginal, marginal_log_density, sample_uniform
 
 __all__ = [
@@ -171,7 +171,7 @@ def sample_conditioned_batch(
     between states.  From two states on, whatever the CPU count, the batch
     is two independent chains: the first ceil(n_states / 2) states are the
     `_Chain` on the (rng_seed, "conditioned") stream, the rest a chain on a
-    stream spawned from it, run beside this process by `dsmc._beside`."""
+    stream spawned from it, run beside this process by `_workers._beside`."""
     if n_states < 2:
         return _Chain(law, rng_seed, burn_in, thin).states(n_states)
     gen = rngmod.generator(rng_seed, "conditioned")

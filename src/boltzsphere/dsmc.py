@@ -16,9 +16,7 @@ average); one mean free time is N / ((N-1) beta) master-equation time.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
@@ -26,7 +24,9 @@ import numpy as np
 
 from . import rng as rngmod
 from ._kernels import _BLOCK, default_kernels, draw_pair_indices, draw_unit_vectors
-from .errors import CapacityError, ParameterError, WorkerError
+from .conditioned import ConditionedLaw, sample_conditioned_batch
+from .densities import get_density
+from .errors import CapacityError, ParameterError
 from .geometry import SphereSpec, log_sphere_surface
 from .uniform import coordinate_marginal, sample_uniform
 
@@ -114,82 +114,6 @@ def _conservation_drift(seed: int, N: int, kernel: CollisionKernel, n_events: in
     drift_p = float(np.max(np.abs(v.sum(axis=0) - p0))) / math.sqrt(e0)
     drift_e = abs(float(np.sum(v * v)) - e0) / e0
     return drift_p, drift_e
-
-
-@contextlib.contextmanager
-def _beside(fn, *args):
-    """Run fn(*args) in one forked child while the body of the with block
-    runs in this process; yields a function that waits for the child and
-    returns fn's value or raises its exception.  The child is reaped on
-    every path, and killed first if the block leaves before the result.
-
-    fn runs inline, at once, when os.fork is missing, when fewer than two
-    CPUs are usable (a child would only take turns with this process), or
-    when another Python thread is alive (a child forked then can deadlock on
-    a lock that thread held).  fn's value is the same on either path.
-    """
-    import pickle
-    import signal
-    import threading
-
-    from . import lifted
-
-    if not hasattr(os, "fork") or lifted._usable_cpus() < 2 or threading.active_count() > 1:
-        value = fn(*args)
-        yield lambda: value
-        return
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        # the child sends (ok, value or exception) and leaves with os._exit,
-        # so it never flushes the stdio buffers or runs the exit handlers it
-        # inherited; an outcome that does not pickle leaves code 1
-        code = 1
-        try:
-            os.close(r)
-            try:
-                outcome = pickle.dumps((True, fn(*args)))
-            except Exception as exc:
-                outcome = pickle.dumps((False, exc))
-            with open(w, "wb") as pipe:
-                pipe.write(outcome)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    reaped = False
-
-    def result():
-        # the pickle is loaded as it is read from the pipe, so the value is
-        # held once; a child that ended with a non-zero code is a
-        # WorkerError, whatever its truncated pickle made the load raise
-        nonlocal reaped
-        try:
-            ok, value = pickle.load(pipe)
-        except Exception:
-            pipe.read()  # the rest of the pickle, or a child still writing never ends
-            raise
-        finally:
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            reaped = True
-            if code != 0:  # a negative code is the signal that ended it
-                raise WorkerError(f"worker process ended with code {code} and no result")
-        if ok:
-            return value
-        raise value
-
-    with open(r, "rb") as pipe:
-        try:
-            yield result
-        finally:
-            if not reaped:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
 
 
 @dataclass
@@ -297,9 +221,6 @@ class ConditionedInitial:
     burn_in: Optional[int] = None
 
     def __call__(self, gen: np.random.Generator) -> np.ndarray:
-        from .conditioned import ConditionedLaw, sample_conditioned_batch
-        from .densities import get_density
-
         law = ConditionedLaw(
             f=get_density(self.density, self.d), spec=SphereSpec.boltzmann(self.d, self.N)
         )

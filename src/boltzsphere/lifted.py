@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import mmap
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -516,48 +515,14 @@ class LiftedGrid:
         return float(out) if out.ndim == 0 else out
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on Linux
-        return os.cpu_count() or 1
-
-
-# Grid builds run on at most two threads.  numpy's FFTs and ufuncs release
-# the GIL, so two builds for different N overlap almost fully (1.9x on two
-# cores), while splitting one build's FFTs gains little (1.16x).  The cap is
-# set by memory: each build holds one half-grid mapping, 17 MB at the
-# default shape, and 2 to 4 MB of temporaries at its peak.
-_GRID_WORKERS = min(2, _usable_cpus())
-
-
-def _map_grid_builds(fn, items) -> list:
-    """[fn(x) for x in items] on a pool of _GRID_WORKERS threads, in order.
-
-    For work that builds one grid or lattice per item and keeps only a small
-    result (a curve, a partition value, a sup gap), so at most
-    _GRID_WORKERS grids are alive at once.  The same code runs at one
-    worker and at two.  An exception raised by fn reaches the caller
-    unchanged, as it would from a loop.
-    """
-    items = list(items)
-    if not items:
-        return []
-    from concurrent.futures.thread import ThreadPoolExecutor
-
-    workers = min(_GRID_WORKERS, len(items))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def lifted_grid(f: BaseDensity, N: int, shape: tuple = DEFAULT_SHAPE, window: tuple = None) -> LiftedGrid:
     """A new N-fold lifted grid of f; 17 MB at the default shape: its values,
     the (1025, 2048) rows for z >= 0, are the front of the (1025, 1025)
     complex spectrum mapping they were computed in, which they keep mapped.
 
     Every grid of the package is built here and held only by its caller, so
-    none outlives the call that asked for it.  The one memo of the exact
-    pipeline is `conditioned._CURVES`, which keeps curves, never grids.
+    none outlives the call that asked for it.  The exact pipeline's memos,
+    `conditioned._CURVES` and `_GAPS`, keep curves and gaps, never grids.
     """
     return LiftedGrid(f, N, shape=shape, window=window)
 

@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from boltzsphere import lifted
+from boltzsphere import _workers, lifted
 
 
 @pytest.fixture
@@ -33,7 +33,7 @@ def forked_children(monkeypatch):
     check, metrics-selftest's share of pairs, a batch's second chain) runs
     in a forked child; the list of the pids forked.  A child a test leaves
     running is killed."""
-    monkeypatch.setattr(lifted, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
     pids = []
     fork = os.fork
 

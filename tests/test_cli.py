@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import errno
 import json
 import os
 import pathlib
@@ -9,7 +10,7 @@ import time
 
 import pytest
 
-from boltzsphere import cli, geometry, lifted
+from boltzsphere import _workers, cli, geometry, lifted
 from boltzsphere.errors import ParameterError
 from boltzsphere.geometry import SphereSpec
 from boltzsphere.uniform import UniformMarginal, marginal_moment
@@ -498,7 +499,7 @@ def assert_same_bytes_inline_and_forked(argv, n_checks, tmp_path, monkeypatch, c
     returns what the runs give."""
     runs = []
     for cpus in (1, 2):
-        monkeypatch.setattr(lifted, "_usable_cpus", lambda n=cpus: n)
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda n=cpus: n)
         for jobs in ("1", "2"):
             runs.append(cli_bytes(argv + ["--jobs", jobs], tmp_path / f"cpus{cpus}-jobs{jobs}", capsys))
     assert runs[0][0] == cli.EXIT_OK and len(runs[0][1].splitlines()) == n_checks
@@ -606,6 +607,26 @@ class TestDsmcDriftChild:
         assert_one_child_reaped(forked_children)
 
 
+def out_of_processes():
+    raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+@pytest.mark.parametrize("argv, n_checks", [
+    (TINY_DSMC, 4),
+    (["metrics-selftest", "--samples", "4000"], 6),
+], ids=["dsmc", "metrics-selftest"])
+def test_a_failed_fork_gives_the_inline_bytes(argv, n_checks, tmp_path, monkeypatch, capsys):
+    # os.fork raising EAGAIN (no process left to fork) runs the worker
+    # inline, as on one usable CPU: exit 0 and the same bytes
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
+    inline = cli_bytes(argv, tmp_path / "inline", capsys)
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", out_of_processes)
+    failed = cli_bytes(argv, tmp_path / "failed", capsys)
+    assert failed[0] == cli.EXIT_OK and len(failed[1].splitlines()) == n_checks
+    assert failed == inline
+
+
 class TestMetricsSelftestWorker:
     def test_a_pass_reaps_the_worker(self, forked_children, tmp_path, capsys):
         argv = ["metrics-selftest", "--samples", "4000", "--out", str(tmp_path)]
@@ -643,8 +664,8 @@ def test_a_line_printed_before_a_fork_appears_once_on_a_pipe(tmp_path, call, n_l
     if isinstance(call, list):  # a subcommand's argv
         call = f"raise SystemExit(cli.main({call + ['--out', str(tmp_path)]!r}))\n"
     code = (
-        "from boltzsphere import cli, lifted\n"
-        "lifted._usable_cpus = lambda: 2\n"
+        "from boltzsphere import _workers, cli\n"
+        "_workers._usable_cpus = lambda: 2\n"
         "print('before the fork')\n"
         + call
     )

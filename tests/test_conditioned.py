@@ -9,7 +9,7 @@ from scipy import integrate, stats
 from scipy.special import ndtr
 
 import boltzsphere as bs
-from boltzsphere import cli, conditioned, lifted
+from boltzsphere import _workers, cli, conditioned, lifted
 from boltzsphere._kernels import _BLOCK
 from boltzsphere.conditioned import (
     ConditionedLaw,
@@ -172,10 +172,10 @@ class TestTwoChains:
     @pytest.mark.parametrize("n", [7, 200])
     def test_the_bytes_do_not_depend_on_the_cpu_count(self, monkeypatch, forked_children, n):
         lw = law(bs.get_density("mixture", 3), 3, 16)
-        monkeypatch.setattr(lifted, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
         inline = sample_conditioned_batch(lw, 14, n)
         assert forked_children == []
-        monkeypatch.setattr(lifted, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
         forked = sample_conditioned_batch(lw, 14, n)
         assert len(forked_children) == 1
         assert forked.shape == (n, 16, 3) and forked.tobytes() == inline.tobytes()

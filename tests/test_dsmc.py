@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import boltzsphere as bs
-from boltzsphere import _kernels, dsmc, lifted
+from boltzsphere import _kernels, _workers, dsmc
 from boltzsphere.dsmc import (
     CollisionKernel,
     ConditionedInitial,
@@ -139,9 +139,9 @@ class TestRun:
         want = run(init, kernel, t_end=2000.0, n_replicas=R, observables=obs, seed=seed,
                    n_times=5).rows()
         for cpus in (1, 2):
-            monkeypatch.setattr(lifted, "_usable_cpus", lambda n=cpus: n)
+            monkeypatch.setattr(_workers, "_usable_cpus", lambda n=cpus: n)
             for k in (0, 1, R):
-                with dsmc._beside(replica_series, init, kernel, times, range(k, R), obs, seed) as rest:
+                with _workers._beside(replica_series, init, kernel, times, range(k, R), obs, seed) as rest:
                     own = replica_series(init, kernel, times, range(k), obs, seed)
                     got = RunResult.over_replicas(times, own, rest())
                 assert got.rows() == want
@@ -208,28 +208,28 @@ class TestBeside:
     cannot pay or is unsafe; os.getpid tells the two paths apart."""
 
     def test_forks_one_child_on_two_cpus(self, monkeypatch):
-        monkeypatch.setattr(lifted, "_usable_cpus", lambda: 2)
-        with dsmc._beside(os.getpid) as result:
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
+        with _workers._beside(os.getpid) as result:
             assert result() != os.getpid()
 
     def test_runs_inline_on_one_cpu(self, monkeypatch):
-        monkeypatch.setattr(lifted, "_usable_cpus", lambda: 1)
-        with dsmc._beside(os.getpid) as result:
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
+        with _workers._beside(os.getpid) as result:
             assert result() == os.getpid()
 
     def test_runs_inline_without_fork(self, monkeypatch):
-        monkeypatch.setattr(lifted, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
         monkeypatch.delattr(os, "fork")
-        with dsmc._beside(os.getpid) as result:
+        with _workers._beside(os.getpid) as result:
             assert result() == os.getpid()
 
     def test_runs_inline_beside_another_thread(self, monkeypatch):
-        monkeypatch.setattr(lifted, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
         stop = threading.Event()
         other = threading.Thread(target=stop.wait)
         other.start()
         try:
-            with dsmc._beside(os.getpid) as result:
+            with _workers._beside(os.getpid) as result:
                 assert result() == os.getpid()
         finally:
             stop.set()
@@ -237,8 +237,8 @@ class TestBeside:
         assert not other.is_alive()
 
     def test_child_without_a_result_is_a_worker_error(self, monkeypatch):
-        monkeypatch.setattr(lifted, "_usable_cpus", lambda: 2)
-        with dsmc._beside(os._exit, 3) as result:
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
+        with _workers._beside(os._exit, 3) as result:
             with pytest.raises(bs.WorkerError, match="ended with code 3 and no result"):
                 result()
 
@@ -247,7 +247,7 @@ class TestBeside:
         # whole and then loaded, a 1.5 MB array peaked at 3.0 MB traced
         tracemalloc.start()
         try:
-            with dsmc._beside(np.ones, 1_500_000 // 8) as result:
+            with _workers._beside(np.ones, 1_500_000 // 8) as result:
                 value = result()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -266,7 +266,7 @@ class TestBeside:
         previous = signal.signal(signal.SIGALRM, hung)
         signal.alarm(30)
         try:
-            with dsmc._beside(_unloadable_then_bulk) as result:
+            with _workers._beside(_unloadable_then_bulk) as result:
                 with pytest.raises(ValueError, match="cannot be loaded"):
                     result()
         finally:
@@ -345,7 +345,7 @@ def test_no_draw_or_kernel_call_exceeds_one_block(monkeypatch):
     lw = bs.conditioned.ConditionedLaw(
         f=bs.get_density("mixture", 2), spec=bs.SphereSpec.boltzmann(2, 16))
     # inline, so that the batch's second chain is recorded too
-    monkeypatch.setattr(lifted, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
     bs.conditioned.sample_conditioned_batch(lw, 5, 1000)
     assert max(draws) == max(calls) == _kernels._BLOCK
     assert len(calls) >= len(draws) > 10

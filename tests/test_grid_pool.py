@@ -1,7 +1,7 @@
 """The grid-build thread pool and the exact-curve memo change no number.
 
-The exact d = 1 pipeline builds its grids on `lifted._map_grid_builds`
-(up to `lifted._GRID_WORKERS` threads).  It keeps two memos,
+The exact d = 1 pipeline builds its grids on `_workers._map_grid_builds`
+(up to two threads, one per usable CPU).  It keeps two memos,
 `conditioned._CURVES` (one-particle curves) and `lifted._GAPS`
 (Berry-Esseen gaps), neither of which holds a grid: no grid outlives the
 call that built it.  Every raster and spectrum, on the pool or off it, is
@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import boltzsphere as bs
-from boltzsphere import cli, conditioned, lifted
+from boltzsphere import _workers, cli, conditioned, lifted
 from boltzsphere.conditioned import (
     ConditionedLaw,
     conditioned_marginal_density,
@@ -77,7 +77,7 @@ def _law(N):
 
 
 def _results(monkeypatch, workers, out):
-    monkeypatch.setattr(lifted, "_GRID_WORKERS", workers)
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda n=workers: n)
     _empty_memos(monkeypatch)
     w1_rows = np.array(w1_rate_experiment(UNIF, [8, 16, 32], grid_shape=SHAPE))
     _empty_memos(monkeypatch)
@@ -163,7 +163,7 @@ def _record_threads(monkeypatch, module, name):
     ],
 )
 def test_worker_errors_reach_main_typed(fresh, monkeypatch, tmp_path, capsys, workers, argv, message):
-    monkeypatch.setattr(lifted, "_GRID_WORKERS", workers)
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda n=workers: n)
     threads = _record_threads(monkeypatch, lifted, "convolution_power")
     assert cli.main(argv + ["--out", str(tmp_path)]) == cli.EXIT_RUNTIME
     assert message in capsys.readouterr().err
@@ -172,7 +172,7 @@ def test_worker_errors_reach_main_typed(fresh, monkeypatch, tmp_path, capsys, wo
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_worker_errors_keep_their_type(fresh, monkeypatch, workers):
-    monkeypatch.setattr(lifted, "_GRID_WORKERS", workers)
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda n=workers: n)
     threads = _record_threads(monkeypatch, conditioned, "_compute_curve")
     with pytest.raises(bs.CoverageError):
         w1_rate_experiment(UNIF, [8, 16], grid_shape=(16, 16))
@@ -182,13 +182,13 @@ def test_worker_errors_keep_their_type(fresh, monkeypatch, workers):
 
 
 def test_map_grid_builds_keeps_order_and_raises_first_error(monkeypatch):
-    monkeypatch.setattr(lifted, "_GRID_WORKERS", 4)
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         items = list(range(64))
-        assert lifted._map_grid_builds(lambda x: x * x, items) == [x * x for x in items]
-        assert lifted._map_grid_builds(lambda x: x, []) == []
+        assert _workers._map_grid_builds(lambda x: x * x, items) == [x * x for x in items]
+        assert _workers._map_grid_builds(lambda x: x, []) == []
 
         def fail_from_ten(x):
             if x >= 10:
@@ -196,7 +196,7 @@ def test_map_grid_builds_keeps_order_and_raises_first_error(monkeypatch):
             return x
 
         with pytest.raises(bs.CoverageError, match="item 10"):
-            lifted._map_grid_builds(fail_from_ten, items)
+            _workers._map_grid_builds(fail_from_ten, items)
     finally:
         sys.setswitchinterval(interval)
 
@@ -223,11 +223,11 @@ def _held_raster(N):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("fn", [_kept_values, _held_raster])
 def test_kept_arrays_are_never_overwritten(monkeypatch, mappings, workers, fn):
-    monkeypatch.setattr(lifted, "_GRID_WORKERS", workers)
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda n=workers: n)
     Ns = [8, 16, 32, 64]
     outside = [_kept_values(N) for N in Ns]
     assert len(mappings) == 2 * len(Ns)  # a raster and a spectrum per build
-    inside = lifted._map_grid_builds(fn, Ns)
+    inside = _workers._map_grid_builds(fn, Ns)
     assert len(mappings) == 4 * len(Ns)
     # each kept values array keeps its own spectrum's mapping, and no other
     assert _mapped(mappings) == 2 * len(Ns)
@@ -235,9 +235,9 @@ def test_kept_arrays_are_never_overwritten(monkeypatch, mappings, workers, fn):
 
 
 def test_no_buffer_outlives_its_map(monkeypatch, mappings, tmp_path, capsys):
-    monkeypatch.setattr(lifted, "_GRID_WORKERS", 2)
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
     _empty_memos(monkeypatch)
-    lifted._map_grid_builds(lambda N: lifted.lifted_grid(UNIF, N, shape=SHAPE).log_density(0.0, N), [8, 16, 32])
+    _workers._map_grid_builds(lambda N: lifted.lifted_grid(UNIF, N, shape=SHAPE).log_density(0.0, N), [8, 16, 32])
     assert len(mappings) == 6  # a raster and a spectrum per build
     assert _mapped(mappings) == 0
     code = cli.main(["w1-rate", "--n-list", "8,16,32", "--grid-shape", "256x256", "--out", str(tmp_path)])
@@ -273,9 +273,9 @@ def test_worker_count_without_sched_getaffinity(monkeypatch):
     # os.cpu_count()
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 5)
-    assert lifted._usable_cpus() == 5
+    assert _workers._usable_cpus() == 5
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # undetermined
-    assert lifted._usable_cpus() == 1
+    assert _workers._usable_cpus() == 1
 
 
 def test_grid_without_huge_page_advice(monkeypatch):

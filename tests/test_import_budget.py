@@ -163,12 +163,21 @@ def test_event_loop_compiles_on_first_use_and_once():
 
 
 def test_package_imports_without_linux_only_names():
-    # macOS has neither os.sched_getaffinity nor mmap.MADV_HUGEPAGE
+    # macOS has neither os.sched_getaffinity nor mmap.MADV_HUGEPAGE; the
+    # grid pool sizes itself from os.cpu_count() when it maps
     workers = run_fresh(
         "import mmap, os\n"
         "del os.sched_getaffinity, mmap.MADV_HUGEPAGE\n"
         "import json, boltzsphere.cli\n"
-        "from boltzsphere import lifted\n"
-        "print(json.dumps(lifted._GRID_WORKERS))\n"
+        "from concurrent.futures import thread\n"
+        "from boltzsphere import _workers\n"
+        "sizes = []\n"
+        "class Recording(thread.ThreadPoolExecutor):\n"
+        "    def __init__(self, max_workers):\n"
+        "        sizes.append(max_workers)\n"
+        "        super().__init__(max_workers)\n"
+        "thread.ThreadPoolExecutor = Recording\n"
+        "_workers._map_grid_builds(abs, range(4))\n"
+        "print(json.dumps(sizes))\n"
     )
-    assert workers == min(2, os.cpu_count())
+    assert workers == [min(2, os.cpu_count())]
