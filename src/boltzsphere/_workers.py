@@ -1,10 +1,12 @@
 """The package's one policy for using a second core.
 
 - Grid and lattice builds run on at most two threads (`_map_grid_builds`):
-  numpy's FFTs release the GIL, so two builds for different N overlap
-  almost fully (1.9x on two cores), while splitting one build's FFTs gains
-  little (1.16x).  Memory sets the cap: a build holds one half-grid mapping
-  (17 MB at the default shape) and 2 to 4 MB of temporaries at its peak.
+  numpy's FFTs release the GIL.  The unit is the build: on the z pass two
+  builds reach 1.74x on two cores and the column-block halves of one build
+  1.68x, but one build at a time with its z pass split took 15.5 MB off the
+  spectral workload's peak and added 41% to its raw wall time.  Memory
+  sets the cap: a build peaks at one half-grid mapping (17 MB at the
+  default shape) and two 1 MiB blocks.
 - Python loops that hold the GIL run in one forked worker (`_beside`)
   while the calling process runs the rest of the work.
 - The worker runs inline when os.fork is missing or fails, when one CPU is

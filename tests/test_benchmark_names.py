@@ -2,8 +2,9 @@
 
 The harness wraps and calls functions, methods and kernels by name, and its
 own tests live outside `tests/`.  These checks fail when one of those names
-is renamed or deleted.  `perfbench/tracer.py` is executed from its source,
-so no bytecode is written next to it.
+is renamed or deleted, and every argv that a workload passes to the CLI
+parses and loads.  `perfbench/tracer.py` and `perfbench/workloads.py` are
+executed from their source, so no bytecode is written next to them.
 """
 
 import importlib
@@ -15,17 +16,27 @@ import numpy as np
 import pytest
 
 import boltzsphere as bs
-from boltzsphere import _kernels, lifted
+from boltzsphere import _kernels, cli, lifted
 
-TRACER_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _from_source(name):
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(module))
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    module = types.ModuleType("perfbench_tracer")
-    module.__file__ = str(TRACER_PATH)
-    exec(compile(TRACER_PATH.read_text(encoding="utf-8"), str(TRACER_PATH), "exec"), vars(module))
-    return module
+    return _from_source("tracer")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _from_source("workloads")
 
 
 def test_every_layer_imports(tracer):
@@ -43,6 +54,18 @@ def test_every_traced_kernel_is_on_the_default_namespace(tracer):
     kernels = _kernels.default_kernels()
     for attr in tracer.KERNELS:
         assert callable(getattr(kernels, attr)), attr
+
+
+@pytest.mark.parametrize("size", ["full", "tiny"])
+def test_every_planned_argv_parses_and_loads(workloads, size, tmp_path):
+    # a flag the CLI drops or a value it refuses would end the benchmark's
+    # pass, and the benchmark's own tests run outside `tests/`
+    for workload in workloads.WORKLOADS:
+        argvs = workloads.plan(workload, size, 20240901, str(tmp_path))["argv"]
+        assert argvs, workload
+        for argv in argvs:
+            args = cli._parser().parse_args(argv)
+            assert cli._load_config(args, args.command).experiment == argv[0]
 
 
 def test_lifted_grid_is_a_module_function():
